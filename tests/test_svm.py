@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from oncograde.core import RngStream
+from oncograde.core import RngStream, derive_stream
+from oncograde.dataset import synth_generate
 from oncograde.models import (
     KernelSpec,
+    ModelSpec,
     kernel_eval,
     resolve_gamma,
     train_svm_binary,
     train_svm_ovr,
 )
+from oncograde.models.base import svm_kernel_for
 from oncograde.models.svm import SvmOvrModel, dual_objective, kkt_violation
+from oncograde.preprocess import run_pipeline
 from tests.conftest import make_blobs
 
 
@@ -104,6 +108,52 @@ class TestBinarySmo:
             perm = np.random.default_rng(trial).permutation(len(y))
             b = train_svm_binary(X[perm], y[perm], kern, tol=1e-6, stream=RngStream(9))
             assert abs(dual_objective(a) - dual_objective(b)) < 1e-9
+
+
+class TestWorkingSetSolver:
+    INDEFINITE_KERNELS = (
+        KernelSpec("polynomial", gamma=0.7, degree=3, coef0=1.0),
+        KernelSpec("sigmoid", gamma=0.7, coef0=0.0),
+        KernelSpec("sigmoid", gamma=1.0, coef0=-1.0),
+    )
+
+    def test_feasibility_and_kkt_polynomial_and_sigmoid(self):
+        tau_clamps = 0
+        for trial in range(50):
+            X, y = random_binary_problem(trial)
+            for kern in self.INDEFINITE_KERNELS:
+                svm = train_svm_binary(X, y, kern, C=1.0, tol=1e-3, stream=RngStream(trial))
+                assert abs(float((svm.alphas * svm.y).sum())) < 1e-9
+                assert (svm.alphas >= 0.0).all() and (svm.alphas <= 1.0).all()
+                assert kkt_violation(svm, tol=1e-3) <= 1e-3
+                assert not svm.hit_cap and svm.gap < 1e-3
+                tau_clamps += svm.tau_clamps
+        # non-PSD pairs were met and stepped, not skipped
+        assert tau_clamps > 0
+
+    def test_sigmoid_full_scale_machines_converge(self):
+        d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
+        prep = run_pipeline(d, "paper_order", test_fraction=0.2, stream=derive_stream(42, 1))
+        X, y = prep.X_train, prep.y_train
+        spec = ModelSpec("svm_sigmoid")
+        kern = svm_kernel_for(spec.name, spec.hyperparams, X)
+        for cls in range(3):
+            ypm = np.where(y == cls, 1.0, -1.0)
+            svm = train_svm_binary(X, ypm, kern, C=spec.hyperparams.C)
+            assert not svm.hit_cap
+            assert svm.iterations > 0
+            assert kkt_violation(svm, tol=1e-3) <= 1e-3
+
+    def test_stream_does_not_change_result(self):
+        X, y = random_binary_problem(3)
+        for kern in (KernelSpec("rbf", gamma=0.7), KernelSpec("sigmoid", gamma=0.7)):
+            a = train_svm_binary(X, y, kern, stream=RngStream(1))
+            b = train_svm_binary(X, y, kern, stream=RngStream(2))
+            assert np.array_equal(a.alphas, b.alphas) and a.bias == b.bias
+        X3, y3 = make_blobs(seed=6, n_per_class=10)
+        m1 = train_svm_ovr(X3, y3, KernelSpec("rbf", gamma=0.5), stream=RngStream(1))
+        m2 = train_svm_ovr(X3, y3, KernelSpec("rbf", gamma=0.5), stream=RngStream(2))
+        assert m1.to_params() == m2.to_params()
 
 
 class TestOneVsRest:
