@@ -9,6 +9,7 @@ scheduling.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -56,6 +57,24 @@ class RngStream:
         if n <= 0:
             raise ValueError("randint requires n >= 1")
         return int(self.uniform() * n)
+
+    def randints(self, n: int, size: int) -> np.ndarray:
+        """``size`` draws of :meth:`randint`, made in one block.
+
+        Values and the advanced ``state`` equal those of ``size`` scalar
+        calls: splitmix64 is counter-based, so draw ``k`` mixes
+        ``state + k * golden`` and needs none of the draws before it.
+        """
+        if n <= 0:
+            raise ValueError("randint requires n >= 1")
+        steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+        z = steps + np.uint64(self.state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self.state = (self.state + size * _GOLDEN) & _MASK64
+        uniform = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return (uniform * n).astype(np.int64)
 
     def derive(self, index: int) -> "RngStream":
         """Disjoint sub-stream for task `index`; same (seed, index) -> same stream."""
@@ -120,14 +139,25 @@ def worker_count() -> int:
     return max(n, 0)
 
 
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
+
+
 def parallel_map(fn, items: list) -> list:
     """Map preserving order; threads capped by ONCOGRADE_THREADS (0 = sequential).
+
+    Only the outermost map threads: a call made on one of its worker
+    threads (a bagging member pool inside a CV fold, say) runs its items
+    on the caller's thread, so pools never nest.
 
     Each item must carry its own derived stream, so the result is
     bit-identical regardless of the worker count.
     """
     n = worker_count()
-    if n <= 1 or len(items) <= 1:
+    if n <= 1 or len(items) <= 1 or getattr(_pool_thread, "active", False):
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
+    with ThreadPoolExecutor(max_workers=n, initializer=_mark_pool_thread) as pool:
         return list(pool.map(fn, items))

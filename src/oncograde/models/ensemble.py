@@ -69,7 +69,7 @@ def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -
     n = X.shape[0]
 
     def train_member(member_stream: RngStream):
-        rows = np.asarray([member_stream.randint(n) for _ in range(n)])
+        rows = member_stream.randints(n, n)
         Xb, yb = X[rows], y[rows]
         labels = np.unique(yb)
         if labels.size == 1:

@@ -9,11 +9,28 @@ one), so impurity is non-increasing rather than strictly decreasing.
 A split is admissible only if both children carry total weight of at
 least ``min_child_weight``; growth stops on purity, depth, or when no
 admissible split exists.
+
+Fitting presorts once per tree: every feature column is argsorted a
+single time (stable, int32 row ids), and each child inherits its sorted
+rows through a stable boolean partition of its parent's sorted index
+matrix, so no node sorts again. A node is scored a block of features at
+a time: per-class cumulative weights along the sorted order give every
+candidate's left and right histograms, and Gini gains, boundary and
+``min_child_weight`` masks are evaluated over the whole block at once.
+Blocks hold at most ``_BLOCK_CELLS`` (feature, row) cells, which bounds
+the working set. Every sum keeps the order of the per-feature loop it
+replaced (class histograms add as ``(c0 + c1) + c2``), so the trees are
+bit-identical to it.
+
+Prediction uses flat ``feature/threshold/left/right`` arrays and a
+leaf-probability table built once per model. Leaves point to themselves,
+so all rows advance one level per step until every row sits on a leaf.
+The node dicts stay the serialized form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,12 +38,34 @@ from ..core import as_matrix
 from ..dataset import N_CLASSES
 from .base import proba_to_labels
 
+# (feature, row) cells scored at once; bounds the per-node working set
+_BLOCK_CELLS = 8 * 1024
+
 
 @dataclass
 class TreeModel:
     family = "tree"
     nodes: list[dict]
     n_features: int
+    _flat: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.nodes)
+        internal = np.array(["leaf" not in node for node in self.nodes])
+        feature = np.zeros(n, dtype=np.intp)
+        threshold = np.zeros(n)
+        left, right = np.arange(n), np.arange(n)
+        hist = np.zeros((n, N_CLASSES))
+        for i, node in enumerate(self.nodes):
+            if internal[i]:
+                feature[i], threshold[i] = node["feature"], node["threshold"]
+                left[i], right[i] = node["left"], node["right"]
+            else:
+                hist[i] = node["hist"]
+        total = (hist[:, 0] + hist[:, 1]) + hist[:, 2]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            proba = hist / total[:, None]  # rows of internal nodes are never read
+        self._flat = (internal, feature, threshold, left, right, proba)
 
     def predict_proba(self, X) -> np.ndarray:
         X = as_matrix(X)
@@ -34,17 +73,12 @@ class TreeModel:
             raise ValueError(
                 f"dimension mismatch: model expects {self.n_features} features, got {X.shape[1]}"
             )
-        out = np.empty((X.shape[0], N_CLASSES), dtype=float)
-        for r in range(X.shape[0]):
-            node = self.nodes[0]
-            while "leaf" not in node:
-                if X[r, node["feature"]] <= node["threshold"]:
-                    node = self.nodes[node["left"]]
-                else:
-                    node = self.nodes[node["right"]]
-            hist = np.asarray(node["hist"], dtype=float)
-            out[r] = hist / hist.sum()
-        return out
+        internal, feature, threshold, left, right, proba = self._flat
+        rows = np.arange(X.shape[0])
+        at = np.zeros(X.shape[0], dtype=np.intp)
+        while internal[at].any():
+            at = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
+        return proba[at]
 
     def predict(self, X) -> np.ndarray:
         return proba_to_labels(self.predict_proba(X))
@@ -71,43 +105,39 @@ def _gini(hist: np.ndarray, total: float) -> float:
     return 1.0 - float(((hist / total) ** 2).sum())
 
 
-def _best_split(X, y, w, min_child_weight):
-    """Return (gain, feature, threshold) or None if nothing admissible."""
-    n, m = X.shape
-    total_w = float(w.sum())
-    parent_hist = _weighted_hist(y, w)
+def _best_split(Xt, class_w, order, parent_hist, total_w, min_child_weight):
+    """Return (gain, feature, threshold) or None if nothing admissible.
+
+    ``Xt`` is the feature-major training matrix, ``class_w[c]`` each row's
+    weight if its label is ``c`` and 0 otherwise, and ``order[f]`` the
+    node's rows sorted by feature ``f``. Position ``i`` along a sorted
+    row is the candidate that sends sorted rows ``0..i`` left.
+    """
+    m, n = order.shape
     parent_gini = _gini(parent_hist, total_w)
-
+    step = max(1, _BLOCK_CELLS // n)
     best = None
-    for feat in range(m):
-        order = np.argsort(X[:, feat], kind="stable")
-        xs = X[order, feat]
-        boundaries = np.where(xs[:-1] != xs[1:])[0]
-        if boundaries.size == 0:
-            continue
-        wc = np.zeros((n, N_CLASSES))
-        wc[np.arange(n), y[order]] = w[order]
-        cum = np.cumsum(wc, axis=0)
-
-        left_hist = cum[boundaries]
-        left_w = left_hist.sum(axis=1)
-        right_hist = parent_hist - left_hist
+    for lo in range(0, m, step):
+        block = order[lo : lo + step]
+        feats = np.arange(lo, lo + block.shape[0])[:, None]
+        xs = Xt[feats, block]
+        lh = [np.cumsum(cw[block], axis=1)[:, :-1] for cw in class_w]
+        rh = [parent_hist[c] - lh[c] for c in range(N_CLASSES)]
+        left_w = (lh[0] + lh[1]) + lh[2]
         right_w = total_w - left_w
-        admissible = (left_w >= min_child_weight) & (right_w >= min_child_weight)
-        if not admissible.any():
-            continue
-
-        gini_left = 1.0 - ((left_hist / left_w[:, None]) ** 2).sum(axis=1)
-        gini_right = 1.0 - ((right_hist / right_w[:, None]) ** 2).sum(axis=1)
-        gains = parent_gini - (left_w * gini_left + right_w * gini_right) / total_w
+        with np.errstate(invalid="ignore", divide="ignore"):
+            gini_left = 1.0 - (((lh[0] / left_w) ** 2 + (lh[1] / left_w) ** 2) + (lh[2] / left_w) ** 2)
+            gini_right = 1.0 - (((rh[0] / right_w) ** 2 + (rh[1] / right_w) ** 2) + (rh[2] / right_w) ** 2)
+            gains = parent_gini - (left_w * gini_left + right_w * gini_right) / total_w
+        admissible = (xs[:, :-1] != xs[:, 1:]) & (left_w >= min_child_weight) & (right_w >= min_child_weight)
         gains[~admissible] = -np.inf
-
-        pos = int(np.argmax(gains))  # first max -> lowest threshold
-        gain = float(gains[pos])
-        if best is None or gain > best[0]:
-            b = boundaries[pos]
-            threshold = (xs[b] + xs[b + 1]) / 2.0
-            best = (gain, feat, float(threshold))
+        pos = np.argmax(gains, axis=1)  # first max -> lowest threshold
+        per_feature = gains[np.arange(block.shape[0]), pos]
+        k = int(np.argmax(per_feature))  # first max -> lowest feature index
+        gain = float(per_feature[k])
+        if gain > -np.inf and (best is None or gain > best[0]):
+            threshold = (xs[k, pos[k]] + xs[k, pos[k] + 1]) / 2.0
+            best = (gain, lo + k, float(threshold))
     return best
 
 
@@ -123,25 +153,34 @@ def train_tree(X, y, sample_weights=None, max_depth: int = 8, min_child_weight: 
         if (w <= 0).any():
             raise ValueError("sample weights must be positive")
 
+    Xt = np.ascontiguousarray(X.T)
+    class_w = np.where(y == np.arange(N_CLASSES)[:, None], w, 0.0)
+    goes_left = np.zeros(X.shape[0], dtype=bool)
     nodes: list[dict] = []
-
-    def build(rows: np.ndarray, depth: int) -> int:
-        idx = len(nodes)
-        nodes.append({})
+    # depth-first in preorder, so a left child is always its parent + 1;
+    # rows ascend, so histogram and weight sums add in row order
+    presorted = np.argsort(Xt, axis=1, kind="stable").astype(np.int32)
+    stack = [(np.arange(X.shape[0]), presorted, 0, None)]
+    del presorted  # each node's order matrix is freed once its children are cut
+    while stack:
+        rows, order, depth, right_of = stack.pop()
+        if right_of is not None:
+            nodes[right_of]["right"] = len(nodes)
         ys, ws = y[rows], w[rows]
-        pure = np.unique(ys).size == 1
+        hist = _weighted_hist(ys, ws)
         split = None
-        if not pure and depth < max_depth:
-            split = _best_split(X[rows], ys, ws, min_child_weight)
+        if depth < max_depth and (ys != ys[0]).any():
+            split = _best_split(Xt, class_w, order, hist, float(ws.sum()), min_child_weight)
         if split is None:
-            nodes[idx] = {"leaf": True, "hist": _weighted_hist(ys, ws).tolist()}
-            return idx
+            nodes.append({"leaf": True, "hist": hist.tolist()})
+            continue
         _, feat, thr = split
-        mask = X[rows, feat] <= thr
-        left = build(rows[mask], depth + 1)
-        right = build(rows[~mask], depth + 1)
-        nodes[idx] = {"feature": int(feat), "threshold": thr, "left": left, "right": right}
-        return idx
-
-    build(np.arange(X.shape[0]), 0)
+        idx = len(nodes)
+        nodes.append({"feature": int(feat), "threshold": thr, "left": idx + 1, "right": None})
+        mask = Xt[feat, rows] <= thr
+        goes_left[rows] = mask
+        sent = goes_left[order]
+        n_left = int(mask.sum())
+        stack.append((rows[~mask], order[~sent].reshape(-1, rows.size - n_left), depth + 1, idx))
+        stack.append((rows[mask], order[sent].reshape(-1, n_left), depth + 1, None))
     return TreeModel(nodes=nodes, n_features=X.shape[1])

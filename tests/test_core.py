@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -59,6 +61,22 @@ class TestRngStream:
         a, b = RngStream(5), RngStream(5)
         a.derive(1)
         assert a.next_u64() == b.next_u64()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 150, 1100, 2**31 + 7])
+    def test_randints_match_scalar_draws(self, n):
+        for seed in (0, 9, MASK):
+            scalar, block = RngStream(seed), RngStream(seed)
+            expected = [scalar.randint(n) for _ in range(257)]
+            drawn = block.randints(n, 257)
+            assert drawn.tolist() == expected
+            assert block.next_u64() == scalar.next_u64()
+
+    def test_randints_empty_and_invalid(self):
+        s = RngStream(4)
+        assert s.randints(5, 0).size == 0
+        assert s.next_u64() == RngStream(4).next_u64()
+        with pytest.raises(ValueError):
+            s.randints(0, 3)
 
     def test_derive_stream_helper(self):
         assert derive_stream(7, 2).next_u64() == RngStream(7).derive(2).next_u64()
@@ -139,3 +157,17 @@ class TestParallelMap:
         monkeypatch.setenv("ONCOGRADE_THREADS", "8")
         par = parallel_map(lambda x: x * x, items)
         assert seq == par == [x * x for x in items]
+
+    def test_nested_map_runs_on_callers_thread(self, monkeypatch):
+        monkeypatch.setenv("ONCOGRADE_THREADS", "4")
+
+        def inner(_):
+            caller = threading.get_ident()
+            return caller, parallel_map(lambda _: threading.get_ident(), list(range(5)))
+
+        results = parallel_map(inner, list(range(6)))
+        assert all(caller != threading.get_ident() for caller, _ in results)
+        assert all(threads == [caller] * 5 for caller, threads in results)
+        # only pool threads are marked: the next outermost map threads again
+        later = parallel_map(lambda _: threading.get_ident(), list(range(4)))
+        assert threading.get_ident() not in later

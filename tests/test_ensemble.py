@@ -1,6 +1,10 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from oncograde.cli import main
 from oncograde.core import RngStream, derive_stream
 from oncograde.dataset import synth_generate
 from oncograde.models import (
@@ -60,6 +64,40 @@ class TestBagging:
     def test_bad_estimator_count(self):
         with pytest.raises(ValueError, match="n_estimators"):
             train_bagging(np.zeros((3, 1)), np.array([0, 1, 2]), {}, 0, RngStream(0))
+
+
+class TestTreeEnsembleBytes:
+    """Artifact bytes of a small bagging run, pinned so CART output cannot drift.
+
+    The digests were recorded with the per-node argsort CART that preceded
+    the presorted one; both must grow the same trees bit for bit.
+    """
+
+    PINNED = {
+        ("train", "model.json"): "59bcda90dcf58d14d895cbe386c32cf9bc49a5cc8f40e55a47451750f94948ae",
+        ("train", "metrics.json"): "84f8ed762a9240c60d70351fa4fb00e445733aa2eae9cef2ab7f26a8a411deaf",
+        ("cv", "cv.json"): "730831728c96066a867471087ac274b9db37f4d3178328cba9b22ab83682a2c9",
+    }
+
+    def test_bagging_train_and_cv_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("ONCOGRADE_THREADS", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "seed": 33,
+                    "data": {"synthetic": {"n": 150}},
+                    "model": {"name": "bagging", "hyperparams": {"n_estimators": 5}},
+                    "eval": {"k": 3},
+                }
+            ),
+            encoding="utf-8",
+        )
+        for sub in ("train", "cv"):
+            assert main([sub, "--config", str(cfg), "--output-dir", str(tmp_path / sub)]) == 0
+        for (sub, name), digest in self.PINNED.items():
+            produced = hashlib.sha256((tmp_path / sub / name).read_bytes()).hexdigest()
+            assert produced == digest, f"{sub}/{name} bytes moved"
 
 
 class TestVoting:

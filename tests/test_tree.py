@@ -1,9 +1,16 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oncograde.dataset import synth_generate
+from oncograde.core import RngStream, derive_stream
+from oncograde.dataset import N_CLASSES, synth_generate
 from oncograde.models import train_tree
-from oncograde.models.tree import _weighted_hist
+from oncograde.models.base import model_from_doc, model_to_doc
+from oncograde.models.ensemble import BaggingModel
+from oncograde.models.tree import TreeModel, _weighted_hist
+from oncograde.preprocess import run_pipeline
 
 
 def _gini(hist):
@@ -24,6 +31,124 @@ def _walk_splits(model, X, y, w):
         yield rows, left, right
         stack.append((node["left"], left))
         stack.append((node["right"], right))
+
+
+def reference_predict_proba(model, X):
+    """Per-row node walk: the reference for the flat-array predict."""
+    out = np.empty((X.shape[0], N_CLASSES))
+    for r in range(X.shape[0]):
+        node = model.nodes[0]
+        while "leaf" not in node:
+            if X[r, node["feature"]] <= node["threshold"]:
+                node = model.nodes[node["left"]]
+            else:
+                node = model.nodes[node["right"]]
+        hist = np.asarray(node["hist"], dtype=float)
+        out[r] = hist / hist.sum()
+    return out
+
+
+def reference_tree_nodes(X, y, w, max_depth, min_child_weight):
+    """Per-node, per-feature argsort CART: the reference for the presorted fit."""
+    nodes = []
+
+    def best_split(Xn, yn, wn):
+        n = Xn.shape[0]
+        total_w = float(wn.sum())
+        parent = _weighted_hist(yn, wn)
+        parent_gini = 1.0 - float(((parent / total_w) ** 2).sum())
+        best = None
+        for feat in range(Xn.shape[1]):
+            order = np.argsort(Xn[:, feat], kind="stable")
+            xs = Xn[order, feat]
+            bounds = np.where(xs[:-1] != xs[1:])[0]
+            if bounds.size == 0:
+                continue
+            wc = np.zeros((n, N_CLASSES))
+            wc[np.arange(n), yn[order]] = wn[order]
+            left = np.cumsum(wc, axis=0)[bounds]
+            left_w = left.sum(axis=1)
+            right, right_w = parent - left, total_w - left_w
+            ok = (left_w >= min_child_weight) & (right_w >= min_child_weight)
+            if not ok.any():
+                continue
+            gl = 1.0 - ((left / left_w[:, None]) ** 2).sum(axis=1)
+            gr = 1.0 - ((right / right_w[:, None]) ** 2).sum(axis=1)
+            gains = parent_gini - (left_w * gl + right_w * gr) / total_w
+            gains[~ok] = -np.inf
+            pos = int(np.argmax(gains))
+            if best is None or gains[pos] > best[0]:
+                b = bounds[pos]
+                best = (float(gains[pos]), feat, float((xs[b] + xs[b + 1]) / 2.0))
+        return best
+
+    def build(rows, depth):
+        idx = len(nodes)
+        nodes.append({})
+        split = None
+        if np.unique(y[rows]).size > 1 and depth < max_depth:
+            split = best_split(X[rows], y[rows], w[rows])
+        if split is None:
+            nodes[idx] = {"leaf": True, "hist": _weighted_hist(y[rows], w[rows]).tolist()}
+            return idx
+        _, feat, thr = split
+        mask = X[rows, feat] <= thr
+        left = build(rows[mask], depth + 1)
+        right = build(rows[~mask], depth + 1)
+        nodes[idx] = {"feature": feat, "threshold": thr, "left": left, "right": right}
+        return idx
+
+    build(np.arange(X.shape[0]), 0)
+    return nodes
+
+
+def random_tree_problem(seed):
+    """Weighted problems with ties, signed zeros and depth limits."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(2, 160)), int(rng.integers(1, 12))
+    kind = seed % 3
+    if kind == 0:
+        X = rng.normal(size=(n, m))
+    elif kind == 1:
+        X = rng.integers(0, 3, size=(n, m)).astype(float)
+    else:
+        X = np.round(rng.normal(size=(n, m)), 1) * rng.choice([-0.0, 1.0], size=(n, m))
+    y = rng.integers(0, N_CLASSES, size=n)
+    w = rng.choice([0.1, 0.5, 1.0, 1.7, 3.0], size=n)
+    return X, y, w, int(rng.integers(0, 9)), float(rng.choice([0.0, 1.0, 2.5, 6.0]))
+
+
+class TestPresortedFit:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_nodes_as_per_node_argsort(self, seed):
+        X, y, w, depth, mcw = random_tree_problem(seed)
+        model = train_tree(X, y, sample_weights=w, max_depth=depth, min_child_weight=mcw)
+        expected = reference_tree_nodes(X, y, w, depth, mcw)
+        assert json.dumps(model.to_params()["nodes"]) == json.dumps(expected)
+
+    def test_tied_features_across_blocks_take_lowest_index(self):
+        # 40 columns x 500 rows spans several scoring blocks; copies tie exactly
+        rng = np.random.default_rng(3)
+        base = rng.integers(0, 6, size=(500, 10)).astype(float)
+        X, y = np.tile(base, 4), rng.integers(0, N_CLASSES, size=500)
+        w = rng.choice([0.5, 1.0, 2.0], size=500)
+        model = train_tree(X, y, sample_weights=w, max_depth=6, min_child_weight=2.0)
+        assert json.dumps(model.nodes) == json.dumps(reference_tree_nodes(X, y, w, 6, 2.0))
+        assert all(node["feature"] < 10 for node in model.nodes if "leaf" not in node)
+
+    def test_peak_memory_of_one_bootstrap_tree(self):
+        # paper-scale training matrix (876 x 59), resampled to 1,100 rows
+        d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
+        prep = run_pipeline(d, "paper_order", test_fraction=0.2, stream=derive_stream(42, 1))
+        rows = RngStream(8).randints(prep.X_train.shape[0], 1100)
+        Xb, yb = prep.X_train[rows], prep.y_train[rows]
+        tracemalloc.start()
+        try:
+            train_tree(Xb, yb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestTrainTree:
@@ -117,6 +242,39 @@ class TestTreePredict:
         d = synth_generate(60, 2)
         model = train_tree(d.X, d.y)
         assert model.predict(np.zeros((0, 23))).shape == (0,)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_flat_predict_equals_node_walk(self, seed):
+        X, y, w, depth, mcw = random_tree_problem(seed)
+        model = train_tree(X, y, sample_weights=w, max_depth=depth, min_child_weight=mcw)
+        probe = np.vstack([X, np.random.default_rng(seed).normal(size=(40, X.shape[1]))])
+        assert np.array_equal(model.predict_proba(probe), reference_predict_proba(model, probe))
+
+    def test_single_leaf_and_zero_rows(self):
+        leaf = TreeModel(nodes=[{"leaf": True, "hist": [1.0, 3.0, 0.5]}], n_features=2)
+        X = np.random.default_rng(1).normal(size=(7, 2))
+        assert np.array_equal(leaf.predict_proba(X), reference_predict_proba(leaf, X))
+        d = synth_generate(80, 3)
+        model = train_tree(d.X, d.y, max_depth=4)
+        empty = np.zeros((0, d.X.shape[1]))
+        assert model.predict_proba(empty).shape == (0, N_CLASSES)
+        assert np.array_equal(model.predict_proba(empty), reference_predict_proba(model, empty))
+
+    def test_json_round_trip_and_bagging_predict_like_node_walk(self):
+        d = synth_generate(150, 4)
+        probe = synth_generate(60, 5).X
+        trees = []
+        for seed in range(4):
+            rows = RngStream(seed).randints(150, 150)
+            model = train_tree(d.X[rows], d.y[rows], max_depth=5)
+            doc = json.loads(json.dumps(model_to_doc(model)))
+            loaded = model_from_doc(doc)
+            assert loaded.nodes == model.nodes
+            assert np.array_equal(loaded.predict_proba(probe), reference_predict_proba(model, probe))
+            trees.append(loaded)
+        bag = BaggingModel(members=trees, base_spec={})
+        expected = np.mean([reference_predict_proba(t, probe) for t in trees], axis=0)
+        assert np.array_equal(bag.predict_proba(probe), expected)
 
     def test_dimension_mismatch(self):
         d = synth_generate(60, 2)
