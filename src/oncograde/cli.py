@@ -53,6 +53,10 @@ from .svg import render_svg
 
 MODEL_WRAPPER_VERSION = 1
 
+# rows `evaluate` predicts at a time, so kernel and activation matrices
+# stay bounded however long the CSV is
+_EVALUATE_BLOCK_ROWS = 2048
+
 
 class ConfigError(Exception):
     """Bad config or usage; maps to exit code 2."""
@@ -145,6 +149,18 @@ def _check_keys(section: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
+def _integer(value, where: str) -> int:
+    """``value`` as an int; bools and non-integral numbers are config errors."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be an integer, got {json.dumps(value)}")
+
+
+_INTEGER_HYPERPARAMS = ("epochs", "batch_size", "degree", "max_depth", "n_estimators", "seed")
+
+
 def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
@@ -154,7 +170,7 @@ def parse_config(doc: dict) -> RunConfig:
     cfg = RunConfig()
     try:
         if "seed" in doc:
-            cfg.seed = int(doc["seed"])
+            cfg.seed = _integer(doc["seed"], "seed")
             if cfg.seed < 0:
                 raise ConfigError("seed must be a non-negative integer")
         if "data" in doc:
@@ -169,7 +185,7 @@ def parse_config(doc: dict) -> RunConfig:
                 _check_keys(syn, {"n", "class_proportions"}, "data.synthetic")
                 props = syn.get("class_proportions", list(cfg.data.synthetic_proportions))
                 cfg.data = DataConfig(
-                    synthetic_n=int(syn.get("n", cfg.data.synthetic_n)),
+                    synthetic_n=_integer(syn.get("n", cfg.data.synthetic_n), "data.synthetic.n"),
                     synthetic_proportions=tuple(float(p) for p in props),
                     source="synthetic",
                 )
@@ -178,7 +194,7 @@ def parse_config(doc: dict) -> RunConfig:
             _check_keys(pp, {"order", "smote_k", "corr_hi", "corr_lo", "test_fraction"}, "preprocess")
             cfg.preprocess = PreprocessConfig(
                 order=str(pp.get("order", cfg.preprocess.order)),
-                smote_k=int(pp.get("smote_k", cfg.preprocess.smote_k)),
+                smote_k=_integer(pp.get("smote_k", cfg.preprocess.smote_k), "preprocess.smote_k"),
                 corr_hi=float(pp.get("corr_hi", cfg.preprocess.corr_hi)),
                 corr_lo=float(pp.get("corr_lo", cfg.preprocess.corr_lo)),
                 test_fraction=float(pp.get("test_fraction", cfg.preprocess.test_fraction)),
@@ -194,6 +210,16 @@ def parse_config(doc: dict) -> RunConfig:
             hp_doc = dict(mdl.get("hyperparams", {}))
             hp_fields = {f.name for f in dataclasses.fields(Hyperparams)}
             _check_keys(hp_doc, hp_fields, "model.hyperparams")
+            for name in _INTEGER_HYPERPARAMS:
+                if name in hp_doc:
+                    hp_doc[name] = _integer(hp_doc[name], f"model.hyperparams.{name}")
+            if "hidden_layers" in hp_doc:
+                layers = hp_doc["hidden_layers"]
+                if not isinstance(layers, list):
+                    raise ConfigError("model.hyperparams.hidden_layers must be a list of integers")
+                hp_doc["hidden_layers"] = [
+                    _integer(h, "model.hyperparams.hidden_layers entry") for h in layers
+                ]
             cfg.hyperparams = Hyperparams(**hp_doc)
         if "eval" in doc:
             ev = doc["eval"]
@@ -202,9 +228,11 @@ def parse_config(doc: dict) -> RunConfig:
             _check_keys(sweep_doc, {"learning_rate", "min_child_weight"}, "eval.sweep")
             default = EvalConfig()
             cfg.eval = EvalConfig(
-                k=int(ev.get("k", default.k)),
+                k=_integer(ev.get("k", default.k), "eval.k"),
                 curve_fractions=[float(f) for f in ev.get("curve_fractions", default.curve_fractions)],
-                curve_repeats=int(ev.get("curve_repeats", default.curve_repeats)),
+                curve_repeats=_integer(
+                    ev.get("curve_repeats", default.curve_repeats), "eval.curve_repeats"
+                ),
                 sweep_learning_rate=[
                     float(v) for v in sweep_doc.get("learning_rate", default.sweep_learning_rate)
                 ],
@@ -470,7 +498,9 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
     X = apply_minmax(d.X, params)
     X = append_pair_means(X, [tuple(p) for p in pipe["engineered_pairs"]])
     model = model_from_doc(wrapper["model"])
-    cm, report = evaluate_predictions(d.y, model.predict(X))
+    block = _EVALUATE_BLOCK_ROWS
+    labels = np.concatenate([model.predict(X[lo : lo + block]) for lo in range(0, len(X), block)])
+    cm, report = evaluate_predictions(d.y, labels)
     _write_metrics_artifacts(
         writer, cm, report, f"Confusion matrix: {wrapper.get('model_name', 'model')}"
     )

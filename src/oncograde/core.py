@@ -58,23 +58,31 @@ class RngStream:
             raise ValueError("randint requires n >= 1")
         return int(self.uniform() * n)
 
-    def randints(self, n: int, size: int) -> np.ndarray:
-        """``size`` draws of :meth:`randint`, made in one block.
+    def uniforms(self, size: int) -> np.ndarray:
+        """``size`` draws of :meth:`uniform`, made in one block.
 
         Values and the advanced ``state`` equal those of ``size`` scalar
         calls: splitmix64 is counter-based, so draw ``k`` mixes
         ``state + k * golden`` and needs none of the draws before it.
+        Every block draw below is built on this one.
         """
-        if n <= 0:
-            raise ValueError("randint requires n >= 1")
         steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         z = steps + np.uint64(self.state)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         z ^= z >> np.uint64(31)
         self.state = (self.state + size * _GOLDEN) & _MASK64
-        uniform = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return (uniform * n).astype(np.int64)
+        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    def randints(self, n: int, size: int) -> np.ndarray:
+        """``size`` draws of :meth:`randint`, made in one block."""
+        if n <= 0:
+            raise ValueError("randint requires n >= 1")
+        return (self.uniforms(size) * n).astype(np.int64)
+
+    def normals(self, size: int) -> np.ndarray:
+        """``size`` draws of :meth:`normal`, made in one block."""
+        return box_muller(self.uniforms(2 * size).reshape(size, 2))
 
     def derive(self, index: int) -> "RngStream":
         """Disjoint sub-stream for task `index`; same (seed, index) -> same stream."""
@@ -83,8 +91,11 @@ class RngStream:
         return RngStream(seed)
 
 
-def rng_uniform(stream: RngStream) -> float:
-    return stream.uniform()
+def box_muller(uv: np.ndarray) -> np.ndarray:
+    """Normals from the uniform pairs ``uv[..., 0], uv[..., 1]``, by the
+    same expression as :meth:`RngStream.normal`."""
+    u = np.maximum(uv[..., 0], 2.0**-53)
+    return np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * uv[..., 1])
 
 
 def derive_stream(seed: int, index: int) -> RngStream:
@@ -92,10 +103,17 @@ def derive_stream(seed: int, index: int) -> RngStream:
 
 
 def shuffle(indices, stream: RngStream) -> list:
-    """Fisher-Yates permutation of `indices` driven by `stream`."""
+    """Fisher-Yates permutation of `indices` driven by `stream`.
+
+    Step ``i = n-1, ..., 1`` swaps in ``j = randint(i + 1)``; all the
+    ``j`` come from one block of ``n - 1`` uniforms.
+    """
     out = list(indices)
-    for i in range(len(out) - 1, 0, -1):
-        j = stream.randint(i + 1)
+    n = len(out)
+    if n < 2:
+        return out
+    picks = (stream.uniforms(n - 1) * np.arange(n, 1, -1)).astype(np.int64)
+    for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
         out[i], out[j] = out[j], out[i]
     return out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, as_matrix
+from .core import RngStream, as_matrix, box_muller
 
 ORDINAL_LOW, ORDINAL_HIGH = 1, 9
 AGE_MIN, AGE_MAX = 25, 75
@@ -139,6 +139,8 @@ _ORDINAL_RECIPE: dict[str, tuple[float, float, float, float]] = {
 }
 
 _SEVERITY_SD = 0.7
+# per row: the severity latent, then one noise draw per ordinal feature
+_NORMALS_PER_ROW = 1 + len(_ORDINAL_RECIPE)
 
 
 def largest_remainder_counts(n: int, proportions) -> tuple[int, ...]:
@@ -173,25 +175,24 @@ def synth_generate(n: int, seed: int, class_proportions=(1 / 3, 1 / 3, 1 / 3)) -
     counts = largest_remainder_counts(n, props)
     stream = RngStream(seed)
     names = list(FEATURE_NAMES)
-    X = np.empty((n, len(names)), dtype=np.float64)
-    y = np.empty(n, dtype=np.int64)
-
-    row = 0
+    base, slope, load, sigma = np.array([_ORDINAL_RECIPE[name] for name in names[2:]]).T
+    # per row: age and gender uniforms, then a Box-Muller pair per normal
+    width = 2 + 2 * _NORMALS_PER_ROW
+    blocks = []
     for cls, n_cls in enumerate(counts):
         age_lo = AGE_MIN + 5 * cls
         age_hi = AGE_MAX - 10 + 5 * cls
-        for _ in range(n_cls):
-            y[row] = cls
-            age = round(age_lo + stream.uniform() * (age_hi - age_lo))
-            gender = 1.0 if stream.uniform() < 0.6 else 2.0
-            severity = _SEVERITY_SD * stream.normal()
-            X[row, 0] = age
-            X[row, 1] = gender
-            for j, name in enumerate(names[2:], start=2):
-                base, slope, load, sigma = _ORDINAL_RECIPE[name]
-                v = base + slope * cls + load * severity + sigma * stream.normal()
-                X[row, j] = min(max(round(v), ORDINAL_LOW), ORDINAL_HIGH)
-            row += 1
+        draws = stream.uniforms(n_cls * width).reshape(n_cls, width)
+        normal = box_muller(draws[:, 2:].reshape(n_cls, _NORMALS_PER_ROW, 2))
+        severity = _SEVERITY_SD * normal[:, :1]
+        block = np.empty((n_cls, len(names)), dtype=np.float64)
+        block[:, 0] = np.round(age_lo + draws[:, 0] * (age_hi - age_lo))
+        block[:, 1] = np.where(draws[:, 1] < 0.6, 1.0, 2.0)
+        v = base + slope * cls + load * severity + sigma * normal[:, 1:]
+        block[:, 2:] = np.clip(np.round(v), ORDINAL_LOW, ORDINAL_HIGH)
+        blocks.append(block)
+    X = np.vstack(blocks)
+    y = np.repeat(np.arange(N_CLASSES, dtype=np.int64), counts)
 
     return Dataset(
         X=X,

@@ -83,11 +83,7 @@ def init_params(layer_sizes: list[int], stream: RngStream):
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         scale = np.sqrt(2.0 / fan_in)
-        w = np.empty((fan_in, fan_out))
-        for r in range(fan_in):
-            for c in range(fan_out):
-                w[r, c] = scale * stream.normal()
-        weights.append(w)
+        weights.append(scale * stream.normals(fan_in * fan_out).reshape(fan_in, fan_out))
         biases.append(np.zeros(fan_out))
     return weights, biases
 
@@ -110,9 +106,18 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def mean_cross_entropy(weights, biases, X, y) -> float:
-    logp = _log_softmax(forward(weights, biases, X))
+def _logits_cross_entropy(logits: np.ndarray, y) -> float:
+    logp = _log_softmax(logits)
     return float(-logp[np.arange(len(y)), y].mean())
+
+
+def mean_cross_entropy(weights, biases, X, y) -> float:
+    return _logits_cross_entropy(forward(weights, biases, X), y)
+
+
+def _logits_accuracy(logits: np.ndarray, y) -> float:
+    """Accuracy of :meth:`MlpModel.predict`, which labels softmax rows."""
+    return float((proba_to_labels(softmax(logits)) == y).mean())
 
 
 def loss_and_grads(weights, biases, X, y):
@@ -173,17 +178,19 @@ def train_mlp(Xtr, ytr, Xval, yval, hp: Hyperparams, stream: RngStream) -> MlpMo
                 weights[layer] = weights[layer] + vel_w[layer]
                 biases[layer] = biases[layer] + vel_b[layer]
 
-        train_loss = mean_cross_entropy(weights, biases, Xtr, ytr)
-        val_loss = mean_cross_entropy(weights, biases, Xval, yval)
+        # one forward pass per split gives both its loss and its accuracy
+        logits_tr = forward(weights, biases, Xtr)
+        logits_val = forward(weights, biases, Xval)
+        train_loss = _logits_cross_entropy(logits_tr, ytr)
+        val_loss = _logits_cross_entropy(logits_val, yval)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)) or train_loss > _LOSS_BLOWUP:
             raise ValueError(
                 f"training diverged (exploding loss) at learning_rate={hp.learning_rate}"
             )
-        model = MlpModel(weights, biases, history)
         history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)
-        history.train_accuracy.append(float((model.predict(Xtr) == ytr).mean()))
-        history.val_accuracy.append(float((model.predict(Xval) == yval).mean()))
+        history.train_accuracy.append(_logits_accuracy(logits_tr, ytr))
+        history.val_accuracy.append(_logits_accuracy(logits_val, yval))
 
         if val_loss < best_val:
             best_val = val_loss

@@ -167,6 +167,23 @@ def engineer_features(
     return append_pair_means(X, engineered), out
 
 
+# most (row, member, feature) cells one neighbour-search block may hold
+_NEIGHBOUR_BLOCK_CELLS = 1 << 20
+
+
+def _nearest_neighbours(Xc: np.ndarray, k: int) -> np.ndarray:
+    """Indices of each row's k nearest other rows, ties to the lower index."""
+    count, dim = Xc.shape
+    rows_per_block = max(1, _NEIGHBOUR_BLOCK_CELLS // (count * dim))
+    out = np.empty((count, k), dtype=np.int64)
+    for lo in range(0, count, rows_per_block):
+        hi = min(lo + rows_per_block, count)
+        d2 = ((Xc[lo:hi, None, :] - Xc[None, :, :]) ** 2).sum(axis=2)
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        out[lo:hi] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return out
+
+
 def smote(X, y, k: int = 5, stream: RngStream | None = None):
     """Oversample every minority class up to the majority count.
 
@@ -175,6 +192,12 @@ def smote(X, y, k: int = 5, stream: RngStream | None = None):
     min(k, class_count - 1) nearest same-class neighbours (Euclidean,
     ties to the lower row index), and gap uniform in [0, 1). Original
     rows come first in the output, unchanged.
+
+    Neighbours are found a block of member rows at a time, each block
+    holding at most 2^20 (row, member, feature) difference cells, so
+    memory stays bounded as classes grow. A class's synthetic rows draw
+    their (member, neighbour pick, gap) triples as one block, in the
+    order scalar draws would take them.
     """
     if stream is None:
         raise ValueError("smote requires an explicit RngStream")
@@ -186,7 +209,7 @@ def smote(X, y, k: int = 5, stream: RngStream | None = None):
     majority = int(counts.max())
 
     synth_X: list[np.ndarray] = []
-    synth_y: list[int] = []
+    synth_y: list[np.ndarray] = []
     for cls in range(N_CLASSES):
         count = int(counts[cls])
         need = majority - count
@@ -194,25 +217,18 @@ def smote(X, y, k: int = 5, stream: RngStream | None = None):
             continue
         if count < 2:
             raise ValueError(f"class too small for SMOTE: class {cls} has {count} sample")
-        rows = np.where(y == cls)[0]
-        Xc = X[rows]
+        Xc = X[y == cls]
         k_eff = min(k, count - 1)
-        # per member: k_eff nearest same-class neighbours, ties to lower row index
-        d2 = ((Xc[:, None, :] - Xc[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(d2, np.inf)
-        neighbour_idx = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
-        for _ in range(need):
-            member = stream.randint(count)
-            nn = neighbour_idx[member][stream.randint(k_eff)]
-            gap = stream.uniform()
-            synth_X.append(Xc[member] + gap * (Xc[nn] - Xc[member]))
-            synth_y.append(cls)
+        neighbour_idx = _nearest_neighbours(Xc, k_eff)
+        draws = stream.uniforms(3 * need).reshape(need, 3)
+        member = (draws[:, 0] * count).astype(np.int64)
+        nn = neighbour_idx[member, (draws[:, 1] * k_eff).astype(np.int64)]
+        synth_X.append(Xc[member] + draws[:, 2:] * (Xc[nn] - Xc[member]))
+        synth_y.append(np.full(need, cls, dtype=np.int64))
 
     if not synth_X:
         return X, y
-    X_out = np.vstack([X, np.vstack(synth_X)])
-    y_out = np.concatenate([y, np.asarray(synth_y, dtype=np.int64)])
-    return X_out, y_out
+    return np.vstack([X, *synth_X]), np.concatenate([y, *synth_y])
 
 
 def _round_half_up(x: float) -> int:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from oncograde.cli import ArtifactWriter, main
+from oncograde.cli import ArtifactWriter, ConfigError, main, parse_config
 from oncograde.dataset import synth_generate, save_csv
 
 METRIC_KEYS = {
@@ -146,10 +146,69 @@ class TestConfigErrors:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "exactly one source" in capsys.readouterr().err
 
+    def test_fractional_epochs_exit_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json", model={"name": "dnn", "hyperparams": {"epochs": 2.5}}
+        )
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error: model.hyperparams.epochs must be an integer, got 2.5"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_boolean_seed_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", seed=True)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error: seed must be an integer, got true"
+        assert not out.exists() or not any(out.iterdir())
+
     def test_runtime_failure_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", data={"csv_path": str(tmp_path / "missing.csv")})
         assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+INTEGER_FIELDS = [
+    "seed",
+    "data.synthetic.n",
+    "preprocess.smote_k",
+    "eval.k",
+    "eval.curve_repeats",
+    *(
+        f"model.hyperparams.{name}"
+        for name in ("epochs", "batch_size", "degree", "max_depth", "n_estimators", "seed")
+    ),
+]
+
+
+def config_with(path: str, value) -> dict:
+    """A config document holding `value` at the dotted `path`."""
+    *parents, leaf = path.split(".")
+    doc = node = {}
+    for key in parents:
+        node[key] = node = {}
+    node[leaf] = value
+    return doc
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("value", [True, 2.5])
+    @pytest.mark.parametrize("path", INTEGER_FIELDS)
+    def test_bools_and_fractions_rejected(self, path, value):
+        with pytest.raises(ConfigError, match=f"^{path} must be an integer"):
+            parse_config(config_with(path, value))
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_hidden_layer_entries_rejected(self, value):
+        doc = config_with("model.hyperparams.hidden_layers", [8, value])
+        with pytest.raises(ConfigError, match="hidden_layers entry must be an integer"):
+            parse_config(doc)
+
+    def test_integral_floats_become_ints(self):
+        hp = parse_config(config_with("model.hyperparams.epochs", 3.0)).hyperparams
+        assert hp.epochs == 3 and type(hp.epochs) is int
 
 
 class TestEvaluateCommand:

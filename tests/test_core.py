@@ -78,11 +78,35 @@ class TestRngStream:
         with pytest.raises(ValueError):
             s.randints(0, 3)
 
+    @pytest.mark.parametrize("size", [0, 1, 257])
+    def test_uniforms_and_normals_match_scalar_draws(self, size):
+        for seed in (0, 9, MASK):
+            scalar, block = RngStream(seed), RngStream(seed)
+            assert block.uniforms(size).tolist() == [scalar.uniform() for _ in range(size)]
+            assert block.normals(size).tolist() == [scalar.normal() for _ in range(size)]
+            assert block.next_u64() == scalar.next_u64()
+
     def test_derive_stream_helper(self):
         assert derive_stream(7, 2).next_u64() == RngStream(7).derive(2).next_u64()
 
 
+def reference_shuffle(indices, stream: RngStream) -> list:
+    """Fisher-Yates with one scalar draw per step, used as the oracle."""
+    out = list(indices)
+    for i in range(len(out) - 1, 0, -1):
+        j = stream.randint(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
 class TestShuffle:
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000])
+    def test_matches_scalar_fisher_yates(self, n):
+        for seed in (0, 9, MASK):
+            scalar, block = RngStream(seed), RngStream(seed)
+            assert shuffle(range(n), block) == reference_shuffle(range(n), scalar)
+            assert block.next_u64() == scalar.next_u64()
+
     def test_empty(self, stream):
         assert shuffle([], stream) == []
 

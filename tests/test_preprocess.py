@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oncograde.preprocess as preprocess
 from oncograde.core import RngStream, derive_stream
 from oncograde.dataset import synth_generate
 from oncograde.preprocess import (
@@ -194,6 +195,17 @@ class TestSmote:
     def test_bad_k(self, stream):
         with pytest.raises(ValueError, match="k must be"):
             smote(np.zeros((4, 2)), np.array([0, 0, 1, 1]), 0, stream)
+
+    @pytest.mark.parametrize("block_cells", [1, 6 * 300 * 7, 1 << 20])
+    def test_blocked_neighbours_match_dense_search(self, monkeypatch, block_cells):
+        # a coarse non-dyadic grid: many exactly tied distances, which the
+        # Gram form ||a||^2 + ||b||^2 - 2ab would round apart and reorder
+        X = np.random.default_rng(3).integers(0, 4, size=(300, 6)) * 0.1 + 0.7
+        d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        dense = np.argsort(d2, axis=1, kind="stable")[:, :5]
+        monkeypatch.setattr(preprocess, "_NEIGHBOUR_BLOCK_CELLS", block_cells)
+        assert np.array_equal(preprocess._nearest_neighbours(X, 5), dense)
 
     def test_deterministic(self):
         X = np.random.default_rng(5).normal(size=(12, 3))
