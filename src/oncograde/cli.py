@@ -38,16 +38,14 @@ from .preprocess import (
     CORR_HI_DEFAULT,
     CORR_LO_DEFAULT,
     PIPELINE_ORDERS,
-    append_pair_means,
-    apply_minmax,
+    Preprocessor,
     correlation_to_csv,
     correlation_to_json,
+    csv_quote,
     engineer_features,
-    fit_minmax,
-    MinMaxParams,
     pearson_matrix,
     run_pipeline,
-    smote,
+    smote,  # noqa: F401 - bound here so benchmark tracing can patch it under this name too
 )
 from .svg import render_svg
 
@@ -158,7 +156,21 @@ def _integer(value, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {json.dumps(value)}")
 
 
-_INTEGER_HYPERPARAMS = ("epochs", "batch_size", "degree", "max_depth", "n_estimators", "seed")
+def _real(value, where: str) -> float:
+    """``value`` as a float; bools, strings and other non-numbers are config errors."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{where} must be a number, got {json.dumps(value)}")
+
+
+def _reals(value, where: str) -> list[float]:
+    """``value`` as a list of floats; it must be a JSON list of numbers."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {json.dumps(value)}")
+    return [_real(v, f"{where} entry") for v in value]
+
+
+_INTEGER_HYPERPARAMS = ("epochs", "batch_size", "degree", "max_depth", "n_estimators")
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -186,7 +198,7 @@ def parse_config(doc: dict) -> RunConfig:
                 props = syn.get("class_proportions", list(cfg.data.synthetic_proportions))
                 cfg.data = DataConfig(
                     synthetic_n=_integer(syn.get("n", cfg.data.synthetic_n), "data.synthetic.n"),
-                    synthetic_proportions=tuple(float(p) for p in props),
+                    synthetic_proportions=tuple(_reals(props, "data.synthetic.class_proportions")),
                     source="synthetic",
                 )
         if "preprocess" in doc:
@@ -195,9 +207,11 @@ def parse_config(doc: dict) -> RunConfig:
             cfg.preprocess = PreprocessConfig(
                 order=str(pp.get("order", cfg.preprocess.order)),
                 smote_k=_integer(pp.get("smote_k", cfg.preprocess.smote_k), "preprocess.smote_k"),
-                corr_hi=float(pp.get("corr_hi", cfg.preprocess.corr_hi)),
-                corr_lo=float(pp.get("corr_lo", cfg.preprocess.corr_lo)),
-                test_fraction=float(pp.get("test_fraction", cfg.preprocess.test_fraction)),
+                corr_hi=_real(pp.get("corr_hi", cfg.preprocess.corr_hi), "preprocess.corr_hi"),
+                corr_lo=_real(pp.get("corr_lo", cfg.preprocess.corr_lo), "preprocess.corr_lo"),
+                test_fraction=_real(
+                    pp.get("test_fraction", cfg.preprocess.test_fraction), "preprocess.test_fraction"
+                ),
             )
             if cfg.preprocess.order not in PIPELINE_ORDERS:
                 raise ConfigError(
@@ -229,16 +243,20 @@ def parse_config(doc: dict) -> RunConfig:
             default = EvalConfig()
             cfg.eval = EvalConfig(
                 k=_integer(ev.get("k", default.k), "eval.k"),
-                curve_fractions=[float(f) for f in ev.get("curve_fractions", default.curve_fractions)],
+                curve_fractions=_reals(
+                    ev.get("curve_fractions", default.curve_fractions), "eval.curve_fractions"
+                ),
                 curve_repeats=_integer(
                     ev.get("curve_repeats", default.curve_repeats), "eval.curve_repeats"
                 ),
-                sweep_learning_rate=[
-                    float(v) for v in sweep_doc.get("learning_rate", default.sweep_learning_rate)
-                ],
-                sweep_min_child_weight=[
-                    float(v) for v in sweep_doc.get("min_child_weight", default.sweep_min_child_weight)
-                ],
+                sweep_learning_rate=_reals(
+                    sweep_doc.get("learning_rate", default.sweep_learning_rate),
+                    "eval.sweep.learning_rate",
+                ),
+                sweep_min_child_weight=_reals(
+                    sweep_doc.get("min_child_weight", default.sweep_min_child_weight),
+                    "eval.sweep.min_child_weight",
+                ),
             )
         if "output_dir" in doc:
             cfg.output_dir = str(doc["output_dir"])
@@ -332,19 +350,14 @@ def _load_dataset(cfg: RunConfig) -> Dataset:
     return synth_generate(cfg.data.synthetic_n, cfg.seed, cfg.data.synthetic_proportions)
 
 
-def _prepare_full(cfg: RunConfig, d: Dataset):
-    """Scale, engineer, and oversample the entire dataset (no split).
-
-    This is the preparation the cv/curve/sweep harness commands run on,
-    regardless of the configured pipeline order; only `train` honors the
-    paper_order/leak_safe switch, because only it holds out a test set.
-    """
-    params = fit_minmax(d.X)
-    X = apply_minmax(d.X, params)
-    report = pearson_matrix(X, d.feature_names)
-    X, report = engineer_features(X, report, cfg.preprocess.corr_hi, cfg.preprocess.corr_lo)
-    X, y = smote(X, d.y, cfg.preprocess.smote_k, derive_stream(cfg.seed, 1).derive(0))
-    return X, y, report
+def _balanced_dataset(cfg: RunConfig):
+    """The whole dataset fitted and oversampled as `train`'s paper_order
+    prepares it before its split; cv/curve/sweep run on it whatever the
+    order, because only `train` holds out a test set."""
+    d = _load_dataset(cfg)
+    pp = cfg.preprocess
+    prep = Preprocessor(list(d.feature_names), pp.smote_k, pp.corr_hi, pp.corr_lo)
+    return prep.fit_resample(d.X, d.y, derive_stream(cfg.seed, 1))
 
 
 def _model_spec(cfg: RunConfig) -> ModelSpec:
@@ -353,18 +366,6 @@ def _model_spec(cfg: RunConfig) -> ModelSpec:
 
 def _slug(name: str) -> str:
     return "".join(ch.lower() if ch.isalnum() else "_" for ch in name)
-
-
-def _pipeline_doc(prep, cfg: RunConfig) -> dict:
-    return {
-        "order": prep.order,
-        "minmax": prep.minmax.to_dict(),
-        "feature_names": prep.report.feature_names,
-        "engineered_pairs": [[int(i), int(j)] for i, j, _ in prep.report.engineered_pairs],
-        "engineered_names": prep.report.engineered_names,
-        "corr_hi": cfg.preprocess.corr_hi,
-        "corr_lo": cfg.preprocess.corr_lo,
-    }
 
 
 def _write_metrics_artifacts(writer: ArtifactWriter, cm, report, title: str) -> None:
@@ -407,7 +408,7 @@ def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
             counts = np.bincount(idx[d.y == cls], minlength=len(bins))[: len(bins)]
             series.append({"name": label, "values": [int(v) for v in counts]})
             for b, bin_label in enumerate(bins):
-                lines.append(f"{_csv_field(name)},{label},{_csv_field(bin_label)},{int(counts[b])}")
+                lines.append(f"{csv_quote(name)},{label},{csv_quote(bin_label)},{int(counts[b])}")
         writer.write_svg(
             f"histogram_{_slug(name)}.svg",
             "histogram",
@@ -420,12 +421,6 @@ def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
             },
         )
     writer.write_text("histograms.csv", "\n".join(lines) + "\n")
-
-
-def _csv_field(s: str) -> str:
-    if "," in s or '"' in s:
-        return '"' + s.replace('"', '""') + '"'
-    return s
 
 
 def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
@@ -450,7 +445,7 @@ def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
         {
             "version": MODEL_WRAPPER_VERSION,
             "model_name": cfg.model_name,
-            "pipeline": _pipeline_doc(prep, cfg),
+            "pipeline": {"order": prep.order, **prep.preprocessor.to_dict()},
             "model": model_to_doc(model),
         },
     )
@@ -493,10 +488,7 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
         raise ConfigError(f"unsupported model file version: {wrapper.get('version')}")
 
     d = _load_dataset(cfg)
-    pipe = wrapper["pipeline"]
-    params = MinMaxParams.from_dict(pipe["minmax"])
-    X = apply_minmax(d.X, params)
-    X = append_pair_means(X, [tuple(p) for p in pipe["engineered_pairs"]])
+    X = Preprocessor.from_dict(wrapper["pipeline"]).transform(d.X)
     model = model_from_doc(wrapper["model"])
     block = _EVALUATE_BLOCK_ROWS
     labels = np.concatenate([model.predict(X[lo : lo + block]) for lo in range(0, len(X), block)])
@@ -507,16 +499,14 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
 
 def cmd_cv(cfg: RunConfig, writer: ArtifactWriter) -> None:
-    d = _load_dataset(cfg)
-    X, y, _ = _prepare_full(cfg, d)
+    X, y = _balanced_dataset(cfg)
     result = kfold_cv(X, y, _model_spec(cfg), cfg.eval.k, derive_stream(cfg.seed, 3))
     writer.write_text("cv.csv", cv_to_csv(result))
     writer.write_json("cv.json", cv_to_json(result))
 
 
 def cmd_curve(cfg: RunConfig, writer: ArtifactWriter) -> None:
-    d = _load_dataset(cfg)
-    X, y, _ = _prepare_full(cfg, d)
+    X, y = _balanced_dataset(cfg)
     curve = learning_curve(
         X,
         y,
@@ -543,8 +533,7 @@ def cmd_curve(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> None:
-    d = _load_dataset(cfg)
-    X, y, _ = _prepare_full(cfg, d)
+    X, y = _balanced_dataset(cfg)
     result = sweep(
         X,
         y,
@@ -588,7 +577,7 @@ def cmd_report(run_dirs: list[str], writer: ArtifactWriter) -> None:
 
     lines = ["model,accuracy,macro_precision,macro_recall,macro_f1"]
     for name, acc, mp, mr, mf in rows:
-        lines.append(f"{_csv_field(name)},{acc!r},{mp!r},{mr!r},{mf!r}")
+        lines.append(f"{csv_quote(name)},{acc!r},{mp!r},{mr!r},{mf!r}")
     writer.write_text("comparison.csv", "\n".join(lines) + "\n")
 
     metric_names = ("accuracy", "macro precision", "macro recall", "macro F1")

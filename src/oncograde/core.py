@@ -118,24 +118,6 @@ def shuffle(indices, stream: RngStream) -> list:
     return out
 
 
-def argmax_tiebreak_low(values) -> int:
-    """Index of the maximum; equal maxima resolve to the lowest index."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty input")
-    return int(np.argmax(arr))
-
-
-def column_stats(col) -> tuple[float, float]:
-    """Mean and population (1/n) variance of a non-empty sequence."""
-    arr = np.asarray(col, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty input")
-    mean = float(arr.mean())
-    var = float(((arr - mean) ** 2).mean())
-    return mean, var
-
-
 def as_matrix(data) -> np.ndarray:
     """Validate and return a 2-D float64 matrix with finite entries."""
     arr = np.asarray(data, dtype=np.float64)

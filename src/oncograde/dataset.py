@@ -89,19 +89,6 @@ class Dataset:
         return self.X.shape[0]
 
 
-@dataclass
-class ClassCounts:
-    counts: tuple[int, int, int]
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=np.int64)
-
-
-def class_counts(d: Dataset) -> ClassCounts:
-    c = np.bincount(d.y, minlength=N_CLASSES)
-    return ClassCounts(tuple(int(v) for v in c[:N_CLASSES]))
-
-
 # --- synthetic generation -------------------------------------------------
 #
 # Each ordinal feature f is drawn as

@@ -344,7 +344,9 @@ def sweep_to_csv(result: SweepResult) -> str:
     lines = ["learning_rate,min_child_weight,train_accuracy,val_accuracy"]
     for i, lr in enumerate(result.learning_rates):
         for j, mcw in enumerate(result.min_child_weights):
-            lines.append(f"{lr!r},{mcw!r},{result.train_grid[i, j]!r},{result.val_grid[i, j]!r}")
+            lines.append(
+                f"{lr!r},{mcw!r},{float(result.train_grid[i, j])!r},{float(result.val_grid[i, j])!r}"
+            )
     return "\n".join(lines) + "\n"
 
 

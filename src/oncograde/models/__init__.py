@@ -3,13 +3,10 @@ from .base import (
     Hyperparams,
     KernelSpec,
     ModelSpec,
-    kernel_eval,
     kernel_matrix,
-    load_model,
     model_from_doc,
     model_to_doc,
     resolve_gamma,
-    save_model,
 )
 from .mlp import MlpModel, TrainHistory, train_mlp
 from .svm import BinarySvm, SvmOvrModel, dual_objective, train_svm_binary, train_svm_ovr
@@ -21,13 +18,10 @@ __all__ = [
     "Hyperparams",
     "KernelSpec",
     "ModelSpec",
-    "kernel_eval",
     "kernel_matrix",
     "resolve_gamma",
     "model_to_doc",
     "model_from_doc",
-    "save_model",
-    "load_model",
     "MlpModel",
     "TrainHistory",
     "train_mlp",

@@ -9,7 +9,6 @@ argmax with ties resolved to the lowest class index.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,6 @@ class Hyperparams:
     max_depth: int = 8
     n_estimators: int = 25
     voting_mode: str = "hard"
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -67,8 +65,6 @@ class Hyperparams:
             raise ValueError("n_estimators must be >= 1")
         if self.voting_mode not in ("hard", "soft"):
             raise ValueError("voting_mode must be 'hard' or 'soft'")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
 
     def replace(self, **kw) -> "Hyperparams":
         return dataclasses.replace(self, **kw)
@@ -114,14 +110,6 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     if spec.kind == "polynomial":
         return (spec.gamma * dots + spec.coef0) ** spec.degree
     return np.tanh(spec.gamma * dots + spec.coef0)
-
-
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    x = np.asarray(x, dtype=float).ravel()
-    z = np.asarray(z, dtype=float).ravel()
-    if x.shape != z.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {z.shape}")
-    return float(kernel_matrix(spec, x[None, :], z[None, :])[0, 0])
 
 
 def proba_to_labels(P: np.ndarray) -> np.ndarray:
@@ -211,13 +199,3 @@ def model_from_doc(doc: dict):
     if family not in families:
         raise ValueError(f"unknown model family: {family!r}")
     return families[family].from_params(doc["params"])
-
-
-def save_model(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_doc(model), fh)
-
-
-def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return model_from_doc(json.load(fh))

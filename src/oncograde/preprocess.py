@@ -1,11 +1,12 @@
 """Preprocessing chain: MinMax scaling, correlation-driven feature
 engineering, SMOTE oversampling, and stratified train/test splitting.
 
-Two pipeline orders are supported. ``paper_order`` scales, engineers and
-oversamples the full dataset before splitting; it reproduces the familiar
-876/219 arithmetic on a 1000-row input but leaks test information through
-global scaling and SMOTE. ``leak_safe`` splits first and fits everything
-on the training rows only; it is the methodologically sound choice.
+One fitted :class:`Preprocessor` serves ``train``, the harness commands
+and ``evaluate``. Two pipeline orders are supported. ``paper_order`` fits
+and oversamples the full dataset before splitting; it reproduces the
+familiar 876/219 arithmetic on a 1000-row input but leaks test information
+through global scaling and SMOTE. ``leak_safe`` splits first and fits on
+the training rows only; it is the methodologically sound choice.
 """
 
 from __future__ import annotations
@@ -59,9 +60,7 @@ class PreparedData:
     y_train: np.ndarray
     X_test: np.ndarray
     y_test: np.ndarray
-    minmax: MinMaxParams
-    report: CorrelationReport
-    feature_names: list[str]
+    preprocessor: Preprocessor
     order: str
 
 
@@ -264,6 +263,60 @@ def stratified_split(y, test_fraction: float = 0.2, stream: RngStream | None = N
     return SplitIndices(train=train, test=test)
 
 
+@dataclass
+class Preprocessor:
+    """MinMax scaling, pair-mean engineering and SMOTE, fitted once.
+
+    Built from the feature names and settings; ``fit_resample`` sets the
+    fitted ``minmax``, ``engineered_pairs`` and ``engineered_names``, which
+    ``transform`` applies to other rows and ``to_dict`` writes to ``model.json``.
+    """
+
+    feature_names: list[str]
+    smote_k: int = 5
+    corr_hi: float = CORR_HI_DEFAULT
+    corr_lo: float = CORR_LO_DEFAULT
+    minmax: MinMaxParams | None = None
+    engineered_pairs: list[tuple[int, int]] = field(default_factory=list)
+    engineered_names: list[str] = field(default_factory=list)
+
+    def fit_resample(self, X, y, stream: RngStream):
+        """Fit on (X, y), transform X, and oversample with SMOTE on ``stream.derive(0)``."""
+        self.minmax = fit_minmax(X)
+        X = apply_minmax(X, self.minmax)
+        X, report = engineer_features(
+            X, pearson_matrix(X, self.feature_names), self.corr_hi, self.corr_lo
+        )
+        self.engineered_pairs = [(int(i), int(j)) for i, j, _ in report.engineered_pairs]
+        self.engineered_names = report.engineered_names
+        return smote(X, y, self.smote_k, stream.derive(0))
+
+    def transform(self, X) -> np.ndarray:
+        """Scale with the fitted MinMax params and append the fitted pair means."""
+        return append_pair_means(apply_minmax(X, self.minmax), self.engineered_pairs)
+
+    def to_dict(self) -> dict:
+        return {
+            "minmax": self.minmax.to_dict(),
+            "feature_names": self.feature_names,
+            "engineered_pairs": [[i, j] for i, j in self.engineered_pairs],
+            "engineered_names": self.engineered_names,
+            "corr_hi": self.corr_hi,
+            "corr_lo": self.corr_lo,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Preprocessor":
+        return cls(
+            feature_names=list(d["feature_names"]),
+            corr_hi=d["corr_hi"],
+            corr_lo=d["corr_lo"],
+            minmax=MinMaxParams.from_dict(d["minmax"]),
+            engineered_pairs=[(int(i), int(j)) for i, j in d["engineered_pairs"]],
+            engineered_names=list(d["engineered_names"]),
+        )
+
+
 def run_pipeline(
     d: Dataset,
     order: str = "paper_order",
@@ -274,44 +327,23 @@ def run_pipeline(
     corr_lo: float = CORR_LO_DEFAULT,
     stream: RngStream | None = None,
 ) -> PreparedData:
-    """Run the full preprocessing chain in the requested order."""
+    """Run the full preprocessing chain in the requested order; the split
+    draws from ``stream.derive(1)``."""
     if stream is None:
         raise ValueError("run_pipeline requires an explicit RngStream")
     if order not in PIPELINE_ORDERS:
         raise ValueError(f"order must be one of {PIPELINE_ORDERS}, got {order!r}")
-    smote_stream = stream.derive(0)
-    split_stream = stream.derive(1)
-
+    prep = Preprocessor(list(d.feature_names), smote_k, corr_hi, corr_lo)
     if order == "paper_order":
-        params = fit_minmax(d.X)
-        X_scaled = apply_minmax(d.X, params)
-        report = pearson_matrix(X_scaled, d.feature_names)
-        X_eng, report = engineer_features(X_scaled, report, corr_hi, corr_lo)
-        X_bal, y_bal = smote(X_eng, d.y, smote_k, smote_stream)
-        split = stratified_split(y_bal, test_fraction, split_stream)
-        X_train, y_train = X_bal[split.train], y_bal[split.train]
-        X_test, y_test = X_bal[split.test], y_bal[split.test]
+        X, y = prep.fit_resample(d.X, d.y, stream)
+        split = stratified_split(y, test_fraction, stream.derive(1))
+        X_train, y_train = X[split.train], y[split.train]
+        X_test, y_test = X[split.test], y[split.test]
     else:
-        split = stratified_split(d.y, test_fraction, split_stream)
-        params = fit_minmax(d.X[split.train])
-        Xtr = apply_minmax(d.X[split.train], params)
-        Xte = apply_minmax(d.X[split.test], params)
-        report = pearson_matrix(Xtr, d.feature_names)
-        Xtr, report = engineer_features(Xtr, report, corr_hi, corr_lo)
-        Xte = append_pair_means(Xte, report.engineered_pairs)
-        X_train, y_train = smote(Xtr, d.y[split.train], smote_k, smote_stream)
-        X_test, y_test = Xte, d.y[split.test]
-
-    return PreparedData(
-        X_train=X_train,
-        y_train=y_train,
-        X_test=X_test,
-        y_test=y_test,
-        minmax=params,
-        report=report,
-        feature_names=list(report.feature_names) + list(report.engineered_names),
-        order=order,
-    )
+        split = stratified_split(d.y, test_fraction, stream.derive(1))
+        X_train, y_train = prep.fit_resample(d.X[split.train], d.y[split.train], stream)
+        X_test, y_test = prep.transform(d.X[split.test]), d.y[split.test]
+    return PreparedData(X_train, y_train, X_test, y_test, prep, order)
 
 
 # --- report serialization ---------------------------------------------------
@@ -319,10 +351,10 @@ def run_pipeline(
 
 def correlation_to_csv(report: CorrelationReport) -> str:
     names = report.feature_names
-    lines = ["," + ",".join(_csv_quote(n) for n in names)]
+    lines = ["," + ",".join(csv_quote(n) for n in names)]
     for i, name in enumerate(names):
         row = [repr(float(v)) for v in report.matrix[i]]
-        lines.append(_csv_quote(name) + "," + ",".join(row))
+        lines.append(csv_quote(name) + "," + ",".join(row))
     return "\n".join(lines) + "\n"
 
 
@@ -346,7 +378,8 @@ def correlation_to_json(report: CorrelationReport) -> dict:
     }
 
 
-def _csv_quote(s: str) -> str:
+def csv_quote(s: str) -> str:
+    """A CSV field, double-quoted when it holds a comma or a quote."""
     if "," in s or '"' in s:
         return '"' + s.replace('"', '""') + '"'
     return s

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -5,8 +6,11 @@ import os
 import numpy as np
 import pytest
 
+import oncograde.cli as cli
 from oncograde.cli import ArtifactWriter, ConfigError, main, parse_config
+from oncograde.core import derive_stream
 from oncograde.dataset import synth_generate, save_csv
+from oncograde.preprocess import run_pipeline
 
 METRIC_KEYS = {
     "accuracy",
@@ -164,6 +168,49 @@ class TestConfigErrors:
         assert err.splitlines()[0] == "error: seed must be an integer, got true"
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (
+                {"eval": {"curve_fractions": "12"}},
+                'eval.curve_fractions must be a list of numbers, got "12"',
+            ),
+            ({"preprocess": {"corr_hi": "0.5"}}, 'preprocess.corr_hi must be a number, got "0.5"'),
+            ({"preprocess": {"test_fraction": True}}, "preprocess.test_fraction must be a number, got true"),
+            (
+                {"data": {"synthetic": {"class_proportions": "0.3"}}},
+                'data.synthetic.class_proportions must be a list of numbers, got "0.3"',
+            ),
+            (
+                {"eval": {"sweep": {"learning_rate": 0.1}}},
+                "eval.sweep.learning_rate must be a list of numbers, got 0.1",
+            ),
+            (
+                {"eval": {"sweep": {"min_child_weight": [1, "3"]}}},
+                'eval.sweep.min_child_weight entry must be a number, got "3"',
+            ),
+            (
+                {"model": {"name": "dnn", "hyperparams": {"seed": 1}}},
+                "unknown key(s) in model.hyperparams: seed",
+            ),
+        ],
+        ids=[
+            "curve_fractions",
+            "corr_hi",
+            "test_fraction",
+            "class_proportions",
+            "sweep_learning_rate",
+            "sweep_min_child_weight",
+            "hyperparams_seed",
+        ],
+    )
+    def test_strict_fields_exit_2(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        out = tmp_path / "o"
+        assert main(["curve", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+        assert not out.exists() or not any(out.iterdir())
+
     def test_runtime_failure_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", data={"csv_path": str(tmp_path / "missing.csv")})
         assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 1
@@ -178,7 +225,7 @@ INTEGER_FIELDS = [
     "eval.curve_repeats",
     *(
         f"model.hyperparams.{name}"
-        for name in ("epochs", "batch_size", "degree", "max_depth", "n_estimators", "seed")
+        for name in ("epochs", "batch_size", "degree", "max_depth", "n_estimators")
     ),
 ]
 
@@ -295,6 +342,74 @@ class TestHarnessCommands:
 
     def test_report_missing_run_exit_2(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path / "ghost"), "--output-dir", str(tmp_path / "r")]) == 2
+
+
+# leading text columns of each CSV artifact; every other cell below the
+# header row must parse as a number
+CSV_TEXT_COLUMNS = {
+    "correlation.csv": 1,
+    "histograms.csv": 3,
+    "confusion.csv": 1,
+    "comparison.csv": 1,
+    "cv.csv": 0,
+    "curve.csv": 0,
+    "sweep.csv": 0,
+}
+
+
+class TestCsvArtifacts:
+    def test_every_numeric_cell_parses_as_float(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        d = synth_generate(150, 21, (0.3, 0.3, 0.4))
+        save_csv(d, tmp_path / "rows.csv")
+        eval_cfg = write_config(
+            tmp_path / "eval.json",
+            data={"csv_path": str(tmp_path / "rows.csv")},
+            model_path=str(tmp_path / "train" / "model.json"),
+        )
+        for command in ("profile", "train", "cv", "curve", "sweep"):
+            assert main([command, "--config", str(cfg), "--output-dir", str(tmp_path / command)]) == 0
+        assert main(["evaluate", "--config", str(eval_cfg), "--output-dir", str(tmp_path / "evaluate")]) == 0
+        runs = [str(tmp_path / "train"), str(tmp_path / "evaluate")]
+        assert main(["report", "--runs", *runs, "--output-dir", str(tmp_path / "report")]) == 0
+
+        seen = set()
+        for path in sorted(tmp_path.glob("*/*.csv")):
+            seen.add(path.name)
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows, path
+            for row in rows:
+                for cell in row[CSV_TEXT_COLUMNS[path.name] :]:
+                    float(cell)
+        assert seen == set(CSV_TEXT_COLUMNS)
+
+
+class TestHarnessMatchesTrain:
+    def test_harness_rows_are_train_paper_order_rows(self, tmp_path, monkeypatch):
+        """cv, curve and sweep run on the balanced matrix `train` splits."""
+        seen = []
+        for name in ("kfold_cv", "learning_curve", "sweep"):
+            original = getattr(cli, name)
+
+            def spy(X, y, *args, _original=original):
+                seen.append((X, y))
+                return _original(X, y, *args)
+
+            monkeypatch.setattr(cli, name, spy)
+        cfg = write_config(tmp_path / "cfg.json")
+        for command in ("cv", "curve", "sweep"):
+            assert main([command, "--config", str(cfg), "--output-dir", str(tmp_path / command)]) == 0
+
+        d = synth_generate(150, 21, (0.3, 0.3, 0.4))
+        prep = run_pipeline(d, "paper_order", smote_k=3, stream=derive_stream(21, 1))
+        split_rows = sorted(
+            zip(map(tuple, np.vstack([prep.X_train, prep.X_test]).tolist()),
+                np.concatenate([prep.y_train, prep.y_test]).tolist())
+        )
+        assert len(seen) == 3
+        for X, y in seen:
+            assert sorted(zip(map(tuple, X.tolist()), y.tolist())) == split_rows
 
 
 class TestArtifactWriter:

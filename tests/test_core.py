@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from oncograde.core import (
     RngStream,
-    argmax_tiebreak_low,
     as_matrix,
-    column_stats,
     derive_stream,
     parallel_map,
     shuffle,
 )
+from oncograde.models.base import proba_to_labels
 
 MASK = (1 << 64) - 1
 
@@ -125,16 +124,18 @@ class TestShuffle:
 
 
 class TestArgmaxTiebreakLow:
+    """Row-wise argmax of ``proba_to_labels``: equal maxima resolve to the lowest index."""
+
     @pytest.mark.parametrize(
         "values,expected",
         [([0.1, 0.7, 0.2], 1), ([0.5, 0.5, 0.5], 0), ([-3, -1, -1], 1)],
     )
     def test_examples(self, values, expected):
-        assert argmax_tiebreak_low(values) == expected
+        assert proba_to_labels(np.array([values])).tolist() == [expected]
 
-    def test_empty_errors(self):
-        with pytest.raises(ValueError, match="empty"):
-            argmax_tiebreak_low([])
+    def test_no_rows_give_no_labels(self):
+        labels = proba_to_labels(np.empty((0, 3)))
+        assert labels.shape == (0,) and labels.dtype == np.int64
 
     @given(
         st.lists(st.integers(-(2**20), 2**20).map(lambda n: n / 4.0), min_size=1, max_size=20),
@@ -143,24 +144,7 @@ class TestArgmaxTiebreakLow:
     def test_invariant_under_constant_shift(self, values, c):
         # dyadic grid keeps the addition exact, so ties are preserved
         shifted = [v + c for v in values]
-        assert argmax_tiebreak_low(values) == argmax_tiebreak_low(shifted)
-
-
-class TestColumnStats:
-    def test_constant(self):
-        assert column_stats([5, 5, 5]) == (5.0, 0.0)
-
-    def test_simple(self):
-        mean, var = column_stats([1, 2, 3])
-        assert mean == pytest.approx(2.0)
-        assert var == pytest.approx(2.0 / 3.0)
-
-    def test_singleton(self):
-        assert column_stats([4.5]) == (4.5, 0.0)
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            column_stats([])
+        assert proba_to_labels(np.array([values])).tolist() == proba_to_labels(np.array([shifted])).tolist()
 
 
 class TestAsMatrix:

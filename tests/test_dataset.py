@@ -5,8 +5,6 @@ from oncograde.dataset import (
     AGE_MAX,
     AGE_MIN,
     FEATURE_NAMES,
-    Dataset,
-    class_counts,
     largest_remainder_counts,
     load_csv,
     save_csv,
@@ -19,11 +17,11 @@ SAMPLE_CSV = "data/sample_lung_cancer.csv"
 class TestSynthGenerate:
     def test_balanced_counts(self):
         d = synth_generate(300, 1, (1 / 3, 1 / 3, 1 / 3))
-        assert class_counts(d).counts == (100, 100, 100)
+        assert np.bincount(d.y, minlength=3).tolist() == [100, 100, 100]
 
     def test_largest_remainder_example(self):
         d = synth_generate(1000, 9, (0.303, 0.332, 0.365))
-        assert class_counts(d).counts == (303, 332, 365)
+        assert np.bincount(d.y, minlength=3).tolist() == [303, 332, 365]
 
     def test_largest_remainder_rounding(self):
         # 0.35*31=10.85, 0.33*31=10.23, 0.32*31=9.92 -> floors (10,10,9),
@@ -54,26 +52,6 @@ class TestSynthGenerate:
     def test_bad_proportions(self, props):
         with pytest.raises(ValueError):
             synth_generate(100, 1, props)
-
-
-class TestClassCounts:
-    def test_simple(self):
-        d = Dataset(
-            X=np.zeros((4, 23)),
-            y=[0, 0, 1, 2],
-            feature_names=list(FEATURE_NAMES),
-            provenance={"kind": "synthetic", "seed": 0, "n": 4},
-        )
-        assert class_counts(d).counts == (2, 1, 1)
-
-    def test_empty(self):
-        d = Dataset(
-            X=np.zeros((0, 23)),
-            y=[],
-            feature_names=list(FEATURE_NAMES),
-            provenance={"kind": "synthetic", "seed": 0, "n": 0},
-        )
-        assert class_counts(d).counts == (0, 0, 0)
 
 
 def _write_csv(path, header, rows):

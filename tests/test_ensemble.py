@@ -175,7 +175,6 @@ class TestHyperparams:
             {"max_depth": -1},
             {"n_estimators": 0},
             {"voting_mode": "plurality"},
-            {"seed": -1},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,9 @@ import oncograde.preprocess as preprocess
 from oncograde.core import RngStream, derive_stream
 from oncograde.dataset import synth_generate
 from oncograde.preprocess import (
+    PIPELINE_ORDERS,
     CorrelationReport,
+    Preprocessor,
     append_pair_means,
     apply_minmax,
     correlation_to_csv,
@@ -258,14 +262,15 @@ class TestRunPipeline:
         assert prep.X_train.shape[0] == 876
         assert prep.X_test.shape[0] == 219
         assert prep.order == "paper_order"
-        assert len(prep.feature_names) == prep.X_train.shape[1]
+        p = prep.preprocessor
+        assert len(p.feature_names) + len(p.engineered_names) == prep.X_train.shape[1]
 
     def test_leak_safe_no_synthetic_test_rows(self):
         d = synth_generate(300, 8, (0.2, 0.3, 0.5))
         prep = run_pipeline(d, "leak_safe", stream=derive_stream(8, 1))
         # every test row must be an original (scaled+engineered) dataset row
-        scaled = apply_minmax(d.X, prep.minmax)
-        originals = append_pair_means(scaled, prep.report.engineered_pairs)
+        scaled = apply_minmax(d.X, prep.preprocessor.minmax)
+        originals = append_pair_means(scaled, prep.preprocessor.engineered_pairs)
         for row in prep.X_test:
             assert (np.abs(originals - row) < 1e-12).all(axis=1).any()
         # train is balanced by SMOTE
@@ -284,6 +289,25 @@ class TestRunPipeline:
         d = synth_generate(60, 1)
         with pytest.raises(ValueError, match="order must be"):
             run_pipeline(d, "bogus", stream=RngStream(1))
+
+
+class TestPreprocessor:
+    @pytest.mark.parametrize("order", PIPELINE_ORDERS)
+    def test_dict_roundtrip_transforms_bit_for_bit(self, order):
+        d = synth_generate(200, 4)
+        fitted = run_pipeline(d, order, stream=derive_stream(4, 1)).preprocessor
+        assert fitted.engineered_pairs
+        restored = Preprocessor.from_dict(json.loads(json.dumps(fitted.to_dict())))
+        assert restored.to_dict() == fitted.to_dict()
+        assert restored.transform(d.X).tobytes() == fitted.transform(d.X).tobytes()
+
+    def test_fit_resample_keeps_transformed_rows_first(self):
+        d = synth_generate(200, 4, (0.2, 0.3, 0.5))
+        prep = Preprocessor(list(d.feature_names), smote_k=3)
+        X, y = prep.fit_resample(d.X, d.y, derive_stream(4, 1))
+        assert X[: d.n_rows].tobytes() == prep.transform(d.X).tobytes()
+        assert np.array_equal(y[: d.n_rows], d.y)
+        assert np.bincount(y).min() == np.bincount(y).max()
 
 
 class TestReportSerialization:

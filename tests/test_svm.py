@@ -6,7 +6,7 @@ from oncograde.dataset import synth_generate
 from oncograde.models import (
     KernelSpec,
     ModelSpec,
-    kernel_eval,
+    kernel_matrix,
     resolve_gamma,
     train_svm_binary,
     train_svm_ovr,
@@ -31,22 +31,22 @@ def random_binary_problem(trial, n_max=40, d_max=4):
 class TestKernels:
     def test_rbf_identical_points(self):
         spec = KernelSpec("rbf", gamma=2.0)
-        assert kernel_eval(spec, [1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0)
+        assert kernel_matrix(spec, [[1.0, 2.0]], [[1.0, 2.0]])[0, 0] == pytest.approx(1.0)
 
     def test_linear_dot(self):
-        assert kernel_eval(KernelSpec("linear"), [1.0, 2.0], [3.0, 4.0]) == pytest.approx(11.0)
+        assert kernel_matrix(KernelSpec("linear"), [[1.0, 2.0]], [[3.0, 4.0]])[0, 0] == pytest.approx(11.0)
 
     def test_polynomial(self):
         spec = KernelSpec("polynomial", gamma=1.0, coef0=1.0, degree=2)
-        assert kernel_eval(spec, [1.0, 0.0], [1.0, 1.0]) == pytest.approx(4.0)
+        assert kernel_matrix(spec, [[1.0, 0.0]], [[1.0, 1.0]])[0, 0] == pytest.approx(4.0)
 
     def test_sigmoid(self):
         spec = KernelSpec("sigmoid", gamma=0.5, coef0=-1.0)
-        assert kernel_eval(spec, [2.0], [1.0]) == pytest.approx(np.tanh(0.0))
+        assert kernel_matrix(spec, [[2.0]], [[1.0]])[0, 0] == pytest.approx(np.tanh(0.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            kernel_eval(KernelSpec("linear"), [1.0], [1.0, 2.0])
+            kernel_matrix(KernelSpec("linear"), [[1.0]], [[1.0, 2.0]])
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
