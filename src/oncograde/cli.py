@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ from .eval import (
     sweep,
     sweep_to_csv,
 )
-from .models import Hyperparams, ModelSpec, model_from_doc, model_to_doc
+from .models import ModelSpec, model_from_doc, model_to_doc
 from .preprocess import (
     CORR_HI_DEFAULT,
     CORR_LO_DEFAULT,
@@ -61,24 +62,25 @@ class ConfigError(Exception):
 
 
 # --- configuration ----------------------------------------------------------
+#
+# The dataclasses mirror the JSON run config key for key; `parse_config`
+# reads each field by its annotation, so a field is declared only here.
+
+
+@dataclass
+class SyntheticConfig:
+    n: int = 1000
+    class_proportions: list[float] = field(default_factory=lambda: [0.303, 0.332, 0.365])
 
 
 @dataclass
 class DataConfig:
     csv_path: str | None = None
-    synthetic_n: int = 1000
-    synthetic_proportions: tuple[float, float, float] = (0.303, 0.332, 0.365)
-    source: str = "synthetic"
+    synthetic: SyntheticConfig | None = None
 
-    def to_dict(self) -> dict:
-        if self.source == "csv":
-            return {"csv_path": self.csv_path}
-        return {
-            "synthetic": {
-                "n": self.synthetic_n,
-                "class_proportions": list(self.synthetic_proportions),
-            }
-        }
+    def __post_init__(self):
+        if (self.csv_path is None) == (self.synthetic is None):
+            raise ConfigError("data must name exactly one source: csv_path or synthetic")
 
 
 @dataclass
@@ -89,8 +91,15 @@ class PreprocessConfig:
     corr_lo: float = CORR_LO_DEFAULT
     test_fraction: float = 0.2
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def __post_init__(self):
+        if self.order not in PIPELINE_ORDERS:
+            raise ConfigError(f"preprocess.order must be one of {PIPELINE_ORDERS}, got {self.order!r}")
+
+
+@dataclass
+class SweepConfig:
+    learning_rate: list[float] = field(default_factory=lambda: [0.001, 0.01, 0.1])
+    min_child_weight: list[float] = field(default_factory=lambda: [1.0, 3.0, 5.0])
 
 
 @dataclass
@@ -100,174 +109,83 @@ class EvalConfig:
         default_factory=lambda: [round(0.1 * i, 1) for i in range(1, 11)]
     )
     curve_repeats: int = 3
-    sweep_learning_rate: list[float] = field(default_factory=lambda: [0.001, 0.01, 0.1])
-    sweep_min_child_weight: list[float] = field(default_factory=lambda: [1.0, 3.0, 5.0])
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "curve_fractions": self.curve_fractions,
-            "curve_repeats": self.curve_repeats,
-            "sweep": {
-                "learning_rate": self.sweep_learning_rate,
-                "min_child_weight": self.sweep_min_child_weight,
-            },
-        }
+    sweep: SweepConfig = field(default_factory=SweepConfig)
 
 
 @dataclass
 class RunConfig:
     seed: int = 42
-    data: DataConfig = field(default_factory=DataConfig)
+    data: DataConfig = field(default_factory=lambda: DataConfig(synthetic=SyntheticConfig()))
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
-    model_name: str = "dnn"
-    hyperparams: Hyperparams = field(default_factory=Hyperparams)
+    model: ModelSpec = field(default_factory=ModelSpec)
     eval: EvalConfig = field(default_factory=EvalConfig)
     output_dir: str = "oncograde_out"
     model_path: str | None = None
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
+
     def to_dict(self) -> dict:
-        hp = dataclasses.asdict(self.hyperparams)
-        resolved = {
-            "seed": self.seed,
-            "data": self.data.to_dict(),
-            "preprocess": self.preprocess.to_dict(),
-            "model": {"name": self.model_name, "hyperparams": hp},
-            "eval": self.eval.to_dict(),
-            "output_dir": self.output_dir,
-        }
-        if self.model_path is not None:
-            resolved["model_path"] = self.model_path
-        return resolved
+        """The resolved config as JSON, without the unset data source and model_path."""
+        return dataclasses.asdict(
+            self, dict_factory=lambda items: {k: v for k, v in items if v is not None}
+        )
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+# the JSON scalar each annotation reads: its noun, its plural and the test a
+# value passes (JSON true/false never does); an integral float reads as an int
+_SCALARS = {
+    int: (
+        "an integer",
+        "integers",
+        lambda v: isinstance(v, int) or isinstance(v, float) and v.is_integer(),
+    ),
+    # NaN, ±inf and ints too large for a float all fail the comparison
+    float: (
+        "a number",
+        "numbers",
+        lambda v: isinstance(v, (int, float)) and abs(v) <= sys.float_info.max,
+    ),
+    str: ("a string", "strings", lambda v: isinstance(v, str)),
+}
 
 
-def _integer(value, where: str) -> int:
-    """``value`` as an int; bools and non-integral numbers are config errors."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ConfigError(f"{where} must be an integer, got {json.dumps(value)}")
+def _read(tp, value, where: str):
+    """``value`` read as the annotated type ``tp``; ``where`` is its dotted path.
+
+    A dataclass is read from a JSON object with no unknown keys and
+    ``list[X]`` from a JSON list; a scalar follows its `_SCALARS` rule.
+    """
+    if type(None) in typing.get_args(tp):  # `X | None`: None only marks the field unset
+        (tp,) = (arm for arm in typing.get_args(tp) if arm is not type(None))
+    if dataclasses.is_dataclass(tp):
+        name = where or "config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a JSON object, got {json.dumps(value)}")
+        hints = typing.get_type_hints(tp)
+        unknown = set(value) - {f.name for f in dataclasses.fields(tp)}
+        if unknown:
+            raise ConfigError(f"unknown key(s) in {name}: {', '.join(sorted(unknown))}")
+        return tp(**{k: _read(hints[k], v, f"{where}.{k}" if where else k) for k, v in value.items()})
+    if typing.get_origin(tp) is list:
+        (item,) = typing.get_args(tp)
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list of {_SCALARS[item][1]}, got {json.dumps(value)}")
+        return [_read(item, v, f"{where} entry") for v in value]
+    arms = typing.get_args(tp) or (tp,)  # gamma's `float | str` takes either
+    for arm in arms:
+        if not isinstance(value, bool) and _SCALARS[arm][2](value):
+            return arm(value)
+    kinds = " or ".join(_SCALARS[arm][0] for arm in arms)
+    raise ConfigError(f"{where} must be {kinds}, got {json.dumps(value)}")
 
 
-def _real(value, where: str) -> float:
-    """``value`` as a float; bools, strings and other non-numbers are config errors."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ConfigError(f"{where} must be a number, got {json.dumps(value)}")
-
-
-def _reals(value, where: str) -> list[float]:
-    """``value`` as a list of floats; it must be a JSON list of numbers."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list of numbers, got {json.dumps(value)}")
-    return [_real(v, f"{where} entry") for v in value]
-
-
-_INTEGER_HYPERPARAMS = ("epochs", "batch_size", "degree", "max_depth", "n_estimators")
-
-
-def parse_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(
-        doc, {"seed", "data", "preprocess", "model", "eval", "output_dir", "model_path"}, "config"
-    )
-    cfg = RunConfig()
+def parse_config(doc) -> RunConfig:
     try:
-        if "seed" in doc:
-            cfg.seed = _integer(doc["seed"], "seed")
-            if cfg.seed < 0:
-                raise ConfigError("seed must be a non-negative integer")
-        if "data" in doc:
-            data = doc["data"]
-            _check_keys(data, {"csv_path", "synthetic"}, "data")
-            if ("csv_path" in data) == ("synthetic" in data):
-                raise ConfigError("data must name exactly one source: csv_path or synthetic")
-            if "csv_path" in data:
-                cfg.data = DataConfig(csv_path=str(data["csv_path"]), source="csv")
-            else:
-                syn = data["synthetic"]
-                _check_keys(syn, {"n", "class_proportions"}, "data.synthetic")
-                props = syn.get("class_proportions", list(cfg.data.synthetic_proportions))
-                cfg.data = DataConfig(
-                    synthetic_n=_integer(syn.get("n", cfg.data.synthetic_n), "data.synthetic.n"),
-                    synthetic_proportions=tuple(_reals(props, "data.synthetic.class_proportions")),
-                    source="synthetic",
-                )
-        if "preprocess" in doc:
-            pp = doc["preprocess"]
-            _check_keys(pp, {"order", "smote_k", "corr_hi", "corr_lo", "test_fraction"}, "preprocess")
-            cfg.preprocess = PreprocessConfig(
-                order=str(pp.get("order", cfg.preprocess.order)),
-                smote_k=_integer(pp.get("smote_k", cfg.preprocess.smote_k), "preprocess.smote_k"),
-                corr_hi=_real(pp.get("corr_hi", cfg.preprocess.corr_hi), "preprocess.corr_hi"),
-                corr_lo=_real(pp.get("corr_lo", cfg.preprocess.corr_lo), "preprocess.corr_lo"),
-                test_fraction=_real(
-                    pp.get("test_fraction", cfg.preprocess.test_fraction), "preprocess.test_fraction"
-                ),
-            )
-            if cfg.preprocess.order not in PIPELINE_ORDERS:
-                raise ConfigError(
-                    f"preprocess.order must be one of {PIPELINE_ORDERS}, got {cfg.preprocess.order!r}"
-                )
-        if "model" in doc:
-            mdl = doc["model"]
-            _check_keys(mdl, {"name", "hyperparams"}, "model")
-            cfg.model_name = str(mdl.get("name", cfg.model_name))
-            hp_doc = dict(mdl.get("hyperparams", {}))
-            hp_fields = {f.name for f in dataclasses.fields(Hyperparams)}
-            _check_keys(hp_doc, hp_fields, "model.hyperparams")
-            for name in _INTEGER_HYPERPARAMS:
-                if name in hp_doc:
-                    hp_doc[name] = _integer(hp_doc[name], f"model.hyperparams.{name}")
-            if "hidden_layers" in hp_doc:
-                layers = hp_doc["hidden_layers"]
-                if not isinstance(layers, list):
-                    raise ConfigError("model.hyperparams.hidden_layers must be a list of integers")
-                hp_doc["hidden_layers"] = [
-                    _integer(h, "model.hyperparams.hidden_layers entry") for h in layers
-                ]
-            cfg.hyperparams = Hyperparams(**hp_doc)
-        if "eval" in doc:
-            ev = doc["eval"]
-            _check_keys(ev, {"k", "curve_fractions", "curve_repeats", "sweep"}, "eval")
-            sweep_doc = dict(ev.get("sweep", {}))
-            _check_keys(sweep_doc, {"learning_rate", "min_child_weight"}, "eval.sweep")
-            default = EvalConfig()
-            cfg.eval = EvalConfig(
-                k=_integer(ev.get("k", default.k), "eval.k"),
-                curve_fractions=_reals(
-                    ev.get("curve_fractions", default.curve_fractions), "eval.curve_fractions"
-                ),
-                curve_repeats=_integer(
-                    ev.get("curve_repeats", default.curve_repeats), "eval.curve_repeats"
-                ),
-                sweep_learning_rate=_reals(
-                    sweep_doc.get("learning_rate", default.sweep_learning_rate),
-                    "eval.sweep.learning_rate",
-                ),
-                sweep_min_child_weight=_reals(
-                    sweep_doc.get("min_child_weight", default.sweep_min_child_weight),
-                    "eval.sweep.min_child_weight",
-                ),
-            )
-        if "output_dir" in doc:
-            cfg.output_dir = str(doc["output_dir"])
-        if "model_path" in doc:
-            cfg.model_path = str(doc["model_path"])
-        ModelSpec(cfg.model_name, cfg.hyperparams)  # validates the closed model-name set
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        return _read(RunConfig, doc, "")
+    except ValueError as exc:  # a `ModelSpec` or `Hyperparams` check
         raise ConfigError(str(exc)) from None
-    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -345,9 +263,10 @@ class ArtifactWriter:
 
 
 def _load_dataset(cfg: RunConfig) -> Dataset:
-    if cfg.data.source == "csv":
+    if cfg.data.csv_path is not None:
         return load_csv(cfg.data.csv_path)
-    return synth_generate(cfg.data.synthetic_n, cfg.seed, cfg.data.synthetic_proportions)
+    syn = cfg.data.synthetic
+    return synth_generate(syn.n, cfg.seed, syn.class_proportions)
 
 
 def _balanced_dataset(cfg: RunConfig):
@@ -358,10 +277,6 @@ def _balanced_dataset(cfg: RunConfig):
     pp = cfg.preprocess
     prep = Preprocessor(list(d.feature_names), pp.smote_k, pp.corr_hi, pp.corr_lo)
     return prep.fit_resample(d.X, d.y, derive_stream(cfg.seed, 1))
-
-
-def _model_spec(cfg: RunConfig) -> ModelSpec:
-    return ModelSpec(cfg.model_name, cfg.hyperparams)
 
 
 def _slug(name: str) -> str:
@@ -434,8 +349,7 @@ def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
         corr_lo=cfg.preprocess.corr_lo,
         stream=derive_stream(cfg.seed, 1),
     )
-    spec = _model_spec(cfg)
-    model = spec.train(
+    model = cfg.model.train(
         prep.X_train, prep.y_train, derive_stream(cfg.seed, 2), prep.X_test, prep.y_test
     )
     cm, report = evaluate_predictions(prep.y_test, model.predict(prep.X_test))
@@ -444,14 +358,14 @@ def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
         "model.json",
         {
             "version": MODEL_WRAPPER_VERSION,
-            "model_name": cfg.model_name,
+            "model_name": cfg.model.name,
             "pipeline": {"order": prep.order, **prep.preprocessor.to_dict()},
             "model": model_to_doc(model),
         },
     )
-    _write_metrics_artifacts(writer, cm, report, f"Confusion matrix: {cfg.model_name}")
+    _write_metrics_artifacts(writer, cm, report, f"Confusion matrix: {cfg.model.name}")
 
-    if cfg.model_name == "dnn":
+    if cfg.model.name == "dnn":
         h = model.history
         rows = ["epoch,train_loss,val_loss,train_accuracy,val_accuracy"]
         for e in range(len(h)):
@@ -500,7 +414,7 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
 def cmd_cv(cfg: RunConfig, writer: ArtifactWriter) -> None:
     X, y = _balanced_dataset(cfg)
-    result = kfold_cv(X, y, _model_spec(cfg), cfg.eval.k, derive_stream(cfg.seed, 3))
+    result = kfold_cv(X, y, cfg.model, cfg.eval.k, derive_stream(cfg.seed, 3))
     writer.write_text("cv.csv", cv_to_csv(result))
     writer.write_json("cv.json", cv_to_json(result))
 
@@ -510,7 +424,7 @@ def cmd_curve(cfg: RunConfig, writer: ArtifactWriter) -> None:
     curve = learning_curve(
         X,
         y,
-        _model_spec(cfg),
+        cfg.model,
         cfg.eval.curve_fractions,
         cfg.eval.curve_repeats,
         derive_stream(cfg.seed, 3),
@@ -520,7 +434,7 @@ def cmd_curve(cfg: RunConfig, writer: ArtifactWriter) -> None:
         "curve.svg",
         "lines",
         {
-            "title": f"Learning curve: {cfg.model_name}",
+            "title": f"Learning curve: {cfg.model.name}",
             "x": curve.fractions,
             "series": [
                 {"name": "train accuracy", "y": curve.train_score},
@@ -537,9 +451,9 @@ def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> None:
     result = sweep(
         X,
         y,
-        _model_spec(cfg),
-        cfg.eval.sweep_learning_rate,
-        cfg.eval.sweep_min_child_weight,
+        cfg.model,
+        cfg.eval.sweep.learning_rate,
+        cfg.eval.sweep.min_child_weight,
         derive_stream(cfg.seed, 3),
     )
     writer.write_text("sweep.csv", sweep_to_csv(result))
@@ -551,7 +465,7 @@ def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> None:
         "sweep.svg",
         "lines",
         {
-            "title": f"Validation accuracy: {cfg.model_name}",
+            "title": f"Validation accuracy: {cfg.model.name}",
             "x": result.learning_rates,
             "series": series,
             "x_label": "learning rate",
@@ -643,9 +557,7 @@ def main(argv: list[str] | None = None) -> int:
 
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed must be a non-negative integer")
-            cfg.seed = args.seed
+            cfg = dataclasses.replace(cfg, seed=args.seed)  # __post_init__ checks it
         if args.output_dir is not None:
             cfg.output_dir = args.output_dir
 

@@ -55,8 +55,8 @@ class Hyperparams:
             raise ValueError("hidden_layers must be a non-empty list of positive counts")
         if self.C <= 0:
             raise ValueError("C must be positive")
-        if self.gamma != "scale" and float(self.gamma) <= 0:
-            raise ValueError("gamma must be positive or 'scale'")
+        if self.gamma != "scale" and (isinstance(self.gamma, str) or self.gamma <= 0):
+            raise ValueError(f"gamma must be positive or 'scale', got {self.gamma!r}")
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if self.max_depth < 0:
@@ -124,7 +124,7 @@ def proba_to_labels(P: np.ndarray) -> np.ndarray:
 class ModelSpec:
     """A trainable configuration: one of the seven benchmark model names."""
 
-    name: str
+    name: str = "dnn"
     hyperparams: Hyperparams = field(default_factory=Hyperparams)
 
     def __post_init__(self):

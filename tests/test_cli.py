@@ -1,16 +1,24 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oncograde.cli as cli
 from oncograde.cli import ArtifactWriter, ConfigError, main, parse_config
 from oncograde.core import derive_stream
 from oncograde.dataset import synth_generate, save_csv
-from oncograde.preprocess import run_pipeline
+from oncograde.models import MODEL_NAMES
+from oncograde.preprocess import PIPELINE_ORDERS, run_pipeline
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
 METRIC_KEYS = {
     "accuracy",
@@ -193,6 +201,30 @@ class TestConfigErrors:
                 {"model": {"name": "dnn", "hyperparams": {"seed": 1}}},
                 "unknown key(s) in model.hyperparams: seed",
             ),
+            (
+                {"model": {"name": "svm_rbf", "hyperparams": {"C": True}}},
+                "model.hyperparams.C must be a number, got true",
+            ),
+            (
+                {"model": {"name": "svm_rbf", "hyperparams": {"gamma": True}}},
+                "model.hyperparams.gamma must be a number or a string, got true",
+            ),
+            (
+                {"model": {"name": "svm_rbf", "hyperparams": {"gamma": "auto"}}},
+                "gamma must be positive or 'scale', got 'auto'",
+            ),
+            (
+                {"preprocess": {"test_fraction": float("nan")}},
+                "preprocess.test_fraction must be a number, got NaN",
+            ),
+            (
+                {"model": {"name": "dnn", "hyperparams": {"learning_rate": float("inf")}}},
+                "model.hyperparams.learning_rate must be a number, got Infinity",
+            ),
+            ({"eval": []}, "eval must be a JSON object, got []"),
+            ({"model": {"hyperparams": []}}, "model.hyperparams must be a JSON object, got []"),
+            ({"data": 5}, "data must be a JSON object, got 5"),
+            ({"data": {"csv_path": 5}}, "data.csv_path must be a string, got 5"),
         ],
         ids=[
             "curve_fractions",
@@ -202,6 +234,15 @@ class TestConfigErrors:
             "sweep_learning_rate",
             "sweep_min_child_weight",
             "hyperparams_seed",
+            "C_bool",
+            "gamma_bool",
+            "gamma_auto",
+            "test_fraction_nan",
+            "learning_rate_infinity",
+            "eval_list",
+            "hyperparams_list",
+            "data_number",
+            "csv_path_number",
         ],
     )
     def test_strict_fields_exit_2(self, tmp_path, capsys, overrides, message):
@@ -210,6 +251,13 @@ class TestConfigErrors:
         assert main(["curve", "--config", str(cfg), "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
         assert not out.exists() or not any(out.iterdir())
+
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--output-dir", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == "error: seed must be a non-negative integer"
+        assert not out.exists()
 
     def test_runtime_failure_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", data={"csv_path": str(tmp_path / "missing.csv")})
@@ -254,8 +302,153 @@ class TestIntegerFields:
             parse_config(doc)
 
     def test_integral_floats_become_ints(self):
-        hp = parse_config(config_with("model.hyperparams.epochs", 3.0)).hyperparams
+        hp = parse_config(config_with("model.hyperparams.epochs", 3.0)).model.hyperparams
         assert hp.epochs == 3 and type(hp.epochs) is int
+
+
+# fields whose valid values form a closed set or a union; the rest draw by type
+SPECIAL_VALUES = {
+    "order": st.sampled_from(PIPELINE_ORDERS),
+    "name": st.sampled_from(MODEL_NAMES),
+    "voting_mode": st.sampled_from(("hard", "soft")),
+    "gamma": st.just("scale") | st.floats(1e-3, 1e3),
+}
+SCALAR_VALUES = {
+    int: st.integers(1, 50) | st.integers(1, 50).map(float),
+    float: st.floats(1e-3, 1e3) | st.integers(1, 1000),
+    str: st.text(alphabet="ab./_ é", max_size=8),
+}
+
+
+def non_optional(tp):
+    """`X` for an optional `X | None`, else `tp`."""
+    arms = [arm for arm in typing.get_args(tp) if arm is not type(None)]
+    return arms[0] if len(arms) < len(typing.get_args(tp)) else tp
+
+
+def documents(tp):
+    """Valid JSON documents for `tp`, drawn from its dataclass field annotations."""
+    tp = non_optional(tp)
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        optional = {
+            f.name: SPECIAL_VALUES[f.name] if f.name in SPECIAL_VALUES else documents(hints[f.name])
+            for f in dataclasses.fields(tp)
+        }
+        return st.fixed_dictionaries({}, optional=optional)
+    if typing.get_origin(tp) is list:
+        return st.lists(documents(typing.get_args(tp)[0]), min_size=1, max_size=3)
+    return SCALAR_VALUES[tp]
+
+
+# `data` names exactly one source
+SPECIAL_VALUES["data"] = st.fixed_dictionaries({"csv_path": SCALAR_VALUES[str]}) | st.fixed_dictionaries(
+    {"synthetic": documents(cli.SyntheticConfig)}
+)
+
+
+def config_fields(tp, prefix=()):
+    """(key path, annotation) of every field under the dataclass `tp`."""
+    hints = typing.get_type_hints(tp)
+    for f in dataclasses.fields(tp):
+        path, inner = prefix + (f.name,), non_optional(hints[f.name])
+        yield path, hints[f.name]
+        if dataclasses.is_dataclass(inner):
+            yield from config_fields(inner, path)
+
+
+def wrong_values(tp):
+    """JSON values of a type `tp` does not read: bool, string, NaN, list, object."""
+    arms = typing.get_args(tp) or (tp,)
+    values = [True, False, float("nan"), {"x": 1}]
+    if str not in arms:
+        values.append("x")
+    if typing.get_origin(tp) is not list:
+        values.append([1])
+    return values
+
+
+class TestParseProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(documents(cli.RunConfig))
+    def test_resolved_config_reads_back_equal(self, doc):
+        cfg = parse_config(doc)
+        assert parse_config(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @settings(max_examples=80, deadline=None)
+    @given(documents(cli.RunConfig), st.sampled_from(list(config_fields(cli.RunConfig))))
+    def test_wrongly_typed_field_is_a_config_error(self, doc, field):
+        path, tp = field
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        for wrong in wrong_values(tp):
+            node[path[-1]] = wrong
+            with pytest.raises(ConfigError):
+                parse_config(doc)
+
+
+# the resolved config is written to manifest.json and the `resolved config:`
+# line, which no artifact digest covers, so its layout is pinned here
+GOLDEN_RESOLVED = {
+    "seed": 42,
+    "data": {"synthetic": {"n": 300, "class_proportions": [0.303, 0.332, 0.365]}},
+    "preprocess": {
+        "order": "paper_order",
+        "smote_k": 5,
+        "corr_hi": 0.5,
+        "corr_lo": -0.4,
+        "test_fraction": 0.2,
+    },
+    "model": {
+        "name": "dnn",
+        "hyperparams": {
+            "learning_rate": 0.05,
+            "min_child_weight": 1.0,
+            "epochs": 60,
+            "batch_size": 32,
+            "hidden_layers": [16, 8],
+            "C": 1.0,
+            "gamma": "scale",
+            "degree": 3,
+            "coef0": 0.0,
+            "max_depth": 8,
+            "n_estimators": 25,
+            "voting_mode": "hard",
+        },
+    },
+    "eval": {
+        "k": 5,
+        "curve_fractions": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+        "curve_repeats": 3,
+        "sweep": {"learning_rate": [0.001, 0.01, 0.1], "min_child_weight": [1.0, 3.0, 5.0]},
+    },
+    "output_dir": "golden_run",
+}
+DEFAULT_RESOLVED = {
+    **GOLDEN_RESOLVED,
+    "data": {"synthetic": {"n": 1000, "class_proportions": [0.303, 0.332, 0.365]}},
+    "model": {
+        "name": "dnn",
+        "hyperparams": {
+            **GOLDEN_RESOLVED["model"]["hyperparams"],
+            "learning_rate": 0.01,
+            "epochs": 200,
+            "hidden_layers": [32, 16],
+        },
+    },
+    "output_dir": "oncograde_out",
+}
+
+
+class TestResolvedConfigLayout:
+    # json.dumps, not ==, so key order and 1 against 1.0 count
+    def test_golden_config(self):
+        doc = json.loads((GOLDEN_DIR / "config.json").read_text(encoding="utf-8"))
+        assert json.dumps(parse_config(doc).to_dict()) == json.dumps(GOLDEN_RESOLVED)
+
+    def test_empty_config(self):
+        assert json.dumps(parse_config({}).to_dict()) == json.dumps(DEFAULT_RESOLVED)
 
 
 class TestEvaluateCommand:
