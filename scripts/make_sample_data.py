@@ -20,7 +20,6 @@ def main() -> None:
         X=d.X[keep],
         y=d.y[keep],
         feature_names=d.feature_names,
-        provenance={"kind": "synthetic", "seed": 3, "n": 12},
         patient_ids=[f"P{i + 1:03d}" for i in range(len(keep))],
     )
     out = Path(__file__).resolve().parents[1] / "data" / "sample_lung_cancer.csv"

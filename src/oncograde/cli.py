@@ -283,13 +283,13 @@ def _slug(name: str) -> str:
     return "".join(ch.lower() if ch.isalnum() else "_" for ch in name)
 
 
-def _write_metrics_artifacts(writer: ArtifactWriter, cm, report, title: str) -> None:
-    writer.write_json("metrics.json", report.to_dict())
-    writer.write_text("confusion.csv", confusion_to_csv(cm))
+def _write_metrics_artifacts(writer: ArtifactWriter, counts, report, title: str) -> None:
+    writer.write_json("metrics.json", dataclasses.asdict(report))
+    writer.write_text("confusion.csv", confusion_to_csv(counts))
     writer.write_svg(
         "confusion.svg",
         "heatmap3x3",
-        {"title": title, "counts": cm.counts.tolist()},
+        {"title": title, "counts": counts.tolist()},
     )
 
 

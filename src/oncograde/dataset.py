@@ -12,7 +12,7 @@ hermetically.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,25 +53,13 @@ ID_NAME = "Patient Id"
 N_CLASSES = 3
 
 
-@dataclass(frozen=True)
-class Schema:
-    feature_names: tuple[str, ...] = FEATURE_NAMES
-    label_name: str = LABEL_NAME
-    label_values: tuple[str, ...] = LABEL_VALUES
-    id_name: str = ID_NAME
-
-
-DEFAULT_SCHEMA = Schema()
-
-
 @dataclass
 class Dataset:
-    """Feature matrix plus integer labels in {0,1,2} and provenance metadata."""
+    """Feature matrix plus integer labels in {0,1,2}, with optional patient ids."""
 
     X: np.ndarray
     y: np.ndarray
     feature_names: list[str]
-    provenance: dict
     patient_ids: list[str] | None = None
 
     def __post_init__(self):
@@ -181,12 +169,7 @@ def synth_generate(n: int, seed: int, class_proportions=(1 / 3, 1 / 3, 1 / 3)) -
     X = np.vstack(blocks)
     y = np.repeat(np.arange(N_CLASSES, dtype=np.int64), counts)
 
-    return Dataset(
-        X=X,
-        y=y,
-        feature_names=names,
-        provenance={"kind": "synthetic", "seed": int(seed), "n": int(n)},
-    )
+    return Dataset(X=X, y=y, feature_names=names)
 
 
 # --- CSV I/O ---------------------------------------------------------------
@@ -196,11 +179,13 @@ def _norm(name: str) -> str:
     return name.strip().lower()
 
 
-def _parse_label(token: str, schema: Schema) -> int:
+_LABEL_OF_NAME = {_norm(v): i for i, v in enumerate(LABEL_VALUES)}
+
+
+def _parse_label(token: str) -> int:
     t = token.strip()
-    by_name = {_norm(v): i for i, v in enumerate(schema.label_values)}
-    if _norm(t) in by_name:
-        return by_name[_norm(t)]
+    if _norm(t) in _LABEL_OF_NAME:
+        return _LABEL_OF_NAME[_norm(t)]
     try:
         num = int(float(t)) if float(t).is_integer() else None
     except ValueError:
@@ -210,7 +195,7 @@ def _parse_label(token: str, schema: Schema) -> int:
     raise ValueError(f"unknown label value: {token!r}")
 
 
-def load_csv(path, schema: Schema = DEFAULT_SCHEMA) -> Dataset:
+def load_csv(path) -> Dataset:
     """Load a dataset, matching columns to the schema by header name.
 
     Matching is case-insensitive with surrounding whitespace trimmed;
@@ -227,21 +212,21 @@ def load_csv(path, schema: Schema = DEFAULT_SCHEMA) -> Dataset:
     col_of = {h: i for i, h in enumerate(header)}
 
     feature_idx = []
-    for name in schema.feature_names:
+    for name in FEATURE_NAMES:
         if _norm(name) not in col_of:
             raise ValueError(f"missing column: {name}")
         feature_idx.append(col_of[_norm(name)])
-    if _norm(schema.label_name) not in col_of:
-        raise ValueError(f"missing column: {schema.label_name}")
-    label_idx = col_of[_norm(schema.label_name)]
-    id_idx = col_of.get(_norm(schema.id_name))
+    if _norm(LABEL_NAME) not in col_of:
+        raise ValueError(f"missing column: {LABEL_NAME}")
+    label_idx = col_of[_norm(LABEL_NAME)]
+    id_idx = col_of.get(_norm(ID_NAME))
 
     data_rows = rows[1:]
     if not data_rows:
         raise ValueError(f"no data rows in {path}")
 
     n = len(data_rows)
-    X = np.empty((n, len(schema.feature_names)), dtype=np.float64)
+    X = np.empty((n, len(FEATURE_NAMES)), dtype=np.float64)
     y = np.empty(n, dtype=np.int64)
     ids: list[str] | None = [] if id_idx is not None else None
     for r, row in enumerate(data_rows):
@@ -252,36 +237,30 @@ def load_csv(path, schema: Schema = DEFAULT_SCHEMA) -> Dataset:
             except ValueError:
                 raise ValueError(
                     f"non-numeric value {cell!r} at row {r + 1}, "
-                    f"column {schema.feature_names[j]!r}"
+                    f"column {FEATURE_NAMES[j]!r}"
                 ) from None
-        y[r] = _parse_label(row[label_idx], schema)
+        y[r] = _parse_label(row[label_idx])
         if ids is not None:
             ids.append(row[id_idx].strip())
 
-    return Dataset(
-        X=X,
-        y=y,
-        feature_names=list(schema.feature_names),
-        provenance={"kind": "loaded_csv", "path": str(path)},
-        patient_ids=ids,
-    )
+    return Dataset(X=X, y=y, feature_names=list(FEATURE_NAMES), patient_ids=ids)
 
 
 def _fmt_cell(v: float) -> str:
     return str(int(v)) if float(v).is_integer() else repr(float(v))
 
 
-def save_csv(d: Dataset, path, schema: Schema = DEFAULT_SCHEMA) -> None:
+def save_csv(d: Dataset, path) -> None:
     """Write a dataset back out in the schema's CSV layout."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = list(d.feature_names) + [schema.label_name]
+        header = list(d.feature_names) + [LABEL_NAME]
         if d.patient_ids is not None:
-            header = [schema.id_name] + header
+            header = [ID_NAME] + header
         writer.writerow(header)
         for i in range(d.n_rows):
             row = [_fmt_cell(v) for v in d.X[i]]
-            row.append(schema.label_values[d.y[i]])
+            row.append(LABEL_VALUES[d.y[i]])
             if d.patient_ids is not None:
                 row = [d.patient_ids[i]] + row
             writer.writerow(row)

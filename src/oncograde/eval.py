@@ -8,6 +8,7 @@ so results are bit-identical no matter how the work is scheduled.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,15 +16,6 @@ import numpy as np
 from .core import RngStream, as_matrix, parallel_map, shuffle
 from .dataset import LABEL_VALUES, N_CLASSES
 from .preprocess import _round_half_up, stratified_split
-
-
-@dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # rows = true class, columns = predicted class
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass
@@ -36,18 +28,6 @@ class MetricsReport:
     macro_recall: float
     macro_f1: float
     support: list[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision_per_class": self.precision_per_class,
-            "recall_per_class": self.recall_per_class,
-            "f1_per_class": self.f1_per_class,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "support": self.support,
-        }
 
 
 @dataclass
@@ -76,7 +56,8 @@ class SweepResult:
     inactive_axes: list[str] = field(default_factory=list)
 
 
-def confusion(y_true, y_pred) -> ConfusionMatrix:
+def confusion(y_true, y_pred) -> np.ndarray:
+    """3x3 counts: rows are the true class, columns the predicted class."""
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     if y_true.shape != y_pred.shape:
@@ -84,19 +65,16 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
     for arr, which in ((y_true, "true"), (y_pred, "predicted")):
         if arr.size and (arr.min() < 0 or arr.max() >= N_CLASSES):
             raise ValueError(f"{which} labels must lie in {{0,1,2}}")
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for t, p in zip(y_true, y_pred):
-        counts[t, p] += 1
-    return ConfusionMatrix(counts)
+    cells = np.bincount(N_CLASSES * y_true + y_pred, minlength=N_CLASSES * N_CLASSES)
+    return cells.reshape(N_CLASSES, N_CLASSES)
 
 
-def metrics(cm: ConfusionMatrix) -> MetricsReport:
+def metrics(counts: np.ndarray) -> MetricsReport:
     """Accuracy plus per-class and macro precision/recall/F1.
 
     Zero-denominator metrics are 0 by convention, so reports stay
     serializable and comparable.
     """
-    counts = cm.counts
     total = counts.sum()
     if total == 0:
         raise ValueError("empty evaluation")
@@ -123,7 +101,7 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     )
 
 
-def evaluate_predictions(y_true, y_pred) -> tuple[ConfusionMatrix, MetricsReport]:
+def evaluate_predictions(y_true, y_pred) -> tuple[np.ndarray, MetricsReport]:
     cm = confusion(y_true, y_pred)
     return cm, metrics(cm)
 
@@ -157,10 +135,8 @@ def stratified_folds(y, k: int, stream: RngStream) -> list[list[int]]:
     return folds
 
 
-def kfold_cv(X, y, model_spec, k: int = 5, stream: RngStream | None = None) -> CvResult:
+def kfold_cv(X, y, model_spec, k: int, stream: RngStream) -> CvResult:
     """Stratified k-fold; each fold validates a model trained on the rest."""
-    if stream is None:
-        raise ValueError("kfold_cv requires an explicit RngStream")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     X = as_matrix(X)
@@ -206,17 +182,7 @@ def _stratified_subset(y, pool: list[int], fraction: float, stream: RngStream) -
     return subset
 
 
-DEFAULT_FRACTIONS = tuple(round(0.1 * i, 1) for i in range(1, 11))
-
-
-def learning_curve(
-    X,
-    y,
-    model_spec,
-    fractions=DEFAULT_FRACTIONS,
-    repeats: int = 3,
-    stream: RngStream | None = None,
-) -> LearningCurve:
+def learning_curve(X, y, model_spec, fractions, repeats: int, stream: RngStream) -> LearningCurve:
     """Train/validation accuracy as a function of training-set size.
 
     A stratified 20% validation set is held out once; each (fraction,
@@ -224,8 +190,8 @@ def learning_curve(
     fresh sub-stream and scores the training subset and the fixed
     validation set.
     """
-    if stream is None:
-        raise ValueError("learning_curve requires an explicit RngStream")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     fractions = [float(f) for f in fractions]
     if not fractions or any(not 0 < f <= 1 for f in fractions):
         raise ValueError("fractions must lie in (0, 1]")
@@ -258,14 +224,7 @@ def learning_curve(
     )
 
 
-def sweep(
-    X,
-    y,
-    model_spec,
-    lr_values,
-    mcw_values,
-    stream: RngStream | None = None,
-) -> SweepResult:
+def sweep(X, y, model_spec, lr_values, mcw_values, stream: RngStream) -> SweepResult:
     """Train/validation accuracy over a learning-rate x min-child-weight grid.
 
     Every cell reuses the same derived sub-stream (same 80/20 split, same
@@ -273,8 +232,6 @@ def sweep(
     an axis of length >= 2 whose cells are all bit-identical is reported as
     inactive for this model family.
     """
-    if stream is None:
-        raise ValueError("sweep requires an explicit RngStream")
     lr_values = [float(v) for v in lr_values]
     mcw_values = [float(v) for v in mcw_values]
     if not lr_values or not mcw_values:
@@ -326,10 +283,10 @@ def sweep(
 # --- artifact formats -------------------------------------------------------
 
 
-def confusion_to_csv(cm: ConfusionMatrix) -> str:
+def confusion_to_csv(counts: np.ndarray) -> str:
     lines = ["true\\pred," + ",".join(LABEL_VALUES)]
     for c in range(N_CLASSES):
-        lines.append(LABEL_VALUES[c] + "," + ",".join(str(int(v)) for v in cm.counts[c]))
+        lines.append(LABEL_VALUES[c] + "," + ",".join(str(int(v)) for v in counts[c]))
     return "\n".join(lines) + "\n"
 
 
@@ -366,5 +323,5 @@ def cv_to_json(result: CvResult) -> dict:
         "fold_sizes": result.fold_sizes,
         "mean": result.mean,
         "std": result.std,
-        "per_fold": [r.to_dict() for r in result.per_fold],
+        "per_fold": [dataclasses.asdict(r) for r in result.per_fold],
     }

@@ -66,9 +66,6 @@ class Hyperparams:
         if self.voting_mode not in ("hard", "soft"):
             raise ValueError("voting_mode must be 'hard' or 'soft'")
 
-    def replace(self, **kw) -> "Hyperparams":
-        return dataclasses.replace(self, **kw)
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -112,6 +109,13 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     return np.tanh(spec.gamma * dots + spec.coef0)
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by each row's maximum so exp cannot overflow."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def proba_to_labels(P: np.ndarray) -> np.ndarray:
     """Row-wise argmax; np.argmax already resolves ties to the lowest index."""
     P = np.asarray(P, dtype=float)
@@ -134,7 +138,7 @@ class ModelSpec:
             )
 
     def with_hyperparams(self, **kw) -> "ModelSpec":
-        return ModelSpec(self.name, self.hyperparams.replace(**kw))
+        return ModelSpec(self.name, dataclasses.replace(self.hyperparams, **kw))
 
     def train(self, X, y, stream: RngStream, Xval=None, yval=None):
         """Train a fresh model; dnn falls back to the training set for
@@ -149,9 +153,7 @@ class ModelSpec:
         if self.name == "dnn":
             return train_mlp(X, y, Xval, yval, hp, stream)
         if self.name in _SVM_KERNEL_OF:
-            return train_svm_ovr(
-                X, y, svm_kernel_for(self.name, hp, X), C=hp.C, stream=stream
-            )
+            return train_svm_ovr(X, y, svm_kernel_for(self.name, hp, X), C=hp.C)
         if self.name == "bagging":
             return train_bagging(X, y, tree_base_spec(hp), hp.n_estimators, stream)
         return train_voting(

@@ -75,10 +75,7 @@ def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -
         if labels.size == 1:
             return _constant_leaf(Xb, int(labels[0]))
         return train_tree(
-            Xb,
-            yb,
-            max_depth=base_spec.get("max_depth", 8),
-            min_child_weight=base_spec.get("min_child_weight", 1.0),
+            Xb, yb, max_depth=base_spec["max_depth"], min_child_weight=base_spec["min_child_weight"]
         )
 
     members = parallel_map(train_member, [stream.derive(i) for i in range(n_estimators)])

@@ -9,13 +9,14 @@ epoch, so training is fully deterministic given (data, hyperparams, seed).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core import RngStream, as_matrix, shuffle
 from ..dataset import N_CLASSES
-from .base import Hyperparams, proba_to_labels
+from .base import Hyperparams, proba_to_labels, softmax
 
 _MOMENTUM = 0.9
 _PATIENCE = 20
@@ -62,12 +63,7 @@ class MlpModel:
         return {
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
-            "history": {
-                "train_loss": self.history.train_loss,
-                "val_loss": self.history.val_loss,
-                "train_accuracy": self.history.train_accuracy,
-                "val_accuracy": self.history.val_accuracy,
-            },
+            "history": dataclasses.asdict(self.history),
         }
 
     @classmethod
@@ -93,12 +89,6 @@ def forward(weights, biases, X) -> np.ndarray:
     for w, b in zip(weights[:-1], biases[:-1]):
         a = np.maximum(a @ w + b, 0.0)
     return a @ weights[-1] + biases[-1]
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -25,13 +25,14 @@ its own training rows, below a constant -1.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import RngStream, as_matrix
+from ..core import as_matrix
 from ..dataset import N_CLASSES
-from .base import KernelSpec, kernel_matrix, proba_to_labels
+from .base import KernelSpec, kernel_matrix, proba_to_labels, softmax
 
 # floor on the pair curvature K_ii + K_tt - 2 K_it (LIBSVM's TAU); without it
 # an indefinite kernel gives non-positive curvature and an unbounded step
@@ -90,19 +91,8 @@ def kkt_violation(svm: BinarySvm, tol: float = 1e-3) -> float:
     return float(viol.max(initial=0.0))
 
 
-def train_svm_binary(
-    X,
-    y,
-    kernel: KernelSpec,
-    C: float = 1.0,
-    tol: float = 1e-3,
-    stream: RngStream | None = None,
-) -> BinarySvm:
-    """SMO with WSS2 working-set selection on labels in {-1, +1}.
-
-    ``stream`` is accepted for interface compatibility and unused: the
-    solver is deterministic.
-    """
+def train_svm_binary(X, y, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3) -> BinarySvm:
+    """SMO with WSS2 working-set selection on labels in {-1, +1}."""
     X = as_matrix(X)
     y = np.asarray(y, dtype=float)
     if not ((y == 1).any() and (y == -1).any()):
@@ -193,21 +183,14 @@ class SvmOvrModel:
         d = self.decision_matrix(X)
         if d.shape[0] == 0:
             return np.empty((0, N_CLASSES))
-        shifted = d - d.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return softmax(d)
 
     def predict(self, X) -> np.ndarray:
         return proba_to_labels(self.decision_matrix(X))
 
     def to_params(self) -> dict:
         return {
-            "kernel": {
-                "kind": self.kernel.kind,
-                "gamma": self.kernel.gamma,
-                "degree": self.kernel.degree,
-                "coef0": self.kernel.coef0,
-            },
+            "kernel": dataclasses.asdict(self.kernel),
             "C": self.C,
             "n_features": self.n_features,
             "machines": [
@@ -222,27 +205,16 @@ class SvmOvrModel:
 
     @classmethod
     def from_params(cls, params: dict) -> "SvmOvrModel":
-        k = params["kernel"]
         return cls(
-            kernel=KernelSpec(kind=k["kind"], gamma=k["gamma"], degree=k["degree"], coef0=k["coef0"]),
+            kernel=KernelSpec(**params["kernel"]),
             C=params["C"],
             machines=params["machines"],
             n_features=params["n_features"],
         )
 
 
-def train_svm_ovr(
-    X,
-    y,
-    kernel: KernelSpec,
-    C: float = 1.0,
-    tol: float = 1e-3,
-    stream: RngStream | None = None,
-) -> SvmOvrModel:
-    """One binary machine per class (class c = +1, rest = -1).
-
-    ``stream`` is unused, as in ``train_svm_binary``.
-    """
+def train_svm_ovr(X, y, kernel: KernelSpec, C: float = 1.0) -> SvmOvrModel:
+    """One binary machine per class (class c = +1, rest = -1)."""
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
     if np.unique(y).size < 2:
@@ -254,7 +226,7 @@ def train_svm_ovr(
             machines.append({"support_x": np.empty((0, X.shape[1])), "support_coef": np.empty(0), "bias": -1.0})
             continue
         ypm = np.where(y == cls, 1.0, -1.0)
-        svm = train_svm_binary(X, ypm, kernel, C, tol)
+        svm = train_svm_binary(X, ypm, kernel, C)
         m = svm.support_mask
         machines.append(
             {

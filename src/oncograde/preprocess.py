@@ -183,7 +183,7 @@ def _nearest_neighbours(Xc: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def smote(X, y, k: int = 5, stream: RngStream | None = None):
+def smote(X, y, k: int, stream: RngStream):
     """Oversample every minority class up to the majority count.
 
     Each synthetic row is x_i + gap * (x_nn - x_i) for a uniformly random
@@ -198,8 +198,6 @@ def smote(X, y, k: int = 5, stream: RngStream | None = None):
     their (member, neighbour pick, gap) triples as one block, in the
     order scalar draws would take them.
     """
-    if stream is None:
-        raise ValueError("smote requires an explicit RngStream")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     X = as_matrix(X)
@@ -234,14 +232,12 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def stratified_split(y, test_fraction: float = 0.2, stream: RngStream | None = None) -> SplitIndices:
+def stratified_split(y, test_fraction: float, stream: RngStream) -> SplitIndices:
     """Per-class shuffled split; test gets round(n_c * fraction) per class.
 
     Classes with at least 2 samples contribute at least 1 test row and
     keep at least 1 training row.
     """
-    if stream is None:
-        raise ValueError("stratified_split requires an explicit RngStream")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     y = np.asarray(y, dtype=np.int64)
@@ -325,12 +321,10 @@ def run_pipeline(
     smote_k: int = 5,
     corr_hi: float = CORR_HI_DEFAULT,
     corr_lo: float = CORR_LO_DEFAULT,
-    stream: RngStream | None = None,
+    stream: RngStream,
 ) -> PreparedData:
     """Run the full preprocessing chain in the requested order; the split
     draws from ``stream.derive(1)``."""
-    if stream is None:
-        raise ValueError("run_pipeline requires an explicit RngStream")
     if order not in PIPELINE_ORDERS:
         raise ValueError(f"order must be one of {PIPELINE_ORDERS}, got {order!r}")
     prep = Preprocessor(list(d.feature_names), smote_k, corr_hi, corr_lo)

@@ -7,6 +7,8 @@ files (golden-file friendly).
 
 from __future__ import annotations
 
+from .dataset import LABEL_VALUES
+
 WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 80, 170, 60, 70
 
@@ -200,8 +202,6 @@ def _render_heatmap3x3(data) -> str:
     counts = data["counts"]
     if len(counts) != 3 or any(len(row) != 3 for row in counts):
         raise ValueError("heatmap3x3 requires a 3x3 count grid")
-    row_labels = data.get("row_labels", ("Low", "Medium", "High"))
-    col_labels = data.get("col_labels", ("Low", "Medium", "High"))
     x0, y0, x1, y1 = _plot_area()
     cell_w = (x1 - x0) / 3
     cell_h = (y1 - y0) / 3
@@ -220,12 +220,12 @@ def _render_heatmap3x3(data) -> str:
                 _text(cx + cell_w / 2, cy + cell_h / 2 + 6, str(int(v)), size=20,
                       anchor="middle", color=text_color)
             )
-    for j, lab in enumerate(col_labels):
+    for j, lab in enumerate(LABEL_VALUES):
         parts.append(_text(x0 + j * cell_w + cell_w / 2, y1 + 22, lab, anchor="middle"))
-    for i, lab in enumerate(row_labels):
+    for i, lab in enumerate(LABEL_VALUES):
         parts.append(_text(x0 - 10, y0 + i * cell_h + cell_h / 2 + 4, lab, anchor="end"))
-    parts.append(_text((x0 + x1) / 2, HEIGHT - 18, data.get("x_label", "predicted"), anchor="middle"))
-    parts.append(_text(20, (y0 + y1) / 2, data.get("y_label", "true"), anchor="middle", rotate=-90))
+    parts.append(_text((x0 + x1) / 2, HEIGHT - 18, "predicted", anchor="middle"))
+    parts.append(_text(20, (y0 + y1) / 2, "true", anchor="middle", rotate=-90))
     parts.append("</svg>\n")
     return "".join(parts)
 

@@ -75,14 +75,13 @@ def test_criterion_3_smo_correctness():
     for trial in range(50):
         X, y = random_binary_problem(trial, n_max=40, d_max=4)
         for kern in (KernelSpec("linear"), KernelSpec("rbf", gamma=0.7)):
-            svm = train_svm_binary(X, y, kern, C=1.0, tol=1e-3, stream=RngStream(trial))
+            svm = train_svm_binary(X, y, kern, C=1.0, tol=1e-3)
             assert abs(float((svm.alphas * svm.y).sum())) < 1e-9
             assert (svm.alphas >= 0.0).all() and (svm.alphas <= 1.0).all()
             assert kkt_violation(svm, tol=1e-3) <= 1e-3
 
     svm = train_svm_binary(
-        np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]), KernelSpec("linear"), C=1.0,
-        stream=RngStream(0),
+        np.array([[-1.0], [1.0]]), np.array([-1.0, 1.0]), KernelSpec("linear"), C=1.0
     )
     assert svm.alphas == pytest.approx([0.5, 0.5], abs=1e-6)
     assert svm.bias == pytest.approx(0.0, abs=1e-6)

@@ -493,6 +493,15 @@ class TestHarnessCommands:
         assert len(lines) == 3
         assert (out / "curve.svg").exists()
 
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_curve_repeats_below_one_fails(self, tmp_path, capsys, repeats):
+        ev = {"curve_fractions": [0.5, 1.0], "curve_repeats": repeats}
+        cfg = write_config(tmp_path / "cfg.json", eval=ev)
+        out = tmp_path / "curve"
+        assert main(["curve", "--config", str(cfg), "--output-dir", str(out)]) != 0
+        assert "repeats must be >= 1" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_sweep(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out = tmp_path / "sweep"

@@ -72,7 +72,6 @@ class TestLoadCsv:
         _write_csv(p, header, rows)
         d = load_csv(p)
         assert list(d.y) == [0, 1, 2]
-        assert d.provenance["kind"] == "loaded_csv"
 
     def test_numeric_labels(self, tmp_path):
         p = tmp_path / "d.csv"

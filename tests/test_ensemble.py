@@ -182,10 +182,10 @@ class TestHyperparams:
             Hyperparams(**kwargs)
 
     def test_replace_revalidates(self):
-        hp = Hyperparams()
+        spec = ModelSpec("svm_rbf")
         with pytest.raises(ValueError):
-            hp.replace(C=-1.0)
-        assert hp.replace(C=2.0).C == 2.0
+            spec.with_hyperparams(C=-1.0)
+        assert spec.with_hyperparams(C=2.0).hyperparams.C == 2.0
 
 
 class TestModelSpec:

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oncograde.core import RngStream, derive_stream
+from oncograde.core import RngStream
 from oncograde.dataset import synth_generate
 from oncograde.eval import (
-    ConfusionMatrix,
     confusion,
     confusion_to_csv,
     curve_to_csv,
@@ -30,15 +29,15 @@ labels3 = st.lists(st.integers(0, 2), min_size=1, max_size=60)
 class TestConfusion:
     def test_identity(self):
         cm = confusion([0, 1, 2], [0, 1, 2])
-        assert np.array_equal(cm.counts, np.eye(3, dtype=int))
+        assert np.array_equal(cm, np.eye(3, dtype=int))
 
     def test_hand_tally(self):
         cm = confusion([0, 0, 1, 1, 2, 2], [0, 1, 1, 1, 2, 0])
-        assert cm.counts.tolist() == [[1, 1, 0], [0, 2, 0], [1, 0, 1]]
+        assert cm.tolist() == [[1, 1, 0], [0, 2, 0], [1, 0, 1]]
 
     def test_empty(self):
         cm = confusion([], [])
-        assert cm.counts.sum() == 0
+        assert cm.sum() == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -47,6 +46,15 @@ class TestConfusion:
     def test_out_of_range_label(self):
         with pytest.raises(ValueError, match="labels"):
             confusion([0, 3], [0, 0])
+
+    @given(labels3, st.integers(0, 10**6))
+    @settings(max_examples=60)
+    def test_matches_per_row_tally(self, y_true, seed):
+        y_pred = np.random.default_rng(seed).integers(0, 3, len(y_true)).tolist()
+        expected = np.zeros((3, 3), dtype=np.int64)
+        for t, p in zip(y_true, y_pred):
+            expected[t, p] += 1
+        assert np.array_equal(confusion(y_true, y_pred), expected)
 
 
 class TestMetrics:
@@ -71,7 +79,7 @@ class TestMetrics:
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="empty evaluation"):
-            metrics(ConfusionMatrix(np.zeros((3, 3), dtype=int)))
+            metrics(np.zeros((3, 3), dtype=int))
 
     @given(labels3, st.integers(0, 10**6))
     @settings(max_examples=60)
@@ -157,12 +165,12 @@ class TestLearningCurve:
     def test_fractions_must_increase(self):
         d = synth_generate(60, 1)
         with pytest.raises(ValueError, match="strictly increasing"):
-            learning_curve(d.X, d.y, FAST_TREEISH, [0.5, 0.5], stream=RngStream(0))
+            learning_curve(d.X, d.y, FAST_TREEISH, [0.5, 0.5], repeats=1, stream=RngStream(0))
 
     def test_fraction_out_of_range(self):
         d = synth_generate(60, 1)
         with pytest.raises(ValueError, match="fractions"):
-            learning_curve(d.X, d.y, FAST_TREEISH, [0.0, 0.5], stream=RngStream(0))
+            learning_curve(d.X, d.y, FAST_TREEISH, [0.0, 0.5], repeats=1, stream=RngStream(0))
 
     def test_scores_bounded_and_aligned(self):
         d = synth_generate(100, 3)
@@ -175,7 +183,7 @@ class TestLearningCurve:
         y = np.array([0] * 40 + [1] * 40 + [2] * 2)
         X = np.random.default_rng(0).normal(size=(82, 2))
         with pytest.raises(ValueError, match="too small"):
-            learning_curve(X, y, FAST_TREEISH, [0.05, 1.0], stream=RngStream(1))
+            learning_curve(X, y, FAST_TREEISH, [0.05, 1.0], repeats=1, stream=RngStream(1))
 
 
 class TestSweep:

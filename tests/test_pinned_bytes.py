@@ -90,6 +90,28 @@ class TestPinnedDigests:
         metrics = (tmp_path / "evaluate" / "metrics.json").read_bytes()
         assert hashlib.sha256(metrics).hexdigest() == "b774dd975f7c1f22b1867e134ee2363353794b1c2f7304a6629fbcf15cd9c85f"
 
+    def test_voting_train_documents(self, tmp_path):
+        """Voting's dnn, svm_rbf and bagging members write the history, kernel
+        and tree documents. The digests were computed with the hand-written
+        field lists that ``dataclasses.asdict`` replaced in those documents
+        and in the metrics report."""
+        cfg = write_json(
+            tmp_path / "train.json",
+            {
+                "seed": 3,
+                "data": {"synthetic": {"n": 150}},
+                "model": {
+                    "name": "voting",
+                    "hyperparams": {"epochs": 5, "n_estimators": 3, "max_depth": 3},
+                },
+            },
+        )
+        assert main(["train", "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
+        model = (tmp_path / "run" / "model.json").read_bytes()
+        metrics = (tmp_path / "run" / "metrics.json").read_bytes()
+        assert hashlib.sha256(model).hexdigest() == "c400d806625f55e9c00b0a2f1b558dbde00ea44e0e4e5074ac83fce5befd4af4"
+        assert hashlib.sha256(metrics).hexdigest() == "4f089a5a6539ce25112c6d7c2df2e165001715c3fcd1fa98ba85c3d3240cc445"
+
 
 def traced_peak_mb(fn) -> float:
     tracemalloc.start()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oncograde.core import RngStream, derive_stream
+from oncograde.core import derive_stream
 from oncograde.dataset import synth_generate
 from oncograde.models import (
     KernelSpec,
@@ -63,7 +63,7 @@ class TestBinarySmo:
     def test_two_point_analytic_solution(self):
         X = np.array([[-1.0], [1.0]])
         y = np.array([-1.0, 1.0])
-        svm = train_svm_binary(X, y, KernelSpec("linear"), C=1.0, stream=RngStream(0))
+        svm = train_svm_binary(X, y, KernelSpec("linear"), C=1.0)
         assert svm.alphas == pytest.approx([0.5, 0.5], abs=1e-6)
         assert svm.bias == pytest.approx(0.0, abs=1e-6)
         grid = np.array([[-1.0], [0.5], [1.0]])
@@ -73,14 +73,14 @@ class TestBinarySmo:
         for trial in range(10):
             X, y = random_binary_problem(trial)
             for kern in (KernelSpec("linear"), KernelSpec("rbf", gamma=0.7)):
-                svm = train_svm_binary(X, y, kern, C=1.0, stream=RngStream(trial))
+                svm = train_svm_binary(X, y, kern, C=1.0)
                 assert abs(float((svm.alphas * svm.y).sum())) < 1e-9
                 assert (svm.alphas >= 0).all() and (svm.alphas <= 1.0).all()
                 assert kkt_violation(svm, tol=1e-3) <= 1e-3
 
     def test_linear_weight_vector_reproduces_decision(self):
         X, y = random_binary_problem(5)
-        svm = train_svm_binary(X, y, KernelSpec("linear"), C=1.0, stream=RngStream(5))
+        svm = train_svm_binary(X, y, KernelSpec("linear"), C=1.0)
         w = (svm.alphas * svm.y) @ svm.X
         probe = np.random.default_rng(1).normal(size=(20, X.shape[1]))
         assert np.allclose(svm.decision(probe), probe @ w + svm.bias, atol=1e-9)
@@ -88,7 +88,7 @@ class TestBinarySmo:
     def test_separable_blobs_rbf_perfect(self):
         X, y3 = make_blobs(seed=2, n_per_class=20)
         y = np.where(y3 == 0, 1.0, -1.0)
-        svm = train_svm_binary(X, y, KernelSpec("rbf", gamma=0.5), stream=RngStream(1))
+        svm = train_svm_binary(X, y, KernelSpec("rbf", gamma=0.5))
         assert (np.sign(svm.decision(X)) == y).all()
 
     def test_single_class_errors(self):
@@ -97,16 +97,16 @@ class TestBinarySmo:
 
     def test_sigmoid_kernel_terminates(self):
         X, y = random_binary_problem(9)
-        svm = train_svm_binary(X, y, KernelSpec("sigmoid", gamma=1.0), stream=RngStream(2))
+        svm = train_svm_binary(X, y, KernelSpec("sigmoid", gamma=1.0))
         assert np.isfinite(svm.bias)
 
     def test_permutation_keeps_dual_objective(self):
         for trial in range(5):
             X, y = random_binary_problem(100 + trial, n_max=30)
             kern = KernelSpec("rbf", gamma=0.5)
-            a = train_svm_binary(X, y, kern, tol=1e-6, stream=RngStream(9))
+            a = train_svm_binary(X, y, kern, tol=1e-6)
             perm = np.random.default_rng(trial).permutation(len(y))
-            b = train_svm_binary(X[perm], y[perm], kern, tol=1e-6, stream=RngStream(9))
+            b = train_svm_binary(X[perm], y[perm], kern, tol=1e-6)
             assert abs(dual_objective(a) - dual_objective(b)) < 1e-9
 
 
@@ -122,7 +122,7 @@ class TestWorkingSetSolver:
         for trial in range(50):
             X, y = random_binary_problem(trial)
             for kern in self.INDEFINITE_KERNELS:
-                svm = train_svm_binary(X, y, kern, C=1.0, tol=1e-3, stream=RngStream(trial))
+                svm = train_svm_binary(X, y, kern, C=1.0, tol=1e-3)
                 assert abs(float((svm.alphas * svm.y).sum())) < 1e-9
                 assert (svm.alphas >= 0.0).all() and (svm.alphas <= 1.0).all()
                 assert kkt_violation(svm, tol=1e-3) <= 1e-3
@@ -144,24 +144,13 @@ class TestWorkingSetSolver:
             assert svm.iterations > 0
             assert kkt_violation(svm, tol=1e-3) <= 1e-3
 
-    def test_stream_does_not_change_result(self):
-        X, y = random_binary_problem(3)
-        for kern in (KernelSpec("rbf", gamma=0.7), KernelSpec("sigmoid", gamma=0.7)):
-            a = train_svm_binary(X, y, kern, stream=RngStream(1))
-            b = train_svm_binary(X, y, kern, stream=RngStream(2))
-            assert np.array_equal(a.alphas, b.alphas) and a.bias == b.bias
-        X3, y3 = make_blobs(seed=6, n_per_class=10)
-        m1 = train_svm_ovr(X3, y3, KernelSpec("rbf", gamma=0.5), stream=RngStream(1))
-        m2 = train_svm_ovr(X3, y3, KernelSpec("rbf", gamma=0.5), stream=RngStream(2))
-        assert m1.to_params() == m2.to_params()
-
 
 class TestOneVsRest:
     def test_separated_blobs_perfect(self):
         X, y = make_blobs(seed=4, n_per_class=25)
         train = np.r_[0:20, 25:45, 50:70]
         test = np.setdiff1d(np.arange(75), train)
-        model = train_svm_ovr(X[train], y[train], KernelSpec("linear"), stream=RngStream(3))
+        model = train_svm_ovr(X[train], y[train], KernelSpec("linear"))
         assert (model.predict(X[test]) == y[test]).all()
 
     def test_equal_decisions_tie_to_class_zero(self):
@@ -178,7 +167,7 @@ class TestOneVsRest:
 
     def test_proba_rows_sum_to_one(self, blobs3):
         X, y = blobs3
-        model = train_svm_ovr(X, y, KernelSpec("rbf", gamma=0.5), stream=RngStream(4))
+        model = train_svm_ovr(X, y, KernelSpec("rbf", gamma=0.5))
         P = model.predict_proba(X)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-9)
         assert (P >= 0).all()
@@ -190,6 +179,6 @@ class TestOneVsRest:
 
     def test_empty_input_predictions(self, blobs3):
         X, y = blobs3
-        model = train_svm_ovr(X, y, KernelSpec("linear"), stream=RngStream(5))
+        model = train_svm_ovr(X, y, KernelSpec("linear"))
         assert model.predict(np.zeros((0, 2))).shape == (0,)
         assert model.predict_proba(np.zeros((0, 2))).shape == (0, 3)
