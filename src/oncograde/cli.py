@@ -22,12 +22,11 @@ import numpy as np
 
 from . import __version__
 from .core import RngStream, derive_stream
-from .dataset import Dataset, load_csv, synth_generate
+from .dataset import Dataset, SyntheticConfig, load_csv, synth_generate
 from .eval import (
     confusion_to_csv,
     curve_to_csv,
     cv_to_csv,
-    cv_to_json,
     evaluate_predictions,
     kfold_cv,
     learning_curve,
@@ -36,9 +35,7 @@ from .eval import (
 )
 from .models import ModelSpec, model_from_doc, model_to_doc
 from .preprocess import (
-    CORR_HI_DEFAULT,
-    CORR_LO_DEFAULT,
-    PIPELINE_ORDERS,
+    PreprocessConfig,
     Preprocessor,
     correlation_to_csv,
     correlation_to_json,
@@ -64,13 +61,10 @@ class ConfigError(Exception):
 # --- configuration ----------------------------------------------------------
 #
 # The dataclasses mirror the JSON run config key for key; `parse_config`
-# reads each field by its annotation, so a field is declared only here.
-
-
-@dataclass
-class SyntheticConfig:
-    n: int = 1000
-    class_proportions: list[float] = field(default_factory=lambda: [0.303, 0.332, 0.365])
+# reads each field by its annotation, so a field is declared only once.
+# Three sections are the types the code that runs them takes:
+# `data.synthetic` is `dataset.SyntheticConfig`, `preprocess` is
+# `preprocess.PreprocessConfig` and `model` is `models.ModelSpec`.
 
 
 @dataclass
@@ -81,19 +75,6 @@ class DataConfig:
     def __post_init__(self):
         if (self.csv_path is None) == (self.synthetic is None):
             raise ConfigError("data must name exactly one source: csv_path or synthetic")
-
-
-@dataclass
-class PreprocessConfig:
-    order: str = "paper_order"
-    smote_k: int = 5
-    corr_hi: float = CORR_HI_DEFAULT
-    corr_lo: float = CORR_LO_DEFAULT
-    test_fraction: float = 0.2
-
-    def __post_init__(self):
-        if self.order not in PIPELINE_ORDERS:
-            raise ConfigError(f"preprocess.order must be one of {PIPELINE_ORDERS}, got {self.order!r}")
 
 
 @dataclass
@@ -184,7 +165,7 @@ def _read(tp, value, where: str):
 def parse_config(doc) -> RunConfig:
     try:
         return _read(RunConfig, doc, "")
-    except ValueError as exc:  # a `ModelSpec` or `Hyperparams` check
+    except ValueError as exc:  # a check of a section type declared outside this module
         raise ConfigError(str(exc)) from None
 
 
@@ -274,8 +255,7 @@ def _balanced_dataset(cfg: RunConfig):
     prepares it before its split; cv/curve/sweep run on it whatever the
     order, because only `train` holds out a test set."""
     d = _load_dataset(cfg)
-    pp = cfg.preprocess
-    prep = Preprocessor(list(d.feature_names), pp.smote_k, pp.corr_hi, pp.corr_lo)
+    prep = Preprocessor(list(d.feature_names), cfg.preprocess)
     return prep.fit_resample(d.X, d.y, derive_stream(cfg.seed, 1))
 
 
@@ -340,15 +320,7 @@ def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
 def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
     d = _load_dataset(cfg)
-    prep = run_pipeline(
-        d,
-        cfg.preprocess.order,
-        test_fraction=cfg.preprocess.test_fraction,
-        smote_k=cfg.preprocess.smote_k,
-        corr_hi=cfg.preprocess.corr_hi,
-        corr_lo=cfg.preprocess.corr_lo,
-        stream=derive_stream(cfg.seed, 1),
-    )
+    prep = run_pipeline(d, cfg.preprocess, derive_stream(cfg.seed, 1))
     model = cfg.model.train(
         prep.X_train, prep.y_train, derive_stream(cfg.seed, 2), prep.X_test, prep.y_test
     )
@@ -359,7 +331,7 @@ def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
         {
             "version": MODEL_WRAPPER_VERSION,
             "model_name": cfg.model.name,
-            "pipeline": {"order": prep.order, **prep.preprocessor.to_dict()},
+            "pipeline": prep.preprocessor.to_dict(),
             "model": model_to_doc(model),
         },
     )
@@ -416,7 +388,7 @@ def cmd_cv(cfg: RunConfig, writer: ArtifactWriter) -> None:
     X, y = _balanced_dataset(cfg)
     result = kfold_cv(X, y, cfg.model, cfg.eval.k, derive_stream(cfg.seed, 3))
     writer.write_text("cv.csv", cv_to_csv(result))
-    writer.write_json("cv.json", cv_to_json(result))
+    writer.write_json("cv.json", dataclasses.asdict(result))
 
 
 def cmd_curve(cfg: RunConfig, writer: ArtifactWriter) -> None:

@@ -12,7 +12,7 @@ hermetically.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,20 +133,31 @@ def largest_remainder_counts(n: int, proportions) -> tuple[int, ...]:
     return tuple(counts)
 
 
+@dataclass
+class SyntheticConfig:
+    """The synthetic-data settings, read from the run config's ``data.synthetic``
+    section; :func:`synth_generate` checks its arguments through it."""
+
+    n: int = 1000
+    class_proportions: list[float] = field(default_factory=lambda: [0.303, 0.332, 0.365])
+
+    def __post_init__(self):
+        if self.n < 30:
+            raise ValueError(f"n must be >= 30, got {self.n}")
+        props = self.class_proportions
+        if len(props) != N_CLASSES or any(p <= 0 for p in props):
+            raise ValueError("class_proportions must be 3 positive reals")
+        if abs(sum(props) - 1.0) > 1e-9:
+            raise ValueError(f"class_proportions must sum to 1, got {sum(props)}")
+
+
 def synth_generate(n: int, seed: int, class_proportions=(1 / 3, 1 / 3, 1 / 3)) -> Dataset:
     """Deterministic synthetic dataset over the full schema.
 
     Rows come out grouped by class (all Low, then Medium, then High);
     counts follow largest-remainder rounding of the proportions.
     """
-    if n < 30:
-        raise ValueError(f"n must be >= 30, got {n}")
-    props = tuple(float(p) for p in class_proportions)
-    if len(props) != N_CLASSES or any(p <= 0 for p in props):
-        raise ValueError("class_proportions must be 3 positive reals")
-    if abs(sum(props) - 1.0) > 1e-9:
-        raise ValueError(f"class_proportions must sum to 1, got {sum(props)}")
-
+    props = SyntheticConfig(n, [float(p) for p in class_proportions]).class_proportions
     counts = largest_remainder_counts(n, props)
     stream = RngStream(seed)
     names = list(FEATURE_NAMES)

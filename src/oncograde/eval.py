@@ -8,7 +8,6 @@ so results are bit-identical no matter how the work is scheduled.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +31,13 @@ class MetricsReport:
 
 @dataclass
 class CvResult:
+    """Fields in the order ``cv.json`` writes them."""
+
     k: int
-    per_fold: list[MetricsReport]
     fold_sizes: list[int]
     mean: dict[str, float]
     std: dict[str, float]
+    per_fold: list[MetricsReport]
 
 
 @dataclass
@@ -156,13 +157,7 @@ def kfold_cv(X, y, model_spec, k: int, stream: RngStream) -> CvResult:
     per_fold = parallel_map(run_fold, list(enumerate(folds)))
     mean = {key: float(np.mean([getattr(r, key) for r in per_fold])) for key in _AGG_KEYS}
     std = {key: float(np.std([getattr(r, key) for r in per_fold])) for key in _AGG_KEYS}
-    return CvResult(
-        k=k,
-        per_fold=per_fold,
-        fold_sizes=[len(f) for f in folds],
-        mean=mean,
-        std=std,
-    )
+    return CvResult(k=k, fold_sizes=[len(f) for f in folds], mean=mean, std=std, per_fold=per_fold)
 
 
 def _stratified_subset(y, pool: list[int], fraction: float, stream: RngStream) -> list[int]:
@@ -315,13 +310,3 @@ def cv_to_csv(result: CvResult) -> str:
             f"{report.macro_recall!r},{report.macro_f1!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def cv_to_json(result: CvResult) -> dict:
-    return {
-        "k": result.k,
-        "fold_sizes": result.fold_sizes,
-        "mean": result.mean,
-        "std": result.std,
-        "per_fold": [dataclasses.asdict(r) for r in result.per_fold],
-    }

@@ -119,8 +119,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def proba_to_labels(P: np.ndarray) -> np.ndarray:
     """Row-wise argmax; np.argmax already resolves ties to the lowest index."""
     P = np.asarray(P, dtype=float)
-    if P.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
     return np.argmax(P, axis=1).astype(np.int64)
 
 

@@ -22,16 +22,9 @@ class BaggingModel:
     members: list
     base_spec: dict
 
-    @property
-    def n_features(self) -> int:
-        return self.members[0].n_features
-
     def predict_proba(self, X) -> np.ndarray:
         X = as_matrix(X)
-        if X.shape[0] == 0:
-            return np.empty((0, N_CLASSES))
-        probas = [m.predict_proba(X) for m in self.members]
-        return np.mean(probas, axis=0)
+        return np.mean([m.predict_proba(X) for m in self.members], axis=0)
 
     def predict(self, X) -> np.ndarray:
         return proba_to_labels(self.predict_proba(X))
@@ -88,14 +81,8 @@ class VotingModel:
     members: list
     mode: str
 
-    @property
-    def n_features(self) -> int:
-        return self.members[0].n_features
-
     def predict_proba(self, X) -> np.ndarray:
         X = as_matrix(X)
-        if X.shape[0] == 0:
-            return np.empty((0, N_CLASSES))
         if self.mode == "soft":
             return np.mean([m.predict_proba(X) for m in self.members], axis=0)
         # hard: vote fractions; argmax then matches majority with low-index ties

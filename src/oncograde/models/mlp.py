@@ -101,10 +101,6 @@ def _logits_cross_entropy(logits: np.ndarray, y) -> float:
     return float(-logp[np.arange(len(y)), y].mean())
 
 
-def mean_cross_entropy(weights, biases, X, y) -> float:
-    return _logits_cross_entropy(forward(weights, biases, X), y)
-
-
 def _logits_accuracy(logits: np.ndarray, y) -> float:
     """Accuracy of :meth:`MlpModel.predict`, which labels softmax rows."""
     return float((proba_to_labels(softmax(logits)) == y).mean())

@@ -177,13 +177,10 @@ class SvmOvrModel:
                 cols.append(np.full(X.shape[0], mach["bias"]))
             else:
                 cols.append(kernel_matrix(self.kernel, X, sx) @ coef + mach["bias"])
-        return np.column_stack(cols) if X.shape[0] else np.empty((0, N_CLASSES))
+        return np.column_stack(cols)
 
     def predict_proba(self, X) -> np.ndarray:
-        d = self.decision_matrix(X)
-        if d.shape[0] == 0:
-            return np.empty((0, N_CLASSES))
-        return softmax(d)
+        return softmax(self.decision_matrix(X))
 
     def predict(self, X) -> np.ndarray:
         return proba_to_labels(self.decision_matrix(X))

@@ -18,9 +18,23 @@ import numpy as np
 from .core import RngStream, as_matrix, shuffle
 from .dataset import Dataset, N_CLASSES
 
-CORR_HI_DEFAULT = 0.5
-CORR_LO_DEFAULT = -0.4
 PIPELINE_ORDERS = ("paper_order", "leak_safe")
+
+
+@dataclass
+class PreprocessConfig:
+    """The preprocessing settings, read from the run config's ``preprocess``
+    section; :func:`run_pipeline` and :class:`Preprocessor` take them whole."""
+
+    order: str = "paper_order"
+    smote_k: int = 5
+    corr_hi: float = 0.5
+    corr_lo: float = -0.4
+    test_fraction: float = 0.2
+
+    def __post_init__(self):
+        if self.order not in PIPELINE_ORDERS:
+            raise ValueError(f"preprocess.order must be one of {PIPELINE_ORDERS}, got {self.order!r}")
 
 
 @dataclass
@@ -44,8 +58,8 @@ class CorrelationReport:
     engineered_pairs: list[tuple[int, int, float]] = field(default_factory=list)
     flagged_pairs: list[tuple[int, int, float]] = field(default_factory=list)
     engineered_names: list[str] = field(default_factory=list)
-    hi_threshold: float = CORR_HI_DEFAULT
-    lo_threshold: float = CORR_LO_DEFAULT
+    hi_threshold: float | None = None  # set by `engineer_features`
+    lo_threshold: float | None = None
 
 
 @dataclass
@@ -61,7 +75,6 @@ class PreparedData:
     X_test: np.ndarray
     y_test: np.ndarray
     preprocessor: Preprocessor
-    order: str
 
 
 def fit_minmax(X_fit) -> MinMaxParams:
@@ -122,12 +135,7 @@ def append_pair_means(X, pairs) -> np.ndarray:
     return np.column_stack([X] + extra)
 
 
-def engineer_features(
-    X,
-    report: CorrelationReport,
-    hi: float = CORR_HI_DEFAULT,
-    lo: float = CORR_LO_DEFAULT,
-):
+def engineer_features(X, report: CorrelationReport, hi: float, lo: float):
     """Combine strongly correlated column pairs into new mean columns.
 
     For every original pair (i < j) with r > hi, a column named
@@ -265,13 +273,14 @@ class Preprocessor:
 
     Built from the feature names and settings; ``fit_resample`` sets the
     fitted ``minmax``, ``engineered_pairs`` and ``engineered_names``, which
-    ``transform`` applies to other rows and ``to_dict`` writes to ``model.json``.
+    ``transform`` applies to other rows and ``to_dict`` writes to ``model.json``
+    with ``order``, ``corr_hi`` and ``corr_lo``. ``smote_k`` and
+    ``test_fraction`` are not written, so ``from_dict`` reads them back as
+    their defaults.
     """
 
     feature_names: list[str]
-    smote_k: int = 5
-    corr_hi: float = CORR_HI_DEFAULT
-    corr_lo: float = CORR_LO_DEFAULT
+    settings: PreprocessConfig
     minmax: MinMaxParams | None = None
     engineered_pairs: list[tuple[int, int]] = field(default_factory=list)
     engineered_names: list[str] = field(default_factory=list)
@@ -280,12 +289,11 @@ class Preprocessor:
         """Fit on (X, y), transform X, and oversample with SMOTE on ``stream.derive(0)``."""
         self.minmax = fit_minmax(X)
         X = apply_minmax(X, self.minmax)
-        X, report = engineer_features(
-            X, pearson_matrix(X, self.feature_names), self.corr_hi, self.corr_lo
-        )
+        s = self.settings
+        X, report = engineer_features(X, pearson_matrix(X, self.feature_names), s.corr_hi, s.corr_lo)
         self.engineered_pairs = [(int(i), int(j)) for i, j, _ in report.engineered_pairs]
         self.engineered_names = report.engineered_names
-        return smote(X, y, self.smote_k, stream.derive(0))
+        return smote(X, y, s.smote_k, stream.derive(0))
 
     def transform(self, X) -> np.ndarray:
         """Scale with the fitted MinMax params and append the fitted pair means."""
@@ -293,51 +301,40 @@ class Preprocessor:
 
     def to_dict(self) -> dict:
         return {
+            "order": self.settings.order,
             "minmax": self.minmax.to_dict(),
             "feature_names": self.feature_names,
             "engineered_pairs": [[i, j] for i, j in self.engineered_pairs],
             "engineered_names": self.engineered_names,
-            "corr_hi": self.corr_hi,
-            "corr_lo": self.corr_lo,
+            "corr_hi": self.settings.corr_hi,
+            "corr_lo": self.settings.corr_lo,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Preprocessor":
         return cls(
             feature_names=list(d["feature_names"]),
-            corr_hi=d["corr_hi"],
-            corr_lo=d["corr_lo"],
+            settings=PreprocessConfig(d["order"], corr_hi=d["corr_hi"], corr_lo=d["corr_lo"]),
             minmax=MinMaxParams.from_dict(d["minmax"]),
             engineered_pairs=[(int(i), int(j)) for i, j in d["engineered_pairs"]],
             engineered_names=list(d["engineered_names"]),
         )
 
 
-def run_pipeline(
-    d: Dataset,
-    order: str = "paper_order",
-    *,
-    test_fraction: float = 0.2,
-    smote_k: int = 5,
-    corr_hi: float = CORR_HI_DEFAULT,
-    corr_lo: float = CORR_LO_DEFAULT,
-    stream: RngStream,
-) -> PreparedData:
-    """Run the full preprocessing chain in the requested order; the split
+def run_pipeline(d: Dataset, settings: PreprocessConfig, stream: RngStream) -> PreparedData:
+    """Run the full preprocessing chain in ``settings.order``; the split
     draws from ``stream.derive(1)``."""
-    if order not in PIPELINE_ORDERS:
-        raise ValueError(f"order must be one of {PIPELINE_ORDERS}, got {order!r}")
-    prep = Preprocessor(list(d.feature_names), smote_k, corr_hi, corr_lo)
-    if order == "paper_order":
+    prep = Preprocessor(list(d.feature_names), settings)
+    if settings.order == "paper_order":
         X, y = prep.fit_resample(d.X, d.y, stream)
-        split = stratified_split(y, test_fraction, stream.derive(1))
+        split = stratified_split(y, settings.test_fraction, stream.derive(1))
         X_train, y_train = X[split.train], y[split.train]
         X_test, y_test = X[split.test], y[split.test]
     else:
-        split = stratified_split(d.y, test_fraction, stream.derive(1))
+        split = stratified_split(d.y, settings.test_fraction, stream.derive(1))
         X_train, y_train = prep.fit_resample(d.X[split.train], d.y[split.train], stream)
         X_test, y_test = prep.transform(d.X[split.test]), d.y[split.test]
-    return PreparedData(X_train, y_train, X_test, y_test, prep, order)
+    return PreparedData(X_train, y_train, X_test, y_test, prep)
 
 
 # --- report serialization ---------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from oncograde.core import RngStream, derive_stream
 from oncograde.dataset import synth_generate
-from oncograde.preprocess import run_pipeline
+from oncograde.preprocess import PreprocessConfig, run_pipeline
 
 
 def make_blobs(seed=1, n_per_class=30, spread=0.25):
@@ -24,7 +24,7 @@ def blobs3():
 def small_prepared():
     """Prepared pipeline output on a small synthetic dataset (fast model food)."""
     d = synth_generate(150, 7, (0.3, 0.3, 0.4))
-    return run_pipeline(d, "paper_order", stream=derive_stream(7, 1))
+    return run_pipeline(d, PreprocessConfig(), derive_stream(7, 1))
 
 
 @pytest.fixture()

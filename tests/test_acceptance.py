@@ -17,7 +17,7 @@ from oncograde.dataset import synth_generate
 from oncograde.eval import confusion, evaluate_predictions, metrics, stratified_folds
 from oncograde.models import KernelSpec, ModelSpec, train_svm_binary
 from oncograde.models.svm import kkt_violation
-from oncograde.preprocess import run_pipeline, smote
+from oncograde.preprocess import PreprocessConfig, run_pipeline, smote
 from tests.test_mlp import max_relative_grad_error
 from tests.test_svm import random_binary_problem
 
@@ -31,7 +31,7 @@ def _report(criterion: int, name: str) -> None:
 @pytest.fixture(scope="module")
 def full_scale_prep():
     d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
-    return run_pipeline(d, "paper_order", test_fraction=0.2, stream=derive_stream(42, 1))
+    return run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
 
 
 def test_criterion_1_split_arithmetic():
@@ -41,7 +41,7 @@ def test_criterion_1_split_arithmetic():
     assert len(y_bal) == 1095
     assert np.bincount(y_bal).tolist() == [365, 365, 365]
 
-    prep = run_pipeline(d, "paper_order", test_fraction=0.2, stream=derive_stream(42, 1))
+    prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
     assert prep.X_train.shape[0] == 876
     assert prep.X_test.shape[0] == 219
     elapsed = time.time() - started

@@ -16,7 +16,7 @@ from oncograde.cli import ArtifactWriter, ConfigError, main, parse_config
 from oncograde.core import derive_stream
 from oncograde.dataset import synth_generate, save_csv
 from oncograde.models import MODEL_NAMES
-from oncograde.preprocess import PIPELINE_ORDERS, run_pipeline
+from oncograde.preprocess import PIPELINE_ORDERS, PreprocessConfig, run_pipeline
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
@@ -225,6 +225,11 @@ class TestConfigErrors:
             ({"model": {"hyperparams": []}}, "model.hyperparams must be a JSON object, got []"),
             ({"data": 5}, "data must be a JSON object, got 5"),
             ({"data": {"csv_path": 5}}, "data.csv_path must be a string, got 5"),
+            ({"data": {"synthetic": {"n": 10}}}, "n must be >= 30, got 10"),
+            (
+                {"data": {"synthetic": {"class_proportions": [0.5]}}},
+                "class_proportions must be 3 positive reals",
+            ),
         ],
         ids=[
             "curve_fractions",
@@ -243,6 +248,8 @@ class TestConfigErrors:
             "hyperparams_list",
             "data_number",
             "csv_path_number",
+            "synthetic_n_below_30",
+            "class_proportions_short",
         ],
     )
     def test_strict_fields_exit_2(self, tmp_path, capsys, overrides, message):
@@ -306,8 +313,10 @@ class TestIntegerFields:
         assert hp.epochs == 3 and type(hp.epochs) is int
 
 
-# fields whose valid values form a closed set or a union; the rest draw by type
+# fields whose valid values form a closed set, a union or a range; the rest draw by type
 SPECIAL_VALUES = {
+    "n": st.integers(30, 500) | st.integers(30, 500).map(float),
+    "class_proportions": st.tuples(*[st.integers(1, 100)] * 3).map(lambda w: [v / sum(w) for v in w]),
     "order": st.sampled_from(PIPELINE_ORDERS),
     "name": st.sampled_from(MODEL_NAMES),
     "voting_mode": st.sampled_from(("hard", "soft")),
@@ -604,7 +613,7 @@ class TestHarnessMatchesTrain:
             assert main([command, "--config", str(cfg), "--output-dir", str(tmp_path / command)]) == 0
 
         d = synth_generate(150, 21, (0.3, 0.3, 0.4))
-        prep = run_pipeline(d, "paper_order", smote_k=3, stream=derive_stream(21, 1))
+        prep = run_pipeline(d, PreprocessConfig(smote_k=3), derive_stream(21, 1))
         split_rows = sorted(
             zip(map(tuple, np.vstack([prep.X_train, prep.X_test]).tolist()),
                 np.concatenate([prep.y_train, prep.y_test]).tolist())

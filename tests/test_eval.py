@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from oncograde.eval import (
     confusion_to_csv,
     curve_to_csv,
     cv_to_csv,
-    cv_to_json,
     kfold_cv,
     learning_curve,
     metrics,
@@ -258,7 +259,7 @@ class TestArtifactFormats:
         lines = cv_to_csv(res).strip().split("\n")
         assert lines[0].startswith("fold,size,accuracy")
         assert len(lines) == 4
-        doc = cv_to_json(res)
+        doc = dataclasses.asdict(res)
         assert doc["k"] == 3
         assert set(doc["mean"]) == {"accuracy", "macro_precision", "macro_recall", "macro_f1"}
         assert len(doc["per_fold"]) == 3

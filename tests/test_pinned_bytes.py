@@ -34,7 +34,7 @@ def paper_order_matrix(n: int, seed: int):
     """The scaled, engineered matrix that paper-order SMOTE runs on."""
     d = synth_generate(n, seed, PAPER_PROPORTIONS)
     X = apply_minmax(d.X, fit_minmax(d.X))
-    X, _ = engineer_features(X, pearson_matrix(X, d.feature_names))
+    X, _ = engineer_features(X, pearson_matrix(X, d.feature_names), 0.5, -0.4)
     return X, d.y
 
 
@@ -111,6 +111,25 @@ class TestPinnedDigests:
         metrics = (tmp_path / "run" / "metrics.json").read_bytes()
         assert hashlib.sha256(model).hexdigest() == "c400d806625f55e9c00b0a2f1b558dbde00ea44e0e4e5074ac83fce5befd4af4"
         assert hashlib.sha256(metrics).hexdigest() == "4f089a5a6539ce25112c6d7c2df2e165001715c3fcd1fa98ba85c3d3240cc445"
+
+    def test_leak_safe_train_documents(self, tmp_path):
+        """The leak_safe branch of the pipeline, with non-default settings
+        written to and read from the ``pipeline`` document. The digests were
+        computed when the settings were separate ``run_pipeline`` keywords."""
+        cfg = write_json(
+            tmp_path / "train.json",
+            {
+                "seed": 4,
+                "data": {"synthetic": {"n": 200}},
+                "preprocess": {"order": "leak_safe", "smote_k": 3, "corr_hi": 0.45},
+                "model": {"name": "dnn", "hyperparams": {"epochs": 5, "hidden_layers": [8]}},
+            },
+        )
+        assert main(["train", "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
+        model = (tmp_path / "run" / "model.json").read_bytes()
+        metrics = (tmp_path / "run" / "metrics.json").read_bytes()
+        assert hashlib.sha256(model).hexdigest() == "d35d820828baa2307ee27769252b08ceaf1d0a1a4898be3b39144328f9fb0036"
+        assert hashlib.sha256(metrics).hexdigest() == "fbe24b321b9cc370d2944c408f91017860edf053c9de561ecaf748f8afaf6956"
 
 
 def traced_peak_mb(fn) -> float:

@@ -12,6 +12,7 @@ from oncograde.dataset import synth_generate
 from oncograde.preprocess import (
     PIPELINE_ORDERS,
     CorrelationReport,
+    PreprocessConfig,
     Preprocessor,
     append_pair_means,
     apply_minmax,
@@ -132,7 +133,7 @@ class TestEngineerFeatures:
     def test_duplicate_columns_mean(self):
         a = np.array([0.1, 0.5, 0.9, 0.3])
         X = np.column_stack([a, a])
-        X2, rep = engineer_features(X, pearson_matrix(X, ["a", "b"]))
+        X2, rep = engineer_features(X, pearson_matrix(X, ["a", "b"]), 0.5, -0.4)
         assert X2.shape[1] == 3
         assert np.allclose(X2[:, 2], a)
         assert rep.engineered_names == ["a+b"]
@@ -149,19 +150,19 @@ class TestEngineerFeatures:
     def test_thresholds_strict(self):
         matrix = [[1.0, 0.5, -0.4], [0.5, 1.0, 0.0], [-0.4, 0.0, 1.0]]
         X = np.zeros((4, 3))
-        _, rep = engineer_features(X, _report_for(matrix))
+        _, rep = engineer_features(X, _report_for(matrix), 0.5, -0.4)
         assert rep.engineered_pairs == [] and rep.flagged_pairs == []
 
     def test_flagged_not_dropped(self):
         matrix = [[1.0, -0.8], [-0.8, 1.0]]
         X = np.ones((4, 2))
-        X2, rep = engineer_features(X, _report_for(matrix))
+        X2, rep = engineer_features(X, _report_for(matrix), 0.5, -0.4)
         assert X2.shape[1] == 2
         assert [(i, j) for i, j, _ in rep.flagged_pairs] == [(0, 1)]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            engineer_features(np.zeros((4, 3)), _report_for(np.eye(2)))
+            engineer_features(np.zeros((4, 3)), _report_for(np.eye(2)), 0.5, -0.4)
 
 
 class TestSmote:
@@ -258,16 +259,16 @@ class TestStratifiedSplit:
 class TestRunPipeline:
     def test_paper_order_arithmetic(self):
         d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
-        prep = run_pipeline(d, "paper_order", stream=derive_stream(42, 1))
+        prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
         assert prep.X_train.shape[0] == 876
         assert prep.X_test.shape[0] == 219
-        assert prep.order == "paper_order"
+        assert prep.preprocessor.settings.order == "paper_order"
         p = prep.preprocessor
         assert len(p.feature_names) + len(p.engineered_names) == prep.X_train.shape[1]
 
     def test_leak_safe_no_synthetic_test_rows(self):
         d = synth_generate(300, 8, (0.2, 0.3, 0.5))
-        prep = run_pipeline(d, "leak_safe", stream=derive_stream(8, 1))
+        prep = run_pipeline(d, PreprocessConfig("leak_safe"), derive_stream(8, 1))
         # every test row must be an original (scaled+engineered) dataset row
         scaled = apply_minmax(d.X, prep.preprocessor.minmax)
         originals = append_pair_means(scaled, prep.preprocessor.engineered_pairs)
@@ -280,22 +281,21 @@ class TestRunPipeline:
     def test_deterministic(self):
         d = synth_generate(200, 3)
         for order in ("paper_order", "leak_safe"):
-            a = run_pipeline(d, order, stream=derive_stream(3, 1))
-            b = run_pipeline(d, order, stream=derive_stream(3, 1))
+            a = run_pipeline(d, PreprocessConfig(order), derive_stream(3, 1))
+            b = run_pipeline(d, PreprocessConfig(order), derive_stream(3, 1))
             assert np.array_equal(a.X_train, b.X_train)
             assert np.array_equal(a.X_test, b.X_test)
 
     def test_unknown_order(self):
-        d = synth_generate(60, 1)
         with pytest.raises(ValueError, match="order must be"):
-            run_pipeline(d, "bogus", stream=RngStream(1))
+            PreprocessConfig("bogus")
 
 
 class TestPreprocessor:
     @pytest.mark.parametrize("order", PIPELINE_ORDERS)
     def test_dict_roundtrip_transforms_bit_for_bit(self, order):
         d = synth_generate(200, 4)
-        fitted = run_pipeline(d, order, stream=derive_stream(4, 1)).preprocessor
+        fitted = run_pipeline(d, PreprocessConfig(order), derive_stream(4, 1)).preprocessor
         assert fitted.engineered_pairs
         restored = Preprocessor.from_dict(json.loads(json.dumps(fitted.to_dict())))
         assert restored.to_dict() == fitted.to_dict()
@@ -303,7 +303,7 @@ class TestPreprocessor:
 
     def test_fit_resample_keeps_transformed_rows_first(self):
         d = synth_generate(200, 4, (0.2, 0.3, 0.5))
-        prep = Preprocessor(list(d.feature_names), smote_k=3)
+        prep = Preprocessor(list(d.feature_names), PreprocessConfig(smote_k=3))
         X, y = prep.fit_resample(d.X, d.y, derive_stream(4, 1))
         assert X[: d.n_rows].tobytes() == prep.transform(d.X).tobytes()
         assert np.array_equal(y[: d.n_rows], d.y)
@@ -324,7 +324,7 @@ class TestReportSerialization:
     def test_json_pairs(self):
         matrix = [[1.0, 0.7, -0.6], [0.7, 1.0, 0.1], [-0.6, 0.1, 1.0]]
         X = np.zeros((4, 3))
-        _, rep = engineer_features(X, _report_for(matrix, ["a", "b", "c"]))
+        _, rep = engineer_features(X, _report_for(matrix, ["a", "b", "c"]), 0.5, -0.4)
         doc = correlation_to_json(rep)
         assert doc["engineered"][0]["feature_i"] == "a"
         assert doc["engineered"][0]["feature_j"] == "b"

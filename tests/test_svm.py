@@ -13,7 +13,7 @@ from oncograde.models import (
 )
 from oncograde.models.base import svm_kernel_for
 from oncograde.models.svm import SvmOvrModel, dual_objective, kkt_violation
-from oncograde.preprocess import run_pipeline
+from oncograde.preprocess import PreprocessConfig, run_pipeline
 from tests.conftest import make_blobs
 
 
@@ -133,7 +133,7 @@ class TestWorkingSetSolver:
 
     def test_sigmoid_full_scale_machines_converge(self):
         d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
-        prep = run_pipeline(d, "paper_order", test_fraction=0.2, stream=derive_stream(42, 1))
+        prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
         X, y = prep.X_train, prep.y_train
         spec = ModelSpec("svm_sigmoid")
         kern = svm_kernel_for(spec.name, spec.hyperparams, X)

@@ -10,7 +10,7 @@ from oncograde.models import train_tree
 from oncograde.models.base import model_from_doc, model_to_doc
 from oncograde.models.ensemble import BaggingModel
 from oncograde.models.tree import TreeModel, _weighted_hist
-from oncograde.preprocess import run_pipeline
+from oncograde.preprocess import PreprocessConfig, run_pipeline
 
 
 def _gini(hist):
@@ -139,7 +139,7 @@ class TestPresortedFit:
     def test_peak_memory_of_one_bootstrap_tree(self):
         # paper-scale training matrix (876 x 59), resampled to 1,100 rows
         d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
-        prep = run_pipeline(d, "paper_order", test_fraction=0.2, stream=derive_stream(42, 1))
+        prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
         rows = RngStream(8).randints(prep.X_train.shape[0], 1100)
         Xb, yb = prep.X_train[rows], prep.y_train[rows]
         tracemalloc.start()
