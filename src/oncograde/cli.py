@@ -24,6 +24,7 @@ from . import __version__
 from .core import RngStream, derive_stream
 from .dataset import Dataset, SyntheticConfig, load_csv, synth_generate
 from .eval import (
+    EvalConfig,
     confusion_to_csv,
     curve_to_csv,
     cv_to_csv,
@@ -62,9 +63,11 @@ class ConfigError(Exception):
 #
 # The dataclasses mirror the JSON run config key for key; `parse_config`
 # reads each field by its annotation, so a field is declared only once.
-# Three sections are the types the code that runs them takes:
+# Every section but `data` is the type the code that runs it takes:
 # `data.synthetic` is `dataset.SyntheticConfig`, `preprocess` is
-# `preprocess.PreprocessConfig` and `model` is `models.ModelSpec`.
+# `preprocess.PreprocessConfig`, `model` is `models.ModelSpec` and `eval`
+# is `eval.EvalConfig`. Each range rule lives in that type's
+# `__post_init__`, so a value out of range is a config error (exit 2).
 
 
 @dataclass
@@ -75,22 +78,6 @@ class DataConfig:
     def __post_init__(self):
         if (self.csv_path is None) == (self.synthetic is None):
             raise ConfigError("data must name exactly one source: csv_path or synthetic")
-
-
-@dataclass
-class SweepConfig:
-    learning_rate: list[float] = field(default_factory=lambda: [0.001, 0.01, 0.1])
-    min_child_weight: list[float] = field(default_factory=lambda: [1.0, 3.0, 5.0])
-
-
-@dataclass
-class EvalConfig:
-    k: int = 5
-    curve_fractions: list[float] = field(
-        default_factory=lambda: [round(0.1 * i, 1) for i in range(1, 11)]
-    )
-    curve_repeats: int = 3
-    sweep: SweepConfig = field(default_factory=SweepConfig)
 
 
 @dataclass
@@ -386,21 +373,14 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
 def cmd_cv(cfg: RunConfig, writer: ArtifactWriter) -> None:
     X, y = _balanced_dataset(cfg)
-    result = kfold_cv(X, y, cfg.model, cfg.eval.k, derive_stream(cfg.seed, 3))
+    result = kfold_cv(X, y, cfg.model, cfg.eval, derive_stream(cfg.seed, 3))
     writer.write_text("cv.csv", cv_to_csv(result))
     writer.write_json("cv.json", dataclasses.asdict(result))
 
 
 def cmd_curve(cfg: RunConfig, writer: ArtifactWriter) -> None:
     X, y = _balanced_dataset(cfg)
-    curve = learning_curve(
-        X,
-        y,
-        cfg.model,
-        cfg.eval.curve_fractions,
-        cfg.eval.curve_repeats,
-        derive_stream(cfg.seed, 3),
-    )
+    curve = learning_curve(X, y, cfg.model, cfg.eval, derive_stream(cfg.seed, 3))
     writer.write_text("curve.csv", curve_to_csv(curve))
     writer.write_svg(
         "curve.svg",
@@ -420,14 +400,7 @@ def cmd_curve(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
 def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> None:
     X, y = _balanced_dataset(cfg)
-    result = sweep(
-        X,
-        y,
-        cfg.model,
-        cfg.eval.sweep.learning_rate,
-        cfg.eval.sweep.min_child_weight,
-        derive_stream(cfg.seed, 3),
-    )
+    result = sweep(X, y, cfg.model, cfg.eval, derive_stream(cfg.seed, 3))
     writer.write_text("sweep.csv", sweep_to_csv(result))
     series = [
         {"name": f"mcw={mcw:g}", "y": result.val_grid[:, j].tolist()}

@@ -12,9 +12,50 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, as_matrix, parallel_map, shuffle
+from .core import RngStream, as_matrix, parallel_map
 from .dataset import LABEL_VALUES, N_CLASSES
-from .preprocess import _round_half_up, stratified_split
+from .models import Hyperparams
+from .preprocess import _round_half_up, shuffled_classes, stratified_split
+
+
+@dataclass
+class SweepConfig:
+    """The learning-rate x min-child-weight grid, read from the run config's
+    ``eval.sweep`` section; every cell must make a valid :class:`Hyperparams`."""
+
+    learning_rate: list[float] = field(default_factory=lambda: [0.001, 0.01, 0.1])
+    min_child_weight: list[float] = field(default_factory=lambda: [1.0, 3.0, 5.0])
+
+    def __post_init__(self):
+        if not self.learning_rate or not self.min_child_weight:
+            raise ValueError("sweep axes must be non-empty")
+        for lr in self.learning_rate:
+            for mcw in self.min_child_weight:
+                Hyperparams(learning_rate=lr, min_child_weight=mcw)
+
+
+@dataclass
+class EvalConfig:
+    """The harness settings, read from the run config's ``eval`` section;
+    :func:`kfold_cv`, :func:`learning_curve` and :func:`sweep` take them whole."""
+
+    k: int = 5
+    curve_fractions: list[float] = field(
+        default_factory=lambda: [round(0.1 * i, 1) for i in range(1, 11)]
+    )
+    curve_repeats: int = 3
+    sweep: SweepConfig = field(default_factory=SweepConfig)
+
+    def __post_init__(self):
+        if self.k < 2:
+            raise ValueError(f"k must be >= 2, got {self.k}")
+        if self.curve_repeats < 1:
+            raise ValueError(f"curve_repeats must be >= 1, got {self.curve_repeats}")
+        fractions = self.curve_fractions
+        if not fractions or any(not 0 < f <= 1 for f in fractions):
+            raise ValueError(f"curve_fractions must be non-empty and lie in (0, 1], got {fractions}")
+        if any(b <= a for a, b in zip(fractions, fractions[1:])):
+            raise ValueError(f"curve_fractions must be strictly increasing, got {fractions}")
 
 
 @dataclass
@@ -120,29 +161,22 @@ def stratified_folds(y, k: int, stream: RngStream) -> list[list[int]]:
     Remainder classes start at rotating offsets so overall fold sizes
     differ by at most 1.
     """
-    y = np.asarray(y, dtype=np.int64)
     folds: list[list[int]] = [[] for _ in range(k)]
     offset = 0
-    for cls in range(N_CLASSES):
-        idx = [int(i) for i in np.where(y == cls)[0]]
-        if not idx:
-            continue
-        if len(idx) < k:
-            raise ValueError(f"class {cls} has {len(idx)} samples, fewer than k={k}")
-        order = shuffle(idx, stream)
+    for cls, order in shuffled_classes(y, stream):
+        if len(order) < k:
+            raise ValueError(f"class {cls} has {len(order)} samples, fewer than k={k}")
         for m, i in enumerate(order):
             folds[(m + offset) % k].append(i)
-        offset = (offset + len(idx)) % k
+        offset = (offset + len(order)) % k
     return folds
 
 
-def kfold_cv(X, y, model_spec, k: int, stream: RngStream) -> CvResult:
-    """Stratified k-fold; each fold validates a model trained on the rest."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+def kfold_cv(X, y, model_spec, settings: EvalConfig, stream: RngStream) -> CvResult:
+    """Stratified ``settings.k``-fold; each fold validates a model trained on the rest."""
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
-    folds = stratified_folds(y, k, stream)
+    folds = stratified_folds(y, settings.k, stream)
 
     def run_fold(args):
         fold_idx, val_idx = args
@@ -157,41 +191,31 @@ def kfold_cv(X, y, model_spec, k: int, stream: RngStream) -> CvResult:
     per_fold = parallel_map(run_fold, list(enumerate(folds)))
     mean = {key: float(np.mean([getattr(r, key) for r in per_fold])) for key in _AGG_KEYS}
     std = {key: float(np.std([getattr(r, key) for r in per_fold])) for key in _AGG_KEYS}
-    return CvResult(k=k, fold_sizes=[len(f) for f in folds], mean=mean, std=std, per_fold=per_fold)
+    return CvResult(k=settings.k, fold_sizes=[len(f) for f in folds], mean=mean, std=std, per_fold=per_fold)
 
 
 def _stratified_subset(y, pool: list[int], fraction: float, stream: RngStream) -> list[int]:
     """Per-class shuffled prefix of about fraction * class size, at least 1."""
-    y = np.asarray(y)
     subset: list[int] = []
-    for cls in range(N_CLASSES):
-        idx = [i for i in pool if y[i] == cls]
-        if not idx:
-            continue
-        n_sub = _round_half_up(fraction * len(idx))
+    for cls, order in shuffled_classes(y, stream, pool):
+        n_sub = _round_half_up(fraction * len(order))
         if n_sub < 1:
             raise ValueError(
                 f"fraction {fraction} too small for stratification of class {cls}"
             )
-        subset.extend(shuffle(idx, stream)[:n_sub])
+        subset.extend(order[:n_sub])
     return subset
 
 
-def learning_curve(X, y, model_spec, fractions, repeats: int, stream: RngStream) -> LearningCurve:
+def learning_curve(X, y, model_spec, settings: EvalConfig, stream: RngStream) -> LearningCurve:
     """Train/validation accuracy as a function of training-set size.
 
-    A stratified 20% validation set is held out once; each (fraction,
-    repeat) trains on a stratified subset of the remaining pool with a
-    fresh sub-stream and scores the training subset and the fixed
-    validation set.
+    A stratified 20% validation set is held out once; each
+    (``curve_fractions`` entry, repeat) trains on a stratified subset of
+    the remaining pool with a fresh sub-stream and scores the training
+    subset and the fixed validation set.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    fractions = [float(f) for f in fractions]
-    if not fractions or any(not 0 < f <= 1 for f in fractions):
-        raise ValueError("fractions must lie in (0, 1]")
-    if any(b <= a for a, b in zip(fractions, fractions[1:])):
-        raise ValueError("fractions must be strictly increasing")
+    fractions, repeats = settings.curve_fractions, settings.curve_repeats
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
 
@@ -219,18 +243,16 @@ def learning_curve(X, y, model_spec, fractions, repeats: int, stream: RngStream)
     )
 
 
-def sweep(X, y, model_spec, lr_values, mcw_values, stream: RngStream) -> SweepResult:
-    """Train/validation accuracy over a learning-rate x min-child-weight grid.
+def sweep(X, y, model_spec, settings: EvalConfig, stream: RngStream) -> SweepResult:
+    """Train/validation accuracy over the ``settings.sweep`` grid of
+    learning rate x min child weight.
 
     Every cell reuses the same derived sub-stream (same 80/20 split, same
     training randomness), so cells differ only through the hyperparameters;
     an axis of length >= 2 whose cells are all bit-identical is reported as
     inactive for this model family.
     """
-    lr_values = [float(v) for v in lr_values]
-    mcw_values = [float(v) for v in mcw_values]
-    if not lr_values or not mcw_values:
-        raise ValueError("sweep axes must be non-empty")
+    lr_values, mcw_values = settings.sweep.learning_rate, settings.sweep.min_child_weight
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
 

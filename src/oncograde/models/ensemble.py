@@ -12,8 +12,8 @@ import numpy as np
 
 from ..core import RngStream, as_matrix, parallel_map
 from ..dataset import N_CLASSES
-from .base import model_from_doc, model_to_doc, proba_to_labels
-from .tree import TreeModel, train_tree
+from .base import Hyperparams, model_from_doc, model_to_doc, proba_to_labels
+from .tree import train_tree
 
 
 @dataclass
@@ -43,32 +43,21 @@ class BaggingModel:
         )
 
 
-def _constant_leaf(X, label: int) -> TreeModel:
-    hist = [0.0] * N_CLASSES
-    hist[label] = float(X.shape[0])
-    return TreeModel(nodes=[{"leaf": True, "hist": hist}], n_features=X.shape[1])
-
-
 def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -> BaggingModel:
     """Train ``n_estimators`` trees on bootstrap resamples.
 
-    A resample that collapses to a single class yields a constant-class
-    member rather than an error.
+    A resample that collapses to a single class yields a one-leaf member,
+    as ``train_tree`` grows for any pure node.
     """
-    if n_estimators < 1:
-        raise ValueError("n_estimators must be >= 1")
+    Hyperparams(n_estimators=n_estimators)
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
 
     def train_member(member_stream: RngStream):
         rows = member_stream.randints(n, n)
-        Xb, yb = X[rows], y[rows]
-        labels = np.unique(yb)
-        if labels.size == 1:
-            return _constant_leaf(Xb, int(labels[0]))
         return train_tree(
-            Xb, yb, max_depth=base_spec["max_depth"], min_child_weight=base_spec["min_child_weight"]
+            X[rows], y[rows], max_depth=base_spec["max_depth"], min_child_weight=base_spec["min_child_weight"]
         )
 
     members = parallel_map(train_member, [stream.derive(i) for i in range(n_estimators)])
@@ -107,8 +96,7 @@ def train_voting(member_specs: list, mode: str, X, y, stream: RngStream, Xval=No
     """Train each member spec independently on the same data."""
     if not member_specs:
         raise ValueError("voting requires at least one member")
-    if mode not in ("hard", "soft"):
-        raise ValueError("voting mode must be 'hard' or 'soft'")
+    Hyperparams(voting_mode=mode)
 
     def train_member(args):
         index, spec = args

@@ -66,8 +66,6 @@ class BinarySvm:
     def decision(self, Xq) -> np.ndarray:
         Xq = as_matrix(Xq)
         m = self.support_mask
-        if not m.any():
-            return np.full(Xq.shape[0], self.bias)
         K = kernel_matrix(self.kernel, Xq, self.X[m])
         return K @ (self.alphas[m] * self.y[m]) + self.bias
 
@@ -160,7 +158,7 @@ class SvmOvrModel:
     family = "svm_ovr"
     kernel: KernelSpec
     C: float
-    machines: list[dict]  # per class: support_x, support_coef (alpha*y), bias
+    machines: list[dict]  # per class: support_x, support_coef (alpha*y) arrays, bias
     n_features: int
 
     def decision_matrix(self, X) -> np.ndarray:
@@ -169,15 +167,10 @@ class SvmOvrModel:
             raise ValueError(
                 f"dimension mismatch: model expects {self.n_features} features, got {X.shape[1]}"
             )
-        cols = []
-        for mach in self.machines:
-            sx = np.asarray(mach["support_x"], dtype=float)
-            coef = np.asarray(mach["support_coef"], dtype=float)
-            if sx.size == 0:
-                cols.append(np.full(X.shape[0], mach["bias"]))
-            else:
-                cols.append(kernel_matrix(self.kernel, X, sx) @ coef + mach["bias"])
-        return np.column_stack(cols)
+        return np.column_stack([
+            kernel_matrix(self.kernel, X, m["support_x"]) @ m["support_coef"] + m["bias"]
+            for m in self.machines
+        ])
 
     def predict_proba(self, X) -> np.ndarray:
         return softmax(self.decision_matrix(X))
@@ -192,8 +185,8 @@ class SvmOvrModel:
             "n_features": self.n_features,
             "machines": [
                 {
-                    "support_x": np.asarray(m["support_x"]).tolist(),
-                    "support_coef": np.asarray(m["support_coef"]).tolist(),
+                    "support_x": m["support_x"].tolist(),
+                    "support_coef": m["support_coef"].tolist(),
                     "bias": float(m["bias"]),
                 }
                 for m in self.machines
@@ -202,12 +195,14 @@ class SvmOvrModel:
 
     @classmethod
     def from_params(cls, params: dict) -> "SvmOvrModel":
-        return cls(
-            kernel=KernelSpec(**params["kernel"]),
-            C=params["C"],
-            machines=params["machines"],
-            n_features=params["n_features"],
-        )
+        n_features = params["n_features"]
+        machines = [
+            # an absent class's machine has no support rows, written as `[]`
+            dict(m, support_x=np.asarray(m["support_x"], dtype=float).reshape(-1, n_features),
+                 support_coef=np.asarray(m["support_coef"], dtype=float))
+            for m in params["machines"]
+        ]
+        return cls(KernelSpec(**params["kernel"]), params["C"], machines, n_features)
 
 
 def train_svm_ovr(X, y, kernel: KernelSpec, C: float = 1.0) -> SvmOvrModel:

@@ -35,6 +35,10 @@ class PreprocessConfig:
     def __post_init__(self):
         if self.order not in PIPELINE_ORDERS:
             raise ValueError(f"preprocess.order must be one of {PIPELINE_ORDERS}, got {self.order!r}")
+        if self.smote_k < 1:
+            raise ValueError(f"smote_k must be >= 1, got {self.smote_k}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must lie in (0, 1), got {self.test_fraction}")
 
 
 @dataclass
@@ -206,8 +210,7 @@ def smote(X, y, k: int, stream: RngStream):
     their (member, neighbour pick, gap) triples as one block, in the
     order scalar draws would take them.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    PreprocessConfig(smote_k=k)
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
     counts = np.bincount(y, minlength=N_CLASSES)
@@ -240,23 +243,29 @@ def _round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def shuffled_classes(y, stream: RngStream, rows=None):
+    """Yield ``(class, its rows in a seeded shuffle)`` for each class present
+    among ``rows`` of ``y`` (default: all), each taken in ``rows`` order."""
+    y = np.asarray(y, dtype=np.int64)
+    rows = np.arange(len(y)) if rows is None else np.asarray(rows, dtype=np.int64)
+    labels = y[rows]
+    for cls in range(N_CLASSES):
+        idx = rows[labels == cls].tolist()
+        if idx:
+            yield cls, shuffle(idx, stream)
+
+
 def stratified_split(y, test_fraction: float, stream: RngStream) -> SplitIndices:
     """Per-class shuffled split; test gets round(n_c * fraction) per class.
 
     Classes with at least 2 samples contribute at least 1 test row and
     keep at least 1 training row.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    y = np.asarray(y, dtype=np.int64)
+    PreprocessConfig(test_fraction=test_fraction)
     train: list[int] = []
     test: list[int] = []
-    for cls in range(N_CLASSES):
-        idx = [int(i) for i in np.where(y == cls)[0]]
-        n_c = len(idx)
-        if n_c == 0:
-            continue
-        order = shuffle(idx, stream)
+    for _, order in shuffled_classes(y, stream):
+        n_c = len(order)
         n_test = _round_half_up(n_c * test_fraction)
         if n_c >= 2:
             n_test = min(max(n_test, 1), n_c - 1)

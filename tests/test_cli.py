@@ -230,6 +230,25 @@ class TestConfigErrors:
                 {"data": {"synthetic": {"class_proportions": [0.5]}}},
                 "class_proportions must be 3 positive reals",
             ),
+            ({"preprocess": {"test_fraction": 1.5}}, "test_fraction must lie in (0, 1), got 1.5"),
+            ({"preprocess": {"smote_k": 0}}, "smote_k must be >= 1, got 0"),
+            ({"eval": {"k": 1}}, "k must be >= 2, got 1"),
+            (
+                {"eval": {"curve_fractions": [0.5, 0.5]}},
+                "curve_fractions must be strictly increasing, got [0.5, 0.5]",
+            ),
+            (
+                {"eval": {"curve_fractions": [0.0, 0.5]}},
+                "curve_fractions must be non-empty and lie in (0, 1], got [0.0, 0.5]",
+            ),
+            (
+                {"eval": {"curve_fractions": []}},
+                "curve_fractions must be non-empty and lie in (0, 1], got []",
+            ),
+            ({"eval": {"curve_repeats": 0}}, "curve_repeats must be >= 1, got 0"),
+            ({"eval": {"sweep": {"learning_rate": []}}}, "sweep axes must be non-empty"),
+            ({"eval": {"sweep": {"learning_rate": [0.1, -1]}}}, "learning_rate must be positive"),
+            ({"eval": {"sweep": {"min_child_weight": [0]}}}, "min_child_weight must be positive"),
         ],
         ids=[
             "curve_fractions",
@@ -250,6 +269,16 @@ class TestConfigErrors:
             "csv_path_number",
             "synthetic_n_below_30",
             "class_proportions_short",
+            "test_fraction_above_1",
+            "smote_k_0",
+            "k_1",
+            "curve_fractions_repeated",
+            "curve_fractions_zero",
+            "curve_fractions_empty",
+            "curve_repeats_0",
+            "sweep_axis_empty",
+            "sweep_learning_rate_negative",
+            "sweep_min_child_weight_0",
         ],
     )
     def test_strict_fields_exit_2(self, tmp_path, capsys, overrides, message):
@@ -321,6 +350,9 @@ SPECIAL_VALUES = {
     "name": st.sampled_from(MODEL_NAMES),
     "voting_mode": st.sampled_from(("hard", "soft")),
     "gamma": st.just("scale") | st.floats(1e-3, 1e3),
+    "test_fraction": st.floats(0.01, 0.99),
+    "k": st.integers(2, 50) | st.integers(2, 50).map(float),
+    "curve_fractions": st.sets(st.integers(1, 10), min_size=1).map(lambda s: [t / 10 for t in sorted(s)]),
 }
 SCALAR_VALUES = {
     int: st.integers(1, 50) | st.integers(1, 50).map(float),

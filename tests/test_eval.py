@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from oncograde.core import RngStream
 from oncograde.dataset import synth_generate
 from oncograde.eval import (
+    EvalConfig,
+    SweepConfig,
     confusion,
     confusion_to_csv,
     curve_to_csv,
@@ -23,6 +25,16 @@ from oncograde.eval import _stratified_subset
 from oncograde.models import Hyperparams, ModelSpec
 
 FAST_TREEISH = ModelSpec("bagging", Hyperparams(n_estimators=3, max_depth=3))
+
+
+
+def curve_settings(fractions, repeats):
+    return EvalConfig(curve_fractions=fractions, curve_repeats=repeats)
+
+
+def sweep_settings(learning_rates, min_child_weights):
+    return EvalConfig(sweep=SweepConfig(learning_rates, min_child_weights))
+
 
 labels3 = st.lists(st.integers(0, 2), min_size=1, max_size=60)
 
@@ -130,14 +142,14 @@ class TestKfold:
 
     def test_cv_deterministic(self):
         d = synth_generate(90, 4)
-        a = kfold_cv(d.X, d.y, FAST_TREEISH, 3, RngStream(5))
-        b = kfold_cv(d.X, d.y, FAST_TREEISH, 3, RngStream(5))
+        a = kfold_cv(d.X, d.y, FAST_TREEISH, EvalConfig(k=3), RngStream(5))
+        b = kfold_cv(d.X, d.y, FAST_TREEISH, EvalConfig(k=3), RngStream(5))
         assert a.mean == b.mean and a.std == b.std
         assert [r.accuracy for r in a.per_fold] == [r.accuracy for r in b.per_fold]
 
     def test_cv_aggregates(self):
         d = synth_generate(90, 8)
-        res = kfold_cv(d.X, d.y, FAST_TREEISH, 3, RngStream(6))
+        res = kfold_cv(d.X, d.y, FAST_TREEISH, EvalConfig(k=3), RngStream(6))
         accs = [r.accuracy for r in res.per_fold]
         assert res.mean["accuracy"] == pytest.approx(float(np.mean(accs)))
         assert res.std["accuracy"] == pytest.approx(float(np.std(accs)))
@@ -145,14 +157,14 @@ class TestKfold:
 
     def test_bad_k(self):
         with pytest.raises(ValueError, match="k must be"):
-            kfold_cv(np.zeros((4, 2)), np.array([0, 1, 2, 0]), FAST_TREEISH, 1, RngStream(0))
+            EvalConfig(k=1)
 
 
 class TestLearningCurve:
     def test_full_fraction_matches_manual_run(self):
         d = synth_generate(100, 12)
         stream = RngStream(77)
-        curve = learning_curve(d.X, d.y, FAST_TREEISH, [1.0], repeats=1, stream=stream)
+        curve = learning_curve(d.X, d.y, FAST_TREEISH, curve_settings([1.0], 1), stream)
 
         from oncograde.preprocess import stratified_split
 
@@ -164,18 +176,16 @@ class TestLearningCurve:
         assert curve.val_score[0] == pytest.approx(manual_val, abs=1e-12)
 
     def test_fractions_must_increase(self):
-        d = synth_generate(60, 1)
         with pytest.raises(ValueError, match="strictly increasing"):
-            learning_curve(d.X, d.y, FAST_TREEISH, [0.5, 0.5], repeats=1, stream=RngStream(0))
+            EvalConfig(curve_fractions=[0.5, 0.5])
 
     def test_fraction_out_of_range(self):
-        d = synth_generate(60, 1)
         with pytest.raises(ValueError, match="fractions"):
-            learning_curve(d.X, d.y, FAST_TREEISH, [0.0, 0.5], repeats=1, stream=RngStream(0))
+            EvalConfig(curve_fractions=[0.0, 0.5])
 
     def test_scores_bounded_and_aligned(self):
         d = synth_generate(100, 3)
-        curve = learning_curve(d.X, d.y, FAST_TREEISH, [0.4, 0.7, 1.0], repeats=2, stream=RngStream(4))
+        curve = learning_curve(d.X, d.y, FAST_TREEISH, curve_settings([0.4, 0.7, 1.0], 2), RngStream(4))
         assert len(curve.train_score) == len(curve.val_score) == 3
         assert all(0 <= v <= 1 for v in curve.train_score + curve.val_score)
         assert curve.repeats == 2
@@ -184,13 +194,13 @@ class TestLearningCurve:
         y = np.array([0] * 40 + [1] * 40 + [2] * 2)
         X = np.random.default_rng(0).normal(size=(82, 2))
         with pytest.raises(ValueError, match="too small"):
-            learning_curve(X, y, FAST_TREEISH, [0.05, 1.0], repeats=1, stream=RngStream(1))
+            learning_curve(X, y, FAST_TREEISH, curve_settings([0.05, 1.0], 1), RngStream(1))
 
 
 class TestSweep:
     def test_single_cell_equals_plain_run(self):
         d = synth_generate(80, 9)
-        res = sweep(d.X, d.y, FAST_TREEISH, [0.01], [1.0], RngStream(11))
+        res = sweep(d.X, d.y, FAST_TREEISH, sweep_settings([0.01], [1.0]), RngStream(11))
 
         from oncograde.preprocess import stratified_split
 
@@ -204,31 +214,30 @@ class TestSweep:
     def test_svm_min_child_weight_axis_inactive(self):
         d = synth_generate(80, 10)
         spec = ModelSpec("svm_linear")
-        res = sweep(d.X, d.y, spec, [0.01], [1.0, 5.0, 10.0], RngStream(12))
+        res = sweep(d.X, d.y, spec, sweep_settings([0.01], [1.0, 5.0, 10.0]), RngStream(12))
         assert res.inactive_axes == ["min_child_weight"]
         assert (res.val_grid == res.val_grid[0, 0]).all()
 
     def test_svm_both_axes_inactive_when_swept(self):
         d = synth_generate(80, 10)
-        res = sweep(d.X, d.y, ModelSpec("svm_linear"), [0.01, 0.1], [1.0, 5.0], RngStream(12))
+        res = sweep(d.X, d.y, ModelSpec("svm_linear"), sweep_settings([0.01, 0.1], [1.0, 5.0]), RngStream(12))
         assert set(res.inactive_axes) == {"learning_rate", "min_child_weight"}
 
     def test_mcw_active_for_trees(self):
         d = synth_generate(120, 13)
-        res = sweep(d.X, d.y, FAST_TREEISH, [0.01], [1.0, 30.0], RngStream(13))
+        res = sweep(d.X, d.y, FAST_TREEISH, sweep_settings([0.01], [1.0, 30.0]), RngStream(13))
         assert "min_child_weight" not in res.inactive_axes
 
     def test_deterministic(self):
         d = synth_generate(80, 14)
-        a = sweep(d.X, d.y, FAST_TREEISH, [0.01, 0.1], [1.0, 4.0], RngStream(15))
-        b = sweep(d.X, d.y, FAST_TREEISH, [0.01, 0.1], [1.0, 4.0], RngStream(15))
+        a = sweep(d.X, d.y, FAST_TREEISH, sweep_settings([0.01, 0.1], [1.0, 4.0]), RngStream(15))
+        b = sweep(d.X, d.y, FAST_TREEISH, sweep_settings([0.01, 0.1], [1.0, 4.0]), RngStream(15))
         assert np.array_equal(a.train_grid, b.train_grid)
         assert np.array_equal(a.val_grid, b.val_grid)
 
     def test_empty_axis_errors(self):
-        d = synth_generate(60, 1)
         with pytest.raises(ValueError, match="non-empty"):
-            sweep(d.X, d.y, FAST_TREEISH, [], [1.0], RngStream(0))
+            SweepConfig([], [1.0])
 
 
 class TestArtifactFormats:
@@ -241,21 +250,21 @@ class TestArtifactFormats:
 
     def test_curve_csv(self):
         d = synth_generate(80, 2)
-        curve = learning_curve(d.X, d.y, FAST_TREEISH, [0.5, 1.0], repeats=1, stream=RngStream(1))
+        curve = learning_curve(d.X, d.y, FAST_TREEISH, curve_settings([0.5, 1.0], 1), RngStream(1))
         lines = curve_to_csv(curve).strip().split("\n")
         assert lines[0] == "fraction,train_score,val_score"
         assert len(lines) == 3
 
     def test_sweep_csv(self):
         d = synth_generate(80, 2)
-        res = sweep(d.X, d.y, FAST_TREEISH, [0.01, 0.1], [1.0], RngStream(2))
+        res = sweep(d.X, d.y, FAST_TREEISH, sweep_settings([0.01, 0.1], [1.0]), RngStream(2))
         lines = sweep_to_csv(res).strip().split("\n")
         assert lines[0] == "learning_rate,min_child_weight,train_accuracy,val_accuracy"
         assert len(lines) == 3
 
     def test_cv_serializers(self):
         d = synth_generate(90, 3)
-        res = kfold_cv(d.X, d.y, FAST_TREEISH, 3, RngStream(3))
+        res = kfold_cv(d.X, d.y, FAST_TREEISH, EvalConfig(k=3), RngStream(3))
         lines = cv_to_csv(res).strip().split("\n")
         assert lines[0].startswith("fold,size,accuracy")
         assert len(lines) == 4

@@ -131,6 +131,34 @@ class TestPinnedDigests:
         assert hashlib.sha256(model).hexdigest() == "d35d820828baa2307ee27769252b08ceaf1d0a1a4898be3b39144328f9fb0036"
         assert hashlib.sha256(metrics).hexdigest() == "fbe24b321b9cc370d2944c408f91017860edf053c9de561ecaf748f8afaf6956"
 
+    @pytest.mark.parametrize(
+        "command,digest",
+        [
+            ("curve", "52e6cb4a4e967d4f5fd4cea17716f1d2f7488aa009dd803ffc031c6414472b6e"),
+            ("sweep", "96258ceea9d4f0dc04c97d7e2515a4d8045bb2047bdbe5dfd97c19cfea8ecebe"),
+        ],
+    )
+    def test_harness_csv(self, tmp_path, command, digest):
+        """``curve.csv`` and ``sweep.csv`` of a small bagging run. The digests
+        were computed when ``cli.py`` handed the harness each ``eval`` field
+        as its own argument."""
+        cfg = write_json(
+            tmp_path / "harness.json",
+            {
+                "seed": 8,
+                "data": {"synthetic": {"n": 150}},
+                "model": {"name": "bagging", "hyperparams": {"n_estimators": 3, "max_depth": 3}},
+                "eval": {
+                    "curve_fractions": [0.3, 0.6, 1.0],
+                    "curve_repeats": 2,
+                    "sweep": {"learning_rate": [0.01, 0.1], "min_child_weight": [1, 3]},
+                },
+            },
+        )
+        assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
+        csv_bytes = (tmp_path / "run" / f"{command}.csv").read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == digest
+
 
 def traced_peak_mb(fn) -> float:
     tracemalloc.start()
