@@ -46,8 +46,10 @@ class BaggingModel:
 def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -> BaggingModel:
     """Train ``n_estimators`` trees on bootstrap resamples.
 
-    A resample that collapses to a single class yields a one-leaf member,
-    as ``train_tree`` grows for any pure node.
+    Each member trains on the distinct rows of its resample, weighted by
+    how often each was drawn, which grows the same tree as training on the
+    resample itself. A resample that collapses to a single class yields a
+    one-leaf member, as ``train_tree`` grows for any pure node.
     """
     Hyperparams(n_estimators=n_estimators)
     X = as_matrix(X)
@@ -55,9 +57,13 @@ def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -
     n = X.shape[0]
 
     def train_member(member_stream: RngStream):
-        rows = member_stream.randints(n, n)
+        rows, counts = np.unique(member_stream.randints(n, n), return_counts=True)
         return train_tree(
-            X[rows], y[rows], max_depth=base_spec["max_depth"], min_child_weight=base_spec["min_child_weight"]
+            X[rows],
+            y[rows],
+            sample_weights=counts,
+            max_depth=base_spec["max_depth"],
+            min_child_weight=base_spec["min_child_weight"],
         )
 
     members = parallel_map(train_member, [stream.derive(i) for i in range(n_estimators)])

@@ -9,7 +9,7 @@ from oncograde.dataset import N_CLASSES, synth_generate
 from oncograde.models import train_tree
 from oncograde.models.base import model_from_doc, model_to_doc
 from oncograde.models.ensemble import BaggingModel
-from oncograde.models.tree import TreeModel, _weighted_hist
+from oncograde.models.tree import TreeModel
 from oncograde.preprocess import PreprocessConfig, run_pipeline
 
 
@@ -46,6 +46,10 @@ def reference_predict_proba(model, X):
         hist = np.asarray(node["hist"], dtype=float)
         out[r] = hist / hist.sum()
     return out
+
+
+def _weighted_hist(y, w) -> np.ndarray:
+    return np.asarray([w[y == c].sum() for c in range(N_CLASSES)], dtype=float)
 
 
 def reference_tree_nodes(X, y, w, max_depth, min_child_weight):
@@ -102,10 +106,10 @@ def reference_tree_nodes(X, y, w, max_depth, min_child_weight):
     return nodes
 
 
-def random_tree_problem(seed):
-    """Weighted problems with ties, signed zeros and depth limits."""
+def random_tree_problem(seed, max_rows=160, max_depth=8):
+    """Problems weighted by row counts, with ties, signed zeros and depth limits."""
     rng = np.random.default_rng(seed)
-    n, m = int(rng.integers(2, 160)), int(rng.integers(1, 12))
+    n, m = int(rng.integers(2, max_rows)), int(rng.integers(1, 12))
     kind = seed % 3
     if kind == 0:
         X = rng.normal(size=(n, m))
@@ -114,8 +118,8 @@ def random_tree_problem(seed):
     else:
         X = np.round(rng.normal(size=(n, m)), 1) * rng.choice([-0.0, 1.0], size=(n, m))
     y = rng.integers(0, N_CLASSES, size=n)
-    w = rng.choice([0.1, 0.5, 1.0, 1.7, 3.0], size=n)
-    return X, y, w, int(rng.integers(0, 9)), float(rng.choice([0.0, 1.0, 2.5, 6.0]))
+    w = rng.choice([1.0, 2.0, 3.0, 5.0], size=n)
+    return X, y, w, int(rng.integers(0, max_depth + 1)), float(rng.choice([0.0, 1.0, 2.5, 6.0]))
 
 
 class TestPresortedFit:
@@ -126,12 +130,44 @@ class TestPresortedFit:
         expected = reference_tree_nodes(X, y, w, depth, mcw)
         assert json.dumps(model.to_params()["nodes"]) == json.dumps(expected)
 
+    @pytest.mark.parametrize("seed", range(40, 52))
+    def test_same_nodes_on_deep_problems(self, seed):
+        # deep trees hold many open nodes, so one depth's pass spans many segments
+        X, y, w, depth, mcw = random_tree_problem(seed, max_rows=400, max_depth=12)
+        model = train_tree(X, y, sample_weights=w, max_depth=depth, min_child_weight=mcw)
+        assert json.dumps(model.nodes) == json.dumps(reference_tree_nodes(X, y, w, depth, mcw))
+
+    @pytest.mark.parametrize("scale", [2**20, 2**30])
+    def test_same_nodes_with_large_row_counts(self, scale):
+        # totals of 2**21 and more spread the class counts over more int64 words
+        X, y, w, depth, mcw = random_tree_problem(7, max_rows=400, max_depth=12)
+        w = w * scale
+        model = train_tree(X, y, sample_weights=w, max_depth=depth, min_child_weight=mcw * scale)
+        assert json.dumps(model.nodes) == json.dumps(reference_tree_nodes(X, y, w, depth, mcw * scale))
+
+    def test_counted_distinct_rows_grow_the_resampled_tree(self):
+        # bagging trains on each resample's distinct rows, weighted by their
+        # draw counts; paper-scale training matrix (876 x 59)
+        d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
+        prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
+        X, y = prep.X_train, prep.y_train
+        for seed in range(3):
+            rows = RngStream(seed).randints(X.shape[0], X.shape[0])
+            distinct, counts = np.unique(rows, return_counts=True)
+            for mcw in (0.0, 1.0, 3.0, 5.0):
+                for depth in (3, 8):
+                    resampled = train_tree(X[rows], y[rows], max_depth=depth, min_child_weight=mcw)
+                    counted = train_tree(
+                        X[distinct], y[distinct], sample_weights=counts, max_depth=depth, min_child_weight=mcw
+                    )
+                    assert json.dumps(counted.nodes) == json.dumps(resampled.nodes)
+
     def test_tied_features_across_blocks_take_lowest_index(self):
         # 40 columns x 500 rows spans several scoring blocks; copies tie exactly
         rng = np.random.default_rng(3)
         base = rng.integers(0, 6, size=(500, 10)).astype(float)
         X, y = np.tile(base, 4), rng.integers(0, N_CLASSES, size=500)
-        w = rng.choice([0.5, 1.0, 2.0], size=500)
+        w = rng.choice([1.0, 2.0, 3.0, 5.0], size=500)
         model = train_tree(X, y, sample_weights=w, max_depth=6, min_child_weight=2.0)
         assert json.dumps(model.nodes) == json.dumps(reference_tree_nodes(X, y, w, 6, 2.0))
         assert all(node["feature"] < 10 for node in model.nodes if "leaf" not in node)
@@ -181,6 +217,8 @@ class TestTrainTree:
     def test_nonpositive_weights_error(self):
         with pytest.raises(ValueError, match="positive"):
             train_tree(np.zeros((2, 1)), np.array([0, 1]), sample_weights=[1.0, 0.0])
+        with pytest.raises(ValueError, match="whole numbers"):
+            train_tree(np.zeros((2, 1)), np.array([0, 1]), sample_weights=[1.0, 0.5])
 
     def test_splits_never_increase_gini_and_respect_weight(self):
         d = synth_generate(200, 13)
