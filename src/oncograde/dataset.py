@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -236,6 +237,30 @@ def load_csv(path) -> Dataset:
     if not data_rows:
         raise ValueError(f"no data rows in {path}")
 
+    try:
+        X, y, ids = _parse_columns(data_rows, feature_idx, label_idx, id_idx)
+    except (ValueError, IndexError):
+        # the row-by-row parse raises the error for the first bad cell in
+        # row-major order, or reads what plain ``float`` rejects but
+        # ``float(cell.strip())`` accepts
+        X, y, ids = _parse_rows(data_rows, feature_idx, label_idx, id_idx)
+    return Dataset(X=X, y=y, feature_names=list(FEATURE_NAMES), patient_ids=ids)
+
+
+def _parse_columns(data_rows, feature_idx, label_idx, id_idx):
+    """Convert one column at a time; label tokens are parsed once each."""
+    n = len(data_rows)
+    X = np.empty((n, len(FEATURE_NAMES)), dtype=np.float64)
+    for j, ci in enumerate(feature_idx):
+        X[:, j] = np.fromiter(map(float, map(itemgetter(ci), data_rows)), np.float64, n)
+    tokens = list(map(itemgetter(label_idx), data_rows))
+    label_of = {t: _parse_label(t) for t in set(tokens)}
+    y = np.fromiter(map(label_of.__getitem__, tokens), np.int64, n)
+    ids = None if id_idx is None else [row[id_idx].strip() for row in data_rows]
+    return X, y, ids
+
+
+def _parse_rows(data_rows, feature_idx, label_idx, id_idx):
     n = len(data_rows)
     X = np.empty((n, len(FEATURE_NAMES)), dtype=np.float64)
     y = np.empty(n, dtype=np.int64)
@@ -250,11 +275,16 @@ def load_csv(path) -> Dataset:
                     f"non-numeric value {cell!r} at row {r + 1}, "
                     f"column {FEATURE_NAMES[j]!r}"
                 ) from None
-        y[r] = _parse_label(row[label_idx])
+        y[r] = _parse_label(_cell(row, r, label_idx, LABEL_NAME))
         if ids is not None:
-            ids.append(row[id_idx].strip())
+            ids.append(_cell(row, r, id_idx, ID_NAME).strip())
+    return X, y, ids
 
-    return Dataset(X=X, y=y, feature_names=list(FEATURE_NAMES), patient_ids=ids)
+
+def _cell(row, r: int, ci: int, name: str) -> str:
+    if ci >= len(row):
+        raise ValueError(f"row {r + 1} is too short to hold column {name!r}")
+    return row[ci]
 
 
 def _fmt_cell(v: float) -> str:

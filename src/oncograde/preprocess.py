@@ -7,6 +7,10 @@ and oversamples the full dataset before splitting; it reproduces the
 familiar 876/219 arithmetic on a 1000-row input but leaks test information
 through global scaling and SMOTE. ``leak_safe`` splits first and fits on
 the training rows only; it is the methodologically sound choice.
+
+SMOTE's neighbour search filters candidates with a Gram-form matrix product
+and ranks them on the exact difference-form distance, so its neighbours,
+and every synthetic row, do not depend on how the product rounds.
 """
 
 from __future__ import annotations
@@ -178,20 +182,65 @@ def engineer_features(X, report: CorrelationReport, hi: float, lo: float):
     return append_pair_means(X, engineered), out
 
 
-# most (row, member, feature) cells one neighbour-search block may hold
+# bounds the neighbour search's scratch, in 8-byte cells: a block of rows
+# holds its (row, member) Gram-form distances in a quarter of them, which also
+# caps its candidate pairs, and a re-rank chunk gathers an eighth of them per
+# operand as (candidate pair, feature) values
 _NEIGHBOUR_BLOCK_CELLS = 1 << 20
 
 
 def _nearest_neighbours(Xc: np.ndarray, k: int) -> np.ndarray:
-    """Indices of each row's k nearest other rows, ties to the lower index."""
+    """Indices of each row's k nearest other rows, ties to the lower index.
+
+    The distance is ``((a - b) ** 2).sum(axis=-1)``. A Gram-form product
+    ``|a|^2 + |b|^2 - 2ab`` per block of rows only picks the candidates,
+    which are then ranked on that exact expression.
+    """
     count, dim = Xc.shape
-    rows_per_block = max(1, _NEIGHBOUR_BLOCK_CELLS // (count * dim))
+    sq = (Xc * Xc).sum(axis=1)
+    sq_max = sq.max()
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+    rows_per_block = max(1, _NEIGHBOUR_BLOCK_CELLS // (4 * count))
+    pairs_per_chunk = max(1, _NEIGHBOUR_BLOCK_CELLS // (8 * dim))
     out = np.empty((count, k), dtype=np.int64)
     for lo in range(0, count, rows_per_block):
         hi = min(lo + rows_per_block, count)
-        d2 = ((Xc[lo:hi, None, :] - Xc[None, :, :]) ** 2).sum(axis=2)
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        out[lo:hi] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        G = Xc[lo:hi] @ Xc.T
+        G *= -2
+        G += sq[lo:hi, None]
+        G += sq
+        G[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        # Rounding, with S = |a|^2 + |b|^2 and u = eps / 2: the doubled dot
+        # product errs by dim u S, the two squared norms by dim u S together
+        # and the two additions by u 2S each, so the Gram form is within
+        # (dim + 2) eps S of the true distance. The exact form rounds a
+        # difference and a square per feature and makes dim - 1 additions
+        # on a distance <= 2S, so it is within (dim + 2) eps S too. With
+        # B = 2S, the two forms differ by at most (dim + 2) eps B. A true
+        # neighbour can sit above the k-th Gram value by the gaps of two
+        # columns, its own and the one that value came from, so the margin
+        # must be at least 2 (dim + 2) eps B. It is four times that, with B
+        # taken at the row's largest |b|^2, plus room for underflow. If B
+        # overflows, the margin is inf and every column stays a candidate.
+        bound = 2 * (sq[lo:hi] + sq_max)
+        margin = 8 * (dim + 2) * (eps * bound + tiny)
+        threshold = np.partition(G, k - 1, axis=1)[:, k - 1] + margin
+        keep = G > threshold[:, None]
+        del G
+        np.logical_not(keep, out=keep)  # so a NaN stays a candidate
+        rows, cols = np.nonzero(keep)
+        del keep
+        rows += lo
+        d2 = np.empty(len(rows))
+        for s in range(0, len(rows), pairs_per_chunk):
+            r, c = rows[s : s + pairs_per_chunk], cols[s : s + pairs_per_chunk]
+            d2[s : s + pairs_per_chunk] = ((Xc[r] - Xc[c]) ** 2).sum(axis=-1)
+        d2[rows == cols] = np.inf  # the row itself, kept by an inf margin
+        # np.nonzero lists each row's columns in ascending order and lexsort
+        # is stable, so this orders a row's candidates by (distance, column)
+        order = np.lexsort((d2, rows))
+        first = np.searchsorted(rows, np.arange(lo, hi))
+        out[lo:hi] = cols[order[first[:, None] + np.arange(k)]]
     return out
 
 
@@ -204,11 +253,14 @@ def smote(X, y, k: int, stream: RngStream):
     ties to the lower row index), and gap uniform in [0, 1). Original
     rows come first in the output, unchanged.
 
-    Neighbours are found a block of member rows at a time, each block
-    holding at most 2^20 (row, member, feature) difference cells, so
-    memory stays bounded as classes grow. A class's synthetic rows draw
-    their (member, neighbour pick, gap) triples as one block, in the
-    order scalar draws would take them.
+    Neighbours are found a block of member rows at a time. One matrix
+    product gives a block's (row, member) distances in Gram form, at most
+    2^18 of them; only the members within a rounding margin of each row's
+    k-th Gram distance are ranked on the exact difference form, a bounded
+    chunk of pairs at a time. So memory stays bounded as classes grow, and
+    the neighbours are those a dense stable sort would pick. A class's
+    synthetic rows draw their (member, neighbour pick, gap) triples as one
+    block, in the order scalar draws would take them.
     """
     PreprocessConfig(smote_k=k)
     X = as_matrix(X)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,60 @@ class TestLoadCsv:
         _write_csv(p, header, [_full_row() + ["Low"], bad + ["Low"]])
         with pytest.raises(ValueError, match="row 2.*Air Pollution"):
             load_csv(p)
+
+    @pytest.mark.parametrize("leading", [[], ["P1"]])
+    def test_row_too_short_for_label_names_row_and_column(self, tmp_path, leading):
+        p = tmp_path / "d.csv"
+        header = ["Patient Id"] * bool(leading) + list(FEATURE_NAMES) + ["Level"]
+        _write_csv(p, header, [leading + _full_row() + ["Low"], leading + _full_row()])
+        with pytest.raises(ValueError, match="row 2 is too short to hold column 'Level'"):
+            load_csv(p)
+
+    def test_row_too_short_for_patient_id_names_row_and_column(self, tmp_path):
+        p = tmp_path / "d.csv"
+        header = list(FEATURE_NAMES) + ["Level", "Patient Id"]
+        _write_csv(p, header, [_full_row() + ["Low", "P1"], _full_row() + ["High"]])
+        with pytest.raises(ValueError, match="row 2 is too short to hold column 'Patient Id'"):
+            load_csv(p)
+
+    def test_short_row_through_cli_exits_with_its_message(self, tmp_path, capsys):
+        from oncograde.cli import main
+
+        p = tmp_path / "d.csv"
+        header = list(FEATURE_NAMES) + ["Level"]
+        _write_csv(p, header, [_full_row() + ["Low"], _full_row()])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"csv_path": str(p)}}), encoding="utf-8")
+        assert main(["profile", "--config", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+        assert "row 2 is too short to hold column 'Level'" in capsys.readouterr().err
+
+    def test_first_bad_cell_in_row_major_order(self, tmp_path):
+        p = tmp_path / "d.csv"
+        header = ["Level"] + list(reversed(FEATURE_NAMES))
+        two_bad = list(reversed(_full_row()))
+        two_bad[0] = "x"  # Snoring, first in the file
+        two_bad[-1] = "y"  # Age, first in the schema
+        rows = [
+            ["Low"] + list(reversed(_full_row())),
+            ["Severe"] + list(reversed(_full_row())),
+            ["Low"] + two_bad,
+        ]
+        _write_csv(p, header, rows)
+        with pytest.raises(ValueError, match="unknown label value: 'Severe'"):
+            load_csv(p)
+        _write_csv(p, header, [rows[0], rows[2], rows[1]])
+        with pytest.raises(ValueError, match="'y' at row 2, column 'Age'"):
+            load_csv(p)
+
+    def test_cells_read_as_float_of_the_trimmed_text(self, tmp_path):
+        p = tmp_path / "d.csv"
+        header = list(FEATURE_NAMES) + ["Level"]
+        cells = [" 40 ", "\x1c1\x1f", " 3"] + ["1e0"] * 20 + [" medium "]
+        _write_csv(p, header, [cells, _full_row() + ["3"]])
+        d = load_csv(p)
+        assert d.X[0, :3].tolist() == [40.0, 1.0, 3.0]
+        assert d.y.tolist() == [1, 2]
+        assert np.array_equal(d.X[1], _full_row())
 
     def test_unknown_label(self, tmp_path):
         p = tmp_path / "d.csv"

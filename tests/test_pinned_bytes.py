@@ -175,6 +175,16 @@ class TestMemoryGuards:
         peak = traced_peak_mb(lambda: smote(X, y, 5, derive_stream(61, 1).derive(0)))
         assert peak <= 32.0, f"smote peaked at {peak:.1f} MB"
 
+    def test_smote_on_a_3000_row_class_of_5_distinct_rows(self):
+        # repeated records, as in the public lung-cancer CSV, leave each row
+        # hundreds of tied neighbour candidates to re-rank
+        X, _ = paper_order_matrix(3000, 61)
+        picks = np.random.default_rng(61).integers(0, 5, size=3000)
+        X = np.vstack([X[picks], X, X[:1]])
+        y = np.repeat([0, 1], [3000, 3001])
+        peak = traced_peak_mb(lambda: smote(X, y, 5, derive_stream(61, 1).derive(0)))
+        assert peak <= 32.0, f"smote peaked at {peak:.1f} MB"
+
     def test_evaluate_on_20000_rows(self, tmp_path, svm_model):
         argv = evaluate_argv(tmp_path, svm_model, 20000, 17)
         codes = []

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -218,6 +221,76 @@ class TestSmote:
         a = smote(X, y, 2, RngStream(10))
         b = smote(X, y, 2, RngStream(10))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def dense_neighbours(X, k):
+    d2 = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+@st.composite
+def neighbour_problems(draw):
+    """(X, k, block cells): continuous rows, coarse tied grids or few distinct
+    rows, optionally shifted near 1e6 or given mixed column scales."""
+    count = draw(st.integers(2, 40))
+    dim = draw(st.integers(1, 6))
+    base = draw(st.sampled_from(["continuous", "grid", "duplicates"]))
+    if base == "continuous":
+        X = draw(hnp.arrays(np.float64, (count, dim), elements=st.floats(-1e3, 1e3)))
+    elif base == "grid":
+        steps = draw(hnp.arrays(np.int64, (count, dim), elements=st.integers(0, 3)))
+        X = steps * draw(st.sampled_from([0.1, 0.3, 1 / 3, 0.7])) + 0.7
+    else:
+        patterns = draw(st.integers(1, 5))
+        pool = draw(hnp.arrays(np.float64, (patterns, dim), elements=st.floats(0, 1)))
+        X = pool[draw(hnp.arrays(np.int64, count, elements=st.integers(0, patterns - 1)))]
+    transform = draw(st.sampled_from(["none", "near_1e6", "mixed_scales"]))
+    if transform == "near_1e6":
+        X = X * 1e-3 + 1e6
+    elif transform == "mixed_scales":
+        scale = st.sampled_from([1e-6, 1e-3, 1.0, 1e3, 1e6])
+        X = X * draw(hnp.arrays(np.float64, dim, elements=scale))
+    k = draw(st.one_of(st.just(count - 1), st.integers(1, count - 1)))
+    cells = draw(st.sampled_from([1, 7, 64, 1 << 20]))
+    return X, k, cells
+
+
+class TestNearestNeighbours:
+    @settings(max_examples=300, deadline=None)
+    @given(neighbour_problems())
+    def test_matches_dense_stable_argsort(self, problem):
+        X, k, cells = problem
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(preprocess, "_NEIGHBOUR_BLOCK_CELLS", cells)
+            got = preprocess._nearest_neighbours(X, k)
+        assert np.array_equal(got, dense_neighbours(X, k))
+
+    def test_same_indices_on_one_and_two_blas_threads(self, tmp_path):
+        # the Gram-form filter is a BLAS product, whose rounding may depend
+        # on how the product is split over threads
+        d = synth_generate(3000, 61, (0.303, 0.332, 0.365))
+        X = apply_minmax(d.X, fit_minmax(d.X))
+        X, _ = engineer_features(X, pearson_matrix(X, d.feature_names), 0.5, -0.4)
+        X = X[d.y == 1]
+        np.save(tmp_path / "X.npy", X)
+        code = (
+            "import sys, numpy as np; import oncograde.preprocess as p; "
+            "X = np.load(sys.argv[1]); "
+            "sys.stdout.write(p._nearest_neighbours(X, 5).tobytes().hex())"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            src = os.path.dirname(os.path.dirname(preprocess.__file__))
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(tmp_path / "X.npy")],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] and outputs[0] == outputs[1]
+        assert outputs[0] == preprocess._nearest_neighbours(X, 5).tobytes().hex()
 
 
 class TestStratifiedSplit:
