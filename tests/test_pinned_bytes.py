@@ -159,6 +159,62 @@ class TestPinnedDigests:
         csv_bytes = (tmp_path / "run" / f"{command}.csv").read_bytes()
         assert hashlib.sha256(csv_bytes).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "command,name,digest",
+        [
+            ("profile", "correlation.csv", "525eac971754dcc2987d260ecb6a7cb190634668346842de3f0882c247c38e51"),
+            ("profile", "histograms.csv", "e548191d1ff14d0feb7154aef0b1ceb7da597169d24cc36d5c8bd8e4ed348706"),
+            ("cv", "cv.csv", "c849afc42ea351f1adf692906c8c6053c34a2019bfb063389b8be62847c863af"),
+        ],
+    )
+    def test_profile_and_cv_csv(self, tmp_path, command, name, digest):
+        """The profile tables and the per-fold scores of a small bagging run.
+        The digests were computed with the hand-built row formats that
+        ``dataset.csv_text`` replaced."""
+        cfg = write_json(
+            tmp_path / "run.json",
+            {
+                "seed": 8,
+                "data": {"synthetic": {"n": 150}},
+                "model": {"name": "bagging", "hyperparams": {"n_estimators": 3, "max_depth": 3}},
+                "eval": {"k": 3},
+            },
+        )
+        assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
+        csv_bytes = (tmp_path / "run" / name).read_bytes()
+        assert hashlib.sha256(csv_bytes).hexdigest() == digest
+
+    def test_history_and_comparison_csv(self, tmp_path):
+        """``history.csv`` of a small dnn run, and ``comparison.csv`` of a
+        report on that run plus a hand-made run whose directory name holds a
+        comma and a quote. The digests were computed with the hand-built row
+        formats that ``dataset.csv_text`` replaced."""
+        cfg = write_json(
+            tmp_path / "train.json",
+            {
+                "seed": 4,
+                "data": {"synthetic": {"n": 200}},
+                "model": {"name": "dnn", "hyperparams": {"epochs": 5, "hidden_layers": [8]}},
+            },
+        )
+        dnn_run = tmp_path / "dnn"
+        assert main(["train", "--config", cfg, "--output-dir", str(dnn_run)]) == 0
+        history = (dnn_run / "history.csv").read_bytes()
+        assert hashlib.sha256(history).hexdigest() == "1ae24f2ec1c0b43f81e52d51806b3144dcf4f84401b43da3e569f7b32eb18427"
+
+        # no model name in the manifest: the report names the run by its directory
+        other_run = tmp_path / 'run "b", c'
+        other_run.mkdir()
+        write_json(other_run / "manifest.json", {"resolved_config": {}})
+        write_json(
+            other_run / "metrics.json",
+            {"accuracy": 1, "macro_precision": 0.1 + 0.2, "macro_recall": 0.5, "macro_f1": 1e-17},
+        )
+        runs = [str(dnn_run), str(other_run)]
+        assert main(["report", "--runs", *runs, "--output-dir", str(tmp_path / "report")]) == 0
+        comparison = (tmp_path / "report" / "comparison.csv").read_bytes()
+        assert hashlib.sha256(comparison).hexdigest() == "187df14763280981b368f05354355dcbef7b6fa856ba7e2b2f253c674d700a07"
+
 
 def traced_peak_mb(fn) -> float:
     tracemalloc.start()
