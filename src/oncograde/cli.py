@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .core import RngStream, derive_stream
-from .dataset import Dataset, SyntheticConfig, load_csv, synth_generate
+from .dataset import Dataset, SyntheticConfig, csv_text, load_csv, synth_generate
 from .eval import (
     EvalConfig,
     confusion_to_csv,
@@ -40,7 +40,6 @@ from .preprocess import (
     Preprocessor,
     correlation_to_csv,
     correlation_to_json,
-    csv_quote,
     engineer_features,
     pearson_matrix,
     run_pipeline,
@@ -272,7 +271,7 @@ def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
     writer.write_text("correlation.csv", correlation_to_csv(report))
     writer.write_json("correlation.json", correlation_to_json(report))
 
-    lines = ["feature,class,bin,count"]
+    rows = []
     for j, name in enumerate(d.feature_names):
         col = d.X[:, j]
         if name == "Age":
@@ -289,8 +288,7 @@ def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
         for cls, label in enumerate(("Low", "Medium", "High")):
             counts = np.bincount(idx[d.y == cls], minlength=len(bins))[: len(bins)]
             series.append({"name": label, "values": [int(v) for v in counts]})
-            for b, bin_label in enumerate(bins):
-                lines.append(f"{csv_quote(name)},{label},{csv_quote(bin_label)},{int(counts[b])}")
+            rows.extend([name, label, bin_label, n] for bin_label, n in zip(bins, counts))
         writer.write_svg(
             f"histogram_{_slug(name)}.svg",
             "histogram",
@@ -302,7 +300,7 @@ def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
                 "y_label": "count",
             },
         )
-    writer.write_text("histograms.csv", "\n".join(lines) + "\n")
+    writer.write_text("histograms.csv", csv_text(["feature", "class", "bin", "count"], rows))
 
 
 def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
@@ -326,13 +324,9 @@ def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
     if cfg.model.name == "dnn":
         h = model.history
-        rows = ["epoch,train_loss,val_loss,train_accuracy,val_accuracy"]
-        for e in range(len(h)):
-            rows.append(
-                f"{e},{h.train_loss[e]!r},{h.val_loss[e]!r},"
-                f"{h.train_accuracy[e]!r},{h.val_accuracy[e]!r}"
-            )
-        writer.write_text("history.csv", "\n".join(rows) + "\n")
+        header = ["epoch", "train_loss", "val_loss", "train_accuracy", "val_accuracy"]
+        rows = zip(range(len(h)), h.train_loss, h.val_loss, h.train_accuracy, h.val_accuracy)
+        writer.write_text("history.csv", csv_text(header, rows))
         writer.write_svg(
             "history.svg",
             "lines",
@@ -350,19 +344,29 @@ def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
-    if cfg.model_path is None:
+    path = cfg.model_path
+    if path is None:
         raise ConfigError("evaluate requires model_path in the config")
-    try:
-        with open(cfg.model_path, encoding="utf-8") as fh:
+    try:  # any failure to read the model document is a config error naming the file
+        with open(path, encoding="utf-8") as fh:
             wrapper = json.load(fh)
+        if not isinstance(wrapper, dict):
+            raise ValueError("not a JSON object")
+        if wrapper.get("version") != MODEL_WRAPPER_VERSION:
+            raise ValueError(f"unsupported model file version: {wrapper.get('version')}")
+        prep = Preprocessor.from_dict(wrapper["pipeline"])
+        model = model_from_doc(wrapper["model"])
     except OSError as exc:
-        raise ConfigError(f"cannot read model file: {exc}") from None
-    if wrapper.get("version") != MODEL_WRAPPER_VERSION:
-        raise ConfigError(f"unsupported model file version: {wrapper.get('version')}")
+        raise ConfigError(f"cannot read model file {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"model file {path} is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise ConfigError(f"model file {path} is missing key {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"model file {path}: {exc}") from None
 
     d = _load_dataset(cfg)
-    X = Preprocessor.from_dict(wrapper["pipeline"]).transform(d.X)
-    model = model_from_doc(wrapper["model"])
+    X = prep.transform(d.X)
     block = _EVALUATE_BLOCK_ROWS
     labels = np.concatenate([model.predict(X[lo : lo + block]) for lo in range(0, len(X), block)])
     cm, report = evaluate_predictions(d.y, labels)
@@ -420,6 +424,7 @@ def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
 
 def cmd_report(run_dirs: list[str], writer: ArtifactWriter) -> None:
+    header = ["model", "accuracy", "macro_precision", "macro_recall", "macro_f1"]
     rows = []
     for run_dir in run_dirs:
         manifest_path = os.path.join(run_dir, "manifest.json")
@@ -432,12 +437,8 @@ def cmd_report(run_dirs: list[str], writer: ArtifactWriter) -> None:
         except OSError as exc:
             raise ConfigError(f"run directory {run_dir!r} is missing artifacts: {exc}") from None
         name = manifest.get("resolved_config", {}).get("model", {}).get("name", os.path.basename(run_dir))
-        rows.append((name, m["accuracy"], m["macro_precision"], m["macro_recall"], m["macro_f1"]))
-
-    lines = ["model,accuracy,macro_precision,macro_recall,macro_f1"]
-    for name, acc, mp, mr, mf in rows:
-        lines.append(f"{csv_quote(name)},{acc!r},{mp!r},{mr!r},{mf!r}")
-    writer.write_text("comparison.csv", "\n".join(lines) + "\n")
+        rows.append([name, *(m[key] for key in header[1:])])
+    writer.write_text("comparison.csv", csv_text(header, rows))
 
     metric_names = ("accuracy", "macro precision", "macro recall", "macro F1")
     series = [

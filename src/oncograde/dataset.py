@@ -12,6 +12,7 @@ hermetically.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -305,3 +306,18 @@ def save_csv(d: Dataset, path) -> None:
             if d.patient_ids is not None:
                 row = [d.patient_ids[i]] + row
             writer.writerow(row)
+
+
+def _text_cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+
+
+def csv_text(header, rows) -> str:
+    """The CSV document of ``header`` and ``rows``: strings as they are, integers
+    as ``str(int(v))`` and every other value as ``repr(float(v))``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerows([_text_cell(v) for v in row] for row in [header, *rows])
+    return buf.getvalue()

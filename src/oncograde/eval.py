@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RngStream, as_matrix, parallel_map
-from .dataset import LABEL_VALUES, N_CLASSES
+from .dataset import LABEL_VALUES, N_CLASSES, csv_text
 from .models import Hyperparams
 from .preprocess import _round_half_up, shuffled_classes, stratified_split
 
@@ -301,34 +301,27 @@ def sweep(X, y, model_spec, settings: EvalConfig, stream: RngStream) -> SweepRes
 
 
 def confusion_to_csv(counts: np.ndarray) -> str:
-    lines = ["true\\pred," + ",".join(LABEL_VALUES)]
-    for c in range(N_CLASSES):
-        lines.append(LABEL_VALUES[c] + "," + ",".join(str(int(v)) for v in counts[c]))
-    return "\n".join(lines) + "\n"
+    rows = ([label, *row] for label, row in zip(LABEL_VALUES, counts))
+    return csv_text(["true\\pred", *LABEL_VALUES], rows)
 
 
 def curve_to_csv(curve: LearningCurve) -> str:
-    lines = ["fraction,train_score,val_score"]
-    for f, tr, va in zip(curve.fractions, curve.train_score, curve.val_score):
-        lines.append(f"{f!r},{tr!r},{va!r}")
-    return "\n".join(lines) + "\n"
+    rows = zip(curve.fractions, curve.train_score, curve.val_score)
+    return csv_text(["fraction", "train_score", "val_score"], rows)
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    lines = ["learning_rate,min_child_weight,train_accuracy,val_accuracy"]
-    for i, lr in enumerate(result.learning_rates):
-        for j, mcw in enumerate(result.min_child_weights):
-            lines.append(
-                f"{lr!r},{mcw!r},{float(result.train_grid[i, j])!r},{float(result.val_grid[i, j])!r}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = (
+        [lr, mcw, result.train_grid[i, j], result.val_grid[i, j]]
+        for i, lr in enumerate(result.learning_rates)
+        for j, mcw in enumerate(result.min_child_weights)
+    )
+    return csv_text(["learning_rate", "min_child_weight", "train_accuracy", "val_accuracy"], rows)
 
 
 def cv_to_csv(result: CvResult) -> str:
-    lines = ["fold,size,accuracy,macro_precision,macro_recall,macro_f1"]
-    for i, (report, size) in enumerate(zip(result.per_fold, result.fold_sizes)):
-        lines.append(
-            f"{i},{size},{report.accuracy!r},{report.macro_precision!r},"
-            f"{report.macro_recall!r},{report.macro_f1!r}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        [i, size, *(getattr(report, key) for key in _AGG_KEYS)]
+        for i, (report, size) in enumerate(zip(result.per_fold, result.fold_sizes))
+    )
+    return csv_text(["fold", "size", *_AGG_KEYS], rows)

@@ -106,8 +106,8 @@ def _logits_accuracy(logits: np.ndarray, y) -> float:
     return float((proba_to_labels(softmax(logits)) == y).mean())
 
 
-def loss_and_grads(weights, biases, X, y):
-    """Mean cross-entropy and its gradients w.r.t. every weight and bias."""
+def cross_entropy_grads(weights, biases, X, y):
+    """Gradients of the mean cross-entropy w.r.t. every weight and bias."""
     activations = [X]
     a = X
     for w, b in zip(weights[:-1], biases[:-1]):
@@ -116,9 +116,6 @@ def loss_and_grads(weights, biases, X, y):
     logits = a @ weights[-1] + biases[-1]
 
     n = X.shape[0]
-    logp = _log_softmax(logits)
-    loss = float(-logp[np.arange(n), y].mean())
-
     delta = softmax(logits)
     delta[np.arange(n), y] -= 1.0
     delta /= n
@@ -130,7 +127,7 @@ def loss_and_grads(weights, biases, X, y):
         grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
             delta = (delta @ weights[layer].T) * (activations[layer] > 0)
-    return loss, grads_w, grads_b
+    return grads_w, grads_b
 
 
 def train_mlp(Xtr, ytr, Xval, yval, hp: Hyperparams, stream: RngStream) -> MlpModel:
@@ -157,7 +154,7 @@ def train_mlp(Xtr, ytr, Xval, yval, hp: Hyperparams, stream: RngStream) -> MlpMo
         order = shuffle(range(n), stream)
         for start in range(0, n, hp.batch_size):
             batch = order[start : start + hp.batch_size]
-            _, gw, gb = loss_and_grads(weights, biases, Xtr[batch], ytr[batch])
+            gw, gb = cross_entropy_grads(weights, biases, Xtr[batch], ytr[batch])
             for layer in range(len(weights)):
                 vel_w[layer] = _MOMENTUM * vel_w[layer] - hp.learning_rate * gw[layer]
                 vel_b[layer] = _MOMENTUM * vel_b[layer] - hp.learning_rate * gb[layer]

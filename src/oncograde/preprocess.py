@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RngStream, as_matrix, shuffle
-from .dataset import Dataset, N_CLASSES
+from .dataset import Dataset, N_CLASSES, csv_text
 
 PIPELINE_ORDERS = ("paper_order", "leak_safe")
 
@@ -403,11 +403,7 @@ def run_pipeline(d: Dataset, settings: PreprocessConfig, stream: RngStream) -> P
 
 def correlation_to_csv(report: CorrelationReport) -> str:
     names = report.feature_names
-    lines = ["," + ",".join(csv_quote(n) for n in names)]
-    for i, name in enumerate(names):
-        row = [repr(float(v)) for v in report.matrix[i]]
-        lines.append(csv_quote(name) + "," + ",".join(row))
-    return "\n".join(lines) + "\n"
+    return csv_text(["", *names], ([name, *row] for name, row in zip(names, report.matrix)))
 
 
 def correlation_to_json(report: CorrelationReport) -> dict:
@@ -428,10 +424,3 @@ def correlation_to_json(report: CorrelationReport) -> dict:
         "flagged": [pair_doc(p) for p in report.flagged_pairs],
         "zero_variance_columns": list(report.zero_variance_columns),
     }
-
-
-def csv_quote(s: str) -> str:
-    """A CSV field, double-quoted when it holds a comma or a quote."""
-    if "," in s or '"' in s:
-        return '"' + s.replace('"', '""') + '"'
-    return s

@@ -517,6 +517,87 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
 
 
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory) -> dict:
+    """A bagging model.json document trained once for the malformed-file tests."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = write_config(root / "cfg.json")
+    assert main(["train", "--config", str(cfg), "--output-dir", str(root / "run")]) == 0
+    return json.loads((root / "run" / "model.json").read_text())
+
+
+def with_keys(doc: dict, *path_and_value) -> dict:
+    """A deep copy of ``doc`` with the value at the key path replaced."""
+    *path, value = path_and_value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# each malformed model file and the problem its one-line message names
+MALFORMED_MODEL_FILES = {
+    "not_json": ("{not json", "is not valid JSON: Expecting property name"),
+    "list": ([1, 2], ": not a JSON object"),
+    "version_only": ({"version": 1}, "is missing key 'pipeline'"),
+    "wrapper_version": (lambda doc: with_keys(doc, "version", 2), ": unsupported model file version: 2"),
+    "no_model": (lambda doc: {k: v for k, v in doc.items() if k != "model"}, "is missing key 'model'"),
+    "document_version": (
+        lambda doc: with_keys(doc, "model", "version", 7),
+        ": unsupported model document version: 7",
+    ),
+    "unknown_family": (
+        lambda doc: with_keys(doc, "model", "family", "forest"),
+        ": unknown model family: 'forest'",
+    ),
+}
+
+
+class TestMalformedModelFile:
+    def evaluate(self, tmp_path, model_path) -> tuple[list[str], Path]:
+        d = synth_generate(60, 21)
+        save_csv(d, tmp_path / "rows.csv")
+        cfg = write_config(
+            tmp_path / "eval.json", data={"csv_path": str(tmp_path / "rows.csv")}, model_path=str(model_path)
+        )
+        out = tmp_path / "evaluate"
+        return ["evaluate", "--config", str(cfg), "--output-dir", str(out)], out
+
+    @pytest.mark.parametrize("case", list(MALFORMED_MODEL_FILES))
+    def test_exit_2_with_one_line_naming_file_and_problem(self, tmp_path, capsys, trained_model, case):
+        content, problem = MALFORMED_MODEL_FILES[case]
+        if callable(content):
+            content = content(trained_model)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(content if isinstance(content, str) else json.dumps(content))
+        argv, out = self.evaluate(tmp_path, model_path)
+        assert main(argv) == 2
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first.startswith(f"error: model file {model_path}")
+        assert problem in first
+        assert rest[0].startswith("usage:")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_unreadable_file_exit_2(self, tmp_path, capsys):
+        argv, out = self.evaluate(tmp_path, tmp_path / "missing.json")
+        assert main(argv) == 2
+        message = capsys.readouterr().err.splitlines()[0]
+        assert message == f"error: cannot read model file {tmp_path / 'missing.json'}: No such file or directory"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_failure_while_scoring_exit_1(self, tmp_path, capsys, trained_model):
+        # a well-formed document whose trees expect other inputs fails in predict
+        doc = with_keys(trained_model, "model", "params", "members", 0, "params", "n_features", 3)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(doc))
+        argv, out = self.evaluate(tmp_path, model_path)
+        assert main(argv) == 1
+        assert "dimension mismatch" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 class TestHarnessCommands:
     def test_cv(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -7,6 +9,7 @@ from oncograde.dataset import (
     AGE_MAX,
     AGE_MIN,
     FEATURE_NAMES,
+    csv_text,
     largest_remainder_counts,
     load_csv,
     save_csv,
@@ -176,6 +179,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="unknown label value: 'Severe'"):
             load_csv(p)
 
+    def test_missing_label_column(self, tmp_path):
+        p = tmp_path / "d.csv"
+        _write_csv(p, list(FEATURE_NAMES), [_full_row()])
+        with pytest.raises(ValueError, match="missing column: Level"):
+            load_csv(p)
+
+    def test_header_without_data_rows(self, tmp_path):
+        p = tmp_path / "d.csv"
+        _write_csv(p, list(FEATURE_NAMES) + ["Level"], [])
+        with pytest.raises(ValueError, match="no data rows in"):
+            load_csv(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("", encoding="utf-8")
@@ -199,6 +214,37 @@ class TestLoadCsv:
         assert np.array_equal(d.y, d2.y)
         save_csv(d2, tmp_path / "round2.csv")
         assert (tmp_path / "round.csv").read_text() == (tmp_path / "round2.csv").read_text()
+
+    def test_roundtrip_with_patient_ids(self, tmp_path):
+        d = synth_generate(40, 12)
+        d.patient_ids = [f"P{i}" for i in range(40)]
+        d.patient_ids[3] = 'P3, "the third"'
+        p = tmp_path / "ids.csv"
+        save_csv(d, p)
+        assert p.read_text(encoding="utf-8").startswith("Patient Id,Age,")
+        d2 = load_csv(p)
+        assert d2.patient_ids == d.patient_ids
+        assert np.array_equal(d.X, d2.X)
+        assert np.array_equal(d.y, d2.y)
+
+
+class TestCsvText:
+    def test_value_rule(self):
+        row = ["a b", 3, np.int64(-4), 0.1, np.float64(1.0), np.float32(0.5), 1e-17]
+        text = csv_text(["s", "i", "n", "f", "g", "h", "e"], [row])
+        assert text == "s,i,n,f,g,h,e\na b,3,-4,0.1,1.0,0.5,1e-17\n"
+
+    def test_no_rows_is_the_header_line(self):
+        assert csv_text(["", "b"], []) == ",b\n"
+
+    @pytest.mark.parametrize(
+        "field,written",
+        [("x,y", '"x,y"'), ('say "hi"', '"say ""hi"""'), ("two\nlines", '"two\nlines"')],
+    )
+    def test_quotes_fields_that_need_it(self, field, written):
+        text = csv_text(["name", "value"], [[field, 1]])
+        assert text == f"name,value\n{written},1\n"
+        assert list(csv.reader(io.StringIO(text))) == [["name", "value"], [field, "1"]]
 
 
 class TestSampleFile:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from oncograde.models import (
     KernelSpec,
     ModelSpec,
     kernel_matrix,
+    model_from_doc,
+    model_to_doc,
     resolve_gamma,
     train_svm_binary,
     train_svm_ovr,
@@ -176,6 +180,23 @@ class TestOneVsRest:
     def test_single_class_errors(self):
         with pytest.raises(ValueError, match="2 classes"):
             train_svm_ovr(np.zeros((3, 2)), np.zeros(3, dtype=int), KernelSpec("linear"))
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_absent_class_survives_the_document_and_never_wins(self, kind):
+        X, y = make_blobs(seed=6, n_per_class=20)
+        present = y != 1
+        model = train_svm_ovr(X[present], y[present], KernelSpec(kind, gamma=0.5))
+        doc = json.loads(json.dumps(model_to_doc(model)))
+        assert doc["params"]["machines"][1]["support_x"] == []
+        loaded = model_from_doc(doc)
+        assert loaded.machines[1]["support_x"].shape == (0, 2)
+
+        grid = np.random.default_rng(6).uniform(-6.0, 10.0, size=(400, 2))
+        rows = np.vstack([X, grid])
+        assert np.array_equal(loaded.predict(rows), model.predict(rows))
+        assert np.array_equal(loaded.predict_proba(rows), model.predict_proba(rows))
+        assert 1 not in model.predict(rows)
+        assert (model.predict(X[present]) == y[present]).all()
 
     def test_empty_input_predictions(self, blobs3):
         X, y = blobs3
