@@ -229,6 +229,21 @@ class ArtifactWriter:
 # --- shared helpers -----------------------------------------------------------
 
 
+def _json_object(path: str, what: str) -> dict:
+    """The JSON object in the ``what`` at ``path``; failing to read one is a
+    config error naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path}: not a JSON object")
+    return doc
+
+
 def _load_dataset(cfg: RunConfig) -> Dataset:
     if cfg.data.csv_path is not None:
         return load_csv(cfg.data.csv_path)
@@ -347,19 +362,12 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
     path = cfg.model_path
     if path is None:
         raise ConfigError("evaluate requires model_path in the config")
-    try:  # any failure to read the model document is a config error naming the file
-        with open(path, encoding="utf-8") as fh:
-            wrapper = json.load(fh)
-        if not isinstance(wrapper, dict):
-            raise ValueError("not a JSON object")
+    wrapper = _json_object(path, "model file")
+    try:  # any other fault in the model document is a config error naming the file
         if wrapper.get("version") != MODEL_WRAPPER_VERSION:
             raise ValueError(f"unsupported model file version: {wrapper.get('version')}")
         prep = Preprocessor.from_dict(wrapper["pipeline"])
         model = model_from_doc(wrapper["model"])
-    except OSError as exc:
-        raise ConfigError(f"cannot read model file {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"model file {path} is not valid JSON: {exc}") from None
     except KeyError as exc:
         raise ConfigError(f"model file {path} is missing key {exc}") from None
     except (ValueError, TypeError, AttributeError) as exc:
@@ -429,14 +437,16 @@ def cmd_report(run_dirs: list[str], writer: ArtifactWriter) -> None:
     for run_dir in run_dirs:
         manifest_path = os.path.join(run_dir, "manifest.json")
         metrics_path = os.path.join(run_dir, "metrics.json")
+        manifest, m = _json_object(manifest_path, "run file"), _json_object(metrics_path, "run file")
         try:
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            with open(metrics_path, encoding="utf-8") as fh:
-                m = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"run directory {run_dir!r} is missing artifacts: {exc}") from None
-        name = manifest.get("resolved_config", {}).get("model", {}).get("name", os.path.basename(run_dir))
+            name = manifest.get("resolved_config", {}).get("model", {}).get("name", os.path.basename(run_dir))
+        except AttributeError:
+            raise ConfigError(f"run file {manifest_path}: resolved_config.model is not a JSON object") from None
+        _read(str, name, f"run file {manifest_path}: resolved_config.model.name")
+        for key in header[1:]:
+            if key not in m:
+                raise ConfigError(f"run file {metrics_path} is missing key {key!r}")
+            _read(float, m[key], f"run file {metrics_path}: {key}")
         rows.append([name, *(m[key] for key in header[1:])])
     writer.write_text("comparison.csv", csv_text(header, rows))
 

@@ -12,9 +12,9 @@ hermetically.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -317,7 +317,10 @@ def _text_cell(v) -> str:
 def csv_text(header, rows) -> str:
     """The CSV document of ``header`` and ``rows``: strings as they are, integers
     as ``str(int(v))`` and every other value as ``repr(float(v))``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    # csv quotes a field holding "\r" or "\n" only when the line terminator
+    # holds that character, so each record is written ending in "\r\n" (one
+    # write per record) and that ending is cut back to "\n"
+    records: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=records.append), lineterminator="\r\n")
     writer.writerows([_text_cell(v) for v in row] for row in [header, *rows])
-    return buf.getvalue()
+    return "".join(record[:-2] + "\n" for record in records)

@@ -8,6 +8,7 @@ so results are bit-identical no matter how the work is scheduled.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,10 +149,6 @@ def evaluate_predictions(y_true, y_pred) -> tuple[np.ndarray, MetricsReport]:
     return cm, metrics(cm)
 
 
-def _accuracy(model, X, y) -> float:
-    return float((model.predict(X) == np.asarray(y)).mean())
-
-
 _AGG_KEYS = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
 
 
@@ -172,23 +169,30 @@ def stratified_folds(y, k: int, stream: RngStream) -> list[list[int]]:
     return folds
 
 
-def kfold_cv(X, y, model_spec, settings: EvalConfig, stream: RngStream) -> CvResult:
-    """Stratified ``settings.k``-fold; each fold validates a model trained on the rest."""
+def _fit_and_score(X, y, fits, score_train: bool = True) -> list:
+    """Train each ``(spec, train rows, validation rows, stream)`` fit in one
+    :func:`parallel_map`, the dnn monitoring the validation rows; each gives
+    (training accuracy, or None unless ``score_train``; validation report)."""
     X = as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
+
+    def run(fit):
+        spec, train, val, fit_stream = fit
+        X_tr, y_tr, X_val, y_val = X[train], y[train], X[val], y[val]
+        model = spec.train(X_tr, y_tr, fit_stream, X_val, y_val)
+        train_accuracy = float((model.predict(X_tr) == y_tr).mean()) if score_train else None
+        return train_accuracy, evaluate_predictions(y_val, model.predict(X_val))[1]
+
+    return parallel_map(run, fits)
+
+
+def kfold_cv(X, y, model_spec, settings: EvalConfig, stream: RngStream) -> CvResult:
+    """Stratified ``settings.k``-fold; each fold validates a model trained on the rest."""
     folds = stratified_folds(y, settings.k, stream)
-
-    def run_fold(args):
-        fold_idx, val_idx = args
-        val_mask = np.zeros(len(y), dtype=bool)
-        val_mask[val_idx] = True
-        model = model_spec.train(
-            X[~val_mask], y[~val_mask], stream.derive(fold_idx), X[val_mask], y[val_mask]
-        )
-        _, report = evaluate_predictions(y[val_mask], model.predict(X[val_mask]))
-        return report
-
-    per_fold = parallel_map(run_fold, list(enumerate(folds)))
+    # train and validation rows in index order: row order reaches the models
+    rows = np.arange(len(y))
+    fits = [(model_spec, np.delete(rows, f), np.sort(f), stream.derive(i)) for i, f in enumerate(folds)]
+    per_fold = [report for _, report in _fit_and_score(X, y, fits, score_train=False)]
     mean = {key: float(np.mean([getattr(r, key) for r in per_fold])) for key in _AGG_KEYS}
     std = {key: float(np.std([getattr(r, key) for r in per_fold])) for key in _AGG_KEYS}
     return CvResult(k=settings.k, fold_sizes=[len(f) for f in folds], mean=mean, std=std, per_fold=per_fold)
@@ -216,28 +220,17 @@ def learning_curve(X, y, model_spec, settings: EvalConfig, stream: RngStream) ->
     subset and the fixed validation set.
     """
     fractions, repeats = settings.curve_fractions, settings.curve_repeats
-    X = as_matrix(X)
-    y = np.asarray(y, dtype=np.int64)
-
     split = stratified_split(y, 0.2, stream.derive(0))
-    X_val, y_val = X[split.test], y[split.test]
-    pool = split.train
-
-    def run_cell(args):
-        r, fi = args
-        cell_stream = stream.derive(1 + r * len(fractions) + fi)
-        subset = _stratified_subset(y, pool, fractions[fi], cell_stream)
-        model = model_spec.train(X[subset], y[subset], cell_stream, X_val, y_val)
-        return _accuracy(model, X[subset], y[subset]), _accuracy(model, X_val, y_val)
-
-    cells = [(r, fi) for r in range(repeats) for fi in range(len(fractions))]
-    results = parallel_map(run_cell, cells)
-
-    train_score, val_score = [], []
-    for fi in range(len(fractions)):
-        scores = [results[r * len(fractions) + fi] for r in range(repeats)]
-        train_score.append(float(np.mean([s[0] for s in scores])))
-        val_score.append(float(np.mean([s[1] for s in scores])))
+    fits = []
+    for cell, fraction in enumerate(fractions * repeats):
+        cell_stream = stream.derive(1 + cell)
+        subset = _stratified_subset(y, split.train, fraction, cell_stream)
+        fits.append((model_spec, subset, split.test, cell_stream))
+    results = _fit_and_score(X, y, fits)
+    scores = np.asarray([(t, v.accuracy) for t, v in results]).reshape(repeats, len(fractions), 2)
+    # made contiguous as (train/val, fraction, repeat), so each mean adds its
+    # repeats in the order np.mean adds a list of them
+    train_score, val_score = np.ascontiguousarray(scores.T).mean(axis=-1).tolist()
     return LearningCurve(
         fractions=fractions, train_score=train_score, val_score=val_score, repeats=repeats
     )
@@ -253,46 +246,24 @@ def sweep(X, y, model_spec, settings: EvalConfig, stream: RngStream) -> SweepRes
     inactive for this model family.
     """
     lr_values, mcw_values = settings.sweep.learning_rate, settings.sweep.min_child_weight
-    X = as_matrix(X)
-    y = np.asarray(y, dtype=np.int64)
-
-    def run_cell(args):
-        lr, mcw = args
-        cell_stream = stream.derive(0)
-        split = stratified_split(y, 0.2, cell_stream)
-        spec = model_spec.with_hyperparams(learning_rate=lr, min_child_weight=mcw)
-        model = spec.train(
-            X[split.train], y[split.train], cell_stream, X[split.test], y[split.test]
-        )
-        return (
-            _accuracy(model, X[split.train], y[split.train]),
-            _accuracy(model, X[split.test], y[split.test]),
-        )
-
-    cells = [(lr, mcw) for lr in lr_values for mcw in mcw_values]
-    results = parallel_map(run_cell, cells)
-
-    shape = (len(lr_values), len(mcw_values))
-    train_grid = np.asarray([r[0] for r in results]).reshape(shape)
-    val_grid = np.asarray([r[1] for r in results]).reshape(shape)
-
-    inactive = []
-    if len(lr_values) >= 2 and all(
-        (train_grid[:, j] == train_grid[0, j]).all() and (val_grid[:, j] == val_grid[0, j]).all()
-        for j in range(len(mcw_values))
-    ):
-        inactive.append("learning_rate")
-    if len(mcw_values) >= 2 and all(
-        (train_grid[i, :] == train_grid[i, 0]).all() and (val_grid[i, :] == val_grid[i, 0]).all()
-        for i in range(len(lr_values))
-    ):
-        inactive.append("min_child_weight")
-
+    cell_stream = stream.derive(0)
+    split = stratified_split(y, 0.2, cell_stream)
+    fits = []
+    for lr in lr_values:
+        for mcw in mcw_values:
+            spec = model_spec.with_hyperparams(learning_rate=lr, min_child_weight=mcw)
+            fits.append((spec, split.train, split.test, copy.copy(cell_stream)))
+    results = _fit_and_score(X, y, fits)
+    grid = np.asarray([(t, v.accuracy) for t, v in results]).reshape(len(lr_values), len(mcw_values), 2)
+    axes = ("learning_rate", "min_child_weight")
+    inactive = [
+        name for a, name in enumerate(axes) if grid.shape[a] >= 2 and (grid == grid.take([0], a)).all()
+    ]
     return SweepResult(
         learning_rates=lr_values,
         min_child_weights=mcw_values,
-        train_grid=train_grid,
-        val_grid=val_grid,
+        train_grid=grid[..., 0],
+        val_grid=grid[..., 1],
         inactive_axes=inactive,
     )
 

@@ -84,11 +84,17 @@ def init_params(layer_sizes: list[int], stream: RngStream):
     return weights, biases
 
 
-def forward(weights, biases, X) -> np.ndarray:
-    a = X
+def _layer_outputs(weights, biases, X) -> list[np.ndarray]:
+    """``X``, each hidden layer's ReLU output, then the logits."""
+    outputs = [X]
     for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
-    return a @ weights[-1] + biases[-1]
+        outputs.append(np.maximum(outputs[-1] @ w + b, 0.0))
+    outputs.append(outputs[-1] @ weights[-1] + biases[-1])
+    return outputs
+
+
+def forward(weights, biases, X) -> np.ndarray:
+    return _layer_outputs(weights, biases, X)[-1]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -108,13 +114,7 @@ def _logits_accuracy(logits: np.ndarray, y) -> float:
 
 def cross_entropy_grads(weights, biases, X, y):
     """Gradients of the mean cross-entropy w.r.t. every weight and bias."""
-    activations = [X]
-    a = X
-    for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.maximum(a @ w + b, 0.0)
-        activations.append(a)
-    logits = a @ weights[-1] + biases[-1]
-
+    *activations, logits = _layer_outputs(weights, biases, X)
     n = X.shape[0]
     delta = softmax(logits)
     delta[np.arange(n), y] -= 1.0

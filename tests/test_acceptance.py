@@ -191,7 +191,7 @@ def test_criterion_7_thread_count_determinism(tmp_path, monkeypatch):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(cfg_doc), encoding="utf-8")
 
-    for sub in ("cv", "sweep", "train"):
+    for sub in ("cv", "curve", "sweep", "train"):
         results = []
         for threads in ("0", "8"):
             out = tmp_path / f"{sub}_{threads}"
@@ -199,7 +199,7 @@ def test_criterion_7_thread_count_determinism(tmp_path, monkeypatch):
             assert main([sub, "--config", str(cfg), "--output-dir", str(out)]) == 0
             results.append(_digests(out))
         assert results[0] == results[1], f"{sub} artifacts differ across thread counts"
-    _report(7, "cv/sweep/bagging artifacts bit-identical at 0 and 8 threads")
+    _report(7, "cv/curve/sweep/bagging artifacts bit-identical at 0 and 8 threads")
 
 
 def test_criterion_8_cv_protocol():

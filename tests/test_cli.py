@@ -668,6 +668,70 @@ class TestHarnessCommands:
         assert main(["report", "--runs", str(tmp_path / "ghost"), "--output-dir", str(tmp_path / "r")]) == 2
 
 
+REPORT_METRICS = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
+VALID_RUN_FILES = {
+    "manifest.json": {"resolved_config": {"model": {"name": "dnn"}}},
+    "metrics.json": {key: 0.5 for key in REPORT_METRICS},
+}
+# each malformed run file: its name, its content (a string is written as it
+# is) and the problem its one-line message names
+MALFORMED_RUN_FILES = {
+    "manifest_not_json": ("manifest.json", "{not json", " is not valid JSON: Expecting property name"),
+    "metrics_not_json": ("metrics.json", "[1,", " is not valid JSON: Expecting value"),
+    "manifest_list": ("manifest.json", [1, 2], ": not a JSON object"),
+    "metrics_string": ("metrics.json", '"accuracy"', ": not a JSON object"),
+    "model_list": (
+        "manifest.json",
+        {"resolved_config": {"model": []}},
+        ": resolved_config.model is not a JSON object",
+    ),
+    "name_number": ("manifest.json", {"resolved_config": {"model": {"name": 3}}}, "name must be a string, got 3"),
+    "metric_string": (
+        "metrics.json",
+        {**VALID_RUN_FILES["metrics.json"], "macro_f1": "high"},
+        ': macro_f1 must be a number, got "high"',
+    ),
+    **{
+        f"no_{key}": ("metrics.json", {k: 0.5 for k in REPORT_METRICS if k != key}, f" is missing key {key!r}")
+        for key in REPORT_METRICS
+    },
+}
+
+
+class TestMalformedRunDirectory:
+    def report(self, tmp_path, files: dict) -> tuple[list[str], Path]:
+        run = tmp_path / "run"
+        run.mkdir()
+        for name, content in files.items():
+            (run / name).write_text(content if isinstance(content, str) else json.dumps(content))
+        return ["report", "--runs", str(run), "--output-dir", str(tmp_path / "report")], run
+
+    def test_valid_hand_made_run_reports(self, tmp_path):
+        argv, _ = self.report(tmp_path, VALID_RUN_FILES)
+        assert main(argv) == 0
+        assert (tmp_path / "report" / "comparison.csv").read_text() == (
+            "model,accuracy,macro_precision,macro_recall,macro_f1\ndnn,0.5,0.5,0.5,0.5\n"
+        )
+
+    @pytest.mark.parametrize("case", list(MALFORMED_RUN_FILES))
+    def test_exit_2_with_one_line_naming_file_and_problem(self, tmp_path, capsys, case):
+        name, content, problem = MALFORMED_RUN_FILES[case]
+        argv, run = self.report(tmp_path, {**VALID_RUN_FILES, name: content})
+        assert main(argv) == 2
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first.startswith(f"error: run file {run / name}")
+        assert problem in first
+        assert rest[0].startswith("usage:")
+        out = tmp_path / "report"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_missing_metrics_file_exit_2(self, tmp_path, capsys):
+        argv, run = self.report(tmp_path, {"manifest.json": VALID_RUN_FILES["manifest.json"]})
+        assert main(argv) == 2
+        message = capsys.readouterr().err.splitlines()[0]
+        assert message == f"error: cannot read run file {run / 'metrics.json'}: No such file or directory"
+
+
 # leading text columns of each CSV artifact; every other cell below the
 # header row must parse as a number
 CSV_TEXT_COLUMNS = {

@@ -239,12 +239,22 @@ class TestCsvText:
 
     @pytest.mark.parametrize(
         "field,written",
-        [("x,y", '"x,y"'), ('say "hi"', '"say ""hi"""'), ("two\nlines", '"two\nlines"')],
+        [
+            ("x,y", '"x,y"'),
+            ('say "hi"', '"say ""hi"""'),
+            ("two\nlines", '"two\nlines"'),
+            ("bare\rreturn", '"bare\rreturn"'),
+            ("both\r\nends", '"both\r\nends"'),
+        ],
     )
-    def test_quotes_fields_that_need_it(self, field, written):
+    def test_quotes_fields_that_need_it(self, field, written, tmp_path):
         text = csv_text(["name", "value"], [[field, 1]])
         assert text == f"name,value\n{written},1\n"
         assert list(csv.reader(io.StringIO(text))) == [["name", "value"], [field, "1"]]
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [["name", "value"], [field, "1"]]
 
 
 class TestSampleFile:

@@ -175,6 +175,27 @@ class TestLearningCurve:
         manual_val = float((model.predict(d.X[split.test]) == d.y[split.test]).mean())
         assert curve.val_score[0] == pytest.approx(manual_val, abs=1e-12)
 
+    def test_each_score_is_the_mean_of_its_repeats(self):
+        # from 8 repeats on, numpy sums a list pairwise, so the mean must add
+        # the repeats in the same order as np.mean of the per-repeat scores
+        d = synth_generate(100, 5)
+        fractions, repeats = [0.5, 1.0], 9
+        curve = learning_curve(d.X, d.y, FAST_TREEISH, curve_settings(fractions, repeats), RngStream(8))
+
+        from oncograde.preprocess import stratified_split
+
+        split = stratified_split(d.y, 0.2, RngStream(8).derive(0))
+        train, val = [[] for _ in fractions], [[] for _ in fractions]
+        for cell in range(repeats * len(fractions)):
+            fi = cell % len(fractions)
+            stream = RngStream(8).derive(1 + cell)
+            subset = _stratified_subset(d.y, split.train, fractions[fi], stream)
+            model = FAST_TREEISH.train(d.X[subset], d.y[subset], stream, d.X[split.test], d.y[split.test])
+            train[fi].append(float((model.predict(d.X[subset]) == d.y[subset]).mean()))
+            val[fi].append(float((model.predict(d.X[split.test]) == d.y[split.test]).mean()))
+        assert curve.train_score == [float(np.mean(scores)) for scores in train]
+        assert curve.val_score == [float(np.mean(scores)) for scores in val]
+
     def test_fractions_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             EvalConfig(curve_fractions=[0.5, 0.5])
@@ -210,6 +231,7 @@ class TestSweep:
         model = spec.train(d.X[split.train], d.y[split.train], cell, d.X[split.test], d.y[split.test])
         manual = float((model.predict(d.X[split.test]) == d.y[split.test]).mean())
         assert res.val_grid[0, 0] == pytest.approx(manual, abs=1e-12)
+        assert res.inactive_axes == []
 
     def test_svm_min_child_weight_axis_inactive(self):
         d = synth_generate(80, 10)
@@ -221,7 +243,7 @@ class TestSweep:
     def test_svm_both_axes_inactive_when_swept(self):
         d = synth_generate(80, 10)
         res = sweep(d.X, d.y, ModelSpec("svm_linear"), sweep_settings([0.01, 0.1], [1.0, 5.0]), RngStream(12))
-        assert set(res.inactive_axes) == {"learning_rate", "min_child_weight"}
+        assert res.inactive_axes == ["learning_rate", "min_child_weight"]
 
     def test_mcw_active_for_trees(self):
         d = synth_generate(120, 13)
