@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from oncograde.cli import main
 from oncograde.core import derive_stream
 from oncograde.dataset import synth_generate
 from oncograde.models import (
@@ -30,6 +32,23 @@ def random_binary_problem(trial, n_max=40, d_max=4):
     if abs(y.sum()) == n:
         y[0] = -y[0]
     return X, y
+
+
+def smo_digest(svm) -> str:
+    """sha256 of a binary machine's solution and solver counts."""
+    h = hashlib.sha256()
+    h.update(svm.alphas.tobytes())
+    h.update(np.array([svm.bias, svm.gap]).tobytes())
+    h.update(np.array([svm.iterations, svm.tau_clamps], dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def paper_rows():
+    """The seed-42, n=1000 paper_order training rows (876 x 59)."""
+    d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
+    prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
+    return prep.X_train, prep.y_train
 
 
 class TestKernels:
@@ -135,10 +154,8 @@ class TestWorkingSetSolver:
         # non-PSD pairs were met and stepped, not skipped
         assert tau_clamps > 0
 
-    def test_sigmoid_full_scale_machines_converge(self):
-        d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
-        prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
-        X, y = prep.X_train, prep.y_train
+    def test_sigmoid_full_scale_machines_converge(self, paper_rows):
+        X, y = paper_rows
         spec = ModelSpec("svm_sigmoid")
         kern = svm_kernel_for(spec.name, spec.hyperparams, X)
         for cls in range(3):
@@ -147,6 +164,43 @@ class TestWorkingSetSolver:
             assert not svm.hit_cap
             assert svm.iterations > 0
             assert kkt_violation(svm, tol=1e-3) <= 1e-3
+
+
+class TestPinnedSmo:
+    """Bit pins of the SMO output (alphas, bias, gap, iterations, tau
+    clamps). The digests were computed with the solver that rebuilt the
+    kernel matrix per machine and allocated its temporaries per iteration."""
+
+    @pytest.mark.parametrize(
+        "name,cls,iterations,tau_clamps,digest",
+        [
+            ("svm_poly", 2, 1326, 0, "e3d80257ec7397791ce082c1289138cd438b7e53f5f04d13fd059f503e0c02bc"),
+            ("svm_sigmoid", 0, 295, 293, "87bdde00209d0dd5bea425c51dcc8ba69e4d0eac45a396a69d06d920a0c16cf9"),
+            ("svm_linear", 1, 616, 0, "df00a70dcb633166ac3e65ea57dcfc9b3672de7e45e88912e3a60b2e34bd05b9"),
+        ],
+    )
+    def test_paper_order_machine(self, paper_rows, name, cls, iterations, tau_clamps, digest):
+        X, y = paper_rows
+        spec = ModelSpec(name)
+        kern = svm_kernel_for(spec.name, spec.hyperparams, X)
+        svm = train_svm_binary(X, np.where(y == cls, 1.0, -1.0), kern, C=spec.hyperparams.C)
+        assert (svm.iterations, svm.tau_clamps) == (iterations, tau_clamps)
+        assert smo_digest(svm) == digest
+
+    def test_indefinite_random_problem(self):
+        X, y = random_binary_problem(2)
+        svm = train_svm_binary(X, y, KernelSpec("sigmoid", gamma=1.0, coef0=-1.0))
+        assert (svm.iterations, svm.tau_clamps) == (46, 8)
+        assert smo_digest(svm) == "e8cc05f1e7d3c8a9c04b5ab90ecace5fa1ff02614f2ecb3b7760ec3ddd82c78c"
+
+    def test_svm_poly_model_document(self, tmp_path):
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps(
+            {"seed": 11, "data": {"synthetic": {"n": 300}}, "model": {"name": "svm_poly"}}
+        ))
+        assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "run")]) == 0
+        model = (tmp_path / "run" / "model.json").read_bytes()
+        assert hashlib.sha256(model).hexdigest() == "532cc833bdec869f84e8266976029a38a57f3fff7656fba13b1a4cd0104bb87a"
 
 
 class TestOneVsRest:
