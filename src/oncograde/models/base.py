@@ -98,15 +98,23 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    dots = A @ B.T
+    K = A @ B.T
     if spec.kind == "linear":
-        return dots
+        return K
+    # each step below writes into K, so a call holds at most two n x m arrays
     if spec.kind == "rbf":
-        sq = (A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :] - 2 * dots
-        return np.exp(-spec.gamma * np.maximum(sq, 0.0))
+        # exp(-gamma * max(|a|^2 + |b|^2 - 2ab, 0))
+        K *= 2
+        np.subtract((A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :], K, out=K)
+        np.maximum(K, 0.0, out=K)
+        K *= -spec.gamma
+        return np.exp(K, out=K)
+    K *= spec.gamma
+    K += spec.coef0
     if spec.kind == "polynomial":
-        return (spec.gamma * dots + spec.coef0) ** spec.degree
-    return np.tanh(spec.gamma * dots + spec.coef0)
+        K **= spec.degree
+        return K
+    return np.tanh(K, out=K)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -2,14 +2,22 @@
 (LIBSVM's WSS2: Fan, Chen & Lin 2005, JMLR 6), wrapped one-vs-rest for the
 three-class problem.
 
-The solver keeps the full kernel matrix and the vector
-``v = y - sum_j alpha_j y_j K[:, j]`` (``-y * grad`` in LIBSVM notation),
-so each iteration is a few O(n) numpy operations: ``i`` is the maximal
+``train_svm_ovr`` builds the n x n kernel matrix of the training rows once,
+checks that it is finite, and hands it to each of the three binary machines.
+The solver keeps the vector ``v = y - sum_j alpha_j y_j K[:, j]``
+(``-y * grad`` in LIBSVM notation) as the first row of a (3, n) state array
+whose other rows are ``v`` on I_up (``-inf`` elsewhere) and ``v`` on I_low
+(``+inf`` elsewhere). Each iteration is a few O(n) numpy operations written
+into preallocated buffers, so it allocates no array: ``i`` is the maximal
 violator in I_up, ``j`` the partner in I_low that maximizes the second-order
-gain, and the pair is stepped analytically inside the box. A pair whose
-curvature ``K_ii + K_jj - 2 K_ij`` is at most tau (non-positive curvature
-occurs with the indefinite sigmoid kernel) has it raised to tau instead of
-being skipped. Training stops when the maximal violation
+gain, and the pair is stepped analytically inside the box. The step
+``t * (K[i] - K[j])`` is subtracted from all three rows at once, which leaves
+the infinite entries as they are, and only entries ``i`` and ``j`` are then
+reset to their sets. The alphas and labels are Python floats, so the scalar
+bookkeeping indexes no numpy array. A pair whose curvature
+``K_ii + K_jj - 2 K_ij`` is at most tau (non-positive curvature occurs with
+the indefinite sigmoid kernel) has it raised to tau instead of being
+skipped. Training stops when the maximal violation
 ``max_{I_up} v - min_{I_low} v`` drops below tol, which satisfies the
 tol-relaxed KKT conditions that ``kkt_violation`` checks. No random numbers
 are drawn.
@@ -89,54 +97,92 @@ def kkt_violation(svm: BinarySvm, tol: float = 1e-3) -> float:
     return float(viol.max(initial=0.0))
 
 
-def train_svm_binary(X, y, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3) -> BinarySvm:
-    """SMO with WSS2 working-set selection on labels in {-1, +1}."""
+def _training_kernel(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
+    """The n x n kernel matrix of the training rows, checked to be finite.
+
+    A kernel that overflows (a large gamma or degree) would otherwise leave
+    SMO stepping on inf and NaN until its iteration cap.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = kernel_matrix(kernel, X, X)
+    # max and min propagate NaN and reach any inf without an n x n temporary
+    if not (np.isfinite(K.max()) and np.isfinite(K.min())):
+        raise ValueError(
+            f"{kernel.kind} kernel is not finite on the training rows "
+            f"(gamma={kernel.gamma}, degree={kernel.degree}); lower gamma or degree"
+        )
+    return K
+
+
+def train_svm_binary(
+    X, y, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3, K: np.ndarray | None = None
+) -> BinarySvm:
+    """SMO with WSS2 working-set selection on labels in {-1, +1}.
+
+    ``K`` is the kernel matrix of ``X`` against itself; it is computed
+    here when not given.
+    """
     X = as_matrix(X)
     y = np.asarray(y, dtype=float)
     if not ((y == 1).any() and (y == -1).any()):
         raise ValueError("both classes must be present for binary SVM training")
+    if K is None:
+        K = _training_kernel(kernel, X)
 
     n = X.shape[0]
-    K = kernel_matrix(kernel, X, X)
+    C = float(C)  # so alphas set to a bound stay floats
     diag = K.diagonal().copy()
-    alphas = np.zeros(n)
-    v = y.copy()
-    pos = y > 0
-    # I_up: alpha can move so that alpha*y grows; I_low: so that it shrinks
-    up = pos.copy()
-    low = ~pos
+    ys = y.tolist()
+    pos = (y > 0).tolist()
+    alphas = [0.0] * n
+    # rows: v, v on I_up (-inf elsewhere), v on I_low (+inf elsewhere).
+    # I_up: alpha can move so that alpha*y grows; I_low: so that it shrinks.
+    state = np.stack([y, np.where(y > 0, y, -np.inf), np.where(y > 0, np.inf, y)])
+    v, v_up, v_low = state
+    b, a, gain, step = np.empty((4, n))  # per-iteration scratch
     cap = max(10_000_000, 100 * n)
     iterations = tau_clamps = 0
     while True:
-        v_up = np.where(up, v, -np.inf)
-        i = int(np.argmax(v_up))
-        v_low = np.where(low, v, np.inf)
-        m_up, m_low = v_up[i], v_low.min()
+        i = int(v_up.argmax())
+        # argmin finds the same value as min, in a fraction of the time
+        m_up, m_low = float(v_up[i]), float(v_low[v_low.argmin()])
         if m_up - m_low < tol or iterations >= cap:
             break
-        # j maximizes the second-order gain b^2 / a over t in I_low with v_t < v_i
-        b = np.maximum(v[i] - v_low, 0.0)
-        a = diag - 2.0 * K[i]
+        # j maximizes the second-order gain b^2 / a over t in I_low with
+        # v_t < v_i (= m_up); a is the curvature (diag - 2 K[i]) + K_ii
+        np.subtract(m_up, v_low, out=b)
+        np.maximum(b, 0.0, out=b)
+        Ki = K[i]
+        np.multiply(Ki, 2.0, out=a)
+        np.subtract(diag, a, out=a)
         a += diag[i]
         np.maximum(a, _TAU, out=a)
-        j = int(np.argmax(b * b / a))
-        tau_clamps += int(a[j] == _TAU)
+        np.multiply(b, b, out=gain)
+        gain /= a
+        j = int(gain.argmax())
+        a_j = float(a[j])
+        tau_clamps += int(a_j == _TAU)
         # alpha_i y_i grows by t and alpha_j y_j shrinks by t, keeping sum(alpha y)
         ub_i = C - alphas[i] if pos[i] else alphas[i]
         ub_j = alphas[j] if pos[j] else C - alphas[j]
-        t = min(b[j] / a[j], ub_i, ub_j)
-        alphas[i] += y[i] * t
-        alphas[j] -= y[j] * t
+        t = min(float(b[j]) / a_j, ub_i, ub_j)
+        alphas[i] += ys[i] * t
+        alphas[j] -= ys[j] * t
         if t == ub_i:
             alphas[i] = C if pos[i] else 0.0
         if t == ub_j:
             alphas[j] = 0.0 if pos[j] else C
+        np.subtract(Ki, K[j], out=step)
+        step *= t
+        state -= step  # -inf and +inf entries stay put
         for k in (i, j):
-            up[k] = alphas[k] < C if pos[k] else alphas[k] > 0
-            low[k] = alphas[k] > 0 if pos[k] else alphas[k] < C
-        v -= t * (K[i] - K[j])
+            ak = alphas[k]
+            in_up, in_low = (ak < C, ak > 0) if pos[k] else (ak > 0, ak < C)
+            v_up[k] = v[k] if in_up else -np.inf
+            v_low[k] = v[k] if in_low else np.inf
         iterations += 1
 
+    alphas = np.array(alphas)
     free = (alphas > 0) & (alphas < C)
     bias = float(v[free].mean()) if free.any() else float(m_up + m_low) / 2.0
     return BinarySvm(
@@ -211,6 +257,7 @@ def train_svm_ovr(X, y, kernel: KernelSpec, C: float = 1.0) -> SvmOvrModel:
     y = np.asarray(y, dtype=np.int64)
     if np.unique(y).size < 2:
         raise ValueError("at least 2 classes required for one-vs-rest training")
+    K = _training_kernel(kernel, X)  # shared by the three machines
     machines = []
     for cls in range(N_CLASSES):
         if not (y == cls).any():
@@ -218,7 +265,7 @@ def train_svm_ovr(X, y, kernel: KernelSpec, C: float = 1.0) -> SvmOvrModel:
             machines.append({"support_x": np.empty((0, X.shape[1])), "support_coef": np.empty(0), "bias": -1.0})
             continue
         ypm = np.where(y == cls, 1.0, -1.0)
-        svm = train_svm_binary(X, ypm, kernel, C)
+        svm = train_svm_binary(X, ypm, kernel, C, K=K)
         m = svm.support_mask
         machines.append(
             {

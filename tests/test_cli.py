@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import time
 import typing
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from oncograde.models import MODEL_NAMES
 from oncograde.preprocess import PIPELINE_ORDERS, PreprocessConfig, run_pipeline
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
+SAMPLE_CSV = Path(__file__).resolve().parents[1] / "data" / "sample_lung_cancer.csv"
 
 METRIC_KEYS = {
     "accuracy",
@@ -299,6 +301,31 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "cfg.json", data={"csv_path": str(tmp_path / "missing.csv")})
         assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,data",
+        [
+            ("train", {"csv_path": str(SAMPLE_CSV)}),
+            ("cv", {"synthetic": {"n": 150}}),
+        ],
+    )
+    def test_overflowing_kernel_exit_1_in_seconds(self, tmp_path, capsys, command, data):
+        """An overflowing kernel fails fast instead of leaving SMO stepping on NaN."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "data": data,
+            "model": {"name": "svm_poly", "hyperparams": {"gamma": 1e60, "degree": 9}},
+            "eval": {"k": 3},
+        }))
+        out = tmp_path / "o"
+        started = time.perf_counter()
+        assert main([command, "--config", str(cfg), "--output-dir", str(out)]) == 1
+        assert time.perf_counter() - started < 10.0
+        assert capsys.readouterr().err.splitlines() == [
+            "error: polynomial kernel is not finite on the training rows "
+            "(gamma=1e+60, degree=9); lower gamma or degree"
+        ]
+        assert not (out / "model.json").exists() and not (out / "metrics.json").exists()
 
 
 INTEGER_FIELDS = [

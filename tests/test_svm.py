@@ -1,8 +1,12 @@
 import hashlib
 import json
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oncograde.cli import main
 from oncograde.core import derive_stream
@@ -18,6 +22,7 @@ from oncograde.models import (
     train_svm_ovr,
 )
 from oncograde.models.base import svm_kernel_for
+import oncograde.models.svm as svm_module
 from oncograde.models.svm import SvmOvrModel, dual_objective, kkt_violation
 from oncograde.preprocess import PreprocessConfig, run_pipeline
 from tests.conftest import make_blobs
@@ -80,6 +85,19 @@ class TestKernels:
         # population variances are 0.25 each; 1 / (2 * 0.25) = 2
         assert resolve_gamma("scale", X) == pytest.approx(2.0)
         assert resolve_gamma(0.7, X) == 0.7
+
+    @pytest.mark.parametrize("kind", ["rbf", "polynomial", "sigmoid"])
+    def test_holds_at_most_two_output_sized_arrays(self, kind):
+        r = np.random.default_rng(3)
+        A, B = r.normal(size=(400, 5)), r.normal(size=(300, 5))
+        tracemalloc.start()
+        try:
+            kernel_matrix(KernelSpec(kind, gamma=0.3, coef0=0.5), A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two 400 x 300 arrays, plus room for the ufunc iteration buffers
+        assert peak <= 2 * 400 * 300 * 8 + 2**18
 
 
 class TestBinarySmo:
@@ -201,6 +219,132 @@ class TestPinnedSmo:
         assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "run")]) == 0
         model = (tmp_path / "run" / "model.json").read_bytes()
         assert hashlib.sha256(model).hexdigest() == "532cc833bdec869f84e8266976029a38a57f3fff7656fba13b1a4cd0104bb87a"
+
+
+def reference_smo(X, y, kernel, C=1.0, tol=1e-3):
+    """The solver loop as first written, allocating its temporaries and
+    indexing numpy arrays every iteration, for ``train_svm_binary`` to
+    match bit for bit."""
+    K = kernel_matrix(kernel, X, X)
+    n = len(y)
+    diag = K.diagonal().copy()
+    alphas = np.zeros(n)
+    v = y.copy()
+    pos = y > 0
+    up, low = pos.copy(), ~pos
+    iterations = tau_clamps = 0
+    while True:
+        v_up = np.where(up, v, -np.inf)
+        i = int(np.argmax(v_up))
+        v_low = np.where(low, v, np.inf)
+        m_up, m_low = v_up[i], v_low.min()
+        if m_up - m_low < tol:
+            break
+        b = np.maximum(v[i] - v_low, 0.0)
+        a = diag - 2.0 * K[i]
+        a += diag[i]
+        np.maximum(a, 1e-12, out=a)
+        j = int(np.argmax(b * b / a))
+        tau_clamps += int(a[j] == 1e-12)
+        ub_i = C - alphas[i] if pos[i] else alphas[i]
+        ub_j = alphas[j] if pos[j] else C - alphas[j]
+        t = min(b[j] / a[j], ub_i, ub_j)
+        alphas[i] += y[i] * t
+        alphas[j] -= y[j] * t
+        if t == ub_i:
+            alphas[i] = C if pos[i] else 0.0
+        if t == ub_j:
+            alphas[j] = 0.0 if pos[j] else C
+        for k in (i, j):
+            up[k] = alphas[k] < C if pos[k] else alphas[k] > 0
+            low[k] = alphas[k] > 0 if pos[k] else alphas[k] < C
+        v -= t * (K[i] - K[j])
+        iterations += 1
+    free = (alphas > 0) & (alphas < C)
+    bias = float(v[free].mean()) if free.any() else float(m_up + m_low) / 2.0
+    gap = float(m_up - m_low)
+    return SimpleNamespace(
+        alphas=alphas, bias=bias, gap=gap, iterations=iterations, tau_clamps=tau_clamps, hit_cap=False
+    )
+
+
+def same_fit(a, b) -> bool:
+    return (
+        a.alphas.tobytes() == b.alphas.tobytes()
+        and (a.bias, a.gap, a.iterations, a.tau_clamps, a.hit_cap)
+        == (b.bias, b.gap, b.iterations, b.tau_clamps, b.hit_cap)
+    )
+
+
+class TestSharedKernelMatrix:
+    @pytest.fixture()
+    def kernel_calls(self, monkeypatch):
+        calls = []
+
+        def counting(spec, A, B):
+            calls.append(spec.kind)
+            return kernel_matrix(spec, A, B)
+
+        monkeypatch.setattr(svm_module, "kernel_matrix", counting)
+        return calls
+
+    def test_one_kernel_matrix_per_one_vs_rest_fit(self, blobs3, kernel_calls):
+        X, y = blobs3
+        train_svm_ovr(X, y, KernelSpec("rbf", gamma=0.5))
+        assert kernel_calls == ["rbf"]
+
+    def test_one_vs_rest_fit_holds_one_kernel_matrix(self, blobs3):
+        train_svm_ovr(*blobs3, KernelSpec("linear"))  # first-call imports are not the fit's
+        X, y = make_blobs(seed=5, n_per_class=150)
+        tracemalloc.start()
+        try:
+            train_svm_ovr(X, y, KernelSpec("linear"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(y) ** 2 * 8
+
+    def test_absent_class_keeps_constant_machine(self, kernel_calls):
+        X, y = make_blobs(seed=6, n_per_class=20)
+        present = y != 1
+        model = train_svm_ovr(X[present], y[present], KernelSpec("linear"))
+        assert kernel_calls == ["linear"]
+        absent = model.machines[1]
+        assert absent["support_x"].shape == (0, 2) and absent["bias"] == -1.0
+        assert all(m["support_coef"].size > 0 for m in (model.machines[0], model.machines[2]))
+
+    @pytest.mark.parametrize(
+        "kern",
+        [
+            KernelSpec("sigmoid", gamma=1.0, coef0=-1.0),
+            KernelSpec("polynomial", gamma=0.7, degree=2, coef0=-1.0),
+        ],
+    )
+    def test_tau_clamped_fits_same_bits(self, kern):
+        clamps = 0
+        for trial in range(5):
+            X, y = random_binary_problem(trial)
+            given_K = train_svm_binary(X, y, kern, K=kernel_matrix(kern, X, X))
+            assert same_fit(given_K, train_svm_binary(X, y, kern))
+            assert same_fit(given_K, reference_smo(X, y, kern))
+            clamps += given_K.tau_clamps
+        assert clamps > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["linear", "rbf", "polynomial", "sigmoid"]),
+        st.sampled_from([0.1, 0.7, 2.0]),
+        st.sampled_from([-1.0, 0.0, 1.0]),
+        st.integers(1, 4),
+        st.sampled_from([0.1, 1.0, 10.0]),
+    )
+    def test_given_matrix_and_reference_loop_same_bits(self, seed, kind, gamma, coef0, degree, C):
+        X, y = random_binary_problem(seed)
+        kern = KernelSpec(kind, gamma=gamma, degree=degree, coef0=coef0)
+        given_K = train_svm_binary(X, y, kern, C=C, K=kernel_matrix(kern, X, X))
+        assert same_fit(given_K, train_svm_binary(X, y, kern, C=C))
+        assert same_fit(given_K, reference_smo(X, y, kern, C))
 
 
 class TestOneVsRest:
