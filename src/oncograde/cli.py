@@ -370,7 +370,7 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
         model = model_from_doc(wrapper["model"])
     except KeyError as exc:
         raise ConfigError(f"model file {path} is missing key {exc}") from None
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"model file {path}: {exc}") from None
 
     d = _load_dataset(cfg)

@@ -16,6 +16,13 @@ from .base import Hyperparams, model_from_doc, model_to_doc, proba_to_labels
 from .tree import train_tree
 
 
+def _members(params: dict) -> list:
+    """An ensemble document's member models; an empty ensemble cannot predict."""
+    if not params["members"]:
+        raise ValueError("an ensemble needs at least one member")
+    return [model_from_doc(d) for d in params["members"]]
+
+
 @dataclass
 class BaggingModel:
     family = "bagging"
@@ -37,10 +44,7 @@ class BaggingModel:
 
     @classmethod
     def from_params(cls, params: dict) -> "BaggingModel":
-        return cls(
-            members=[model_from_doc(d) for d in params["members"]],
-            base_spec=params["base_spec"],
-        )
+        return cls(members=_members(params), base_spec=params["base_spec"])
 
 
 def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -> BaggingModel:
@@ -95,7 +99,7 @@ class VotingModel:
 
     @classmethod
     def from_params(cls, params: dict) -> "VotingModel":
-        return cls(members=[model_from_doc(d) for d in params["members"]], mode=params["mode"])
+        return cls(members=_members(params), mode=params["mode"])
 
 
 def train_voting(member_specs: list, mode: str, X, y, stream: RngStream, Xval=None, yval=None) -> VotingModel:

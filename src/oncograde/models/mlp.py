@@ -68,11 +68,18 @@ class MlpModel:
 
     @classmethod
     def from_params(cls, params: dict) -> "MlpModel":
-        return cls(
-            weights=[np.asarray(w, dtype=float) for w in params["weights"]],
-            biases=[np.asarray(b, dtype=float) for b in params["biases"]],
-            history=TrainHistory(**params["history"]),
-        )
+        weights = [np.asarray(w, dtype=float) for w in params["weights"]]
+        biases = [np.asarray(b, dtype=float) for b in params["biases"]]
+        if not weights or len(biases) != len(weights):
+            raise ValueError(f"mlp needs 1 or more layers, got {len(weights)} weights and {len(biases)} biases")
+        for k, (w, b) in enumerate(zip(weights, biases)):
+            if w.ndim != 2 or (k and w.shape[0] != weights[k - 1].shape[1]) or b.shape != w.shape[1:]:
+                raise ValueError(f"mlp layer {k}: weights {w.shape} and biases {b.shape} do not chain")
+        if weights[-1].shape[1] != N_CLASSES:
+            raise ValueError(f"mlp output layer is {weights[-1].shape[1]} wide, not {N_CLASSES}")
+        if not all(np.isfinite(a).all() for a in weights + biases):
+            raise ValueError("mlp weights and biases must be finite")
+        return cls(weights, biases, TrainHistory(**params["history"]))
 
 
 def init_params(layer_sizes: list[int], stream: RngStream):

@@ -58,6 +58,8 @@ class TreeModel:
 
     def __post_init__(self):
         n = len(self.nodes)
+        if n == 0:
+            raise ValueError("tree has no nodes")
         internal = np.array(["leaf" not in node for node in self.nodes])
         feature = np.zeros(n, dtype=np.intp)
         threshold = np.zeros(n)
@@ -67,8 +69,16 @@ class TreeModel:
             if internal[i]:
                 feature[i], threshold[i] = node["feature"], node["threshold"]
                 left[i], right[i] = node["left"], node["right"]
+            elif len(node["hist"]) != N_CLASSES:
+                raise ValueError(f"tree node {i}: hist must have {N_CLASSES} entries")
             else:
                 hist[i] = node["hist"]
+        # preorder puts each child after its parent, so every descent ends at a leaf
+        at = np.arange(n)
+        bad = internal & ((np.minimum(left, right) <= at) | (np.maximum(left, right) >= n))
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"tree node {i}: children {left[i]} and {right[i]} must lie in ({i}, {n})")
         total = (hist[:, 0] + hist[:, 1]) + hist[:, 2]
         with np.errstate(invalid="ignore", divide="ignore"):
             proba = hist / total[:, None]  # rows of internal nodes are never read

@@ -546,11 +546,26 @@ class TestEvaluateCommand:
 
 @pytest.fixture(scope="module")
 def trained_model(tmp_path_factory) -> dict:
-    """A bagging model.json document trained once for the malformed-file tests."""
+    """A voting model.json document trained once for the malformed-file tests;
+    its members hold an mlp, an svm_ovr and a bagging document of trees."""
     root = tmp_path_factory.mktemp("trained")
-    cfg = write_config(root / "cfg.json")
+    voting = {"name": "voting", "hyperparams": {"n_estimators": 4, "max_depth": 4, "epochs": 12}}
+    cfg = write_config(root / "cfg.json", model=voting)
     assert main(["train", "--config", str(cfg), "--output-dir", str(root / "run")]) == 0
     return json.loads((root / "run" / "model.json").read_text())
+
+
+def at(doc, *path):
+    """The value at the key path in ``doc``."""
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# the params of the voting members in ``trained_model``, and of its first tree
+MLP = ("model", "params", "members", 0, "params")
+SVM = ("model", "params", "members", 1, "params")
+TREE = ("model", "params", "members", 2, "params", "members", 0, "params")
 
 
 def with_keys(doc: dict, *path_and_value) -> dict:
@@ -578,6 +593,72 @@ MALFORMED_MODEL_FILES = {
     "unknown_family": (
         lambda doc: with_keys(doc, "model", "family", "forest"),
         ": unknown model family: 'forest'",
+    ),
+    "svm_per_machine_layout": (
+        lambda doc: with_keys(doc, *SVM, {"kernel": at(doc, *SVM, "kernel"), "C": 1.0, "machines": []}),
+        "is missing key 'support_x'",
+    ),
+    "svm_two_machines": (
+        lambda doc: with_keys(
+            with_keys(doc, *SVM, "coef", [row[:2] for row in at(doc, *SVM, "coef")]), *SVM, "bias", [0.0, 0.0]
+        ),
+        ": svm support_x, coef and bias must be shaped (n_sv >= 1, d), (n_sv, 3) and (3,)",
+    ),
+    "svm_short_coef": (
+        lambda doc: with_keys(doc, *SVM, "coef", at(doc, *SVM, "coef")[:-1]),
+        ": svm support_x, coef and bias must be shaped",
+    ),
+    "svm_string_bias": (
+        lambda doc: with_keys(doc, *SVM, "bias", ["high", 0.0, 0.0]),
+        ": could not convert string to float: 'high'",
+    ),
+    "svm_not_finite": (
+        lambda doc: with_keys(doc, *SVM, "support_x", 0, 0, float("nan")),
+        ": svm support_x, coef and bias must be finite",
+    ),
+    "mlp_layers_do_not_chain": (
+        lambda doc: with_keys(doc, *MLP, "weights", 1, at(doc, *MLP, "weights", 1)[1:]),
+        ": mlp layer 1: weights (31, 16) and biases (16,) do not chain",
+    ),
+    "mlp_bias_does_not_match": (
+        lambda doc: with_keys(doc, *MLP, "biases", 0, at(doc, *MLP, "biases", 0)[1:]),
+        ": mlp layer 0: weights (80, 32) and biases (31,) do not chain",
+    ),
+    "mlp_two_outputs": (
+        lambda doc: with_keys(
+            with_keys(doc, *MLP, "weights", 2, [row[:2] for row in at(doc, *MLP, "weights", 2)]),
+            *MLP, "biases", 2, [0.0, 0.0],
+        ),
+        ": mlp output layer is 2 wide, not 3",
+    ),
+    "tree_child_out_of_range": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 0, "right", 13),
+        ": tree node 0: children 1 and 13 must lie in (0, 13)",
+    ),
+    "tree_child_points_back": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 1, "left", 0),
+        ": tree node 1: children 0 and 3 must lie in (1, 13)",
+    ),
+    "mlp_no_layers": (
+        lambda doc: with_keys(with_keys(doc, *MLP, "weights", []), *MLP, "biases", []),
+        ": mlp needs 1 or more layers, got 0 weights and 0 biases",
+    ),
+    "voting_no_members": (
+        lambda doc: with_keys(doc, "model", "params", "members", []),
+        ": an ensemble needs at least one member",
+    ),
+    "bagging_no_members": (
+        lambda doc: with_keys(doc, "model", "params", "members", 2, "params", "members", []),
+        ": an ensemble needs at least one member",
+    ),
+    "tree_no_nodes": (lambda doc: with_keys(doc, *TREE, "nodes", []), ": tree has no nodes"),
+    "tree_child_infinite": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 0, "right", float("inf")),
+        ": cannot convert float infinity to integer",
+    ),
+    "tree_short_hist": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", [46.0]),
+        ": tree node 2: hist must have 3 entries",
     ),
 }
 
@@ -616,7 +697,7 @@ class TestMalformedModelFile:
 
     def test_failure_while_scoring_exit_1(self, tmp_path, capsys, trained_model):
         # a well-formed document whose trees expect other inputs fails in predict
-        doc = with_keys(trained_model, "model", "params", "members", 0, "params", "n_features", 3)
+        doc = with_keys(trained_model, *TREE, "n_features", 3)
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(doc))
         argv, out = self.evaluate(tmp_path, model_path)

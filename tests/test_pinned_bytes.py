@@ -94,7 +94,8 @@ class TestPinnedDigests:
         """Voting's dnn, svm_rbf and bagging members write the history, kernel
         and tree documents. The digests were computed with the hand-written
         field lists that ``dataclasses.asdict`` replaced in those documents
-        and in the metrics report."""
+        and in the metrics report; the model digest was re-recorded with one
+        BLAS thread and the svm_rbf member in the one-support-set layout."""
         cfg = write_json(
             tmp_path / "train.json",
             {
@@ -109,7 +110,7 @@ class TestPinnedDigests:
         assert main(["train", "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
         model = (tmp_path / "run" / "model.json").read_bytes()
         metrics = (tmp_path / "run" / "metrics.json").read_bytes()
-        assert hashlib.sha256(model).hexdigest() == "c400d806625f55e9c00b0a2f1b558dbde00ea44e0e4e5074ac83fce5befd4af4"
+        assert hashlib.sha256(model).hexdigest() == "42b884edb45420c02786b285d3253be2ffdd15234c62b6e44bf5b3aa3f8d5fcc"
         assert hashlib.sha256(metrics).hexdigest() == "4f089a5a6539ce25112c6d7c2df2e165001715c3fcd1fa98ba85c3d3240cc445"
 
     def test_leak_safe_train_documents(self, tmp_path):

@@ -49,11 +49,42 @@ def smo_digest(svm) -> str:
 
 
 @pytest.fixture(scope="module")
-def paper_rows():
-    """The seed-42, n=1000 paper_order training rows (876 x 59)."""
+def paper_split():
+    """The seed-42, n=1000 paper_order split (876 training and 219 test rows, 59 columns)."""
     d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
-    prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
-    return prep.X_train, prep.y_train
+    return run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
+
+
+@pytest.fixture(scope="module")
+def paper_rows(paper_split):
+    """The seed-42, n=1000 paper_order training rows (876 x 59)."""
+    return paper_split.X_train, paper_split.y_train
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """The kind of each ``kernel_matrix`` call made from ``svm.py``."""
+    calls = []
+
+    def counting(spec, A, B):
+        calls.append(spec.kind)
+        return kernel_matrix(spec, A, B)
+
+    monkeypatch.setattr(svm_module, "kernel_matrix", counting)
+    return calls
+
+
+@pytest.fixture()
+def machines(monkeypatch):
+    """The binary machines each ``train_svm_ovr`` call trains, by class."""
+    fitted = []
+
+    def recording(X, y, kernel, C=1.0, tol=1e-3, K=None):
+        fitted.append(train_svm_binary(X, y, kernel, C, tol, K))
+        return fitted[-1]
+
+    monkeypatch.setattr(svm_module, "train_svm_binary", recording)
+    return fitted
 
 
 class TestKernels:
@@ -187,14 +218,17 @@ class TestWorkingSetSolver:
 class TestPinnedSmo:
     """Bit pins of the SMO output (alphas, bias, gap, iterations, tau
     clamps). The digests were computed with the solver that rebuilt the
-    kernel matrix per machine and allocated its temporaries per iteration."""
+    kernel matrix per machine and allocated its temporaries per iteration,
+    with one BLAS thread (the root ``conftest.py``): at two, ``X @ X.T``
+    differs by one ulp in one entry, which moves the svm_linear machine.
+    The svm_poly document is pinned in the one-support-set layout."""
 
     @pytest.mark.parametrize(
         "name,cls,iterations,tau_clamps,digest",
         [
             ("svm_poly", 2, 1326, 0, "e3d80257ec7397791ce082c1289138cd438b7e53f5f04d13fd059f503e0c02bc"),
             ("svm_sigmoid", 0, 295, 293, "87bdde00209d0dd5bea425c51dcc8ba69e4d0eac45a396a69d06d920a0c16cf9"),
-            ("svm_linear", 1, 616, 0, "df00a70dcb633166ac3e65ea57dcfc9b3672de7e45e88912e3a60b2e34bd05b9"),
+            ("svm_linear", 1, 616, 0, "6563b89d7a3b65244c9b5efa51a56c5593db669230418f9577f99d3ddead0edf"),
         ],
     )
     def test_paper_order_machine(self, paper_rows, name, cls, iterations, tau_clamps, digest):
@@ -218,7 +252,7 @@ class TestPinnedSmo:
         ))
         assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "run")]) == 0
         model = (tmp_path / "run" / "model.json").read_bytes()
-        assert hashlib.sha256(model).hexdigest() == "532cc833bdec869f84e8266976029a38a57f3fff7656fba13b1a4cd0104bb87a"
+        assert hashlib.sha256(model).hexdigest() == "98cd13fd4d5ced9349a92e6248b6f72f0026b9bf2943cc2f0fcbdd4ccb9020a5"
 
 
 def reference_smo(X, y, kernel, C=1.0, tol=1e-3):
@@ -277,17 +311,6 @@ def same_fit(a, b) -> bool:
 
 
 class TestSharedKernelMatrix:
-    @pytest.fixture()
-    def kernel_calls(self, monkeypatch):
-        calls = []
-
-        def counting(spec, A, B):
-            calls.append(spec.kind)
-            return kernel_matrix(spec, A, B)
-
-        monkeypatch.setattr(svm_module, "kernel_matrix", counting)
-        return calls
-
     def test_one_kernel_matrix_per_one_vs_rest_fit(self, blobs3, kernel_calls):
         X, y = blobs3
         train_svm_ovr(X, y, KernelSpec("rbf", gamma=0.5))
@@ -309,9 +332,9 @@ class TestSharedKernelMatrix:
         present = y != 1
         model = train_svm_ovr(X[present], y[present], KernelSpec("linear"))
         assert kernel_calls == ["linear"]
-        absent = model.machines[1]
-        assert absent["support_x"].shape == (0, 2) and absent["bias"] == -1.0
-        assert all(m["support_coef"].size > 0 for m in (model.machines[0], model.machines[2]))
+        assert model.support_x.shape[1] == 2
+        assert not model.coef[:, 1].any() and model.bias[1] == -1.0
+        assert model.coef[:, 0].any() and model.coef[:, 2].any()
 
     @pytest.mark.parametrize(
         "kern",
@@ -358,12 +381,9 @@ class TestOneVsRest:
     def test_equal_decisions_tie_to_class_zero(self):
         model = SvmOvrModel(
             kernel=KernelSpec("linear"),
-            C=1.0,
-            machines=[
-                {"support_x": np.empty((0, 2)), "support_coef": np.empty(0), "bias": 0.25}
-                for _ in range(3)
-            ],
-            n_features=2,
+            support_x=np.empty((0, 2)),
+            coef=np.empty((0, 3)),
+            bias=np.full(3, 0.25),
         )
         assert model.predict(np.zeros((4, 2))).tolist() == [0, 0, 0, 0]
 
@@ -385,9 +405,10 @@ class TestOneVsRest:
         present = y != 1
         model = train_svm_ovr(X[present], y[present], KernelSpec(kind, gamma=0.5))
         doc = json.loads(json.dumps(model_to_doc(model)))
-        assert doc["params"]["machines"][1]["support_x"] == []
+        assert [row[1] for row in doc["params"]["coef"]] == [0.0] * len(doc["params"]["coef"])
+        assert doc["params"]["bias"][1] == -1.0
         loaded = model_from_doc(doc)
-        assert loaded.machines[1]["support_x"].shape == (0, 2)
+        assert not loaded.coef[:, 1].any() and loaded.support_x.shape[1] == 2
 
         grid = np.random.default_rng(6).uniform(-6.0, 10.0, size=(400, 2))
         rows = np.vstack([X, grid])
@@ -401,3 +422,80 @@ class TestOneVsRest:
         model = train_svm_ovr(X, y, KernelSpec("linear"))
         assert model.predict(np.zeros((0, 2))).shape == (0,)
         assert model.predict_proba(np.zeros((0, 2))).shape == (0, 3)
+
+
+PAPER_SVMS = ("svm_rbf", "svm_linear", "svm_poly", "svm_sigmoid")
+
+
+def stacked_decisions(fitted, classes, Xq) -> np.ndarray:
+    """The binary machines' decisions by class; an absent class decides -1."""
+    columns = [np.full(len(Xq), -1.0)] * 3
+    for cls, svm in zip(classes, fitted):
+        columns[cls] = svm.decision(Xq)
+    return np.column_stack(columns)
+
+
+def assert_same_decisions(got, reference):
+    assert np.array_equal(got.argmax(axis=1), reference.argmax(axis=1))
+    assert np.abs(got - reference).max() <= 1e-9 * np.abs(reference).max()
+
+
+class TestSupportSet:
+    """One support matrix and one coefficient matrix per one-vs-rest model."""
+
+    @pytest.mark.parametrize("name", PAPER_SVMS)
+    def test_decisions_match_the_binary_machines(self, paper_split, machines, name):
+        X, y = paper_split.X_train, paper_split.y_train
+        model = ModelSpec(name).train(X, y, derive_stream(42, 2))
+        rows = np.vstack([paper_split.X_test, X])
+        assert_same_decisions(model.decision_matrix(rows), stacked_decisions(machines, range(3), rows))
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial", "sigmoid"])
+    def test_absent_class_decisions_match_the_binary_machines(self, machines, kind):
+        X, y = make_blobs(seed=6, n_per_class=20)
+        present = y != 1
+        model = train_svm_ovr(X[present], y[present], KernelSpec(kind, gamma=0.5, coef0=0.5))
+        rows = np.vstack([X, np.random.default_rng(6).uniform(-6.0, 10.0, size=(400, 2))])
+        assert_same_decisions(model.decision_matrix(rows), stacked_decisions(machines, (0, 2), rows))
+
+    def test_support_rows_are_stored_once_in_training_order(self, paper_rows, machines):
+        X, y = paper_rows
+        model = ModelSpec("svm_rbf").train(X, y, derive_stream(42, 2))
+        union = np.any([svm.support_mask for svm in machines], axis=0)
+        assert np.array_equal(model.support_x, X[union])
+        for cls, svm in enumerate(machines):
+            assert np.array_equal(model.coef[:, cls], (svm.alphas * svm.y)[union])
+            assert model.bias[cls] == svm.bias
+        # 486 support vectors over the three machines, 290 distinct rows
+        assert (len(model.support_x), sum(int(svm.support_mask.sum()) for svm in machines)) == (290, 486)
+
+    def test_one_kernel_matrix_per_decision_matrix(self, blobs3, kernel_calls):
+        X, y = blobs3
+        model = train_svm_ovr(X, y, KernelSpec("rbf", gamma=0.5))
+        kernel_calls.clear()
+        model.decision_matrix(X)
+        model.predict(X)
+        model.predict_proba(X)
+        assert kernel_calls == ["rbf"] * 3
+
+    def test_document_holds_kernel_and_three_arrays(self, blobs3):
+        model = train_svm_ovr(*blobs3, KernelSpec("rbf", gamma=0.5))
+        params = model_to_doc(model)["params"]
+        assert list(params) == ["kernel", "support_x", "coef", "bias"]
+        n_sv = len(params["support_x"])
+        assert np.shape(params["coef"]) == (n_sv, 3) and np.shape(params["bias"]) == (3,)
+
+
+def test_sigmoid_machines_end_at_box_corners_and_are_inverted(paper_split, machines):
+    """The diagnosis in the ``svm.py`` docstring, on the seed-42 paper rows."""
+    spec = ModelSpec("svm_sigmoid")
+    model = spec.train(paper_split.X_train, paper_split.y_train, derive_stream(42, 2))
+    C = spec.hyperparams.C
+    for svm in machines:
+        assert ((svm.alphas > 0) & (svm.alphas < C)).sum() <= 2
+    for svm in (machines[0], machines[2]):
+        assert (svm.alphas[svm.y > 0] == C).all()
+    D = model.decision_matrix(paper_split.X_test)
+    lowest = np.mean(D.argmin(axis=1) == paper_split.y_test)
+    highest = np.mean(D.argmax(axis=1) == paper_split.y_test)
+    assert lowest > highest
