@@ -155,22 +155,26 @@ def parse_config(doc) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
 
-def load_config(path: str) -> RunConfig:
+def _json_object(path: str, what: str) -> dict:
+    """The JSON object in the ``what`` at ``path``; failing to read one is a
+    config error naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return parse_config(doc)
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a decode error, of the JSON or of its UTF-8
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path}: not a JSON object")
+    return doc
+
+
+def load_config(path: str) -> RunConfig:
+    return parse_config(_json_object(path, "config"))
 
 
 # --- artifact management ------------------------------------------------------
-
-
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 class ArtifactWriter:
@@ -192,7 +196,7 @@ class ArtifactWriter:
         self._finalize(name, tmp)
 
     def write_json(self, name: str, obj) -> None:
-        self.write_text(name, _dump_json(obj))
+        self.write_text(name, json.dumps(obj, indent=2) + "\n")
 
     def write_svg(self, name: str, chart: str, data: dict) -> None:
         tmp = os.path.join(self.output_dir, f".{name}.tmp")
@@ -216,7 +220,7 @@ class ArtifactWriter:
             "duration_seconds": time.time() - started,
             "artifacts": self.digests(),
         }
-        self.write_text("manifest.json", _dump_json(manifest))
+        self.write_json("manifest.json", manifest)
 
     def cleanup(self) -> None:
         for name in self.written:
@@ -227,21 +231,6 @@ class ArtifactWriter:
 
 
 # --- shared helpers -----------------------------------------------------------
-
-
-def _json_object(path: str, what: str) -> dict:
-    """The JSON object in the ``what`` at ``path``; failing to read one is a
-    config error naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} {path}: not a JSON object")
-    return doc
 
 
 def _load_dataset(cfg: RunConfig) -> Dataset:

@@ -18,9 +18,8 @@ whole depth, restarted at each segment, gives each candidate's left
 histogram, and Gini gains and ``min_child_weight`` masks are evaluated
 only where the value changes inside a segment. After the splits, a
 stable partition of the index matrix carries each open child's rows on,
-so no node sorts again, and the nodes are renumbered into preorder (a
-left child is its parent + 1) at the end. Blocks of at most
-``_BLOCK_CELLS`` (feature, row) cells bound every per-depth temporary.
+so no node sorts again. Blocks of at most ``_BLOCK_CELLS`` (feature, row)
+cells bound every per-depth temporary.
 
 Sample weights are whole row counts, so every weight sum is exact in any
 order. With the Gini expression fixed (class histograms add as
@@ -29,15 +28,16 @@ every feature at every node, and training on a resample's distinct rows
 weighted by their draw counts grows the same tree as training on the
 resample.
 
-Prediction uses flat ``feature/threshold/left/right`` arrays and a
-leaf-probability table built once per model. Leaves point to themselves,
-so all rows advance one level per step until every row sits on a leaf.
-The node dicts stay the serialized form.
+A tree is parallel node arrays, numbered breadth-first as they grow (the
+layout of scikit-learn's trees). A leaf's children are the leaf itself,
+so prediction advances every row one level per step until all rows sit
+on leaves. Node dicts in preorder are only the serialized form, which
+``to_params`` writes and ``from_params`` reads and checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,37 +52,12 @@ _BLOCK_CELLS = 16 * 1024
 @dataclass
 class TreeModel:
     family = "tree"
-    nodes: list[dict]
     n_features: int
-    _flat: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = len(self.nodes)
-        if n == 0:
-            raise ValueError("tree has no nodes")
-        internal = np.array(["leaf" not in node for node in self.nodes])
-        feature = np.zeros(n, dtype=np.intp)
-        threshold = np.zeros(n)
-        left, right = np.arange(n), np.arange(n)
-        hist = np.zeros((n, N_CLASSES))
-        for i, node in enumerate(self.nodes):
-            if internal[i]:
-                feature[i], threshold[i] = node["feature"], node["threshold"]
-                left[i], right[i] = node["left"], node["right"]
-            elif len(node["hist"]) != N_CLASSES:
-                raise ValueError(f"tree node {i}: hist must have {N_CLASSES} entries")
-            else:
-                hist[i] = node["hist"]
-        # preorder puts each child after its parent, so every descent ends at a leaf
-        at = np.arange(n)
-        bad = internal & ((np.minimum(left, right) <= at) | (np.maximum(left, right) >= n))
-        if bad.any():
-            i = int(bad.argmax())
-            raise ValueError(f"tree node {i}: children {left[i]} and {right[i]} must lie in ({i}, {n})")
-        total = (hist[:, 0] + hist[:, 1]) + hist[:, 2]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            proba = hist / total[:, None]  # rows of internal nodes are never read
-        self._flat = (internal, feature, threshold, left, right, proba)
+    feature: np.ndarray  # (n_nodes,) split feature, 0 at a leaf
+    threshold: np.ndarray  # (n_nodes,) rows with value <= threshold go left, 0 at a leaf
+    left: np.ndarray  # (n_nodes,) child node ids; a leaf's are its own id
+    right: np.ndarray
+    hist: np.ndarray  # (n_nodes, 3) class weights; only a leaf's are read
 
     def predict_proba(self, X) -> np.ndarray:
         X = as_matrix(X)
@@ -90,26 +65,70 @@ class TreeModel:
             raise ValueError(
                 f"dimension mismatch: model expects {self.n_features} features, got {X.shape[1]}"
             )
-        internal, feature, threshold, left, right, proba = self._flat
-        rows = np.arange(X.shape[0])
+        internal = self.left != np.arange(self.left.size)
+        cells = X.ravel()
+        row_start = np.arange(X.shape[0]) * X.shape[1]
         at = np.zeros(X.shape[0], dtype=np.intp)
-        while internal[at].any():
-            at = np.where(X[rows, feature[at]] <= threshold[at], left[at], right[at])
-        return proba[at]
+        while internal.take(at).any():
+            go_left = cells.take(row_start + self.feature.take(at)) <= self.threshold.take(at)
+            at = np.where(go_left, self.left.take(at), self.right.take(at))
+        hist = self.hist.take(at, axis=0)
+        return hist / ((hist[:, 0] + hist[:, 1]) + hist[:, 2])[:, None]
 
     def predict(self, X) -> np.ndarray:
         return proba_to_labels(self.predict_proba(X))
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return self.left.size
 
     def to_params(self) -> dict:
-        return {"n_features": self.n_features, "nodes": self.nodes}
+        """The nodes in preorder: each left child comes right after its parent."""
+        feature, threshold, left, right, hist = (
+            a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.hist)
+        )
+        nodes, stack = [], [(0, None)]  # (node id, the emitted node it is the right child of)
+        while stack:
+            i, parent = stack.pop()
+            if parent is not None:
+                nodes[parent]["right"] = len(nodes)
+            if left[i] == i:
+                nodes.append({"leaf": True, "hist": hist[i]})
+            else:
+                nodes.append({"feature": feature[i], "threshold": threshold[i], "left": len(nodes) + 1, "right": None})
+                stack += [(right[i], len(nodes) - 1), (left[i], None)]
+        return {"n_features": self.n_features, "nodes": nodes}
 
     @classmethod
     def from_params(cls, params: dict) -> "TreeModel":
-        return cls(nodes=params["nodes"], n_features=params["n_features"])
+        """Read ``to_params``'s nodes; a node that cannot predict raises ``ValueError``."""
+        nodes, n_features = params["nodes"], params["n_features"]
+        n = len(nodes)
+        if n == 0:
+            raise ValueError("tree has no nodes")
+        feature, threshold = np.zeros(n, dtype=np.intp), np.zeros(n)
+        left, right, hist = np.arange(n), np.arange(n), np.zeros((n, N_CLASSES))
+        for i, node in enumerate(nodes):
+            if "leaf" in node:
+                if len(node["hist"]) != N_CLASSES:
+                    raise ValueError(f"tree node {i}: hist must have {N_CLASSES} entries")
+                hist[i] = node["hist"]
+                h = hist[i].tolist()  # a NaN entry makes the sum NaN
+                if not (min(h) >= 0 and 0 < sum(h) < np.inf):
+                    raise ValueError(
+                        f"tree node {i}: hist {h} must be non-negative with a finite, positive total"
+                    )
+                continue
+            feature[i], threshold[i] = node["feature"], node["threshold"]
+            left[i], right[i] = node["left"], node["right"]
+            # preorder puts each child after its parent, so every descent ends at a leaf
+            if not (i < left[i] < n and i < right[i] < n):
+                raise ValueError(f"tree node {i}: children {left[i]} and {right[i]} must lie in ({i}, {n})")
+            if not (feature[i] == node["feature"] and 0 <= feature[i] < n_features):
+                raise ValueError(f"tree node {i}: feature {node['feature']!r} must be an integer in [0, {n_features})")
+            if not -np.inf < threshold[i] < np.inf:
+                raise ValueError(f"tree node {i}: threshold {threshold[i]} must be finite")
+        return cls(n_features, feature, threshold, left, right, hist)
 
 
 class _PackedCounts:
@@ -203,21 +222,6 @@ def _open(hist: np.ndarray, depth: int, max_depth: int) -> np.ndarray:
     return (depth < max_depth) & ((hist > 0).sum(axis=0) > 1)
 
 
-def _preorder(nodes: list[dict]) -> list[dict]:
-    """Renumber breadth-first nodes so each left child is its parent + 1."""
-    ids, stack = [], [0]
-    while stack:
-        i = stack.pop()
-        ids.append(i)
-        if "leaf" not in nodes[i]:
-            stack += [nodes[i]["right"], nodes[i]["left"]]
-    new_id = dict(zip(ids, range(len(ids))))
-    for node in nodes:
-        if "leaf" not in node:
-            node["left"], node["right"] = new_id[node["left"]], new_id[node["right"]]
-    return [nodes[i] for i in ids]
-
-
 def train_tree(X, y, sample_weights=None, max_depth: int = 8, min_child_weight: float = 1.0) -> TreeModel:
     """Fit CART; ``sample_weights`` are whole row counts (default 1 each)."""
     X = as_matrix(X)
@@ -239,9 +243,11 @@ def train_tree(X, y, sample_weights=None, max_depth: int = 8, min_child_weight: 
     packed = _PackedCounts(w.sum())
     row_words = packed.pack(class_w)
     hist = class_w.sum(axis=1)[:, None]  # (class, node); whole numbers sum exactly
-    nodes = [{"leaf": True, "hist": hist[:, 0].tolist()}]  # breadth-first until _preorder
+    # the node arrays, breadth-first; each node starts as a leaf
+    feature, threshold = np.zeros(1, dtype=np.intp), np.zeros(1)
+    left, right, node_hist = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), hist.T
     if not _open(hist, 0, max_depth)[0]:
-        return TreeModel(nodes=nodes, n_features=m)
+        return TreeModel(m, feature, threshold, left, right, node_hist)
     # the open nodes of one depth, as consecutive segments of every row of
     # ``order``; the order of tied values never reaches the output
     order = np.argsort(Xt, axis=1).astype(np.int32)
@@ -260,15 +266,14 @@ def train_tree(X, y, sample_weights=None, max_depth: int = 8, min_child_weight: 
         seg, moved = seg_of_col[in_split], order[0, in_split]
         child = (np.cumsum(split) - 1)[seg] + k * (Xt[feat[seg], moved] > thr[seg])
         child_hist = np.stack([np.bincount(child, class_w[c, moved], 2 * k) for c in range(N_CLASSES)])
-        first = len(nodes)
-        for c, s in enumerate(np.flatnonzero(split)):
-            nodes[seg_node[s]] = {
-                "feature": int(feat[s]),
-                "threshold": float(thr[s]),
-                "left": first + c,
-                "right": first + k + c,
-            }
-        nodes += [{"leaf": True, "hist": h} for h in child_hist.T.tolist()]
+        first, parent = feature.size, seg_node[split]
+        feature[parent], threshold[parent] = feat[split], thr[split]
+        left[parent], right[parent] = first + np.arange(k), first + k + np.arange(k)
+        children = np.arange(first, first + 2 * k)
+        feature = np.append(feature, np.zeros(2 * k, dtype=np.intp))
+        threshold = np.append(threshold, np.zeros(2 * k))
+        left, right = np.append(left, children), np.append(right, children)
+        node_hist = np.vstack([node_hist, child_hist.T])
         depth += 1
         is_open = _open(child_hist, depth, max_depth)
         if not is_open.any():
@@ -289,4 +294,4 @@ def train_tree(X, y, sample_weights=None, max_depth: int = 8, min_child_weight: 
         sizes = np.bincount(child, minlength=2 * k)[is_open]
         seg_node = first + np.flatnonzero(is_open)
         hist = child_hist[:, is_open]
-    return TreeModel(nodes=_preorder(nodes), n_features=m)
+    return TreeModel(m, feature, threshold, left, right, node_hist)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import RngStream, as_matrix, shuffle
-from .dataset import Dataset, N_CLASSES, csv_text
+from .dataset import FEATURE_NAMES, Dataset, N_CLASSES, csv_text
 
 PIPELINE_ORDERS = ("paper_order", "leak_safe")
 
@@ -123,6 +123,10 @@ def pearson_matrix(X, feature_names: list[str] | None = None) -> CorrelationRepo
     if feature_names is None:
         feature_names = [f"col_{j}" for j in range(m)]
     centered = X - X.mean(axis=0)
+    # each column scaled by a power of two, so its largest entry lies in
+    # [0.5, 1): exact, so r keeps its bits, and a column of tiny values no
+    # longer loses precision to subnormal squares
+    centered = np.ldexp(centered, -np.frexp(np.abs(centered).max(axis=0))[1])
     sd = np.sqrt((centered**2).mean(axis=0))
     zero_var = [int(j) for j in np.where(sd == 0)[0]]
     safe_sd = np.where(sd == 0, 1.0, sd)
@@ -373,12 +377,29 @@ class Preprocessor:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Preprocessor":
+        """Read ``to_dict``'s document; one that cannot transform rows of the
+        dataset schema raises ``ValueError``."""
+        m = len(FEATURE_NAMES)
+        if d["feature_names"] != list(FEATURE_NAMES):
+            raise ValueError(f"pipeline feature_names must be the dataset's {m} feature names in order")
+        minmax = MinMaxParams.from_dict(d["minmax"])
+        lo, hi = minmax.col_min, minmax.col_max
+        finite = np.isfinite(lo).all() and np.isfinite(hi).all()
+        if not (lo.shape == hi.shape == (m,) and finite and (lo <= hi).all()):
+            raise ValueError(f"pipeline minmax min and max must each hold {m} finite values, with min <= max")
+        pairs = [(int(i), int(j)) for i, j in d["engineered_pairs"]]
+        for i, j in pairs:
+            if not 0 <= i < j < m:
+                raise ValueError(f"pipeline engineered pair [{i}, {j}] must satisfy 0 <= i < j < {m}")
+        names = list(d["engineered_names"])
+        if len(names) != len(pairs):
+            raise ValueError(f"pipeline has {len(pairs)} engineered pairs but {len(names)} engineered names")
         return cls(
-            feature_names=list(d["feature_names"]),
+            feature_names=list(FEATURE_NAMES),
             settings=PreprocessConfig(d["order"], corr_hi=d["corr_hi"], corr_lo=d["corr_lo"]),
-            minmax=MinMaxParams.from_dict(d["minmax"]),
-            engineered_pairs=[(int(i), int(j)) for i, j in d["engineered_pairs"]],
-            engineered_names=list(d["engineered_names"]),
+            minmax=minmax,
+            engineered_pairs=pairs,
+            engineered_names=names,
         )
 
 

@@ -152,6 +152,35 @@ class TestConfigErrors:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "cannot read config {path}: No such file or directory"),
+            (
+                b"{not json",
+                "config {path} is not valid JSON: "
+                "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+            ),
+            (b"[1, 2]", "config {path}: not a JSON object"),
+            (
+                b"\xff{}",
+                "config {path} is not valid JSON: "
+                "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
+        ],
+        ids=["missing", "not_json", "list", "not_utf8"],
+    )
+    def test_unreadable_config_exit_2_naming_the_file(self, tmp_path, capsys, content, message):
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first == "error: " + message.format(path=cfg)
+        assert rest[0].startswith("usage:")
+        assert not out.exists()
+
     def test_both_data_sources_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -660,6 +689,70 @@ MALFORMED_MODEL_FILES = {
         lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", [46.0]),
         ": tree node 2: hist must have 3 entries",
     ),
+    "tree_feature_negative": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 0, "feature", -1),
+        ": tree node 0: feature -1 must be an integer in [0, 80)",
+    ),
+    "tree_feature_past_width": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 0, "feature", 80),
+        ": tree node 0: feature 80 must be an integer in [0, 80)",
+    ),
+    "tree_feature_fractional": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 0, "feature", 40.5),
+        ": tree node 0: feature 40.5 must be an integer in [0, 80)",
+    ),
+    "tree_threshold_infinite": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 0, "threshold", float("inf")),
+        ": tree node 0: threshold inf must be finite",
+    ),
+    "tree_threshold_nan": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 1, "threshold", float("nan")),
+        ": tree node 1: threshold nan must be finite",
+    ),
+    "tree_hist_zero": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", [0, 0, 0]),
+        ": tree node 2: hist [0.0, 0.0, 0.0] must be non-negative with a finite, positive total",
+    ),
+    "tree_hist_negative": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", [46.0, -1.0, 0.0]),
+        ": tree node 2: hist [46.0, -1.0, 0.0] must be non-negative with a finite, positive total",
+    ),
+    "tree_hist_not_finite": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 3, "hist", [0.0, float("inf"), 0.0]),
+        ": tree node 3: hist [0.0, inf, 0.0] must be non-negative with a finite, positive total",
+    ),
+    "pipeline_pair_negative": (
+        lambda doc: with_keys(doc, "pipeline", "engineered_pairs", 0, [-1, 3]),
+        ": pipeline engineered pair [-1, 3] must satisfy 0 <= i < j < 23",
+    ),
+    "pipeline_pair_reversed": (
+        lambda doc: with_keys(doc, "pipeline", "engineered_pairs", 0, [3, 2]),
+        ": pipeline engineered pair [3, 2] must satisfy 0 <= i < j < 23",
+    ),
+    "pipeline_pair_past_width": (
+        lambda doc: with_keys(doc, "pipeline", "engineered_pairs", 0, [2, 23]),
+        ": pipeline engineered pair [2, 23] must satisfy 0 <= i < j < 23",
+    ),
+    "pipeline_pair_names_differ": (
+        lambda doc: with_keys(doc, "pipeline", "engineered_names", at(doc, "pipeline", "engineered_names")[1:]),
+        ": pipeline has 57 engineered pairs but 56 engineered names",
+    ),
+    "pipeline_feature_names": (
+        lambda doc: with_keys(doc, "pipeline", "feature_names", 0, "Years"),
+        ": pipeline feature_names must be the dataset's 23 feature names in order",
+    ),
+    "pipeline_max_infinite": (
+        lambda doc: with_keys(doc, "pipeline", "minmax", "max", 0, float("inf")),
+        ": pipeline minmax min and max must each hold 23 finite values, with min <= max",
+    ),
+    "pipeline_short_min": (
+        lambda doc: with_keys(doc, "pipeline", "minmax", "min", at(doc, "pipeline", "minmax", "min")[1:]),
+        ": pipeline minmax min and max must each hold 23 finite values, with min <= max",
+    ),
+    "pipeline_min_above_max": (
+        lambda doc: with_keys(doc, "pipeline", "minmax", "min", 0, at(doc, "pipeline", "minmax", "max", 0) + 1),
+        ": pipeline minmax min and max must each hold 23 finite values, with min <= max",
+    ),
 }
 
 
@@ -697,7 +790,7 @@ class TestMalformedModelFile:
 
     def test_failure_while_scoring_exit_1(self, tmp_path, capsys, trained_model):
         # a well-formed document whose trees expect other inputs fails in predict
-        doc = with_keys(trained_model, *TREE, "n_features", 3)
+        doc = with_keys(trained_model, *TREE, "n_features", at(trained_model, *TREE, "n_features") + 1)
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(doc))
         argv, out = self.evaluate(tmp_path, model_path)

@@ -20,7 +20,7 @@ from oncograde.models.tree import TreeModel
 
 def leaf_model(hist):
     """Single-leaf tree with fixed class weights; constant predictions."""
-    return TreeModel(nodes=[{"leaf": True, "hist": list(hist)}], n_features=2)
+    return TreeModel.from_params({"nodes": [{"leaf": True, "hist": list(hist)}], "n_features": 2})
 
 
 class TestBagging:

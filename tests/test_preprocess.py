@@ -111,6 +111,14 @@ class TestPearson:
         assert (np.abs(r) <= 1 + 1e-12).all()
         assert np.allclose(r, r.T)
 
+    def test_bounded_on_a_column_of_tiny_values(self):
+        # squares of 1e-156 are subnormal; they made this r 1.0000000000044713
+        X = np.zeros((6, 4))
+        X[5, 0], X[5, 1] = 1.0, 1.0191897999465152e-156
+        r = pearson_matrix(X).matrix
+        assert (np.abs(r) <= 1 + 1e-12).all()
+        assert r[0, 1] == pytest.approx(1.0, abs=1e-15)
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 3))

@@ -20,10 +20,11 @@ def _gini(hist):
 
 def _walk_splits(model, X, y, w):
     """Replay every split, yielding (parent_rows, left_rows, right_rows)."""
+    nodes = model.to_params()["nodes"]
     stack = [(0, np.arange(len(y)))]
     while stack:
         idx, rows = stack.pop()
-        node = model.nodes[idx]
+        node = nodes[idx]
         if "leaf" in node:
             continue
         mask = X[rows, node["feature"]] <= node["threshold"]
@@ -35,14 +36,15 @@ def _walk_splits(model, X, y, w):
 
 def reference_predict_proba(model, X):
     """Per-row node walk: the reference for the flat-array predict."""
+    nodes = model.to_params()["nodes"]
     out = np.empty((X.shape[0], N_CLASSES))
     for r in range(X.shape[0]):
-        node = model.nodes[0]
+        node = nodes[0]
         while "leaf" not in node:
             if X[r, node["feature"]] <= node["threshold"]:
-                node = model.nodes[node["left"]]
+                node = nodes[node["left"]]
             else:
-                node = model.nodes[node["right"]]
+                node = nodes[node["right"]]
         hist = np.asarray(node["hist"], dtype=float)
         out[r] = hist / hist.sum()
     return out
@@ -135,7 +137,7 @@ class TestPresortedFit:
         # deep trees hold many open nodes, so one depth's pass spans many segments
         X, y, w, depth, mcw = random_tree_problem(seed, max_rows=400, max_depth=12)
         model = train_tree(X, y, sample_weights=w, max_depth=depth, min_child_weight=mcw)
-        assert json.dumps(model.nodes) == json.dumps(reference_tree_nodes(X, y, w, depth, mcw))
+        assert json.dumps(model.to_params()["nodes"]) == json.dumps(reference_tree_nodes(X, y, w, depth, mcw))
 
     @pytest.mark.parametrize("scale", [2**20, 2**30])
     def test_same_nodes_with_large_row_counts(self, scale):
@@ -143,7 +145,7 @@ class TestPresortedFit:
         X, y, w, depth, mcw = random_tree_problem(7, max_rows=400, max_depth=12)
         w = w * scale
         model = train_tree(X, y, sample_weights=w, max_depth=depth, min_child_weight=mcw * scale)
-        assert json.dumps(model.nodes) == json.dumps(reference_tree_nodes(X, y, w, depth, mcw * scale))
+        assert json.dumps(model.to_params()["nodes"]) == json.dumps(reference_tree_nodes(X, y, w, depth, mcw * scale))
 
     def test_counted_distinct_rows_grow_the_resampled_tree(self):
         # bagging trains on each resample's distinct rows, weighted by their
@@ -160,7 +162,7 @@ class TestPresortedFit:
                     counted = train_tree(
                         X[distinct], y[distinct], sample_weights=counts, max_depth=depth, min_child_weight=mcw
                     )
-                    assert json.dumps(counted.nodes) == json.dumps(resampled.nodes)
+                    assert json.dumps(counted.to_params()["nodes"]) == json.dumps(resampled.to_params()["nodes"])
 
     def test_tied_features_across_blocks_take_lowest_index(self):
         # 40 columns x 500 rows spans several scoring blocks; copies tie exactly
@@ -169,8 +171,8 @@ class TestPresortedFit:
         X, y = np.tile(base, 4), rng.integers(0, N_CLASSES, size=500)
         w = rng.choice([1.0, 2.0, 3.0, 5.0], size=500)
         model = train_tree(X, y, sample_weights=w, max_depth=6, min_child_weight=2.0)
-        assert json.dumps(model.nodes) == json.dumps(reference_tree_nodes(X, y, w, 6, 2.0))
-        assert all(node["feature"] < 10 for node in model.nodes if "leaf" not in node)
+        assert json.dumps(model.to_params()["nodes"]) == json.dumps(reference_tree_nodes(X, y, w, 6, 2.0))
+        assert all(node["feature"] < 10 for node in model.to_params()["nodes"] if "leaf" not in node)
 
     def test_peak_memory_of_one_bootstrap_tree(self):
         # paper-scale training matrix (876 x 59), resampled to 1,100 rows
@@ -193,7 +195,7 @@ class TestTrainTree:
         y = np.full(10, 2)
         model = train_tree(X, y)
         assert model.node_count == 1
-        assert model.nodes[0]["leaf"]
+        assert model.to_params()["nodes"][0]["leaf"]
         assert (model.predict(X) == 2).all()
 
     def test_xor_depth_limits(self):
@@ -242,7 +244,7 @@ class TestTrainTree:
             d = synth_generate(120, seed)
             for mcw in (1.0, 2.0, 4.0, 8.0, 16.0):
                 model = train_tree(d.X, d.y, max_depth=6, min_child_weight=mcw)
-                leaves = sum(1 for n in model.nodes if "leaf" in n)
+                leaves = sum(1 for n in model.to_params()["nodes"] if "leaf" in n)
                 if model.node_count > 1:
                     assert leaves <= 120 / mcw
                     assert model.node_count == 2 * leaves - 1
@@ -288,8 +290,17 @@ class TestTreePredict:
         probe = np.vstack([X, np.random.default_rng(seed).normal(size=(40, X.shape[1]))])
         assert np.array_equal(model.predict_proba(probe), reference_predict_proba(model, probe))
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_json_round_trip_keeps_nodes_and_predict_bits(self, seed):
+        X, y, w, depth, mcw = random_tree_problem(seed)
+        model = train_tree(X, y, sample_weights=w, max_depth=depth, min_child_weight=mcw)
+        loaded = TreeModel.from_params(json.loads(json.dumps(model.to_params())))
+        probe = np.vstack([X, np.random.default_rng(seed).normal(size=(40, X.shape[1]))])
+        assert json.dumps(loaded.to_params()) == json.dumps(model.to_params())
+        assert loaded.predict_proba(probe).tobytes() == model.predict_proba(probe).tobytes()
+
     def test_single_leaf_and_zero_rows(self):
-        leaf = TreeModel(nodes=[{"leaf": True, "hist": [1.0, 3.0, 0.5]}], n_features=2)
+        leaf = TreeModel.from_params({"nodes": [{"leaf": True, "hist": [1.0, 3.0, 0.5]}], "n_features": 2})
         X = np.random.default_rng(1).normal(size=(7, 2))
         assert np.array_equal(leaf.predict_proba(X), reference_predict_proba(leaf, X))
         d = synth_generate(80, 3)
@@ -307,7 +318,7 @@ class TestTreePredict:
             model = train_tree(d.X[rows], d.y[rows], max_depth=5)
             doc = json.loads(json.dumps(model_to_doc(model)))
             loaded = model_from_doc(doc)
-            assert loaded.nodes == model.nodes
+            assert loaded.to_params()["nodes"] == model.to_params()["nodes"]
             assert np.array_equal(loaded.predict_proba(probe), reference_predict_proba(model, probe))
             trees.append(loaded)
         bag = BaggingModel(members=trees, base_spec={})
