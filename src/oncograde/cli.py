@@ -49,8 +49,8 @@ from .svg import render_svg
 
 MODEL_WRAPPER_VERSION = 1
 
-# rows `evaluate` predicts at a time, so kernel and activation matrices
-# stay bounded however long the CSV is
+# rows `evaluate` transforms and predicts at a time, so the transformed rows
+# and the kernel and activation matrices stay bounded however long the CSV is
 _EVALUATE_BLOCK_ROWS = 2048
 
 
@@ -245,7 +245,7 @@ def _balanced_dataset(cfg: RunConfig):
     prepares it before its split; cv/curve/sweep run on it whatever the
     order, because only `train` holds out a test set."""
     d = _load_dataset(cfg)
-    prep = Preprocessor(list(d.feature_names), cfg.preprocess)
+    prep = Preprocessor(cfg.preprocess)
     return prep.fit_resample(d.X, d.y, derive_stream(cfg.seed, 1))
 
 
@@ -363,9 +363,9 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
         raise ConfigError(f"model file {path}: {exc}") from None
 
     d = _load_dataset(cfg)
-    X = prep.transform(d.X)
     block = _EVALUATE_BLOCK_ROWS
-    labels = np.concatenate([model.predict(X[lo : lo + block]) for lo in range(0, len(X), block)])
+    rows = range(0, d.n_rows, block)
+    labels = np.concatenate([model.predict(prep.transform(d.X[lo : lo + block])) for lo in rows])
     cm, report = evaluate_predictions(d.y, labels)
     _write_metrics_artifacts(
         writer, cm, report, f"Confusion matrix: {wrapper.get('model_name', 'model')}"

@@ -128,6 +128,38 @@ def as_matrix(data) -> np.ndarray:
     return arr
 
 
+def json_array(tp: type, value, refusal: str) -> np.ndarray:
+    """``value``, a JSON number or a rectangular nested list of them, as one
+    float64 array, or int64 when ``tp`` is ``int``.
+
+    Each entry follows the run config's rule for a ``tp`` scalar: strings,
+    ``true``/``false``, ``null`` and ragged lists are refused, and so are
+    non-finite values and, for ``int``, fractions (``2.0`` reads as 2) and
+    values past int64. A refused entry raises
+    ``ValueError(refusal.format(i, value[i]))``, ``i`` being its index
+    along the first axis (0 and ``value`` itself for a scalar). One type
+    scan and one conversion read the whole array.
+    """
+    cells = np.asarray(value, dtype=object)
+    flat = cells.ravel()
+    if set(map(type, flat)) <= {int, float}:  # exact types, so a bool is refused
+        out = flat.astype(np.float64)  # an int past the float range raises OverflowError
+        ok = np.isfinite(out)
+        if tp is int:
+            ok &= (out == np.trunc(out)) & (np.abs(out) < 2.0**63)
+    else:  # refused; only then is each entry looked at
+        ok = np.array([type(v) in (int, float) for v in flat.tolist()], dtype=bool)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        i = int(np.unravel_index(bad, cells.shape)[0]) if cells.ndim else 0
+        if isinstance(flat[bad], (list, tuple)):  # ragged: blame the first entry shaped unlike most
+            shapes = [np.asarray(v, dtype=object).shape for v in value]
+            common = max(set(shapes), key=shapes.count)
+            i = next((k for k, shape in enumerate(shapes) if shape != common), i)
+        raise ValueError(refusal.format(i, value[i] if cells.ndim else value))
+    return (out.astype(np.int64) if tp is int else out).reshape(cells.shape)
+
+
 def worker_count() -> int:
     raw = os.environ.get(THREADS_ENV_VAR, "").strip()
     if not raw:

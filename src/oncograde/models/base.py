@@ -79,6 +79,8 @@ class KernelSpec:
             raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
         if self.kind != "linear" and self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        if self.degree < 1:
+            raise ValueError(f"kernel degree must be >= 1, got {self.degree}")
 
 
 def resolve_gamma(gamma: float | str, X) -> float:

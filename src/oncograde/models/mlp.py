@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import RngStream, as_matrix, shuffle
+from ..core import RngStream, as_matrix, json_array, shuffle
 from ..dataset import N_CLASSES
 from .base import Hyperparams, proba_to_labels, softmax
 
@@ -68,8 +68,11 @@ class MlpModel:
 
     @classmethod
     def from_params(cls, params: dict) -> "MlpModel":
-        weights = [np.asarray(w, dtype=float) for w in params["weights"]]
-        biases = [np.asarray(b, dtype=float) for b in params["biases"]]
+        """Read ``to_params``'s document, its numbers by the run config's rules."""
+        weights, biases = (
+            [json_array(float, a, f"mlp {key}[{k}][{{0}}] must hold finite numbers") for k, a in enumerate(params[key])]
+            for key in ("weights", "biases")
+        )
         if not weights or len(biases) != len(weights):
             raise ValueError(f"mlp needs 1 or more layers, got {len(weights)} weights and {len(biases)} biases")
         for k, (w, b) in enumerate(zip(weights, biases)):
@@ -77,9 +80,11 @@ class MlpModel:
                 raise ValueError(f"mlp layer {k}: weights {w.shape} and biases {b.shape} do not chain")
         if weights[-1].shape[1] != N_CLASSES:
             raise ValueError(f"mlp output layer is {weights[-1].shape[1]} wide, not {N_CLASSES}")
-        if not all(np.isfinite(a).all() for a in weights + biases):
-            raise ValueError("mlp weights and biases must be finite")
-        return cls(weights, biases, TrainHistory(**params["history"]))
+        history = {
+            k: json_array(float, v, f"mlp history {k} must hold finite numbers, not {{1!r}}").tolist()
+            for k, v in params["history"].items()
+        }
+        return cls(weights, biases, TrainHistory(**history))
 
 
 def init_params(layer_sizes: list[int], stream: RngStream):

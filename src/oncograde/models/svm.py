@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import as_matrix
+from ..core import as_matrix, json_array
 from ..dataset import N_CLASSES
 from .base import KernelSpec, kernel_matrix, proba_to_labels, softmax
 
@@ -228,16 +228,23 @@ class SvmOvrModel:
 
     @classmethod
     def from_params(cls, params: dict) -> "SvmOvrModel":
-        support_x, coef, bias = (np.asarray(params[k], dtype=float) for k in ("support_x", "coef", "bias"))
+        """Read ``to_params``'s document, its numbers by the run config's rules."""
+        support_x, coef, bias = (
+            json_array(float, params[k], f"svm support_x, coef and bias must be finite numbers, and {k}[{{0}}] is not")
+            for k in ("support_x", "coef", "bias")
+        )
         n_sv = len(support_x) if support_x.ndim == 2 else 0
         if not (n_sv and coef.shape == (n_sv, N_CLASSES) and bias.shape == (N_CLASSES,)):
             raise ValueError(
                 "svm support_x, coef and bias must be shaped (n_sv >= 1, d), (n_sv, 3) and (3,), "
                 f"got {support_x.shape}, {coef.shape} and {bias.shape}"
             )
-        if not all(np.isfinite(a).all() for a in (support_x, coef, bias)):
-            raise ValueError("svm support_x, coef and bias must be finite")
-        return cls(KernelSpec(**params["kernel"]), support_x, coef, bias)
+        kernel = dict(params["kernel"])
+        for key, tp in (("gamma", float), ("degree", int), ("coef0", float)):
+            if key in kernel:
+                kind = "an integer" if tp is int else "a number"
+                kernel[key] = tp(json_array(tp, kernel[key], f"svm kernel {key} {{1!r}} must be {kind}"))
+        return cls(KernelSpec(**kernel), support_x, coef, bias)
 
 
 def train_svm_ovr(X, y, kernel: KernelSpec, C: float = 1.0) -> SvmOvrModel:

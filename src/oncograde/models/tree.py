@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import as_matrix
+from ..core import as_matrix, json_array
 from ..dataset import N_CLASSES
 from .base import proba_to_labels
 
@@ -101,33 +101,43 @@ class TreeModel:
 
     @classmethod
     def from_params(cls, params: dict) -> "TreeModel":
-        """Read ``to_params``'s nodes; a node that cannot predict raises ``ValueError``."""
-        nodes, n_features = params["nodes"], params["n_features"]
+        """Read ``to_params``'s nodes, their numbers by the run config's rules;
+        a node that cannot predict raises ``ValueError``."""
+        nodes = params["nodes"]
+        n_features = int(json_array(int, params["n_features"], "tree n_features {1!r} must be an integer"))
         n = len(nodes)
         if n == 0:
             raise ValueError("tree has no nodes")
-        feature, threshold = np.zeros(n, dtype=np.intp), np.zeros(n)
-        left, right, hist = np.arange(n), np.arange(n), np.zeros((n, N_CLASSES))
+        # a row per node, a leaf's split and an internal node's hist filled in
+        # as above, so entry i of every field is node i's
+        rows = []
         for i, node in enumerate(nodes):
-            if "leaf" in node:
-                if len(node["hist"]) != N_CLASSES:
-                    raise ValueError(f"tree node {i}: hist must have {N_CLASSES} entries")
-                hist[i] = node["hist"]
-                h = hist[i].tolist()  # a NaN entry makes the sum NaN
-                if not (min(h) >= 0 and 0 < sum(h) < np.inf):
-                    raise ValueError(
-                        f"tree node {i}: hist {h} must be non-negative with a finite, positive total"
-                    )
-                continue
-            feature[i], threshold[i] = node["feature"], node["threshold"]
-            left[i], right[i] = node["left"], node["right"]
-            # preorder puts each child after its parent, so every descent ends at a leaf
-            if not (i < left[i] < n and i < right[i] < n):
-                raise ValueError(f"tree node {i}: children {left[i]} and {right[i]} must lie in ({i}, {n})")
-            if not (feature[i] == node["feature"] and 0 <= feature[i] < n_features):
-                raise ValueError(f"tree node {i}: feature {node['feature']!r} must be an integer in [0, {n_features})")
-            if not -np.inf < threshold[i] < np.inf:
-                raise ValueError(f"tree node {i}: threshold {threshold[i]} must be finite")
+            if "leaf" not in node:
+                rows.append((node["feature"], node["threshold"], node["left"], node["right"], (0, 0, 0)))
+            elif len(node["hist"]) != N_CLASSES:
+                raise ValueError(f"tree node {i}: hist must have {N_CLASSES} entries")
+            else:
+                rows.append((0, 0, i, i, node["hist"]))
+        feature, threshold, left, right, hist = zip(*rows)
+        in_range = f"tree node {{0}}: feature {{1!r}} must be an integer in [0, {n_features})"
+        weights = "tree node {0}: hist {1!r} must be non-negative with a finite, positive total"
+        feature = json_array(int, feature, in_range)
+        threshold = json_array(float, threshold, "tree node {0}: threshold {1!r} must be finite")
+        left = json_array(int, left, "tree node {0}: left {1!r} must be an integer")
+        right = json_array(int, right, "tree node {0}: right {1!r} must be an integer")
+        hist = json_array(float, hist, weights)
+        ids, leaf, total = np.arange(n), np.array(["leaf" in node for node in nodes]), hist.sum(axis=1)
+        # preorder puts each child after its parent, so every descent ends at a leaf
+        bad = np.flatnonzero(~leaf & ~((ids < left) & (left < n) & (ids < right) & (right < n)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"tree node {i}: children {left[i]} and {right[i]} must lie in ({i}, {n})")
+        bad = np.flatnonzero(~leaf & ((feature < 0) | (feature >= n_features)))
+        if bad.size:
+            raise ValueError(in_range.format(bad[0], nodes[bad[0]]["feature"]))
+        bad = np.flatnonzero(leaf & ~((hist >= 0).all(axis=1) & (0 < total) & (total < np.inf)))
+        if bad.size:
+            raise ValueError(weights.format(bad[0], hist[bad[0]].tolist()))
         return cls(n_features, feature, threshold, left, right, hist)
 
 

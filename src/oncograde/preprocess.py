@@ -15,11 +15,11 @@ and every synthetic row, do not depend on how the product rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RngStream, as_matrix, shuffle
+from .core import RngStream, as_matrix, json_array, shuffle
 from .dataset import FEATURE_NAMES, Dataset, N_CLASSES, csv_text
 
 PIPELINE_ORDERS = ("paper_order", "leak_safe")
@@ -46,27 +46,13 @@ class PreprocessConfig:
 
 
 @dataclass
-class MinMaxParams:
-    col_min: np.ndarray
-    col_max: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {"min": self.col_min.tolist(), "max": self.col_max.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MinMaxParams":
-        return cls(np.asarray(d["min"], float), np.asarray(d["max"], float))
-
-
-@dataclass
 class CorrelationReport:
     matrix: np.ndarray
     feature_names: list[str]
     zero_variance_columns: list[int]
-    engineered_pairs: list[tuple[int, int, float]] = field(default_factory=list)
-    flagged_pairs: list[tuple[int, int, float]] = field(default_factory=list)
-    engineered_names: list[str] = field(default_factory=list)
-    hi_threshold: float | None = None  # set by `engineer_features`
+    engineered_pairs: np.ndarray | None = None  # (k, 2) rows (i, j), i < j, in row order; set by `engineer_features`
+    flagged_pairs: np.ndarray | None = None
+    hi_threshold: float | None = None
     lo_threshold: float | None = None
 
 
@@ -85,27 +71,29 @@ class PreparedData:
     preprocessor: Preprocessor
 
 
-def fit_minmax(X_fit) -> MinMaxParams:
+def fit_minmax(X_fit) -> tuple[np.ndarray, np.ndarray]:
+    """The fitted bounds ``(col_min, col_max)``."""
     X_fit = as_matrix(X_fit)
     if X_fit.shape[0] == 0:
         raise ValueError("cannot fit MinMax on an empty matrix")
-    return MinMaxParams(X_fit.min(axis=0), X_fit.max(axis=0))
+    return X_fit.min(axis=0), X_fit.max(axis=0)
 
 
-def apply_minmax(X, p: MinMaxParams) -> np.ndarray:
-    """Scale columnwise to (x - min) / (max - min).
+def apply_minmax(X, minmax: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Scale columnwise to (x - min) / (max - min) by the bounds ``(col_min, col_max)``.
 
     Constant fitted columns map to 0. Values outside the fitted range are
     not clamped, so transformed values may fall outside [0, 1].
     """
     X = as_matrix(X)
-    if X.shape[1] != p.col_min.shape[0]:
+    col_min, col_max = minmax
+    if X.shape[1] != col_min.shape[0]:
         raise ValueError(
-            f"column count mismatch: matrix has {X.shape[1]}, params have {p.col_min.shape[0]}"
+            f"column count mismatch: matrix has {X.shape[1]}, params have {col_min.shape[0]}"
         )
-    span = p.col_max - p.col_min
+    span = col_max - col_min
     safe = np.where(span == 0, 1.0, span)
-    out = (X - p.col_min) / safe
+    out = (X - col_min) / safe
     out[:, span == 0] = 0.0
     return out
 
@@ -138,22 +126,31 @@ def pearson_matrix(X, feature_names: list[str] | None = None) -> CorrelationRepo
     return CorrelationReport(corr, list(feature_names), zero_var)
 
 
+# rows of pair means made per step; bounds the two (rows, k) operands a step gathers
+_PAIR_BLOCK_ROWS = 1024
+
+
 def append_pair_means(X, pairs) -> np.ndarray:
-    """Append one column per (i, j) pair: the elementwise mean of i and j."""
+    """Append one column per (i, j) row of the (k, 2) ``pairs``, the mean of columns i and j, filling
+    one preallocated result a block of rows at a time so that every write runs along a row."""
     X = as_matrix(X)
-    if not pairs:
-        return X
-    extra = [(X[:, i] + X[:, j]) / 2.0 for i, j, *_ in pairs]
-    return np.column_stack([X] + extra)
+    n, m = X.shape
+    out = np.empty((n, m + len(pairs)))
+    out[:, :m] = X
+    for lo in range(0, n, _PAIR_BLOCK_ROWS):
+        rows = X[lo : lo + _PAIR_BLOCK_ROWS]
+        np.add(rows[:, pairs[:, 0]], rows[:, pairs[:, 1]], out=out[lo : lo + _PAIR_BLOCK_ROWS, m:])
+    out[:, m:] /= 2.0
+    return out
 
 
 def engineer_features(X, report: CorrelationReport, hi: float, lo: float):
     """Combine strongly correlated column pairs into new mean columns.
 
-    For every original pair (i < j) with r > hi, a column named
-    "<name_i>+<name_j>" is appended, in (i, j) order. Pairs with r < lo
-    are recorded as flagged but nothing is dropped. Engineered columns
-    never seed further engineering.
+    For every original pair (i < j) with r > hi, a mean column is appended,
+    in (i, j) order. Pairs with r < lo (and not r > hi) are recorded as
+    flagged but nothing is dropped. Engineered columns never seed further
+    engineering.
     """
     X = as_matrix(X)
     m = report.matrix.shape[0]
@@ -161,29 +158,12 @@ def engineer_features(X, report: CorrelationReport, hi: float, lo: float):
         raise ValueError(
             f"shape mismatch: matrix has {X.shape[1]} columns, report covers {m}"
         )
-    engineered: list[tuple[int, int, float]] = []
-    flagged: list[tuple[int, int, float]] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            r = float(report.matrix[i, j])
-            if r > hi:
-                engineered.append((i, j, r))
-            elif r < lo:
-                flagged.append((i, j, r))
-    names = [
-        f"{report.feature_names[i]}+{report.feature_names[j]}" for i, j, _ in engineered
-    ]
-    out = CorrelationReport(
-        matrix=report.matrix,
-        feature_names=report.feature_names,
-        zero_variance_columns=report.zero_variance_columns,
-        engineered_pairs=engineered,
-        flagged_pairs=flagged,
-        engineered_names=names,
-        hi_threshold=hi,
-        lo_threshold=lo,
-    )
-    return append_pair_means(X, engineered), out
+    pairs = np.column_stack(np.triu_indices(m, 1))
+    r = report.matrix[pairs[:, 0], pairs[:, 1]]
+    above = r > hi
+    flagged = pairs[~above & (r < lo)]  # a pair above hi is never flagged, even when lo > hi
+    out = replace(report, engineered_pairs=pairs[above], flagged_pairs=flagged, hi_threshold=hi, lo_threshold=lo)
+    return append_pair_means(X, out.engineered_pairs), out
 
 
 # bounds the neighbour search's scratch, in 8-byte cells: a block of rows
@@ -336,77 +316,76 @@ def stratified_split(y, test_fraction: float, stream: RngStream) -> SplitIndices
 class Preprocessor:
     """MinMax scaling, pair-mean engineering and SMOTE, fitted once.
 
-    Built from the feature names and settings; ``fit_resample`` sets the
-    fitted ``minmax``, ``engineered_pairs`` and ``engineered_names``, which
+    Built from the settings; ``fit_resample`` sets the fitted ``minmax``
+    bounds ``(col_min, col_max)`` and the (k, 2) engineered ``pairs``, which
     ``transform`` applies to other rows and ``to_dict`` writes to ``model.json``
-    with ``order``, ``corr_hi`` and ``corr_lo``. ``smote_k`` and
-    ``test_fraction`` are not written, so ``from_dict`` reads them back as
-    their defaults.
+    with ``order``, ``corr_hi``, ``corr_lo`` and the names of the dataset
+    schema's columns. ``smote_k`` and ``test_fraction`` are not written, so
+    ``from_dict`` reads them back as their defaults.
     """
 
-    feature_names: list[str]
     settings: PreprocessConfig
-    minmax: MinMaxParams | None = None
-    engineered_pairs: list[tuple[int, int]] = field(default_factory=list)
-    engineered_names: list[str] = field(default_factory=list)
+    minmax: tuple[np.ndarray, np.ndarray] | None = None
+    pairs: np.ndarray | None = None
 
     def fit_resample(self, X, y, stream: RngStream):
         """Fit on (X, y), transform X, and oversample with SMOTE on ``stream.derive(0)``."""
         self.minmax = fit_minmax(X)
         X = apply_minmax(X, self.minmax)
         s = self.settings
-        X, report = engineer_features(X, pearson_matrix(X, self.feature_names), s.corr_hi, s.corr_lo)
-        self.engineered_pairs = [(int(i), int(j)) for i, j, _ in report.engineered_pairs]
-        self.engineered_names = report.engineered_names
+        X, report = engineer_features(X, pearson_matrix(X), s.corr_hi, s.corr_lo)
+        self.pairs = report.engineered_pairs
         return smote(X, y, s.smote_k, stream.derive(0))
 
     def transform(self, X) -> np.ndarray:
-        """Scale with the fitted MinMax params and append the fitted pair means."""
-        return append_pair_means(apply_minmax(X, self.minmax), self.engineered_pairs)
+        """Scale with the fitted MinMax bounds and append the fitted pair means."""
+        return append_pair_means(apply_minmax(X, self.minmax), self.pairs)
 
     def to_dict(self) -> dict:
+        col_min, col_max = self.minmax
         return {
             "order": self.settings.order,
-            "minmax": self.minmax.to_dict(),
-            "feature_names": self.feature_names,
-            "engineered_pairs": [[i, j] for i, j in self.engineered_pairs],
-            "engineered_names": self.engineered_names,
+            "minmax": {"min": col_min.tolist(), "max": col_max.tolist()},
+            "feature_names": list(FEATURE_NAMES),
+            "engineered_pairs": self.pairs.tolist(),
+            "engineered_names": _pair_names(self.pairs),
             "corr_hi": self.settings.corr_hi,
             "corr_lo": self.settings.corr_lo,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Preprocessor":
-        """Read ``to_dict``'s document; one that cannot transform rows of the
-        dataset schema raises ``ValueError``."""
+        """Read ``to_dict``'s document, its numbers by the run config's rules;
+        one that cannot transform rows of the dataset schema raises ``ValueError``."""
         m = len(FEATURE_NAMES)
         if d["feature_names"] != list(FEATURE_NAMES):
             raise ValueError(f"pipeline feature_names must be the dataset's {m} feature names in order")
-        minmax = MinMaxParams.from_dict(d["minmax"])
-        lo, hi = minmax.col_min, minmax.col_max
-        finite = np.isfinite(lo).all() and np.isfinite(hi).all()
-        if not (lo.shape == hi.shape == (m,) and finite and (lo <= hi).all()):
-            raise ValueError(f"pipeline minmax min and max must each hold {m} finite values, with min <= max")
-        pairs = [(int(i), int(j)) for i, j in d["engineered_pairs"]]
-        for i, j in pairs:
+        bounds = f"pipeline minmax min and max must each hold {m} finite values, with min <= max"
+        lo, hi = (json_array(float, d["minmax"][k], f"{bounds}: {k}[{{0}}] is {{1!r}}") for k in ("min", "max"))
+        if not (lo.shape == hi.shape == (m,) and (lo <= hi).all()):
+            raise ValueError(bounds)
+        pair = f"pipeline engineered pair {{1!r}} must satisfy 0 <= i < j < {m}, as integers"
+        pairs = json_array(int, d["engineered_pairs"], pair).reshape(len(d["engineered_pairs"]), 2)
+        for k, (i, j) in enumerate(pairs.tolist()):
             if not 0 <= i < j < m:
-                raise ValueError(f"pipeline engineered pair [{i}, {j}] must satisfy 0 <= i < j < {m}")
-        names = list(d["engineered_names"])
-        if len(names) != len(pairs):
-            raise ValueError(f"pipeline has {len(pairs)} engineered pairs but {len(names)} engineered names")
-        return cls(
-            feature_names=list(FEATURE_NAMES),
-            settings=PreprocessConfig(d["order"], corr_hi=d["corr_hi"], corr_lo=d["corr_lo"]),
-            minmax=minmax,
-            engineered_pairs=pairs,
-            engineered_names=names,
-        )
+                raise ValueError(pair.format(k, [i, j]))
+        names = d["engineered_names"]
+        if names != _pair_names(pairs):
+            held = f"{len(names)} engineered names" if isinstance(names, list) else f"engineered_names {names!r}"
+            raise ValueError(f"pipeline has {len(pairs)} engineered pairs but {held}, not the pairs' own names")
+        corr = [json_array(float, d[k], f"pipeline {k} {{1!r}} must be a number") for k in ("corr_hi", "corr_lo")]
+        return cls(PreprocessConfig(d["order"], corr_hi=float(corr[0]), corr_lo=float(corr[1])), (lo, hi), pairs)
+
+
+def _pair_names(pairs) -> list[str]:
+    """The dataset schema's "<name_i>+<name_j>" names of the (k, 2) ``pairs``."""
+    return [f"{FEATURE_NAMES[i]}+{FEATURE_NAMES[j]}" for i, j in pairs.tolist()]
 
 
 def run_pipeline(d: Dataset, settings: PreprocessConfig, stream: RngStream) -> PreparedData:
     """Run the full preprocessing chain in ``settings.order``; the split
     draws from ``stream.derive(1)``."""
-    prep = Preprocessor(list(d.feature_names), settings)
+    prep = Preprocessor(settings)
     if settings.order == "paper_order":
         X, y = prep.fit_resample(d.X, d.y, stream)
         split = stratified_split(y, settings.test_fraction, stream.derive(1))
@@ -428,20 +407,17 @@ def correlation_to_csv(report: CorrelationReport) -> str:
 
 
 def correlation_to_json(report: CorrelationReport) -> dict:
-    def pair_doc(p):
-        i, j, r = p
-        return {
-            "i": int(i),
-            "j": int(j),
-            "feature_i": report.feature_names[i],
-            "feature_j": report.feature_names[j],
-            "r": float(r),
-        }
+    def pair_docs(pairs):
+        names = report.feature_names
+        return [
+            {"i": i, "j": j, "feature_i": names[i], "feature_j": names[j], "r": float(report.matrix[i, j])}
+            for i, j in pairs.tolist()
+        ]
 
     return {
         "hi_threshold": report.hi_threshold,
         "lo_threshold": report.lo_threshold,
-        "engineered": [pair_doc(p) for p in report.engineered_pairs],
-        "flagged": [pair_doc(p) for p in report.flagged_pairs],
+        "engineered": pair_docs(report.engineered_pairs),
+        "flagged": pair_docs(report.flagged_pairs),
         "zero_variance_columns": list(report.zero_variance_columns),
     }

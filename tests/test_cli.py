@@ -639,7 +639,7 @@ MALFORMED_MODEL_FILES = {
     ),
     "svm_string_bias": (
         lambda doc: with_keys(doc, *SVM, "bias", ["high", 0.0, 0.0]),
-        ": could not convert string to float: 'high'",
+        ": svm support_x, coef and bias must be finite numbers, and bias[0] is not",
     ),
     "svm_not_finite": (
         lambda doc: with_keys(doc, *SVM, "support_x", 0, 0, float("nan")),
@@ -683,7 +683,7 @@ MALFORMED_MODEL_FILES = {
     "tree_no_nodes": (lambda doc: with_keys(doc, *TREE, "nodes", []), ": tree has no nodes"),
     "tree_child_infinite": (
         lambda doc: with_keys(doc, *TREE, "nodes", 0, "right", float("inf")),
-        ": cannot convert float infinity to integer",
+        ": tree node 0: right inf must be an integer",
     ),
     "tree_short_hist": (
         lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", [46.0]),
@@ -752,6 +752,79 @@ MALFORMED_MODEL_FILES = {
     "pipeline_min_above_max": (
         lambda doc: with_keys(doc, "pipeline", "minmax", "min", 0, at(doc, "pipeline", "minmax", "max", 0) + 1),
         ": pipeline minmax min and max must each hold 23 finite values, with min <= max",
+    ),
+    # numbers read by the run config's rules: no strings, booleans or fractional indices
+    "tree_threshold_string": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 0, "threshold", "0.5"),
+        ": tree node 0: threshold '0.5' must be finite",
+    ),
+    "tree_threshold_bool": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 0, "threshold", True),
+        ": tree node 0: threshold True must be finite",
+    ),
+    "tree_left_fractional": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 0, "left", 1.9),
+        ": tree node 0: left 1.9 must be an integer",
+    ),
+    "tree_right_string": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 0, "right", str(at(doc, *TREE, "nodes", 0, "right"))),
+        ": tree node 0: right '",
+    ),
+    "tree_hist_string": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", ["1", 0, 0]),
+        ": tree node 2: hist ['1', 0, 0] must be non-negative with a finite, positive total",
+    ),
+    "tree_hist_bool": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", [True, 0, 0]),
+        ": tree node 2: hist [True, 0, 0] must be non-negative with a finite, positive total",
+    ),
+    "svm_string_support": (
+        lambda doc: with_keys(doc, *SVM, "support_x", 0, 0, "0.5"),
+        ": svm support_x, coef and bias must be finite numbers, and support_x[0] is not",
+    ),
+    "svm_bool_bias": (
+        lambda doc: with_keys(doc, *SVM, "bias", 0, True),
+        ": svm support_x, coef and bias must be finite numbers, and bias[0] is not",
+    ),
+    "svm_bool_gamma": (
+        lambda doc: with_keys(doc, *SVM, "kernel", "gamma", True),
+        ": svm kernel gamma True must be a number",
+    ),
+    "svm_fractional_degree": (
+        lambda doc: with_keys(doc, *SVM, "kernel", "degree", 2.5),
+        ": svm kernel degree 2.5 must be an integer",
+    ),
+    "svm_degree_zero": (
+        lambda doc: with_keys(doc, *SVM, "kernel", "degree", 0),
+        ": kernel degree must be >= 1, got 0",
+    ),
+    "mlp_string_weight": (
+        lambda doc: with_keys(doc, *MLP, "weights", 0, 0, 0, "0.1"),
+        ": mlp weights[0][0] must hold finite numbers",
+    ),
+    "mlp_string_history": (
+        lambda doc: with_keys(doc, *MLP, "history", "train_loss", "abc"),
+        ": mlp history train_loss must hold finite numbers, not 'abc'",
+    ),
+    "pipeline_min_string": (
+        lambda doc: with_keys(doc, "pipeline", "minmax", "min", 0, "1"),
+        ": pipeline minmax min and max must each hold 23 finite values, with min <= max: min[0] is '1'",
+    ),
+    "pipeline_pair_fractional": (
+        lambda doc: with_keys(doc, "pipeline", "engineered_pairs", 0, [0.9, 5]),
+        ": pipeline engineered pair [0.9, 5] must satisfy 0 <= i < j < 23, as integers",
+    ),
+    "pipeline_pair_string": (
+        lambda doc: with_keys(doc, "pipeline", "engineered_pairs", 0, ["2", 5]),
+        ": pipeline engineered pair ['2', 5] must satisfy 0 <= i < j < 23, as integers",
+    ),
+    "pipeline_corr_hi_string": (
+        lambda doc: with_keys(doc, "pipeline", "corr_hi", "x"),
+        ": pipeline corr_hi 'x' must be a number",
+    ),
+    "pipeline_names_string": (
+        lambda doc: with_keys(doc, "pipeline", "engineered_names", "Age+Gender"),
+        ": pipeline has 57 engineered pairs but engineered_names 'Age+Gender', not the pairs' own names",
     ),
 }
 

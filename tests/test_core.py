@@ -9,9 +9,11 @@ from oncograde.core import (
     RngStream,
     as_matrix,
     derive_stream,
+    json_array,
     parallel_map,
     shuffle,
 )
+from oncograde.cli import _SCALARS
 from oncograde.models.base import proba_to_labels
 
 MASK = (1 << 64) - 1
@@ -155,6 +157,58 @@ class TestAsMatrix:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError):
             as_matrix([1.0, 2.0])
+
+
+json_scalars = st.one_of(
+    st.integers(-(2**53), 2**53),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+)
+
+
+class TestJsonArray:
+    def test_reads_nested_lists(self):
+        got = json_array(float, [[1, 2.5], [-3, 0.0]], "{0}")
+        assert got.dtype == np.float64 and got.tolist() == [[1.0, 2.5], [-3.0, 0.0]]
+        got = json_array(int, [[0, 5.0], [2, 22]], "{0}")
+        assert got.dtype == np.int64 and got.tolist() == [[0, 5], [2, 22]]
+        assert json_array(float, 0.5, "{0}").shape == () and json_array(int, [], "{0}").shape == (0,)
+
+    @pytest.mark.parametrize(
+        "tp, value, message",
+        [
+            (float, [1.0, "0.5"], "1: '0.5'"),
+            (float, [0.5, True], "1: True"),
+            (int, [[1, 2], [3, False]], "1: [3, False]"),
+            (float, [None], "0: None"),
+            (float, "abc", "0: 'abc'"),
+            (float, [[1.0, 2.0], [3.0], [4.0, 5.0]], "1: [3.0]"),
+            (int, [[1, 2, 3], [2, 5], [4, 6]], "0: [1, 2, 3]"),
+            (float, [0.0, float("nan")], "1: nan"),
+            (float, [float("-inf")], "0: -inf"),
+            (int, [0.9, 5], "0: 0.9"),
+            (int, [2**63], f"0: {2**63}"),
+        ],
+    )
+    def test_refuses_with_the_index_and_entry(self, tp, value, message):
+        with pytest.raises(ValueError) as info:
+            json_array(tp, value, "{0}: {1!r}")
+        assert str(info.value) == message
+
+    @given(st.lists(json_scalars, max_size=6), st.sampled_from([int, float]))
+    def test_follows_the_config_scalar_rule(self, values, tp):
+        def follows(v):
+            # the config rule, within the float range and, for an index, within int64
+            in_range = _SCALARS[float][2](v) and (tp is float or abs(v) < 2**63)
+            return not isinstance(v, bool) and _SCALARS[tp][2](v) and in_range
+
+        if all(follows(v) for v in values):
+            assert json_array(tp, values, "{0}").tolist() == [tp(v) for v in values]
+        else:
+            with pytest.raises(ValueError):
+                json_array(tp, values, "{0}")
 
 
 class TestParallelMap:

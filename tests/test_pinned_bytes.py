@@ -17,7 +17,15 @@ from oncograde.cli import main
 from oncograde.core import RngStream, derive_stream, shuffle
 from oncograde.dataset import save_csv, synth_generate
 from oncograde.models.mlp import init_params
-from oncograde.preprocess import apply_minmax, engineer_features, fit_minmax, pearson_matrix, smote
+from oncograde.preprocess import (
+    PreprocessConfig,
+    Preprocessor,
+    apply_minmax,
+    engineer_features,
+    fit_minmax,
+    pearson_matrix,
+    smote,
+)
 
 
 def digest(*arrays) -> str:
@@ -241,6 +249,16 @@ class TestMemoryGuards:
         y = np.repeat([0, 1], [3000, 3001])
         peak = traced_peak_mb(lambda: smote(X, y, 5, derive_stream(61, 1).derive(0)))
         assert peak <= 32.0, f"smote peaked at {peak:.1f} MB"
+
+    def test_transform_of_20000_rows(self):
+        # the (20000, 61) result is 9.3 MB; gathering the pair means as
+        # separate columns before stacking them peaked at 18.6 MB
+        d = synth_generate(1000, 61, PAPER_PROPORTIONS)
+        prep = Preprocessor(PreprocessConfig())
+        prep.fit_resample(d.X, d.y, derive_stream(61, 1))
+        X = synth_generate(20000, 62).X
+        peak = traced_peak_mb(lambda: prep.transform(X))
+        assert peak <= 16.0, f"transform peaked at {peak:.1f} MB"
 
     def test_evaluate_on_20000_rows(self, tmp_path, svm_model):
         argv = evaluate_argv(tmp_path, svm_model, 20000, 17)

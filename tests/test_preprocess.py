@@ -39,11 +39,11 @@ finite_matrices = hnp.arrays(
 class TestMinMax:
     def test_fit_single_column(self):
         p = fit_minmax(np.array([[2.0], [4.0], [6.0]]))
-        assert p.col_min[0] == 2 and p.col_max[0] == 6
+        assert p[0][0] == 2 and p[1][0] == 6
 
     def test_fit_two_columns(self):
         p = fit_minmax(np.array([[0.0, 10.0], [5.0, 20.0]]))
-        assert list(p.col_min) == [0, 10] and list(p.col_max) == [5, 20]
+        assert list(p[0]) == [0, 10] and list(p[1]) == [5, 20]
 
     def test_apply_midpoint(self):
         p = fit_minmax(np.array([[2.0], [4.0], [6.0]]))
@@ -71,10 +71,10 @@ class TestMinMax:
         p = fit_minmax(X)
         S = apply_minmax(X, p)
         assert (S >= 0).all() and (S <= 1).all()
-        span = p.col_max - p.col_min
-        restored = S * np.where(span == 0, 1.0, span) + p.col_min
+        span = p[1] - p[0]
+        restored = S * np.where(span == 0, 1.0, span) + p[0]
         # constant columns lose their offset in scaling; restore it
-        restored[:, span == 0] = p.col_min[span == 0]
+        restored[:, span == 0] = p[0][span == 0]
         assert np.allclose(restored, X, atol=1e-9 * np.maximum(1, np.abs(X)).max())
 
 
@@ -139,7 +139,7 @@ class TestEngineerFeatures:
         rep = pearson_matrix(X)
         X2, rep2 = engineer_features(X, rep, hi=0.999999, lo=-0.999999)
         assert np.array_equal(X, X2)
-        assert rep2.engineered_pairs == []
+        assert rep2.engineered_pairs.tolist() == []
 
     def test_duplicate_columns_mean(self):
         a = np.array([0.1, 0.5, 0.9, 0.3])
@@ -147,13 +147,13 @@ class TestEngineerFeatures:
         X2, rep = engineer_features(X, pearson_matrix(X, ["a", "b"]), 0.5, -0.4)
         assert X2.shape[1] == 3
         assert np.allclose(X2[:, 2], a)
-        assert rep.engineered_names == ["a+b"]
+        assert rep.engineered_pairs.tolist() == [[0, 1]]
 
     def test_pair_selection_and_order(self):
         matrix = [[1.0, 0.9, 0.6], [0.9, 1.0, 0.3], [0.6, 0.3, 1.0]]
         X = np.random.default_rng(2).uniform(size=(6, 3))
         X2, rep = engineer_features(X, _report_for(matrix), hi=0.5, lo=-0.4)
-        assert [(i, j) for i, j, _ in rep.engineered_pairs] == [(0, 1), (0, 2)]
+        assert rep.engineered_pairs.tolist() == [[0, 1], [0, 2]]
         assert X2.shape[1] == 5
         assert np.allclose(X2[:, 3], (X[:, 0] + X[:, 1]) / 2)
         assert np.allclose(X2[:, 4], (X[:, 0] + X[:, 2]) / 2)
@@ -162,18 +162,104 @@ class TestEngineerFeatures:
         matrix = [[1.0, 0.5, -0.4], [0.5, 1.0, 0.0], [-0.4, 0.0, 1.0]]
         X = np.zeros((4, 3))
         _, rep = engineer_features(X, _report_for(matrix), 0.5, -0.4)
-        assert rep.engineered_pairs == [] and rep.flagged_pairs == []
+        assert rep.engineered_pairs.tolist() == [] and rep.flagged_pairs.tolist() == []
 
     def test_flagged_not_dropped(self):
         matrix = [[1.0, -0.8], [-0.8, 1.0]]
         X = np.ones((4, 2))
         X2, rep = engineer_features(X, _report_for(matrix), 0.5, -0.4)
         assert X2.shape[1] == 2
-        assert [(i, j) for i, j, _ in rep.flagged_pairs] == [(0, 1)]
+        assert rep.flagged_pairs.tolist() == [[0, 1]]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             engineer_features(np.zeros((4, 3)), _report_for(np.eye(2)), 0.5, -0.4)
+
+
+def reference_pairs(matrix, hi, lo):
+    """The double loop the (k, 2) pair arrays replaced: (i, j, r) triples."""
+    engineered, flagged = [], []
+    m = matrix.shape[0]
+    for i in range(m):
+        for j in range(i + 1, m):
+            r = float(matrix[i, j])
+            if r > hi:
+                engineered.append((i, j, r))
+            elif r < lo:
+                flagged.append((i, j, r))
+    return engineered, flagged
+
+
+def reference_pair_means(X, pairs):
+    """Pair means stacked as separate columns, as before the preallocated result."""
+    X = np.asarray(X, dtype=float)
+    if not pairs:
+        return X
+    return np.column_stack([X] + [(X[:, i] + X[:, j]) / 2.0 for i, j, *_ in pairs])
+
+
+def reference_correlation_json(names, hi, lo, engineered, flagged, zero_variance):
+    """The correlation document written from (i, j, r) triples."""
+
+    def pair_doc(p):
+        i, j, r = p
+        return {"i": int(i), "j": int(j), "feature_i": names[i], "feature_j": names[j], "r": float(r)}
+
+    return {
+        "hi_threshold": hi,
+        "lo_threshold": lo,
+        "engineered": [pair_doc(p) for p in engineered],
+        "flagged": [pair_doc(p) for p in flagged],
+        "zero_variance_columns": list(zero_variance),
+    }
+
+
+thresholds = st.one_of(st.sampled_from([0.5, -0.4, 0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def pair_problems(draw):
+    """(X, symmetric matrix, hi, lo): entries drawn to sit exactly at hi or lo
+    often, and lo > hi in about half the draws."""
+    m = draw(st.integers(1, 7))
+    hi, lo = draw(thresholds), draw(thresholds)
+    values = st.one_of(st.just(hi), st.just(lo), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0))
+    upper = draw(hnp.arrays(np.float64, (m, m), elements=values))
+    matrix = np.where(np.triu(np.ones((m, m), dtype=bool), 1), upper, upper.T)
+    np.fill_diagonal(matrix, 1.0)
+    X = draw(hnp.arrays(np.float64, (draw(st.integers(0, 6)), m), elements=st.floats(-1e6, 1e6)))
+    return X, matrix, hi, lo
+
+
+class TestSinglePairForm:
+    @given(pair_problems())
+    def test_engineer_features_matches_the_double_loop(self, problem):
+        X, matrix, hi, lo = problem
+        X2, rep = engineer_features(X, _report_for(matrix), hi, lo)
+        engineered, flagged = reference_pairs(matrix, hi, lo)
+        assert rep.engineered_pairs.shape == (len(engineered), 2)
+        assert rep.flagged_pairs.shape == (len(flagged), 2)
+        assert rep.engineered_pairs.tolist() == [[i, j] for i, j, _ in engineered]
+        assert rep.flagged_pairs.tolist() == [[i, j] for i, j, _ in flagged]
+        expected = reference_pair_means(X, engineered)
+        assert X2.shape == expected.shape and X2.tobytes() == expected.tobytes()
+
+    @given(pair_problems(), st.data())
+    def test_append_pair_means_matches_column_stack(self, problem, data):
+        X, matrix, _, _ = problem
+        m = matrix.shape[0]
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=6))
+        got = append_pair_means(X, np.array(pairs, dtype=np.intp).reshape(-1, 2))
+        expected = reference_pair_means(X, pairs)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @given(pair_problems())
+    def test_correlation_json_matches_the_triples_document(self, problem):
+        X, matrix, hi, lo = problem
+        names = [f"f{j}" for j in range(matrix.shape[0])]
+        _, rep = engineer_features(X, CorrelationReport(matrix, names, [0]), hi, lo)
+        engineered, flagged = reference_pairs(matrix, hi, lo)
+        assert correlation_to_json(rep) == reference_correlation_json(names, hi, lo, engineered, flagged, [0])
 
 
 class TestSmote:
@@ -345,14 +431,14 @@ class TestRunPipeline:
         assert prep.X_test.shape[0] == 219
         assert prep.preprocessor.settings.order == "paper_order"
         p = prep.preprocessor
-        assert len(p.feature_names) + len(p.engineered_names) == prep.X_train.shape[1]
+        assert len(d.feature_names) + len(p.pairs) == prep.X_train.shape[1]
 
     def test_leak_safe_no_synthetic_test_rows(self):
         d = synth_generate(300, 8, (0.2, 0.3, 0.5))
         prep = run_pipeline(d, PreprocessConfig("leak_safe"), derive_stream(8, 1))
         # every test row must be an original (scaled+engineered) dataset row
         scaled = apply_minmax(d.X, prep.preprocessor.minmax)
-        originals = append_pair_means(scaled, prep.preprocessor.engineered_pairs)
+        originals = append_pair_means(scaled, prep.preprocessor.pairs)
         for row in prep.X_test:
             assert (np.abs(originals - row) < 1e-12).all(axis=1).any()
         # train is balanced by SMOTE
@@ -377,14 +463,14 @@ class TestPreprocessor:
     def test_dict_roundtrip_transforms_bit_for_bit(self, order):
         d = synth_generate(200, 4)
         fitted = run_pipeline(d, PreprocessConfig(order), derive_stream(4, 1)).preprocessor
-        assert fitted.engineered_pairs
+        assert len(fitted.pairs)
         restored = Preprocessor.from_dict(json.loads(json.dumps(fitted.to_dict())))
         assert restored.to_dict() == fitted.to_dict()
         assert restored.transform(d.X).tobytes() == fitted.transform(d.X).tobytes()
 
     def test_fit_resample_keeps_transformed_rows_first(self):
         d = synth_generate(200, 4, (0.2, 0.3, 0.5))
-        prep = Preprocessor(list(d.feature_names), PreprocessConfig(smote_k=3))
+        prep = Preprocessor(PreprocessConfig(smote_k=3))
         X, y = prep.fit_resample(d.X, d.y, derive_stream(4, 1))
         assert X[: d.n_rows].tobytes() == prep.transform(d.X).tobytes()
         assert np.array_equal(y[: d.n_rows], d.y)
