@@ -18,7 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from oncograde.cli import main as oncograde_main  # noqa: E402
-from oncograde.models import MODEL_NAMES  # noqa: E402
+from oncograde.models.base import MODEL_NAMES  # noqa: E402
 
 
 def run(out_dir: Path, seed: int, n_rows: int) -> int:

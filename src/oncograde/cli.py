@@ -34,7 +34,7 @@ from .eval import (
     sweep,
     sweep_to_csv,
 )
-from .models import ModelSpec, model_from_doc, model_to_doc
+from .models.base import ModelSpec, model_from_doc, model_to_doc
 from .preprocess import (
     PreprocessConfig,
     Preprocessor,
@@ -64,7 +64,7 @@ class ConfigError(Exception):
 # reads each field by its annotation, so a field is declared only once.
 # Every section but `data` is the type the code that runs it takes:
 # `data.synthetic` is `dataset.SyntheticConfig`, `preprocess` is
-# `preprocess.PreprocessConfig`, `model` is `models.ModelSpec` and `eval`
+# `preprocess.PreprocessConfig`, `model` is `models.base.ModelSpec` and `eval`
 # is `eval.EvalConfig`. Each range rule lives in that type's
 # `__post_init__`, so a value out of range is a config error (exit 2).
 
@@ -168,10 +168,6 @@ def _json_object(path: str, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path}: not a JSON object")
     return doc
-
-
-def load_config(path: str) -> RunConfig:
-    return parse_config(_json_object(path, "config"))
 
 
 # --- artifact management ------------------------------------------------------
@@ -500,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
             writer.write_manifest("report", {"runs": args.runs}, started)
             return 0
 
-        cfg = load_config(args.config)
+        cfg = parse_config(_json_object(args.config, "config"))
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)  # __post_init__ checks it
         if args.output_dir is not None:

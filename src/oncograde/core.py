@@ -38,34 +38,11 @@ class RngStream:
         self.origin_seed = self.origin_seed & _MASK64
         self.state = self.origin_seed
 
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK64
-        return _mix64(self.state)
-
-    def uniform(self) -> float:
-        # top 53 bits -> [0, 1)
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def normal(self) -> float:
-        # Box-Muller; u clamped away from 0 so log stays finite
-        u = max(self.uniform(), 2.0**-53)
-        v = self.uniform()
-        return float(np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * v))
-
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ValueError("randint requires n >= 1")
-        return int(self.uniform() * n)
-
     def uniforms(self, size: int) -> np.ndarray:
-        """``size`` draws of :meth:`uniform`, made in one block.
-
-        Values and the advanced ``state`` equal those of ``size`` scalar
-        calls: splitmix64 is counter-based, so draw ``k`` mixes
-        ``state + k * golden`` and needs none of the draws before it.
-        Every block draw below is built on this one.
-        """
+        """``size`` uniforms in [0, 1), each the top 53 bits of the next
+        splitmix64 word, made in one block: the generator is counter-based, so
+        word ``k`` mixes ``state + k * golden`` and needs none before it.
+        Every draw below is built on this one."""
         steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
         z = steps + np.uint64(self.state)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -75,13 +52,13 @@ class RngStream:
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def randints(self, n: int, size: int) -> np.ndarray:
-        """``size`` draws of :meth:`randint`, made in one block."""
+        """``size`` uniform integers in [0, n), each ``floor(uniform * n)``."""
         if n <= 0:
-            raise ValueError("randint requires n >= 1")
+            raise ValueError("randints requires n >= 1")
         return (self.uniforms(size) * n).astype(np.int64)
 
     def normals(self, size: int) -> np.ndarray:
-        """``size`` draws of :meth:`normal`, made in one block."""
+        """``size`` standard normals, each from two uniforms by :func:`box_muller`."""
         return box_muller(self.uniforms(2 * size).reshape(size, 2))
 
     def derive(self, index: int) -> "RngStream":
@@ -92,8 +69,8 @@ class RngStream:
 
 
 def box_muller(uv: np.ndarray) -> np.ndarray:
-    """Normals from the uniform pairs ``uv[..., 0], uv[..., 1]``, by the
-    same expression as :meth:`RngStream.normal`."""
+    """Box-Muller normals from the uniform pairs ``uv[..., 0], uv[..., 1]``;
+    ``u`` is clamped away from 0 so its log stays finite."""
     u = np.maximum(uv[..., 0], 2.0**-53)
     return np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * uv[..., 1])
 
@@ -105,7 +82,7 @@ def derive_stream(seed: int, index: int) -> RngStream:
 def shuffle(indices, stream: RngStream) -> list:
     """Fisher-Yates permutation of `indices` driven by `stream`.
 
-    Step ``i = n-1, ..., 1`` swaps in ``j = randint(i + 1)``; all the
+    Step ``i = n-1, ..., 1`` swaps in ``j = floor(u * (i + 1))``; all the
     ``j`` come from one block of ``n - 1`` uniforms.
     """
     out = list(indices)
@@ -158,6 +135,14 @@ def json_array(tp: type, value, refusal: str) -> np.ndarray:
             i = next((k for k, shape in enumerate(shapes) if shape != common), i)
         raise ValueError(refusal.format(i, value[i] if cells.ndim else value))
     return (out.astype(np.int64) if tp is int else out).reshape(cells.shape)
+
+
+def json_scalar(tp: type, value, refusal: str):
+    """``value`` as one ``tp`` by :func:`json_array`'s rule; a list, even of
+    one number, is refused as ``refusal.format(0, value)``."""
+    if isinstance(value, list):
+        raise ValueError(refusal.format(0, value))
+    return tp(json_array(tp, value, refusal))
 
 
 def worker_count() -> int:

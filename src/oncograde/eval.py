@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import RngStream, as_matrix, parallel_map
 from .dataset import LABEL_VALUES, N_CLASSES, csv_text
-from .models import Hyperparams
+from .models.base import Hyperparams
 from .preprocess import _round_half_up, shuffled_classes, stratified_split
 
 

@@ -148,39 +148,29 @@ class ModelSpec:
     def with_hyperparams(self, **kw) -> "ModelSpec":
         return ModelSpec(self.name, dataclasses.replace(self.hyperparams, **kw))
 
-    def train(self, X, y, stream: RngStream, Xval=None, yval=None):
-        """Train a fresh model; dnn falls back to the training set for
-        validation monitoring when no validation split is given."""
+    def train(self, X, y, stream: RngStream, Xval, yval):
+        """Train a fresh model on ``X, y``. A dnn, alone or in voting,
+        early-stops on ``Xval, yval``; no other model reads them."""
         from .ensemble import train_bagging, train_voting
         from .mlp import train_mlp
         from .svm import train_svm_ovr
 
         hp = self.hyperparams
-        if Xval is None:
-            Xval, yval = X, y
         if self.name == "dnn":
             return train_mlp(X, y, Xval, yval, hp, stream)
         if self.name in _SVM_KERNEL_OF:
             return train_svm_ovr(X, y, svm_kernel_for(self.name, hp, X), C=hp.C)
         if self.name == "bagging":
-            return train_bagging(X, y, tree_base_spec(hp), hp.n_estimators, stream)
-        return train_voting(
-            default_voting_members(hp), hp.voting_mode, X, y, stream, Xval, yval
-        )
+            base_spec = {"max_depth": hp.max_depth, "min_child_weight": hp.min_child_weight}
+            return train_bagging(X, y, base_spec, hp.n_estimators, stream)
+        members = [ModelSpec("dnn", hp), ModelSpec("svm_rbf", hp), ModelSpec("bagging", hp)]
+        return train_voting(members, hp.voting_mode, X, y, stream, Xval, yval)
 
 
 def svm_kernel_for(name: str, hp: Hyperparams, X) -> KernelSpec:
     kind = _SVM_KERNEL_OF[name]
     gamma = resolve_gamma(hp.gamma, X) if kind != "linear" else 1.0
     return KernelSpec(kind=kind, gamma=gamma, degree=hp.degree, coef0=hp.coef0)
-
-
-def tree_base_spec(hp: Hyperparams) -> dict:
-    return {"max_depth": hp.max_depth, "min_child_weight": hp.min_child_weight}
-
-
-def default_voting_members(hp: Hyperparams) -> list[ModelSpec]:
-    return [ModelSpec("dnn", hp), ModelSpec("svm_rbf", hp), ModelSpec("bagging", hp)]
 
 
 # --- serialization ----------------------------------------------------------

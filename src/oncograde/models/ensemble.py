@@ -102,8 +102,8 @@ class VotingModel:
         return cls(members=_members(params), mode=params["mode"])
 
 
-def train_voting(member_specs: list, mode: str, X, y, stream: RngStream, Xval=None, yval=None) -> VotingModel:
-    """Train each member spec independently on the same data."""
+def train_voting(member_specs: list, mode: str, X, y, stream: RngStream, Xval, yval) -> VotingModel:
+    """Train each member spec independently on the same training and validation rows."""
     if not member_specs:
         raise ValueError("voting requires at least one member")
     Hyperparams(voting_mode=mode)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import as_matrix, json_array
+from ..core import as_matrix, json_array, json_scalar
 from ..dataset import N_CLASSES
 from .base import KernelSpec, kernel_matrix, proba_to_labels, softmax
 
@@ -78,13 +78,6 @@ class BinarySvm:
         m = self.support_mask
         K = kernel_matrix(self.kernel, Xq, self.X[m])
         return K @ (self.alphas[m] * self.y[m]) + self.bias
-
-
-def dual_objective(svm: BinarySvm) -> float:
-    """Value of the dual: sum(alpha) - 1/2 sum_ij alpha_i alpha_j y_i y_j K_ij."""
-    ay = svm.alphas * svm.y
-    K = kernel_matrix(svm.kernel, svm.X, svm.X)
-    return float(svm.alphas.sum() - 0.5 * ay @ K @ ay)
 
 
 def kkt_violation(svm: BinarySvm, tol: float = 1e-3) -> float:
@@ -243,7 +236,7 @@ class SvmOvrModel:
         for key, tp in (("gamma", float), ("degree", int), ("coef0", float)):
             if key in kernel:
                 kind = "an integer" if tp is int else "a number"
-                kernel[key] = tp(json_array(tp, kernel[key], f"svm kernel {key} {{1!r}} must be {kind}"))
+                kernel[key] = json_scalar(tp, kernel[key], f"svm kernel {key} {{1!r}} must be {kind}")
         return cls(KernelSpec(**kernel), support_x, coef, bias)
 
 

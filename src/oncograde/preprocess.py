@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RngStream, as_matrix, json_array, shuffle
+from .core import RngStream, as_matrix, json_array, json_scalar, shuffle
 from .dataset import FEATURE_NAMES, Dataset, N_CLASSES, csv_text
 
 PIPELINE_ORDERS = ("paper_order", "leak_safe")
@@ -373,8 +373,8 @@ class Preprocessor:
         if names != _pair_names(pairs):
             held = f"{len(names)} engineered names" if isinstance(names, list) else f"engineered_names {names!r}"
             raise ValueError(f"pipeline has {len(pairs)} engineered pairs but {held}, not the pairs' own names")
-        corr = [json_array(float, d[k], f"pipeline {k} {{1!r}} must be a number") for k in ("corr_hi", "corr_lo")]
-        return cls(PreprocessConfig(d["order"], corr_hi=float(corr[0]), corr_lo=float(corr[1])), (lo, hi), pairs)
+        corr = {k: json_scalar(float, d[k], f"pipeline {k} {{1!r}} must be a number") for k in ("corr_hi", "corr_lo")}
+        return cls(PreprocessConfig(d["order"], **corr), (lo, hi), pairs)
 
 
 def _pair_names(pairs) -> list[str]:

@@ -15,8 +15,8 @@ from oncograde.cli import main
 from oncograde.core import RngStream, derive_stream
 from oncograde.dataset import synth_generate
 from oncograde.eval import confusion, evaluate_predictions, metrics, stratified_folds
-from oncograde.models import KernelSpec, ModelSpec, train_svm_binary
-from oncograde.models.svm import kkt_violation
+from oncograde.models.base import KernelSpec, ModelSpec
+from oncograde.models.svm import kkt_violation, train_svm_binary
 from oncograde.preprocess import PreprocessConfig, run_pipeline, smote
 from tests.test_mlp import max_relative_grad_error
 from tests.test_svm import random_binary_problem

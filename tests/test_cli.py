@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 import typing
 from pathlib import Path
@@ -16,7 +18,7 @@ import oncograde.cli as cli
 from oncograde.cli import ArtifactWriter, ConfigError, main, parse_config
 from oncograde.core import derive_stream
 from oncograde.dataset import synth_generate, save_csv
-from oncograde.models import MODEL_NAMES
+from oncograde.models.base import MODEL_NAMES
 from oncograde.preprocess import PIPELINE_ORDERS, PreprocessConfig, run_pipeline
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
@@ -826,6 +828,31 @@ MALFORMED_MODEL_FILES = {
         lambda doc: with_keys(doc, "pipeline", "engineered_names", "Age+Gender"),
         ": pipeline has 57 engineered pairs but engineered_names 'Age+Gender', not the pairs' own names",
     ),
+    # one number where a model file wants one, not a list of one
+    "svm_gamma_list": (
+        lambda doc: with_keys(doc, *SVM, "kernel", "gamma", [0.25]),
+        ": svm kernel gamma [0.25] must be a number",
+    ),
+    "svm_degree_list": (
+        lambda doc: with_keys(doc, *SVM, "kernel", "degree", [3]),
+        ": svm kernel degree [3] must be an integer",
+    ),
+    "svm_coef0_list": (
+        lambda doc: with_keys(doc, *SVM, "kernel", "coef0", [0.0]),
+        ": svm kernel coef0 [0.0] must be a number",
+    ),
+    "tree_n_features_list": (
+        lambda doc: with_keys(doc, *TREE, "n_features", [80]),
+        ": tree n_features [80] must be an integer",
+    ),
+    "pipeline_corr_hi_list": (
+        lambda doc: with_keys(doc, "pipeline", "corr_hi", [0.5]),
+        ": pipeline corr_hi [0.5] must be a number",
+    ),
+    "pipeline_corr_lo_list": (
+        lambda doc: with_keys(doc, "pipeline", "corr_lo", [-0.4]),
+        ": pipeline corr_lo [-0.4] must be a number",
+    ),
 }
 
 
@@ -1101,3 +1128,50 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["explode"])
         assert exc.value.code == 2
+
+
+SRC_DIR = Path(cli.__file__).resolve().parents[1]
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(args: list[str], cwd, **env_vars) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh process that imports oncograde from this
+    checkout, with the BLAS thread variables unset unless given."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, check=True)
+
+
+class TestFreshProcess:
+    def test_model_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """``train`` writes the same svm_linear ``model.json`` with the BLAS
+        thread variables unset, 1 and 2: a threaded ``X @ X.T`` may round an
+        entry differently and SMO amplifies it, so the package pins one thread.
+
+        Unset means one thread per core, so on a one-core machine every run
+        uses one thread and this test cannot show that defect."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 42, "data": {"synthetic": {"n": 1000}}, "model": {"name": "svm_linear"}}))
+        digests = []
+        for threads in (None, "1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = {} if threads is None else dict.fromkeys(BLAS_THREAD_VARS, threads)
+            run_python(["-m", "oncograde.cli", "train", "--config", str(cfg), "--output-dir", str(out)], tmp_path, **env)
+            digests.append(sha256(out / "model.json"))
+        assert digests[0] == digests[1] == digests[2]
+
+    def test_importing_the_cli_loads_no_model_family(self, tmp_path):
+        """``import oncograde.cli`` loads what every subcommand uses and, past
+        the standard library, only numpy; ``ModelSpec.train`` and
+        ``model_from_doc`` load the model families when a model is made."""
+        code = (
+            "import json, sys; before = set(sys.modules); import oncograde.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
+        added = json.loads(run_python(["-c", code], tmp_path).stdout)
+        ours = {m for m in added if m.split(".")[0] == "oncograde"}
+        modules = ("", ".cli", ".core", ".dataset", ".eval", ".preprocess", ".svg", ".models", ".models.base")
+        assert ours == {f"oncograde{m}" for m in modules}
+        outside = {m.split(".")[0] for m in added} - {"oncograde", "numpy"}
+        assert outside <= sys.stdlib_module_names, sorted(outside - sys.stdlib_module_names)

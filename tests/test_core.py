@@ -17,13 +17,14 @@ from oncograde.cli import _SCALARS
 from oncograde.models.base import proba_to_labels
 
 MASK = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 def reference_splitmix64(state: int, count: int) -> list[int]:
     """Independently coded splitmix64 recurrence, used as the oracle."""
     out = []
     for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & MASK
+        state = (state + GOLDEN) & MASK
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
@@ -31,51 +32,77 @@ def reference_splitmix64(state: int, count: int) -> list[int]:
     return out
 
 
+# One draw at a time from a stream's state: the references its block draws
+# (`uniforms`, `randints`, `normals`, `shuffle`) are checked against.
+
+
+def next_u64(s: RngStream) -> int:
+    (word,) = reference_splitmix64(s.state, 1)
+    s.state = (s.state + GOLDEN) & MASK
+    return word
+
+
+def uniform(s: RngStream) -> float:
+    # top 53 bits -> [0, 1)
+    return (next_u64(s) >> 11) * 2.0**-53
+
+
+def normal(s: RngStream) -> float:
+    # Box-Muller; u clamped away from 0 so log stays finite
+    u = max(uniform(s), 2.0**-53)
+    v = uniform(s)
+    return float(np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * v))
+
+
+def randint(s: RngStream, n: int) -> int:
+    """Uniform integer in [0, n)."""
+    return int(uniform(s) * n)
+
+
 class TestRngStream:
     def test_matches_reference_recurrence_from_seed_zero(self):
         s = RngStream(0)
-        words = [s.next_u64() for _ in range(5)]
-        assert words == reference_splitmix64(0, 5)
+        words = reference_splitmix64(0, 6)
+        assert s.uniforms(5).tolist() == [(w >> 11) * 2.0**-53 for w in words[:5]]
+        assert next_u64(s) == words[5]
         # frozen first word, computed from the reference recurrence
         assert words[0] == 0xE220A8397B1DCDAF
 
     def test_same_seed_same_sequence(self):
         a, b = RngStream(42), RngStream(42)
-        assert [a.uniform() for _ in range(1000)] == [b.uniform() for _ in range(1000)]
+        assert a.uniforms(1000).tolist() == b.uniforms(1000).tolist()
 
     @given(st.integers(min_value=0, max_value=MASK))
     def test_uniform_in_unit_interval(self, seed):
-        s = RngStream(seed)
-        for _ in range(20):
-            u = s.uniform()
-            assert 0.0 <= u < 1.0
+        u = RngStream(seed).uniforms(20)
+        assert ((0.0 <= u) & (u < 1.0)).all()
 
     def test_derive_is_stable_and_disjoint(self):
         base = RngStream(99)
-        a1 = [base.derive(3).uniform() for _ in range(1)]
-        a2 = [base.derive(3).uniform() for _ in range(1)]
+        a1 = [uniform(base.derive(3)) for _ in range(1)]
+        a2 = [uniform(base.derive(3)) for _ in range(1)]
         assert a1 == a2
-        seqs = {tuple(base.derive(i).next_u64() for _ in range(4)) for i in range(50)}
+        seqs = {tuple(next_u64(base.derive(i)) for _ in range(4)) for i in range(50)}
         assert len(seqs) == 50
 
     def test_derive_does_not_consume_parent_state(self):
         a, b = RngStream(5), RngStream(5)
         a.derive(1)
-        assert a.next_u64() == b.next_u64()
+        assert next_u64(a) == next_u64(b)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 150, 1100, 2**31 + 7])
     def test_randints_match_scalar_draws(self, n):
         for seed in (0, 9, MASK):
             scalar, block = RngStream(seed), RngStream(seed)
-            expected = [scalar.randint(n) for _ in range(257)]
+            expected = [randint(scalar, n) for _ in range(257)]
             drawn = block.randints(n, 257)
             assert drawn.tolist() == expected
-            assert block.next_u64() == scalar.next_u64()
+            assert next_u64(block) == next_u64(scalar)
 
     def test_randints_empty_and_invalid(self):
         s = RngStream(4)
         assert s.randints(5, 0).size == 0
-        assert s.next_u64() == RngStream(4).next_u64()
+        assert next_u64(s) == next_u64(RngStream(4))
         with pytest.raises(ValueError):
             s.randints(0, 3)
 
@@ -83,19 +110,19 @@ class TestRngStream:
     def test_uniforms_and_normals_match_scalar_draws(self, size):
         for seed in (0, 9, MASK):
             scalar, block = RngStream(seed), RngStream(seed)
-            assert block.uniforms(size).tolist() == [scalar.uniform() for _ in range(size)]
-            assert block.normals(size).tolist() == [scalar.normal() for _ in range(size)]
-            assert block.next_u64() == scalar.next_u64()
+            assert block.uniforms(size).tolist() == [uniform(scalar) for _ in range(size)]
+            assert block.normals(size).tolist() == [normal(scalar) for _ in range(size)]
+            assert next_u64(block) == next_u64(scalar)
 
     def test_derive_stream_helper(self):
-        assert derive_stream(7, 2).next_u64() == RngStream(7).derive(2).next_u64()
+        assert next_u64(derive_stream(7, 2)) == next_u64(RngStream(7).derive(2))
 
 
 def reference_shuffle(indices, stream: RngStream) -> list:
     """Fisher-Yates with one scalar draw per step, used as the oracle."""
     out = list(indices)
     for i in range(len(out) - 1, 0, -1):
-        j = stream.randint(i + 1)
+        j = randint(stream, i + 1)
         out[i], out[j] = out[j], out[i]
     return out
 
@@ -106,7 +133,7 @@ class TestShuffle:
         for seed in (0, 9, MASK):
             scalar, block = RngStream(seed), RngStream(seed)
             assert shuffle(range(n), block) == reference_shuffle(range(n), scalar)
-            assert block.next_u64() == scalar.next_u64()
+            assert next_u64(block) == next_u64(scalar)
 
     def test_empty(self, stream):
         assert shuffle([], stream) == []

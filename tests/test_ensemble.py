@@ -7,15 +7,9 @@ import pytest
 from oncograde.cli import main
 from oncograde.core import RngStream, derive_stream
 from oncograde.dataset import synth_generate
-from oncograde.models import (
-    Hyperparams,
-    ModelSpec,
-    train_bagging,
-    train_tree,
-    train_voting,
-)
-from oncograde.models.ensemble import BaggingModel, VotingModel
-from oncograde.models.tree import TreeModel
+from oncograde.models.base import Hyperparams, ModelSpec
+from oncograde.models.ensemble import BaggingModel, VotingModel, train_bagging, train_voting
+from oncograde.models.tree import TreeModel, train_tree
 
 
 def leaf_model(hist):
@@ -133,12 +127,14 @@ class TestVoting:
         assert P[0] == pytest.approx([1 / 3, 2 / 3, 0.0])
 
     def test_empty_members_error(self):
+        X, y = np.zeros((3, 2)), np.array([0, 1, 2])
         with pytest.raises(ValueError, match="at least one member"):
-            train_voting([], "hard", np.zeros((3, 2)), np.array([0, 1, 2]), RngStream(0))
+            train_voting([], "hard", X, y, RngStream(0), X, y)
 
     def test_bad_mode_error(self):
+        X, y = np.zeros((3, 2)), np.array([0, 1, 2])
         with pytest.raises(ValueError, match="mode"):
-            train_voting([ModelSpec("bagging")], "plurality", np.zeros((3, 2)), np.array([0, 1, 2]), RngStream(0))
+            train_voting([ModelSpec("bagging")], "plurality", X, y, RngStream(0), X, y)
 
     def test_trains_default_members(self, small_prepared):
         prep = small_prepared

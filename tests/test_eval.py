@@ -22,7 +22,7 @@ from oncograde.eval import (
     sweep_to_csv,
 )
 from oncograde.eval import _stratified_subset
-from oncograde.models import Hyperparams, ModelSpec
+from oncograde.models.base import Hyperparams, ModelSpec
 
 FAST_TREEISH = ModelSpec("bagging", Hyperparams(n_estimators=3, max_depth=3))
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oncograde.core import RngStream
-from oncograde.models import Hyperparams, train_mlp
-from oncograde.models.mlp import forward, cross_entropy_grads, init_params
+from oncograde.models.base import Hyperparams
+from oncograde.models.mlp import forward, cross_entropy_grads, init_params, train_mlp
 from tests.conftest import make_blobs
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oncograde.models import MODEL_NAMES
+from oncograde.models.base import MODEL_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oncograde.core import derive_stream
-from oncograde.models import Hyperparams, ModelSpec, model_from_doc, model_to_doc
+from oncograde.models.base import Hyperparams, ModelSpec, model_from_doc, model_to_doc
 
 ALL_NAMES = ("dnn", "voting", "bagging", "svm_rbf", "svm_linear", "svm_poly", "svm_sigmoid")
 
@@ -27,7 +27,7 @@ def test_json_roundtrip_preserves_predictions(name, small_prepared):
 def test_document_is_versioned_and_tagged(small_prepared):
     prep = small_prepared
     model = ModelSpec("bagging", Hyperparams(n_estimators=2, max_depth=2)).train(
-        prep.X_train, prep.y_train, derive_stream(1, 2)
+        prep.X_train, prep.y_train, derive_stream(1, 2), prep.X_test, prep.y_test
     )
     doc = model_to_doc(model)
     assert doc["version"] == 1

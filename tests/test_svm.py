@@ -11,19 +11,17 @@ from hypothesis import strategies as st
 from oncograde.cli import main
 from oncograde.core import derive_stream
 from oncograde.dataset import synth_generate
-from oncograde.models import (
+from oncograde.models.base import (
     KernelSpec,
     ModelSpec,
     kernel_matrix,
     model_from_doc,
     model_to_doc,
     resolve_gamma,
-    train_svm_binary,
-    train_svm_ovr,
+    svm_kernel_for,
 )
-from oncograde.models.base import svm_kernel_for
 import oncograde.models.svm as svm_module
-from oncograde.models.svm import SvmOvrModel, dual_objective, kkt_violation
+from oncograde.models.svm import SvmOvrModel, kkt_violation, train_svm_binary, train_svm_ovr
 from oncograde.preprocess import PreprocessConfig, run_pipeline
 from tests.conftest import make_blobs
 
@@ -37,6 +35,13 @@ def random_binary_problem(trial, n_max=40, d_max=4):
     if abs(y.sum()) == n:
         y[0] = -y[0]
     return X, y
+
+
+def dual_objective(svm) -> float:
+    """Value of the dual: sum(alpha) - 1/2 sum_ij alpha_i alpha_j y_i y_j K_ij."""
+    ay = svm.alphas * svm.y
+    K = kernel_matrix(svm.kernel, svm.X, svm.X)
+    return float(svm.alphas.sum() - 0.5 * ay @ K @ ay)
 
 
 def smo_digest(svm) -> str:
@@ -446,7 +451,7 @@ class TestSupportSet:
     @pytest.mark.parametrize("name", PAPER_SVMS)
     def test_decisions_match_the_binary_machines(self, paper_split, machines, name):
         X, y = paper_split.X_train, paper_split.y_train
-        model = ModelSpec(name).train(X, y, derive_stream(42, 2))
+        model = ModelSpec(name).train(X, y, derive_stream(42, 2), paper_split.X_test, paper_split.y_test)
         rows = np.vstack([paper_split.X_test, X])
         assert_same_decisions(model.decision_matrix(rows), stacked_decisions(machines, range(3), rows))
 
@@ -458,9 +463,9 @@ class TestSupportSet:
         rows = np.vstack([X, np.random.default_rng(6).uniform(-6.0, 10.0, size=(400, 2))])
         assert_same_decisions(model.decision_matrix(rows), stacked_decisions(machines, (0, 2), rows))
 
-    def test_support_rows_are_stored_once_in_training_order(self, paper_rows, machines):
-        X, y = paper_rows
-        model = ModelSpec("svm_rbf").train(X, y, derive_stream(42, 2))
+    def test_support_rows_are_stored_once_in_training_order(self, paper_split, machines):
+        X, y = paper_split.X_train, paper_split.y_train
+        model = ModelSpec("svm_rbf").train(X, y, derive_stream(42, 2), paper_split.X_test, paper_split.y_test)
         union = np.any([svm.support_mask for svm in machines], axis=0)
         assert np.array_equal(model.support_x, X[union])
         for cls, svm in enumerate(machines):
@@ -489,7 +494,9 @@ class TestSupportSet:
 def test_sigmoid_machines_end_at_box_corners_and_are_inverted(paper_split, machines):
     """The diagnosis in the ``svm.py`` docstring, on the seed-42 paper rows."""
     spec = ModelSpec("svm_sigmoid")
-    model = spec.train(paper_split.X_train, paper_split.y_train, derive_stream(42, 2))
+    model = spec.train(
+        paper_split.X_train, paper_split.y_train, derive_stream(42, 2), paper_split.X_test, paper_split.y_test
+    )
     C = spec.hyperparams.C
     for svm in machines:
         assert ((svm.alphas > 0) & (svm.alphas < C)).sum() <= 2

@@ -6,10 +6,9 @@ import pytest
 
 from oncograde.core import RngStream, derive_stream
 from oncograde.dataset import N_CLASSES, synth_generate
-from oncograde.models import train_tree
 from oncograde.models.base import model_from_doc, model_to_doc
 from oncograde.models.ensemble import BaggingModel
-from oncograde.models.tree import TreeModel
+from oncograde.models.tree import TreeModel, train_tree
 from oncograde.preprocess import PreprocessConfig, run_pipeline
 
 
