@@ -22,15 +22,20 @@ import numpy as np
 
 from . import __version__
 from .core import RngStream, derive_stream
-from .dataset import Dataset, SyntheticConfig, csv_text, load_csv, synth_generate
+from .dataset import (
+    LABEL_VALUES, ORDINAL_HIGH, ORDINAL_LOW, Dataset, SyntheticConfig, csv_text,
+    iter_csv_blocks, load_csv, synth_generate,
+)
 from .eval import (
     EvalConfig,
+    confusion,
     confusion_to_csv,
     curve_to_csv,
     cv_to_csv,
     evaluate_predictions,
     kfold_cv,
     learning_curve,
+    metrics,
     sweep,
     sweep_to_csv,
 )
@@ -48,10 +53,6 @@ from .preprocess import (
 from .svg import render_svg
 
 MODEL_WRAPPER_VERSION = 1
-
-# rows `evaluate` transforms and predicts at a time, so the transformed rows
-# and the kernel and activation matrices stay bounded however long the CSV is
-_EVALUATE_BLOCK_ROWS = 2048
 
 
 class ConfigError(Exception):
@@ -282,10 +283,10 @@ def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
             bins = [f"{edges[b]:g}-{edges[b + 1]:g}" for b in range(10)]
             idx = np.clip(((col - lo) / (hi - lo) * 10).astype(int), 0, 9)
         else:
-            bins = [str(b) for b in range(1, 10)]
-            idx = np.clip(np.round(col).astype(int), 1, 9) - 1
+            bins = [str(b) for b in range(ORDINAL_LOW, ORDINAL_HIGH + 1)]
+            idx = np.clip(np.round(col).astype(int), ORDINAL_LOW, ORDINAL_HIGH) - ORDINAL_LOW
         series = []
-        for cls, label in enumerate(("Low", "Medium", "High")):
+        for cls, label in enumerate(LABEL_VALUES):
             counts = np.bincount(idx[d.y == cls], minlength=len(bins))[: len(bins)]
             series.append({"name": label, "values": [int(v) for v in counts]})
             rows.extend([name, label, bin_label, n] for bin_label, n in zip(bins, counts))
@@ -347,6 +348,8 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
     path = cfg.model_path
     if path is None:
         raise ConfigError("evaluate requires model_path in the config")
+    if cfg.data.csv_path is None:
+        raise ConfigError("evaluate requires data.csv_path in the config")
     wrapper = _json_object(path, "model file")
     try:  # any other fault in the model document is a config error naming the file
         if wrapper.get("version") != MODEL_WRAPPER_VERSION:
@@ -358,13 +361,10 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
     except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"model file {path}: {exc}") from None
 
-    d = _load_dataset(cfg)
-    block = _EVALUATE_BLOCK_ROWS
-    rows = range(0, d.n_rows, block)
-    labels = np.concatenate([model.predict(prep.transform(d.X[lo : lo + block])) for lo in rows])
-    cm, report = evaluate_predictions(d.y, labels)
+    blocks = iter_csv_blocks(cfg.data.csv_path)  # scored as read, so memory stays bounded
+    cm = sum(confusion(y, model.predict(prep.transform(X))) for X, y, _ in blocks)
     _write_metrics_artifacts(
-        writer, cm, report, f"Confusion matrix: {wrapper.get('model_name', 'model')}"
+        writer, cm, metrics(cm), f"Confusion matrix: {wrapper.get('model_name', 'model')}"
     )
 
 

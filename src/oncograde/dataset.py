@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -192,60 +193,61 @@ def _norm(name: str) -> str:
     return name.strip().lower()
 
 
+_BLOCK_ROWS = 2048  # data rows parsed at a time, so no file is held whole as strings
 _LABEL_OF_NAME = {_norm(v): i for i, v in enumerate(LABEL_VALUES)}
 
 
 def _parse_label(token: str) -> int:
-    t = token.strip()
-    if _norm(t) in _LABEL_OF_NAME:
-        return _LABEL_OF_NAME[_norm(t)]
-    try:
-        num = int(float(t)) if float(t).is_integer() else None
+    name = _norm(token)
+    if name in _LABEL_OF_NAME:
+        return _LABEL_OF_NAME[name]
+    try:  # or the class's number, 1 to N_CLASSES
+        return range(1, N_CLASSES + 1).index(float(name))
     except ValueError:
-        num = None
-    if num is not None and 1 <= num <= N_CLASSES:
-        return num - 1
-    raise ValueError(f"unknown label value: {token!r}")
+        raise ValueError(f"unknown label value: {token!r}") from None
 
 
-def load_csv(path) -> Dataset:
-    """Load a dataset, matching columns to the schema by header name.
+def iter_csv_blocks(path):
+    """Yield ``(X, y, patient_ids)`` for up to ``_BLOCK_ROWS`` data rows at a
+    time, matching columns to the schema by header name.
 
     Matching is case-insensitive with surrounding whitespace trimmed;
     column order in the file does not matter. Numeric labels 1/2/3 are
-    accepted as Low/Medium/High. Extra columns are ignored.
+    accepted as Low/Medium/High. Extra columns are ignored. Blank lines
+    are skipped, and row numbers in messages count data rows across blocks.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = [r for r in reader if r]
-    if not rows:
-        raise ValueError(f"empty file: {path}")
+        rows = filter(None, csv.reader(fh))
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"empty file: {path}")
+        col_of = {_norm(h): i for i, h in enumerate(header)}
+        for name in (*FEATURE_NAMES, LABEL_NAME):
+            if _norm(name) not in col_of:
+                raise ValueError(f"missing column: {name}")
+        feature_idx = [col_of[_norm(name)] for name in FEATURE_NAMES]
+        label_idx = col_of[_norm(LABEL_NAME)]
+        id_idx = col_of.get(_norm(ID_NAME))
 
-    header = [_norm(h) for h in rows[0]]
-    col_of = {h: i for i, h in enumerate(header)}
-
-    feature_idx = []
-    for name in FEATURE_NAMES:
-        if _norm(name) not in col_of:
-            raise ValueError(f"missing column: {name}")
-        feature_idx.append(col_of[_norm(name)])
-    if _norm(LABEL_NAME) not in col_of:
-        raise ValueError(f"missing column: {LABEL_NAME}")
-    label_idx = col_of[_norm(LABEL_NAME)]
-    id_idx = col_of.get(_norm(ID_NAME))
-
-    data_rows = rows[1:]
-    if not data_rows:
+        done = 0
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            try:
+                parsed = _parse_columns(block, feature_idx, label_idx, id_idx)
+            except (ValueError, IndexError):
+                # a bad cell, or one that plain ``float`` rejects but
+                # ``float(cell.strip())`` accepts
+                parsed = _parse_rows(block, done, feature_idx, label_idx, id_idx)
+            yield parsed
+            done += len(block)
+    if not done:
         raise ValueError(f"no data rows in {path}")
 
-    try:
-        X, y, ids = _parse_columns(data_rows, feature_idx, label_idx, id_idx)
-    except (ValueError, IndexError):
-        # the row-by-row parse raises the error for the first bad cell in
-        # row-major order, or reads what plain ``float`` rejects but
-        # ``float(cell.strip())`` accepts
-        X, y, ids = _parse_rows(data_rows, feature_idx, label_idx, id_idx)
-    return Dataset(X=X, y=y, feature_names=list(FEATURE_NAMES), patient_ids=ids)
+
+def load_csv(path) -> Dataset:
+    """The blocks of :func:`iter_csv_blocks` as one dataset."""
+    Xs, ys, ids = zip(*iter_csv_blocks(path))
+    ids = None if ids[0] is None else [i for block in ids for i in block]
+    return Dataset(np.concatenate(Xs), np.concatenate(ys), list(FEATURE_NAMES), ids)
 
 
 def _parse_columns(data_rows, feature_idx, label_idx, id_idx):
@@ -261,30 +263,29 @@ def _parse_columns(data_rows, feature_idx, label_idx, id_idx):
     return X, y, ids
 
 
-def _parse_rows(data_rows, feature_idx, label_idx, id_idx):
-    n = len(data_rows)
-    X = np.empty((n, len(FEATURE_NAMES)), dtype=np.float64)
-    y = np.empty(n, dtype=np.int64)
-    ids: list[str] | None = [] if id_idx is not None else None
-    for r, row in enumerate(data_rows):
+def _parse_rows(data_rows, done, feature_idx, label_idx, id_idx):
+    """Raise the error for the first bad cell in row-major order, else parse
+    the trimmed cells; ``done`` data rows precede ``data_rows`` in the file."""
+    for r, row in enumerate(data_rows, done + 1):
         for j, ci in enumerate(feature_idx):
             cell = row[ci].strip() if ci < len(row) else ""
             try:
-                X[r, j] = float(cell)
+                float(cell)
             except ValueError:
                 raise ValueError(
-                    f"non-numeric value {cell!r} at row {r + 1}, "
+                    f"non-numeric value {cell!r} at row {r}, "
                     f"column {FEATURE_NAMES[j]!r}"
                 ) from None
-        y[r] = _parse_label(_cell(row, r, label_idx, LABEL_NAME))
-        if ids is not None:
-            ids.append(_cell(row, r, id_idx, ID_NAME).strip())
-    return X, y, ids
+        _parse_label(_cell(row, r, label_idx, LABEL_NAME))
+        if id_idx is not None:
+            _cell(row, r, id_idx, ID_NAME)
+    trimmed = [[cell.strip() for cell in row] for row in data_rows]
+    return _parse_columns(trimmed, feature_idx, label_idx, id_idx)
 
 
 def _cell(row, r: int, ci: int, name: str) -> str:
     if ci >= len(row):
-        raise ValueError(f"row {r + 1} is too short to hold column {name!r}")
+        raise ValueError(f"row {r} is too short to hold column {name!r}")
     return row[ci]
 
 

@@ -574,6 +574,31 @@ class TestEvaluateCommand:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["evaluate", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
 
+    def test_synthetic_data_exit_2_with_one_line(self, tmp_path, capsys, trained_model):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(trained_model))
+        cfg = write_config(tmp_path / "cfg.json", model_path=str(model_path))
+        out = tmp_path / "o"
+        assert main(["evaluate", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first == "error: evaluate requires data.csv_path in the config"
+        assert rest[0].startswith("usage:")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_non_finite_cell_exit_1(self, tmp_path, capsys, trained_model):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(trained_model))
+        d = synth_generate(60, 21)
+        d.X[40, 5] = np.nan
+        save_csv(d, tmp_path / "rows.csv")
+        cfg = write_config(
+            tmp_path / "eval.json", data={"csv_path": str(tmp_path / "rows.csv")}, model_path=str(model_path)
+        )
+        out = tmp_path / "o"
+        assert main(["evaluate", "--config", str(cfg), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: matrix contains non-finite values\n"
+        assert not out.exists() or not any(out.iterdir())
+
 
 @pytest.fixture(scope="module")
 def trained_model(tmp_path_factory) -> dict:

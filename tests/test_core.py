@@ -79,11 +79,14 @@ class TestRngStream:
 
     def test_derive_is_stable_and_disjoint(self):
         base = RngStream(99)
-        a1 = [uniform(base.derive(3)) for _ in range(1)]
-        a2 = [uniform(base.derive(3)) for _ in range(1)]
+        s1, s2 = base.derive(3), base.derive(3)
+        a1 = [uniform(s1) for _ in range(4)]
+        a2 = [uniform(s2) for _ in range(4)]
         assert a1 == a2
-        seqs = {tuple(next_u64(base.derive(i)) for _ in range(4)) for i in range(50)}
-        assert len(seqs) == 50
+        # four words from each derived stream, and no word repeats across streams
+        seqs = [tuple(next_u64(s) for _ in range(4)) for s in map(base.derive, range(50))]
+        assert len(set(seqs)) == 50
+        assert len({w for seq in seqs for w in seq}) == 200
 
     def test_derive_does_not_consume_parent_state(self):
         a, b = RngStream(5), RngStream(5)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from oncograde.dataset import (
+    _BLOCK_ROWS,
     AGE_MAX,
     AGE_MIN,
     FEATURE_NAMES,
     csv_text,
+    iter_csv_blocks,
     largest_remainder_counts,
     load_csv,
     save_csv,
@@ -226,6 +228,46 @@ class TestLoadCsv:
         assert d2.patient_ids == d.patient_ids
         assert np.array_equal(d.X, d2.X)
         assert np.array_equal(d.y, d2.y)
+
+
+class TestCsvBlocks:
+    """Files longer than one parse block of ``_BLOCK_ROWS`` data rows."""
+
+    HEADER = list(FEATURE_NAMES) + ["Level"]
+
+    def test_three_blocks_load_as_written(self, tmp_path):
+        n = 2 * _BLOCK_ROWS + 1
+        d = synth_generate(n, 13)
+        d.patient_ids = [f'P{i}, "no. {i}"' for i in range(n)]
+        p = tmp_path / "blocks.csv"
+        save_csv(d, p)
+        assert [len(y) for _, y, _ in iter_csv_blocks(p)] == [_BLOCK_ROWS, _BLOCK_ROWS, 1]
+        d2 = load_csv(p)
+        assert np.array_equal(d2.X, d.X)
+        assert np.array_equal(d2.y, d.y)
+        assert d2.patient_ids == d.patient_ids
+
+    def test_bad_cells_in_the_third_block_name_their_row(self, tmp_path):
+        p = tmp_path / "d.csv"
+        rows = [_full_row() + ["Low"] for _ in range(2 * _BLOCK_ROWS + 10)]
+        rows[2 * _BLOCK_ROWS + 3][10] = "lots"
+        _write_csv(p, self.HEADER, rows)
+        with pytest.raises(ValueError, match=f"'lots' at row {2 * _BLOCK_ROWS + 4}, column 'Smoking'"):
+            load_csv(p)
+        rows[2 * _BLOCK_ROWS + 3][10] = 3
+        rows[2 * _BLOCK_ROWS + 5].pop()
+        _write_csv(p, self.HEADER, rows)
+        with pytest.raises(ValueError, match=f"row {2 * _BLOCK_ROWS + 6} is too short to hold column 'Level'"):
+            load_csv(p)
+
+    def test_first_block_error_is_raised(self, tmp_path):
+        p = tmp_path / "d.csv"
+        rows = [_full_row() + ["Low"] for _ in range(_BLOCK_ROWS + 10)]
+        rows[_BLOCK_ROWS - 1][22] = "late"  # Snoring, last cell of block 1
+        rows[_BLOCK_ROWS][0] = "early"  # Age, first cell of block 2
+        _write_csv(p, self.HEADER, rows)
+        with pytest.raises(ValueError, match=f"'late' at row {_BLOCK_ROWS}, column 'Snoring'"):
+            load_csv(p)
 
 
 class TestCsvText:

@@ -15,7 +15,7 @@ import pytest
 
 from oncograde.cli import main
 from oncograde.core import RngStream, derive_stream, shuffle
-from oncograde.dataset import save_csv, synth_generate
+from oncograde.dataset import load_csv, save_csv, synth_generate
 from oncograde.models.mlp import init_params
 from oncograde.preprocess import (
     PreprocessConfig,
@@ -266,3 +266,23 @@ class TestMemoryGuards:
         peak = traced_peak_mb(lambda: codes.append(main(argv)))
         assert codes == [0]
         assert peak <= 48.0, f"evaluate peaked at {peak:.1f} MB"
+
+    def test_evaluate_peak_does_not_grow_with_rows(self, tmp_path, svm_model):
+        # each block of the CSV is scored as it is read, so the peak holds
+        # still as the file grows
+        peaks = []
+        for n_rows in (10000, 40000):
+            (tmp_path / str(n_rows)).mkdir()
+            argv = evaluate_argv(tmp_path / str(n_rows), svm_model, n_rows, 17)
+            codes = []
+            peaks.append(traced_peak_mb(lambda: codes.append(main(argv))))
+            assert codes == [0]
+        assert peaks[1] - peaks[0] <= 2.0, f"evaluate peaked at {peaks[0]:.1f} then {peaks[1]:.1f} MB"
+
+    def test_load_csv_of_20000_rows(self, tmp_path):
+        # the file is parsed a block at a time, never held whole as strings
+        d = synth_generate(20000, 17)
+        save_csv(d, tmp_path / "rows.csv")
+        peak = traced_peak_mb(lambda: load_csv(tmp_path / "rows.csv"))
+        bound = 2.5 * d.X.nbytes / 2**20
+        assert peak <= bound, f"load_csv peaked at {peak:.1f} MB, over {bound:.1f} MB"
