@@ -141,16 +141,19 @@ class TestPinnedDigests:
         assert hashlib.sha256(metrics).hexdigest() == "fbe24b321b9cc370d2944c408f91017860edf053c9de561ecaf748f8afaf6956"
 
     @pytest.mark.parametrize(
-        "command,digest",
+        "command,name,digest",
         [
-            ("curve", "52e6cb4a4e967d4f5fd4cea17716f1d2f7488aa009dd803ffc031c6414472b6e"),
-            ("sweep", "96258ceea9d4f0dc04c97d7e2515a4d8045bb2047bdbe5dfd97c19cfea8ecebe"),
+            ("curve", "curve.csv", "52e6cb4a4e967d4f5fd4cea17716f1d2f7488aa009dd803ffc031c6414472b6e"),
+            ("sweep", "sweep.csv", "96258ceea9d4f0dc04c97d7e2515a4d8045bb2047bdbe5dfd97c19cfea8ecebe"),
+            ("curve", "curve.svg", "f986b596bc88913dc48957e42acec81bc5937e1a92f65142c1e6a924754b285b"),
+            ("sweep", "sweep.svg", "2bc90019fa5b01f2def2e67c2d14ffe6c17802ff1dd440a5ace5e62edce1f6c8"),
         ],
     )
-    def test_harness_csv(self, tmp_path, command, digest):
-        """``curve.csv`` and ``sweep.csv`` of a small bagging run. The digests
-        were computed when ``cli.py`` handed the harness each ``eval`` field
-        as its own argument."""
+    def test_harness_csv(self, tmp_path, command, name, digest):
+        """``curve.csv`` and ``sweep.csv`` of a small bagging run, and the
+        charts drawn from them. The CSV digests were computed when ``cli.py``
+        handed the harness each ``eval`` field as its own argument; the chart
+        digests when ``cli.py`` wrote each chart payload out by hand."""
         cfg = write_json(
             tmp_path / "harness.json",
             {
@@ -165,7 +168,7 @@ class TestPinnedDigests:
             },
         )
         assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
-        csv_bytes = (tmp_path / "run" / f"{command}.csv").read_bytes()
+        csv_bytes = (tmp_path / "run" / name).read_bytes()
         assert hashlib.sha256(csv_bytes).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -174,12 +177,17 @@ class TestPinnedDigests:
             ("profile", "correlation.csv", "525eac971754dcc2987d260ecb6a7cb190634668346842de3f0882c247c38e51"),
             ("profile", "histograms.csv", "e548191d1ff14d0feb7154aef0b1ceb7da597169d24cc36d5c8bd8e4ed348706"),
             ("cv", "cv.csv", "c849afc42ea351f1adf692906c8c6053c34a2019bfb063389b8be62847c863af"),
+            # float bin edges, some labels over 8 characters, none of them rotated
+            ("profile", "histogram_age.svg", "7437abed8313ce2fd8edcfad9331c6e0b6c4d3569f2f2bdfbe2973d6010ff5bf"),
+            ("profile", "histogram_smoking.svg", "a90ccca313ce7cb74263eb7c7a2e29936e235eb7152e11cf89ead644c9d6d46a"),
         ],
     )
     def test_profile_and_cv_csv(self, tmp_path, command, name, digest):
-        """The profile tables and the per-fold scores of a small bagging run.
-        The digests were computed with the hand-built row formats that
-        ``dataset.csv_text`` replaced."""
+        """The profile tables and the per-fold scores of a small bagging run,
+        and two of the profile's histograms. The CSV digests were computed
+        with the hand-built row formats that ``dataset.csv_text`` replaced;
+        the chart digests when ``cli.py`` wrote each chart payload out by
+        hand."""
         cfg = write_json(
             tmp_path / "run.json",
             {
@@ -223,6 +231,9 @@ class TestPinnedDigests:
         assert main(["report", "--runs", *runs, "--output-dir", str(tmp_path / "report")]) == 0
         comparison = (tmp_path / "report" / "comparison.csv").read_bytes()
         assert hashlib.sha256(comparison).hexdigest() == "187df14763280981b368f05354355dcbef7b6fa856ba7e2b2f253c674d700a07"
+        # the second run's name is over 8 characters, so its bar label is rotated
+        chart = (tmp_path / "report" / "comparison.svg").read_bytes()
+        assert hashlib.sha256(chart).hexdigest() == "9639a04436abf73f3879d019f491cd34cd94fe39416b9c30850d159ba729e3cd"
 
 
 def traced_peak_mb(fn) -> float:
