@@ -93,6 +93,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        if self.seed >= 2**64:  # RngStream keeps 64 bits, so a larger seed would alias a smaller one
+            raise ConfigError(f"seed must be below 2**64, got {self.seed}")
 
     def to_dict(self) -> dict:
         """The resolved config as JSON, without the unset data source and model_path."""
@@ -250,6 +252,21 @@ def _slug(name: str) -> str:
     return "".join(ch.lower() if ch.isalnum() else "_" for ch in name)
 
 
+def _write_chart(
+    writer: ArtifactWriter, name: str, chart: str, title: str, x, series, x_label: str, y_label: str
+) -> None:
+    """Write the ``lines``, ``grouped_bars`` or ``histogram`` chart of
+    ``series``, ``(name, y)`` pairs plotted over ``x``."""
+    data = {
+        "title": title,
+        "x": x,
+        "series": [{"name": series_name, "y": y} for series_name, y in series],
+        "x_label": x_label,
+        "y_label": y_label,
+    }
+    writer.write_svg(name, chart, data)
+
+
 def _write_metrics_artifacts(writer: ArtifactWriter, counts, report, title: str) -> None:
     writer.write_json("metrics.json", dataclasses.asdict(report))
     writer.write_text("confusion.csv", confusion_to_csv(counts))
@@ -288,19 +305,10 @@ def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
         series = []
         for cls, label in enumerate(LABEL_VALUES):
             counts = np.bincount(idx[d.y == cls], minlength=len(bins))[: len(bins)]
-            series.append({"name": label, "values": [int(v) for v in counts]})
+            series.append((label, counts))
             rows.extend([name, label, bin_label, n] for bin_label, n in zip(bins, counts))
-        writer.write_svg(
-            f"histogram_{_slug(name)}.svg",
-            "histogram",
-            {
-                "title": f"{name} distribution by risk level",
-                "bins": bins,
-                "series": series,
-                "x_label": name,
-                "y_label": "count",
-            },
-        )
+        title = f"{name} distribution by risk level"
+        _write_chart(writer, f"histogram_{_slug(name)}.svg", "histogram", title, bins, series, name, "count")
     writer.write_text("histograms.csv", csv_text(["feature", "class", "bin", "count"], rows))
 
 
@@ -328,20 +336,9 @@ def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
         header = ["epoch", "train_loss", "val_loss", "train_accuracy", "val_accuracy"]
         rows = zip(range(len(h)), h.train_loss, h.val_loss, h.train_accuracy, h.val_accuracy)
         writer.write_text("history.csv", csv_text(header, rows))
-        writer.write_svg(
-            "history.svg",
-            "lines",
-            {
-                "title": "Training vs. validation accuracy",
-                "x": list(range(len(h))),
-                "series": [
-                    {"name": "train accuracy", "y": h.train_accuracy},
-                    {"name": "validation accuracy", "y": h.val_accuracy},
-                ],
-                "x_label": "epoch",
-                "y_label": "accuracy",
-            },
-        )
+        series = [("train accuracy", h.train_accuracy), ("validation accuracy", h.val_accuracy)]
+        title = "Training vs. validation accuracy"
+        _write_chart(writer, "history.svg", "lines", title, range(len(h)), series, "epoch", "accuracy")
 
 
 def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
@@ -379,41 +376,19 @@ def cmd_curve(cfg: RunConfig, writer: ArtifactWriter) -> None:
     X, y = _balanced_dataset(cfg)
     curve = learning_curve(X, y, cfg.model, cfg.eval, derive_stream(cfg.seed, 3))
     writer.write_text("curve.csv", curve_to_csv(curve))
-    writer.write_svg(
-        "curve.svg",
-        "lines",
-        {
-            "title": f"Learning curve: {cfg.model.name}",
-            "x": curve.fractions,
-            "series": [
-                {"name": "train accuracy", "y": curve.train_score},
-                {"name": "validation accuracy", "y": curve.val_score},
-            ],
-            "x_label": "training fraction",
-            "y_label": "accuracy",
-        },
-    )
+    series = [("train accuracy", curve.train_score), ("validation accuracy", curve.val_score)]
+    title = f"Learning curve: {cfg.model.name}"
+    _write_chart(writer, "curve.svg", "lines", title, curve.fractions, series, "training fraction", "accuracy")
 
 
 def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> None:
     X, y = _balanced_dataset(cfg)
     result = sweep(X, y, cfg.model, cfg.eval, derive_stream(cfg.seed, 3))
     writer.write_text("sweep.csv", sweep_to_csv(result))
-    series = [
-        {"name": f"mcw={mcw:g}", "y": result.val_grid[:, j].tolist()}
-        for j, mcw in enumerate(result.min_child_weights)
-    ]
-    writer.write_svg(
-        "sweep.svg",
-        "lines",
-        {
-            "title": f"Validation accuracy: {cfg.model.name}",
-            "x": result.learning_rates,
-            "series": series,
-            "x_label": "learning rate",
-            "y_label": "validation accuracy",
-        },
-    )
+    series = [(f"mcw={mcw:g}", result.val_grid[:, j]) for j, mcw in enumerate(result.min_child_weights)]
+    title = f"Validation accuracy: {cfg.model.name}"
+    rates = result.learning_rates
+    _write_chart(writer, "sweep.svg", "lines", title, rates, series, "learning rate", "validation accuracy")
 
 
 def cmd_report(run_dirs: list[str], writer: ArtifactWriter) -> None:
@@ -436,21 +411,9 @@ def cmd_report(run_dirs: list[str], writer: ArtifactWriter) -> None:
     writer.write_text("comparison.csv", csv_text(header, rows))
 
     metric_names = ("accuracy", "macro precision", "macro recall", "macro F1")
-    series = [
-        {"name": metric_names[k], "values": [row[1 + k] for row in rows]}
-        for k in range(4)
-    ]
-    writer.write_svg(
-        "comparison.svg",
-        "grouped_bars",
-        {
-            "title": "Model comparison",
-            "categories": [row[0] for row in rows],
-            "series": series,
-            "x_label": "model",
-            "y_label": "score",
-        },
-    )
+    series = [(metric_names[k], [row[1 + k] for row in rows]) for k in range(4)]
+    models = [row[0] for row in rows]
+    _write_chart(writer, "comparison.svg", "grouped_bars", "Model comparison", models, series, "model", "score")
 
 
 # --- entry point -----------------------------------------------------------------

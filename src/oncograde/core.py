@@ -156,25 +156,18 @@ def worker_count() -> int:
     return max(n, 0)
 
 
-_pool_thread = threading.local()
-
-
-def _mark_pool_thread() -> None:
-    _pool_thread.active = True
-
-
 def parallel_map(fn, items: list) -> list:
     """Map preserving order; threads capped by ONCOGRADE_THREADS (0 = sequential).
 
-    Only the outermost map threads: a call made on one of its worker
-    threads (a bagging member pool inside a CV fold, say) runs its items
-    on the caller's thread, so pools never nest.
+    Only the main thread starts a pool: a call made on any other thread (a
+    bagging member map inside a CV fold's worker, say) runs its items on
+    the caller's thread, so pools never nest.
 
     Each item must carry its own derived stream, so the result is
     bit-identical regardless of the worker count.
     """
     n = worker_count()
-    if n <= 1 or len(items) <= 1 or getattr(_pool_thread, "active", False):
+    if n <= 1 or len(items) <= 1 or threading.current_thread() is not threading.main_thread():
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n, initializer=_mark_pool_thread) as pool:
+    with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))

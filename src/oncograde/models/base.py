@@ -64,7 +64,7 @@ class Hyperparams:
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if self.voting_mode not in ("hard", "soft"):
-            raise ValueError("voting_mode must be 'hard' or 'soft'")
+            raise ValueError(f"voting_mode must be 'hard' or 'soft', got {self.voting_mode!r}")
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,7 @@ class VotingModel:
 
     @classmethod
     def from_params(cls, params: dict) -> "VotingModel":
+        Hyperparams(voting_mode=params["mode"])
         return cls(members=_members(params), mode=params["mode"])
 
 

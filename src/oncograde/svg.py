@@ -3,6 +3,14 @@
 No plotting dependency: layout constants are fixed and all numbers are
 formatted explicitly, so identical input data produces byte-identical
 files (golden-file friendly).
+
+The three x-and-series charts, ``lines``, ``grouped_bars`` and
+``histogram``, read one payload: ``title``, ``x``, ``series`` (a list of
+``{"name", "y"}``, each ``y`` as long as ``x``), ``x_label`` and
+``y_label``. Lines plot ``x`` as numbers; bars label one slot per ``x``
+and rotate labels over 8 characters; a histogram is grouped bars whose
+labels are never rotated. ``heatmap3x3`` reads ``title`` and a 3x3
+``counts`` grid.
 """
 
 from __future__ import annotations
@@ -99,14 +107,31 @@ def _title(parts, title):
     parts.append(_text(WIDTH / 2, 28, title, size=17, anchor="middle"))
 
 
-def _render_lines(data) -> str:
-    xs = [float(v) for v in data["x"]]
+def _x_and_series(data, chart: str):
+    """The payload's x values and series, each series' ``y`` as long as x."""
+    xs = list(data["x"])
     series = data["series"]
     if not xs or not series:
-        raise ValueError("lines chart needs x values and at least one series")
+        raise ValueError(f"{chart} chart needs x values and at least one series")
     for s in series:
         if len(s["y"]) != len(xs):
             raise ValueError(f"series {s['name']!r} length does not match x")
+    return xs, series
+
+
+def _open_chart(data, ylo, yhi) -> list:
+    """The header, title, y axis and x axis line every x-and-series chart starts with."""
+    x0, _, x1, y1 = _plot_area()
+    parts = [_HEADER]
+    _title(parts, data.get("title", ""))
+    _y_axis(parts, ylo, yhi, data.get("y_label", ""))
+    parts.append(_line(x0, y1, x1, y1))
+    return parts
+
+
+def _render_lines(data) -> str:
+    xs, series = _x_and_series(data, "lines")
+    xs = [float(v) for v in xs]
     x0, y0, x1, y1 = _plot_area()
     all_y = [float(v) for s in series for v in s["y"]]
     ylo, yhi = _nice_range(min(all_y), max(all_y))
@@ -120,10 +145,7 @@ def _render_lines(data) -> str:
     def py(v):
         return y1 - (v - ylo) / (yhi - ylo) * (y1 - y0)
 
-    parts = [_HEADER]
-    _title(parts, data.get("title", ""))
-    _y_axis(parts, ylo, yhi, data.get("y_label", ""))
-    parts.append(_line(x0, y1, x1, y1))
+    parts = _open_chart(data, ylo, yhi)
     tick_xs = xs if len(xs) <= 12 else [xs[i] for i in range(0, len(xs), max(1, len(xs) // 10))]
     for v in tick_xs:
         parts.append(_line(px(v), y1, px(v), y1 + 4))
@@ -137,56 +159,31 @@ def _render_lines(data) -> str:
     return "".join(parts)
 
 
-def _render_grouped_bars(data, bin_mode=False) -> str:
-    categories = list(data["categories"])
-    series = data["series"]
-    if not categories or not series:
-        raise ValueError("bar chart needs categories and at least one series")
-    for s in series:
-        if len(s["values"]) != len(categories):
-            raise ValueError(f"series {s['name']!r} length does not match categories")
+def _render_grouped_bars(data, rotate_long_labels=True) -> str:
+    labels, series = _x_and_series(data, "bar")
     x0, y0, x1, y1 = _plot_area()
-    all_v = [float(v) for s in series for v in s["values"]]
+    all_v = [float(v) for s in series for v in s["y"]]
     ylo = 0.0
     yhi = max(all_v + [1e-9]) * 1.05
 
     def py(v):
         return y1 - (v - ylo) / (yhi - ylo) * (y1 - y0)
 
-    parts = [_HEADER]
-    _title(parts, data.get("title", ""))
-    _y_axis(parts, ylo, yhi, data.get("y_label", ""))
-    parts.append(_line(x0, y1, x1, y1))
-    n_cat, n_ser = len(categories), len(series)
+    parts = _open_chart(data, ylo, yhi)
+    n_cat, n_ser = len(labels), len(series)
     slot = (x1 - x0) / n_cat
     bar_w = slot * 0.8 / n_ser
-    for ci, cat in enumerate(categories):
+    for ci, cat in enumerate(labels):
         base = x0 + ci * slot + slot * 0.1
         for si, s in enumerate(series):
-            v = float(s["values"][ci])
+            v = float(s["y"][ci])
             parts.append(_rect(base + si * bar_w, py(v), bar_w, y1 - py(v), PALETTE[si % len(PALETTE)]))
-        label_y = y1 + 18
-        rotate = -30 if len(str(cat)) > 8 and not bin_mode else None
-        parts.append(
-            _text(base + slot * 0.4, label_y, str(cat), size=11, anchor="middle", rotate=rotate)
-        )
+        rotate = -30 if len(str(cat)) > 8 and rotate_long_labels else None
+        parts.append(_text(base + slot * 0.4, y1 + 18, str(cat), size=11, anchor="middle", rotate=rotate))
     parts.append(_text((x0 + x1) / 2, HEIGHT - 18, data.get("x_label", ""), anchor="middle"))
     _legend(parts, [s["name"] for s in series])
     parts.append("</svg>\n")
     return "".join(parts)
-
-
-def _render_histogram(data) -> str:
-    return _render_grouped_bars(
-        {
-            "title": data.get("title", ""),
-            "categories": data["bins"],
-            "series": data["series"],
-            "y_label": data.get("y_label", "count"),
-            "x_label": data.get("x_label", ""),
-        },
-        bin_mode=True,
-    )
 
 
 def _heat_color(v: float, vmax: float) -> str:
@@ -231,7 +228,8 @@ def _render_heatmap3x3(data) -> str:
 
 
 _RENDERERS = {
-    "histogram": _render_histogram,
+    # a histogram is grouped bars whose bin labels are never rotated
+    "histogram": lambda data: _render_grouped_bars(data, rotate_long_labels=False),
     "heatmap3x3": _render_heatmap3x3,
     "lines": _render_lines,
     "grouped_bars": _render_grouped_bars,

@@ -282,6 +282,9 @@ class TestConfigErrors:
             ({"eval": {"sweep": {"learning_rate": []}}}, "sweep axes must be non-empty"),
             ({"eval": {"sweep": {"learning_rate": [0.1, -1]}}}, "learning_rate must be positive"),
             ({"eval": {"sweep": {"min_child_weight": [0]}}}, "min_child_weight must be positive"),
+            # RngStream keeps 64 bits: 2**64 would alias seed 0
+            ({"seed": 2**64}, "seed must be below 2**64, got 18446744073709551616"),
+            ({"seed": 1e20}, "seed must be below 2**64, got 100000000000000000000"),
         ],
         ids=[
             "curve_fractions",
@@ -312,6 +315,8 @@ class TestConfigErrors:
             "sweep_axis_empty",
             "sweep_learning_rate_negative",
             "sweep_min_child_weight_0",
+            "seed_2_64",
+            "seed_1e20",
         ],
     )
     def test_strict_fields_exit_2(self, tmp_path, capsys, overrides, message):
@@ -326,6 +331,13 @@ class TestConfigErrors:
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg), "--output-dir", str(out), "--seed", "-1"]) == 2
         assert capsys.readouterr().err.splitlines()[0] == "error: seed must be a non-negative integer"
+        assert not out.exists()
+
+    def test_seed_override_of_2_64_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--output-dir", str(out), "--seed", str(2**64)]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == "error: seed must be below 2**64, got 18446744073709551616"
         assert not out.exists()
 
     def test_runtime_failure_exit_1(self, tmp_path, capsys):
@@ -877,6 +889,19 @@ MALFORMED_MODEL_FILES = {
     "pipeline_corr_lo_list": (
         lambda doc: with_keys(doc, "pipeline", "corr_lo", [-0.4]),
         ": pipeline corr_lo [-0.4] must be a number",
+    ),
+    # a mode train_voting would refuse; read as-is, it would score hard voting
+    "voting_mode_capitalised": (
+        lambda doc: with_keys(doc, "model", "params", "mode", "Soft"),
+        ": voting_mode must be 'hard' or 'soft', got 'Soft'",
+    ),
+    "voting_mode_number": (
+        lambda doc: with_keys(doc, "model", "params", "mode", 5),
+        ": voting_mode must be 'hard' or 'soft', got 5",
+    ),
+    "voting_mode_null": (
+        lambda doc: with_keys(doc, "model", "params", "mode", None),
+        ": voting_mode must be 'hard' or 'soft', got None",
     ),
 }
 

@@ -263,3 +263,17 @@ class TestParallelMap:
         # only pool threads are marked: the next outermost map threads again
         later = parallel_map(lambda _: threading.get_ident(), list(range(4)))
         assert threading.get_ident() not in later
+
+    def test_map_off_the_main_thread_runs_on_callers_thread(self, monkeypatch):
+        monkeypatch.setenv("ONCOGRADE_THREADS", "4")
+        results = {}
+
+        def caller():
+            results["caller"] = threading.get_ident()
+            results["items"] = parallel_map(lambda _: threading.get_ident(), list(range(6)))
+
+        thread = threading.Thread(target=caller)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert results["items"] == [results["caller"]] * 6

@@ -17,17 +17,17 @@ LINES_DATA = {
 }
 BARS_DATA = {
     "title": "comparison",
-    "categories": ["dnn", "bagging"],
-    "series": [{"name": "accuracy", "values": [0.97, 0.93]}],
+    "x": ["dnn", "bagging"],
+    "series": [{"name": "accuracy", "y": [0.97, 0.93]}],
     "y_label": "score",
 }
 HIST_DATA = {
     "title": "feature",
-    "bins": [str(b) for b in range(1, 10)],
+    "x": [str(b) for b in range(1, 10)],
     "series": [
-        {"name": "Low", "values": [3, 1, 0, 0, 1, 0, 0, 0, 0]},
-        {"name": "Medium", "values": [0, 2, 2, 1, 0, 0, 0, 0, 0]},
-        {"name": "High", "values": [0, 0, 0, 1, 2, 2, 1, 0, 0]},
+        {"name": "Low", "y": [3, 1, 0, 0, 1, 0, 0, 0, 0]},
+        {"name": "Medium", "y": [0, 2, 2, 1, 0, 0, 0, 0, 0]},
+        {"name": "High", "y": [0, 0, 0, 1, 2, 2, 1, 0, 0]},
     ],
 }
 
@@ -101,6 +101,6 @@ def test_lines_series_length_mismatch(tmp_path):
 
 
 def test_bars_series_length_mismatch(tmp_path):
-    bad = {"categories": ["a"], "series": [{"name": "s", "values": [1.0, 2.0]}]}
+    bad = {"x": ["a"], "series": [{"name": "s", "y": [1.0, 2.0]}]}
     with pytest.raises(ValueError, match="length"):
         render_svg("grouped_bars", bad, tmp_path / "x.svg")
