@@ -257,13 +257,8 @@ def _write_chart(
 ) -> None:
     """Write the ``lines``, ``grouped_bars`` or ``histogram`` chart of
     ``series``, ``(name, y)`` pairs plotted over ``x``."""
-    data = {
-        "title": title,
-        "x": x,
-        "series": [{"name": series_name, "y": y} for series_name, y in series],
-        "x_label": x_label,
-        "y_label": y_label,
-    }
+    series = [{"name": series_name, "y": y} for series_name, y in series]
+    data = {"title": title, "x": x, "series": series, "x_label": x_label, "y_label": y_label}
     writer.write_svg(name, chart, data)
 
 

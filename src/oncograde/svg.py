@@ -119,16 +119,6 @@ def _x_and_series(data, chart: str):
     return xs, series
 
 
-def _open_chart(data, ylo, yhi) -> list:
-    """The header, title, y axis and x axis line every x-and-series chart starts with."""
-    x0, _, x1, y1 = _plot_area()
-    parts = [_HEADER]
-    _title(parts, data.get("title", ""))
-    _y_axis(parts, ylo, yhi, data.get("y_label", ""))
-    parts.append(_line(x0, y1, x1, y1))
-    return parts
-
-
 def _render_lines(data) -> str:
     xs, series = _x_and_series(data, "lines")
     xs = [float(v) for v in xs]
@@ -145,7 +135,10 @@ def _render_lines(data) -> str:
     def py(v):
         return y1 - (v - ylo) / (yhi - ylo) * (y1 - y0)
 
-    parts = _open_chart(data, ylo, yhi)
+    parts = [_HEADER]
+    _title(parts, data.get("title", ""))
+    _y_axis(parts, ylo, yhi, data.get("y_label", ""))
+    parts.append(_line(x0, y1, x1, y1))
     tick_xs = xs if len(xs) <= 12 else [xs[i] for i in range(0, len(xs), max(1, len(xs) // 10))]
     for v in tick_xs:
         parts.append(_line(px(v), y1, px(v), y1 + 4))
@@ -169,7 +162,10 @@ def _render_grouped_bars(data, rotate_long_labels=True) -> str:
     def py(v):
         return y1 - (v - ylo) / (yhi - ylo) * (y1 - y0)
 
-    parts = _open_chart(data, ylo, yhi)
+    parts = [_HEADER]
+    _title(parts, data.get("title", ""))
+    _y_axis(parts, ylo, yhi, data.get("y_label", ""))
+    parts.append(_line(x0, y1, x1, y1))
     n_cat, n_ser = len(labels), len(series)
     slot = (x1 - x0) / n_cat
     bar_w = slot * 0.8 / n_ser
@@ -228,7 +224,6 @@ def _render_heatmap3x3(data) -> str:
 
 
 _RENDERERS = {
-    # a histogram is grouped bars whose bin labels are never rotated
     "histogram": lambda data: _render_grouped_bars(data, rotate_long_labels=False),
     "heatmap3x3": _render_heatmap3x3,
     "lines": _render_lines,
