@@ -15,13 +15,12 @@ import json
 import os
 import sys
 import time
-import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .core import RngStream, derive_stream
+from .core import RngStream, derive_stream, json_value
 from .dataset import (
     LABEL_VALUES, ORDINAL_HIGH, ORDINAL_LOW, Dataset, SyntheticConfig, csv_text,
     iter_csv_blocks, load_csv, synth_generate,
@@ -62,7 +61,8 @@ class ConfigError(Exception):
 # --- configuration ----------------------------------------------------------
 #
 # The dataclasses mirror the JSON run config key for key; `parse_config`
-# reads each field by its annotation, so a field is declared only once.
+# reads each field by its annotation with `core.json_value`, the reader of
+# model files too, so a field is declared only once.
 # Every section but `data` is the type the code that runs it takes:
 # `data.synthetic` is `dataset.SyntheticConfig`, `preprocess` is
 # `preprocess.PreprocessConfig`, `model` is `models.base.ModelSpec` and `eval`
@@ -103,58 +103,10 @@ class RunConfig:
         )
 
 
-# the JSON scalar each annotation reads: its noun, its plural and the test a
-# value passes (JSON true/false never does); an integral float reads as an int
-_SCALARS = {
-    int: (
-        "an integer",
-        "integers",
-        lambda v: isinstance(v, int) or isinstance(v, float) and v.is_integer(),
-    ),
-    # NaN, ±inf and ints too large for a float all fail the comparison
-    float: (
-        "a number",
-        "numbers",
-        lambda v: isinstance(v, (int, float)) and abs(v) <= sys.float_info.max,
-    ),
-    str: ("a string", "strings", lambda v: isinstance(v, str)),
-}
-
-
-def _read(tp, value, where: str):
-    """``value`` read as the annotated type ``tp``; ``where`` is its dotted path.
-
-    A dataclass is read from a JSON object with no unknown keys and
-    ``list[X]`` from a JSON list; a scalar follows its `_SCALARS` rule.
-    """
-    if type(None) in typing.get_args(tp):  # `X | None`: None only marks the field unset
-        (tp,) = (arm for arm in typing.get_args(tp) if arm is not type(None))
-    if dataclasses.is_dataclass(tp):
-        name = where or "config"
-        if not isinstance(value, dict):
-            raise ConfigError(f"{name} must be a JSON object, got {json.dumps(value)}")
-        hints = typing.get_type_hints(tp)
-        unknown = set(value) - {f.name for f in dataclasses.fields(tp)}
-        if unknown:
-            raise ConfigError(f"unknown key(s) in {name}: {', '.join(sorted(unknown))}")
-        return tp(**{k: _read(hints[k], v, f"{where}.{k}" if where else k) for k, v in value.items()})
-    if typing.get_origin(tp) is list:
-        (item,) = typing.get_args(tp)
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list of {_SCALARS[item][1]}, got {json.dumps(value)}")
-        return [_read(item, v, f"{where} entry") for v in value]
-    arms = typing.get_args(tp) or (tp,)  # gamma's `float | str` takes either
-    for arm in arms:
-        if not isinstance(value, bool) and _SCALARS[arm][2](value):
-            return arm(value)
-    kinds = " or ".join(_SCALARS[arm][0] for arm in arms)
-    raise ConfigError(f"{where} must be {kinds}, got {json.dumps(value)}")
-
-
 def parse_config(doc) -> RunConfig:
     try:
-        return _read(RunConfig, doc, "")
-    except ValueError as exc:  # a check of a section type declared outside this module
+        return json_value(RunConfig, doc, "")
+    except ValueError as exc:  # a refusal of the reader or of a section type's own check
         raise ConfigError(str(exc)) from None
 
 
@@ -344,8 +296,8 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
         raise ConfigError("evaluate requires data.csv_path in the config")
     wrapper = _json_object(path, "model file")
     try:  # any other fault in the model document is a config error naming the file
-        if wrapper.get("version") != MODEL_WRAPPER_VERSION:
-            raise ValueError(f"unsupported model file version: {wrapper.get('version')}")
+        if json_value(int, wrapper["version"], "version") != MODEL_WRAPPER_VERSION:
+            raise ValueError(f"unsupported model file version: {wrapper['version']}")
         prep = Preprocessor.from_dict(wrapper["pipeline"])
         model = model_from_doc(wrapper["model"])
     except KeyError as exc:
@@ -395,13 +347,15 @@ def cmd_report(run_dirs: list[str], writer: ArtifactWriter) -> None:
         manifest, m = _json_object(manifest_path, "run file"), _json_object(metrics_path, "run file")
         try:
             name = manifest.get("resolved_config", {}).get("model", {}).get("name", os.path.basename(run_dir))
+            json_value(str, name, f"run file {manifest_path}: resolved_config.model.name")
+            for key in header[1:]:
+                if key not in m:
+                    raise ConfigError(f"run file {metrics_path} is missing key {key!r}")
+                json_value(float, m[key], f"run file {metrics_path}: {key}")
         except AttributeError:
             raise ConfigError(f"run file {manifest_path}: resolved_config.model is not a JSON object") from None
-        _read(str, name, f"run file {manifest_path}: resolved_config.model.name")
-        for key in header[1:]:
-            if key not in m:
-                raise ConfigError(f"run file {metrics_path} is missing key {key!r}")
-            _read(float, m[key], f"run file {metrics_path}: {key}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         rows.append([name, *(m[key] for key in header[1:])])
     writer.write_text("comparison.csv", csv_text(header, rows))
 

@@ -8,10 +8,14 @@ scheduling.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
+import sys
 import threading
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -105,27 +109,78 @@ def as_matrix(data) -> np.ndarray:
     return arr
 
 
+# the JSON value each annotation reads: its noun, its plural and the test a
+# value passes. Types are exact, so JSON true/false is never a number, and an
+# integral float reads as an int. A bare dict or list is a section whose
+# entries its reader checks.
+_SCALARS = {
+    int: ("an integer", "integers", lambda v: type(v) is int or type(v) is float and v.is_integer()),
+    # NaN, ±inf and ints too large for a float all fail the comparison
+    float: ("a number", "numbers", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    str: ("a string", "strings", lambda v: type(v) is str),
+    dict: ("a JSON object", "JSON objects", lambda v: type(v) is dict),
+    list: ("a list", "lists", lambda v: type(v) is list),
+}
+
+
+def json_value(tp, value, where: str):
+    """``value`` read as the annotated type ``tp``; ``where`` is its dotted
+    path, which a refusal's ``ValueError`` names.
+
+    A dataclass is read from a JSON object with no unknown keys and with
+    every key that has no default, ``list[X]`` from a JSON list, and
+    anything else by its `_SCALARS` rule.
+    """
+    if type(None) in typing.get_args(tp):  # `X | None`: None only marks the field unset
+        (tp,) = (arm for arm in typing.get_args(tp) if arm is not type(None))
+    if dataclasses.is_dataclass(tp):
+        name = where or "config"
+        fields = dataclasses.fields(tp)
+        unknown = set(json_value(dict, value, name)) - {f.name for f in fields}
+        if unknown:
+            raise ValueError(f"unknown key(s) in {name}: {', '.join(sorted(unknown))}")
+        missing = [f.name for f in fields if f.name not in value and f.default is f.default_factory is MISSING]
+        if missing:
+            raise ValueError(f"{name} is missing key {missing[0]!r}")
+        hints = typing.get_type_hints(tp)
+        return tp(**{k: json_value(hints[k], v, f"{where}.{k}" if where else k) for k, v in value.items()})
+    if typing.get_origin(tp) is list:
+        (item,) = typing.get_args(tp)
+        if type(value) is not list:
+            raise ValueError(f"{where} must be a list of {_SCALARS[item][1]}, got {json.dumps(value)}")
+        return [json_value(item, v, f"{where} entry") for v in value]
+    arms = typing.get_args(tp) or (tp,)  # gamma's `float | str` takes either
+    for arm in arms:
+        if _SCALARS[arm][2](value):
+            return arm(value)
+    kinds = " or ".join(_SCALARS[arm][0] for arm in arms)
+    raise ValueError(f"{where} must be {kinds}, got {json.dumps(value)}")
+
+
 def json_array(tp: type, value, refusal: str) -> np.ndarray:
     """``value``, a JSON number or a rectangular nested list of them, as one
     float64 array, or int64 when ``tp`` is ``int``.
 
-    Each entry follows the run config's rule for a ``tp`` scalar: strings,
-    ``true``/``false``, ``null`` and ragged lists are refused, and so are
-    non-finite values and, for ``int``, fractions (``2.0`` reads as 2) and
-    values past int64. A refused entry raises
+    Each entry follows :func:`json_value`'s rule for a ``tp`` within the
+    float range: strings, ``true``/``false``, ``null`` and ragged lists are
+    refused, and so are non-finite values and, for ``int``, fractions
+    (``2.0`` reads as 2) and values past int64. A refused entry raises
     ``ValueError(refusal.format(i, value[i]))``, ``i`` being its index
     along the first axis (0 and ``value`` itself for a scalar). One type
     scan and one conversion read the whole array.
     """
     cells = np.asarray(value, dtype=object)
     flat = cells.ravel()
-    if set(map(type, flat)) <= {int, float}:  # exact types, so a bool is refused
-        out = flat.astype(np.float64)  # an int past the float range raises OverflowError
+    try:  # exact types, so a bool is refused; an int past the float range raises OverflowError
+        out = flat.astype(np.float64) if set(map(type, flat)) <= {int, float} else None
+    except OverflowError:
+        out = None
+    if out is None:  # refused; only then is each entry looked at
+        ok = np.array([_SCALARS[float][2](v) and _SCALARS[tp][2](v) for v in flat.tolist()], dtype=bool)
+    else:
         ok = np.isfinite(out)
         if tp is int:
             ok &= (out == np.trunc(out)) & (np.abs(out) < 2.0**63)
-    else:  # refused; only then is each entry looked at
-        ok = np.array([type(v) in (int, float) for v in flat.tolist()], dtype=bool)
     if not ok.all():
         bad = int(np.argmin(ok))
         i = int(np.unravel_index(bad, cells.shape)[0]) if cells.ndim else 0
@@ -135,14 +190,6 @@ def json_array(tp: type, value, refusal: str) -> np.ndarray:
             i = next((k for k, shape in enumerate(shapes) if shape != common), i)
         raise ValueError(refusal.format(i, value[i] if cells.ndim else value))
     return (out.astype(np.int64) if tp is int else out).reshape(cells.shape)
-
-
-def json_scalar(tp: type, value, refusal: str):
-    """``value`` as one ``tp`` by :func:`json_array`'s rule; a list, even of
-    one number, is refused as ``refusal.format(0, value)``."""
-    if isinstance(value, list):
-        raise ValueError(refusal.format(0, value))
-    return tp(json_array(tp, value, refusal))
 
 
 def worker_count() -> int:

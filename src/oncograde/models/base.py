@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import RngStream, as_matrix
+from ..core import RngStream, as_matrix, json_value
 
 MODEL_NAMES = ("dnn", "voting", "bagging", "svm_rbf", "svm_linear", "svm_poly", "svm_sigmoid")
 
@@ -186,8 +186,8 @@ def model_from_doc(doc: dict):
     from .svm import SvmOvrModel
     from .tree import TreeModel
 
-    if doc.get("version") != MODEL_DOC_VERSION:
-        raise ValueError(f"unsupported model document version: {doc.get('version')}")
+    if json_value(int, doc["version"], "model.version") != MODEL_DOC_VERSION:
+        raise ValueError(f"unsupported model document version: {doc['version']}")
     families = {
         "mlp": MlpModel,
         "svm_ovr": SvmOvrModel,
@@ -195,7 +195,7 @@ def model_from_doc(doc: dict):
         "bagging": BaggingModel,
         "voting": VotingModel,
     }
-    family = doc.get("family")
+    family = json_value(str, doc["family"], "model.family")
     if family not in families:
         raise ValueError(f"unknown model family: {family!r}")
     return families[family].from_params(doc["params"])

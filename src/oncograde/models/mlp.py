@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import RngStream, as_matrix, json_array, shuffle
+from ..core import RngStream, as_matrix, json_array, json_value, shuffle
 from ..dataset import N_CLASSES
 from .base import Hyperparams, proba_to_labels, softmax
 
@@ -80,11 +80,7 @@ class MlpModel:
                 raise ValueError(f"mlp layer {k}: weights {w.shape} and biases {b.shape} do not chain")
         if weights[-1].shape[1] != N_CLASSES:
             raise ValueError(f"mlp output layer is {weights[-1].shape[1]} wide, not {N_CLASSES}")
-        history = {
-            k: json_array(float, v, f"mlp history {k} must hold finite numbers, not {{1!r}}").tolist()
-            for k, v in params["history"].items()
-        }
-        return cls(weights, biases, TrainHistory(**history))
+        return cls(weights, biases, json_value(TrainHistory, params["history"], "mlp.history"))
 
 
 def init_params(layer_sizes: list[int], stream: RngStream):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import as_matrix, json_array, json_scalar
+from ..core import as_matrix, json_array, json_value
 from ..dataset import N_CLASSES
 from .base import KernelSpec, kernel_matrix, proba_to_labels, softmax
 
@@ -232,12 +232,7 @@ class SvmOvrModel:
                 "svm support_x, coef and bias must be shaped (n_sv >= 1, d), (n_sv, 3) and (3,), "
                 f"got {support_x.shape}, {coef.shape} and {bias.shape}"
             )
-        kernel = dict(params["kernel"])
-        for key, tp in (("gamma", float), ("degree", int), ("coef0", float)):
-            if key in kernel:
-                kind = "an integer" if tp is int else "a number"
-                kernel[key] = json_scalar(tp, kernel[key], f"svm kernel {key} {{1!r}} must be {kind}")
-        return cls(KernelSpec(**kernel), support_x, coef, bias)
+        return cls(json_value(KernelSpec, params["kernel"], "svm.kernel"), support_x, coef, bias)
 
 
 def train_svm_ovr(X, y, kernel: KernelSpec, C: float = 1.0) -> SvmOvrModel:

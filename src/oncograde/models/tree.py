@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import as_matrix, json_array, json_scalar
+from ..core import as_matrix, json_array, json_value
 from ..dataset import N_CLASSES
 from .base import proba_to_labels
 
@@ -104,7 +104,7 @@ class TreeModel:
         """Read ``to_params``'s nodes, their numbers by the run config's rules;
         a node that cannot predict raises ``ValueError``."""
         nodes = params["nodes"]
-        n_features = json_scalar(int, params["n_features"], "tree n_features {1!r} must be an integer")
+        n_features = json_value(int, params["n_features"], "tree.n_features")
         n = len(nodes)
         if n == 0:
             raise ValueError("tree has no nodes")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import RngStream, as_matrix, json_array, json_scalar, shuffle
+from .core import RngStream, as_matrix, json_array, json_value, shuffle
 from .dataset import FEATURE_NAMES, Dataset, N_CLASSES, csv_text
 
 PIPELINE_ORDERS = ("paper_order", "leak_safe")
@@ -373,8 +373,8 @@ class Preprocessor:
         if names != _pair_names(pairs):
             held = f"{len(names)} engineered names" if isinstance(names, list) else f"engineered_names {names!r}"
             raise ValueError(f"pipeline has {len(pairs)} engineered pairs but {held}, not the pairs' own names")
-        corr = {k: json_scalar(float, d[k], f"pipeline {k} {{1!r}} must be a number") for k in ("corr_hi", "corr_lo")}
-        return cls(PreprocessConfig(d["order"], **corr), (lo, hi), pairs)
+        settings = json_value(PreprocessConfig, {k: d[k] for k in ("order", "corr_hi", "corr_lo")}, "pipeline")
+        return cls(settings, (lo, hi), pairs)
 
 
 def _pair_names(pairs) -> list[str]:

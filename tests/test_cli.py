@@ -827,11 +827,11 @@ MALFORMED_MODEL_FILES = {
     ),
     "svm_bool_gamma": (
         lambda doc: with_keys(doc, *SVM, "kernel", "gamma", True),
-        ": svm kernel gamma True must be a number",
+        ": svm.kernel.gamma must be a number, got true",
     ),
     "svm_fractional_degree": (
         lambda doc: with_keys(doc, *SVM, "kernel", "degree", 2.5),
-        ": svm kernel degree 2.5 must be an integer",
+        ": svm.kernel.degree must be an integer, got 2.5",
     ),
     "svm_degree_zero": (
         lambda doc: with_keys(doc, *SVM, "kernel", "degree", 0),
@@ -843,7 +843,7 @@ MALFORMED_MODEL_FILES = {
     ),
     "mlp_string_history": (
         lambda doc: with_keys(doc, *MLP, "history", "train_loss", "abc"),
-        ": mlp history train_loss must hold finite numbers, not 'abc'",
+        ': mlp.history.train_loss must be a list of numbers, got "abc"',
     ),
     "pipeline_min_string": (
         lambda doc: with_keys(doc, "pipeline", "minmax", "min", 0, "1"),
@@ -859,7 +859,7 @@ MALFORMED_MODEL_FILES = {
     ),
     "pipeline_corr_hi_string": (
         lambda doc: with_keys(doc, "pipeline", "corr_hi", "x"),
-        ": pipeline corr_hi 'x' must be a number",
+        ': pipeline.corr_hi must be a number, got "x"',
     ),
     "pipeline_names_string": (
         lambda doc: with_keys(doc, "pipeline", "engineered_names", "Age+Gender"),
@@ -868,27 +868,27 @@ MALFORMED_MODEL_FILES = {
     # one number where a model file wants one, not a list of one
     "svm_gamma_list": (
         lambda doc: with_keys(doc, *SVM, "kernel", "gamma", [0.25]),
-        ": svm kernel gamma [0.25] must be a number",
+        ": svm.kernel.gamma must be a number, got [0.25]",
     ),
     "svm_degree_list": (
         lambda doc: with_keys(doc, *SVM, "kernel", "degree", [3]),
-        ": svm kernel degree [3] must be an integer",
+        ": svm.kernel.degree must be an integer, got [3]",
     ),
     "svm_coef0_list": (
         lambda doc: with_keys(doc, *SVM, "kernel", "coef0", [0.0]),
-        ": svm kernel coef0 [0.0] must be a number",
+        ": svm.kernel.coef0 must be a number, got [0.0]",
     ),
     "tree_n_features_list": (
         lambda doc: with_keys(doc, *TREE, "n_features", [80]),
-        ": tree n_features [80] must be an integer",
+        ": tree.n_features must be an integer, got [80]",
     ),
     "pipeline_corr_hi_list": (
         lambda doc: with_keys(doc, "pipeline", "corr_hi", [0.5]),
-        ": pipeline corr_hi [0.5] must be a number",
+        ": pipeline.corr_hi must be a number, got [0.5]",
     ),
     "pipeline_corr_lo_list": (
         lambda doc: with_keys(doc, "pipeline", "corr_lo", [-0.4]),
-        ": pipeline corr_lo [-0.4] must be a number",
+        ": pipeline.corr_lo must be a number, got [-0.4]",
     ),
     # a mode train_voting would refuse; read as-is, it would score hard voting
     "voting_mode_capitalised": (
