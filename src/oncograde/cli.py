@@ -298,8 +298,9 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
     try:  # any other fault in the model document is a config error naming the file
         if json_value(int, wrapper["version"], "version") != MODEL_WRAPPER_VERSION:
             raise ValueError(f"unsupported model file version: {wrapper['version']}")
-        prep = Preprocessor.from_dict(wrapper["pipeline"])
+        prep = Preprocessor.from_dict(json_value(dict, wrapper["pipeline"], "pipeline"))
         model = model_from_doc(wrapper["model"])
+        title = f"Confusion matrix: {json_value(str, wrapper.get('model_name', 'model'), 'model_name')}"
     except KeyError as exc:
         raise ConfigError(f"model file {path} is missing key {exc}") from None
     except (ValueError, TypeError, AttributeError, OverflowError) as exc:
@@ -307,9 +308,7 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
     blocks = iter_csv_blocks(cfg.data.csv_path)  # scored as read, so memory stays bounded
     cm = sum(confusion(y, model.predict(prep.transform(X))) for X, y, _ in blocks)
-    _write_metrics_artifacts(
-        writer, cm, metrics(cm), f"Confusion matrix: {wrapper.get('model_name', 'model')}"
-    )
+    _write_metrics_artifacts(writer, cm, metrics(cm), title)
 
 
 def cmd_cv(cfg: RunConfig, writer: ArtifactWriter) -> None:

@@ -186,6 +186,7 @@ def model_from_doc(doc: dict):
     from .svm import SvmOvrModel
     from .tree import TreeModel
 
+    doc = json_value(dict, doc, "model")
     if json_value(int, doc["version"], "model.version") != MODEL_DOC_VERSION:
         raise ValueError(f"unsupported model document version: {doc['version']}")
     families = {
@@ -198,4 +199,4 @@ def model_from_doc(doc: dict):
     family = json_value(str, doc["family"], "model.family")
     if family not in families:
         raise ValueError(f"unknown model family: {family!r}")
-    return families[family].from_params(doc["params"])
+    return families[family].from_params(json_value(dict, doc["params"], "model.params"))

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import RngStream, as_matrix, parallel_map
+from ..core import RngStream, as_matrix, json_value, parallel_map
 from ..dataset import N_CLASSES
 from .base import Hyperparams, model_from_doc, model_to_doc, proba_to_labels
 from .tree import train_tree
@@ -18,9 +18,9 @@ from .tree import train_tree
 
 def _members(params: dict) -> list:
     """An ensemble document's member models; an empty ensemble cannot predict."""
-    if not params["members"]:
+    if not (members := json_value(list, params["members"], "ensemble.members")):
         raise ValueError("an ensemble needs at least one member")
-    return [model_from_doc(d) for d in params["members"]]
+    return [model_from_doc(d) for d in members]
 
 
 @dataclass

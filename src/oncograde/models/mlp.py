@@ -70,8 +70,9 @@ class MlpModel:
     def from_params(cls, params: dict) -> "MlpModel":
         """Read ``to_params``'s document, its numbers by the run config's rules."""
         weights, biases = (
-            [json_array(float, a, f"mlp {key}[{k}][{{0}}] must hold finite numbers") for k, a in enumerate(params[key])]
+            [json_array(float, a, f"mlp {key}[{k}][{{0}}] must hold finite numbers") for k, a in enumerate(layers)]
             for key in ("weights", "biases")
+            for layers in [json_value(list, params[key], f"mlp.{key}")]
         )
         if not weights or len(biases) != len(weights):
             raise ValueError(f"mlp needs 1 or more layers, got {len(weights)} weights and {len(biases)} biases")

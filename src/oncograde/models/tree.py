@@ -103,8 +103,10 @@ class TreeModel:
     def from_params(cls, params: dict) -> "TreeModel":
         """Read ``to_params``'s nodes, their numbers by the run config's rules;
         a node that cannot predict raises ``ValueError``."""
-        nodes = params["nodes"]
+        nodes = json_value(list, params["nodes"], "tree.nodes")
         n_features = json_value(int, params["n_features"], "tree.n_features")
+        if not 0 < n_features < 2**63:  # a width some input can have, as an int64 like the split features
+            raise ValueError(f"tree.n_features must be an integer in [1, 2**63), got {n_features}")
         n = len(nodes)
         if n == 0:
             raise ValueError("tree has no nodes")
@@ -112,9 +114,11 @@ class TreeModel:
         # as above, so entry i of every field is node i's
         rows = []
         for i, node in enumerate(nodes):
+            if type(node) is not dict:  # the reader words the refusal
+                json_value(dict, node, f"tree node {i}")
             if "leaf" not in node:
                 rows.append((node["feature"], node["threshold"], node["left"], node["right"], (0, 0, 0)))
-            elif len(node["hist"]) != N_CLASSES:
+            elif type(node["hist"]) is not list or len(node["hist"]) != N_CLASSES:
                 raise ValueError(f"tree node {i}: hist must have {N_CLASSES} entries")
             else:
                 rows.append((0, 0, i, i, node["hist"]))

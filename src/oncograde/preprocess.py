@@ -361,20 +361,21 @@ class Preprocessor:
         if d["feature_names"] != list(FEATURE_NAMES):
             raise ValueError(f"pipeline feature_names must be the dataset's {m} feature names in order")
         bounds = f"pipeline minmax min and max must each hold {m} finite values, with min <= max"
-        lo, hi = (json_array(float, d["minmax"][k], f"{bounds}: {k}[{{0}}] is {{1!r}}") for k in ("min", "max"))
+        minmax = json_value(dict, d["minmax"], "pipeline.minmax")
+        lo, hi = (json_array(float, minmax[k], f"{bounds}: {k}[{{0}}] is {{1!r}}") for k in ("min", "max"))
         if not (lo.shape == hi.shape == (m,) and (lo <= hi).all()):
             raise ValueError(bounds)
         pair = f"pipeline engineered pair {{1!r}} must satisfy 0 <= i < j < {m}, as integers"
-        pairs = json_array(int, d["engineered_pairs"], pair).reshape(len(d["engineered_pairs"]), 2)
-        for k, (i, j) in enumerate(pairs.tolist()):
-            if not 0 <= i < j < m:
-                raise ValueError(pair.format(k, [i, j]))
+        pairs = json_array(int, json_value(list, d["engineered_pairs"], "pipeline.engineered_pairs"), pair)
+        for k, row in enumerate(pairs.tolist()):
+            if not (type(row) is list and len(row) == 2 and 0 <= row[0] < row[1] < m):
+                raise ValueError(pair.format(k, row))
         names = d["engineered_names"]
         if names != _pair_names(pairs):
             held = f"{len(names)} engineered names" if isinstance(names, list) else f"engineered_names {names!r}"
             raise ValueError(f"pipeline has {len(pairs)} engineered pairs but {held}, not the pairs' own names")
         settings = json_value(PreprocessConfig, {k: d[k] for k in ("order", "corr_hi", "corr_lo")}, "pipeline")
-        return cls(settings, (lo, hi), pairs)
+        return cls(settings, (lo, hi), pairs.reshape(-1, 2))
 
 
 def _pair_names(pairs) -> list[str]:

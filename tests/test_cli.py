@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -903,7 +905,107 @@ MALFORMED_MODEL_FILES = {
         lambda doc: with_keys(doc, "model", "params", "mode", None),
         ": voting_mode must be 'hard' or 'soft', got None",
     ),
+    # versions and the family by the run config's rules: JSON true is not the integer 1
+    "wrapper_version_true": (lambda doc: with_keys(doc, "version", True), ": version must be an integer, got true"),
+    "document_version_true": (
+        lambda doc: with_keys(doc, "model", "version", True),
+        ": model.version must be an integer, got true",
+    ),
+    "member_version_true": (
+        lambda doc: with_keys(doc, "model", "params", "members", 2, "version", True),
+        ": model.version must be an integer, got true",
+    ),
+    "family_list": (
+        lambda doc: with_keys(doc, "model", "family", ["voting"]),
+        ': model.family must be a string, got ["voting"]',
+    ),
+    "model_name_number": (lambda doc: with_keys(doc, "model_name", 5), ": model_name must be a string, got 5"),
+    "weight_past_float_range": (
+        lambda doc: with_keys(doc, *MLP, "weights", 0, 0, 0, 10**400),
+        ": mlp weights[0][0] must hold finite numbers",
+    ),
+    "tree_n_features_past_int64": (
+        lambda doc: with_keys(doc, *TREE, "n_features", 2**63),
+        f": tree.n_features must be an integer in [1, 2**63), got {2**63}",
+    ),
+    # the kernel and the history read as their dataclasses
+    "svm_kernel_unknown_key": (
+        lambda doc: with_keys(doc, *SVM, "kernel", "foo", 1),
+        ": unknown key(s) in svm.kernel: foo",
+    ),
+    "svm_kernel_no_kind": (
+        lambda doc: with_keys(doc, *SVM, "kernel", {"gamma": 0.5}),
+        ": svm.kernel is missing key 'kind'",
+    ),
+    "mlp_history_unknown_key": (
+        lambda doc: with_keys(doc, *MLP, "history", "foo", []),
+        ": unknown key(s) in mlp.history: foo",
+    ),
+    "mlp_history_list": (
+        lambda doc: with_keys(doc, *MLP, "history", []),
+        ": mlp.history must be a JSON object, got []",
+    ),
+    # a section of the wrong JSON type, named where it is first read
+    "model_list": (lambda doc: with_keys(doc, "model", [1]), ": model must be a JSON object, got [1]"),
+    "member_number": (
+        lambda doc: with_keys(doc, "model", "params", "members", 0, 3),
+        ": model must be a JSON object, got 3",
+    ),
+    "pipeline_list": (lambda doc: with_keys(doc, "pipeline", []), ": pipeline must be a JSON object, got []"),
+    "params_number": (
+        lambda doc: with_keys(doc, "model", "params", 5),
+        ": model.params must be a JSON object, got 5",
+    ),
+    "pipeline_minmax_list": (
+        lambda doc: with_keys(doc, "pipeline", "minmax", [0, 1]),
+        ": pipeline.minmax must be a JSON object, got [0, 1]",
+    ),
+    "pipeline_pairs_number": (
+        lambda doc: with_keys(doc, "pipeline", "engineered_pairs", 2),
+        ": pipeline.engineered_pairs must be a list, got 2",
+    ),
+    "pipeline_pairs_flat": (
+        lambda doc: with_keys(doc, "pipeline", "engineered_pairs", [1]),
+        ": pipeline engineered pair 1 must satisfy 0 <= i < j < 23, as integers",
+    ),
+    "mlp_weights_number": (lambda doc: with_keys(doc, *MLP, "weights", 1), ": mlp.weights must be a list, got 1"),
+    "mlp_biases_object": (lambda doc: with_keys(doc, *MLP, "biases", {}), ": mlp.biases must be a list, got {}"),
+    "voting_members_number": (
+        lambda doc: with_keys(doc, "model", "params", "members", 4),
+        ": ensemble.members must be a list, got 4",
+    ),
+    "bagging_members_string": (
+        lambda doc: with_keys(doc, "model", "params", "members", 2, "params", "members", "trees"),
+        ': ensemble.members must be a list, got "trees"',
+    ),
+    "tree_nodes_object": (
+        lambda doc: with_keys(doc, *TREE, "nodes", {"a": 1}),
+        ': tree.nodes must be a list, got {"a": 1}',
+    ),
+    "tree_node_number": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 1, 0.5),
+        ": tree node 1 must be a JSON object, got 0.5",
+    ),
+    "tree_hist_false": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", False),
+        ": tree node 2: hist must have 3 entries",
+    ),
 }
+
+# one JSON value of each kind, and an integer past the float range
+ODD_VALUES = [True, False, None, 0, -1, 2, 0.5, "x", "", [], [1], {}, {"a": 1}, 10**400]
+
+
+def key_paths(node, path=()):
+    """The key path of every value under ``node``, a list's first and last
+    entries standing for the rest; no reader looks into ``base_spec``."""
+    if isinstance(node, dict):
+        keys = [k for k in node if k != "base_spec"]
+    else:
+        keys = sorted({0, len(node) - 1}) if isinstance(node, list) and node else []
+    for key in keys:
+        yield path + (key,)
+        yield from key_paths(node[key], path + (key,))
 
 
 class TestMalformedModelFile:
@@ -930,6 +1032,24 @@ class TestMalformedModelFile:
         assert problem in first
         assert rest[0].startswith("usage:")
         assert not out.exists() or not any(out.iterdir())
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_one_value_anywhere_exits_0_or_2(self, tmp_path_factory, trained_model, data):
+        path = data.draw(st.sampled_from(list(key_paths(trained_model))))
+        root = tmp_path_factory.mktemp("one_value")
+        model_path = root / "model.json"
+        model_path.write_text(json.dumps(with_keys(trained_model, *path, data.draw(st.sampled_from(ODD_VALUES)))))
+        argv, out = self.evaluate(root, model_path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2)
+        if code == 2:
+            first, *rest = err.getvalue().splitlines()
+            assert first.startswith(f"error: model file {model_path}")
+            assert rest[0].startswith("usage:")
+            assert not out.exists() or not any(out.iterdir())
 
     def test_unreadable_file_exit_2(self, tmp_path, capsys):
         argv, out = self.evaluate(tmp_path, tmp_path / "missing.json")

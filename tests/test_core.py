@@ -260,7 +260,7 @@ class TestParallelMap:
         results = parallel_map(inner, list(range(6)))
         assert all(caller != threading.get_ident() for caller, _ in results)
         assert all(threads == [caller] * 5 for caller, threads in results)
-        # only pool threads are marked: the next outermost map threads again
+        # only the main thread starts a pool: a map back on it threads again
         later = parallel_map(lambda _: threading.get_ident(), list(range(4)))
         assert threading.get_ident() not in later
 
