@@ -145,10 +145,10 @@ def json_value(tp, value, where: str):
         hints = typing.get_type_hints(tp)
         return tp(**{k: json_value(hints[k], v, f"{where}.{k}" if where else k) for k, v in value.items()})
     if typing.get_origin(tp) is list:
-        (item,) = typing.get_args(tp)
+        (item,) = typing.get_args(tp)  # a scalar, tested inline; the call only words a refused entry
         if type(value) is not list:
             raise ValueError(f"{where} must be a list of {_SCALARS[item][1]}, got {json.dumps(value)}")
-        return [json_value(item, v, f"{where} entry") for v in value]
+        return [item(v) if _SCALARS[item][2](v) else json_value(item, v, f"{where} entry") for v in value]
     arms = typing.get_args(tp) or (tp,)  # gamma's `float | str` takes either
     for arm in arms:
         if _SCALARS[arm][2](value):
