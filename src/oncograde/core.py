@@ -1,4 +1,4 @@
-"""Deterministic numeric substrate shared by every other module.
+"""Deterministic numeric substrate and JSON reader shared by every other module.
 
 All randomness in the toolkit flows through :class:`RngStream`, a
 splitmix64 generator. Parallel work (ensemble members, CV folds, sweep
