@@ -100,7 +100,7 @@ def shuffle(indices, stream: RngStream) -> list:
 
 
 def as_matrix(data) -> np.ndarray:
-    """Validate and return a 2-D float64 matrix with finite entries."""
+    """Validate and return a 2-D float64 matrix with finite entries; called only where a matrix enters."""
     arr = np.asarray(data, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected 2-D matrix, got ndim={arr.ndim}")

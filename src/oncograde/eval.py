@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RngStream, as_matrix, parallel_map
+from .core import RngStream, parallel_map
 from .dataset import LABEL_VALUES, N_CLASSES, csv_text
 from .models.base import Hyperparams
 from .preprocess import _round_half_up, shuffled_classes, stratified_split
@@ -173,7 +173,6 @@ def _fit_and_score(X, y, fits, score_train: bool = True) -> list:
     """Train each ``(spec, train rows, validation rows, stream)`` fit in one
     :func:`parallel_map`, the dnn monitoring the validation rows; each gives
     (training accuracy, or None unless ``score_train``; validation report)."""
-    X = as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
 
     def run(fit):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import RngStream, as_matrix, json_value
+from ..core import RngStream, json_value
 
 MODEL_NAMES = ("dnn", "voting", "bagging", "svm_rbf", "svm_linear", "svm_poly", "svm_sigmoid")
 
@@ -87,7 +87,6 @@ def resolve_gamma(gamma: float | str, X) -> float:
     """'scale' resolves to 1 / (n_features * mean population feature variance)."""
     if gamma != "scale":
         return float(gamma)
-    X = as_matrix(X)
     var = float(((X - X.mean(axis=0)) ** 2).mean(axis=0).mean())
     if var == 0:
         var = 1.0

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import RngStream, as_matrix, json_value, parallel_map
+from ..core import RngStream, json_value, parallel_map
 from ..dataset import N_CLASSES
 from .base import Hyperparams, model_from_doc, model_to_doc, proba_to_labels
 from .tree import train_tree
@@ -30,7 +30,6 @@ class BaggingModel:
     base_spec: dict
 
     def predict_proba(self, X) -> np.ndarray:
-        X = as_matrix(X)
         return np.mean([m.predict_proba(X) for m in self.members], axis=0)
 
     def predict(self, X) -> np.ndarray:
@@ -56,7 +55,6 @@ def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -
     one-leaf member, as ``train_tree`` grows for any pure node.
     """
     Hyperparams(n_estimators=n_estimators)
-    X = as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
     n = X.shape[0]
 
@@ -81,7 +79,6 @@ class VotingModel:
     mode: str
 
     def predict_proba(self, X) -> np.ndarray:
-        X = as_matrix(X)
         if self.mode == "soft":
             return np.mean([m.predict_proba(X) for m in self.members], axis=0)
         # hard: vote fractions; argmax then matches majority with low-index ties

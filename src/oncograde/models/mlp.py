@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import RngStream, as_matrix, json_array, json_value, shuffle
+from ..core import RngStream, json_array, json_value, shuffle
 from ..dataset import N_CLASSES
 from .base import Hyperparams, proba_to_labels, softmax
 
@@ -48,7 +48,6 @@ class MlpModel:
         return self.weights[0].shape[0]
 
     def predict_proba(self, X) -> np.ndarray:
-        X = as_matrix(X)
         if X.shape[1] != self.n_features:
             raise ValueError(
                 f"dimension mismatch: model expects {self.n_features} features, got {X.shape[1]}"
@@ -142,7 +141,6 @@ def cross_entropy_grads(weights, biases, X, y):
 def train_mlp(Xtr, ytr, Xval, yval, hp: Hyperparams, stream: RngStream) -> MlpModel:
     """Train with momentum SGD; early stopping on validation loss with
     patience 20, restoring the best-epoch weights."""
-    Xtr, Xval = as_matrix(Xtr), as_matrix(Xval)
     ytr = np.asarray(ytr, dtype=np.int64)
     yval = np.asarray(yval, dtype=np.int64)
     if np.unique(ytr).size < 2:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import as_matrix, json_array, json_value
+from ..core import json_array, json_value
 from ..dataset import N_CLASSES
 from .base import KernelSpec, kernel_matrix, proba_to_labels, softmax
 
@@ -74,7 +74,6 @@ class BinarySvm:
         return self.alphas > 0
 
     def decision(self, Xq) -> np.ndarray:
-        Xq = as_matrix(Xq)
         m = self.support_mask
         K = kernel_matrix(self.kernel, Xq, self.X[m])
         return K @ (self.alphas[m] * self.y[m]) + self.bias
@@ -117,7 +116,6 @@ def train_svm_binary(
     ``K`` is the kernel matrix of ``X`` against itself; it is computed
     here when not given.
     """
-    X = as_matrix(X)
     y = np.asarray(y, dtype=float)
     if not ((y == 1).any() and (y == -1).any()):
         raise ValueError("both classes must be present for binary SVM training")
@@ -203,7 +201,7 @@ class SvmOvrModel:
     bias: np.ndarray  # (3,)
 
     def decision_matrix(self, X) -> np.ndarray:
-        return kernel_matrix(self.kernel, as_matrix(X), self.support_x) @ self.coef + self.bias
+        return kernel_matrix(self.kernel, X, self.support_x) @ self.coef + self.bias
 
     def predict_proba(self, X) -> np.ndarray:
         return softmax(self.decision_matrix(X))
@@ -239,7 +237,6 @@ def train_svm_ovr(X, y, kernel: KernelSpec, C: float = 1.0) -> SvmOvrModel:
     """One binary machine per class (class c = +1, rest = -1), stored in
     LIBSVM's multi-class layout (Chang & Lin 2011). An absent class gets a
     zero ``coef`` column and bias -1, a constant that never wins."""
-    X = as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
     if np.unique(y).size < 2:
         raise ValueError("at least 2 classes required for one-vs-rest training")

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import as_matrix, json_array, json_value
+from ..core import json_array, json_value
 from ..dataset import N_CLASSES
 from .base import proba_to_labels
 
@@ -60,7 +60,6 @@ class TreeModel:
     hist: np.ndarray  # (n_nodes, 3) class weights; only a leaf's are read
 
     def predict_proba(self, X) -> np.ndarray:
-        X = as_matrix(X)
         if X.shape[1] != self.n_features:
             raise ValueError(
                 f"dimension mismatch: model expects {self.n_features} features, got {X.shape[1]}"
@@ -238,7 +237,6 @@ def _open(hist: np.ndarray, depth: int, max_depth: int) -> np.ndarray:
 
 def train_tree(X, y, sample_weights=None, max_depth: int = 8, min_child_weight: float = 1.0) -> TreeModel:
     """Fit CART; ``sample_weights`` are whole row counts (default 1 each)."""
-    X = as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] == 0:
         raise ValueError("cannot train a tree on empty input")

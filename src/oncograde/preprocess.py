@@ -73,7 +73,6 @@ class PreparedData:
 
 def fit_minmax(X_fit) -> tuple[np.ndarray, np.ndarray]:
     """The fitted bounds ``(col_min, col_max)``."""
-    X_fit = as_matrix(X_fit)
     if X_fit.shape[0] == 0:
         raise ValueError("cannot fit MinMax on an empty matrix")
     return X_fit.min(axis=0), X_fit.max(axis=0)
@@ -85,7 +84,6 @@ def apply_minmax(X, minmax: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     Constant fitted columns map to 0. Values outside the fitted range are
     not clamped, so transformed values may fall outside [0, 1].
     """
-    X = as_matrix(X)
     col_min, col_max = minmax
     if X.shape[1] != col_min.shape[0]:
         raise ValueError(
@@ -104,7 +102,6 @@ def pearson_matrix(X, feature_names: list[str] | None = None) -> CorrelationRepo
     Zero-variance columns get r=0 against everything else and 1 on the
     diagonal.
     """
-    X = as_matrix(X)
     n, m = X.shape
     if n < 2:
         raise ValueError("pearson_matrix needs at least 2 rows")
@@ -133,7 +130,6 @@ _PAIR_BLOCK_ROWS = 1024
 def append_pair_means(X, pairs) -> np.ndarray:
     """Append one column per (i, j) row of the (k, 2) ``pairs``, the mean of columns i and j, filling
     one preallocated result a block of rows at a time so that every write runs along a row."""
-    X = as_matrix(X)
     n, m = X.shape
     out = np.empty((n, m + len(pairs)))
     out[:, :m] = X
@@ -152,7 +148,6 @@ def engineer_features(X, report: CorrelationReport, hi: float, lo: float):
     flagged but nothing is dropped. Engineered columns never seed further
     engineering.
     """
-    X = as_matrix(X)
     m = report.matrix.shape[0]
     if X.shape[1] != m:
         raise ValueError(
@@ -247,7 +242,6 @@ def smote(X, y, k: int, stream: RngStream):
     block, in the order scalar draws would take them.
     """
     PreprocessConfig(smote_k=k)
-    X = as_matrix(X)
     y = np.asarray(y, dtype=np.int64)
     counts = np.bincount(y, minlength=N_CLASSES)
     majority = int(counts.max())
@@ -335,11 +329,13 @@ class Preprocessor:
         s = self.settings
         X, report = engineer_features(X, pearson_matrix(X), s.corr_hi, s.corr_lo)
         self.pairs = report.engineered_pairs
-        return smote(X, y, s.smote_k, stream.derive(0))
+        # checked here, as no step after the load is: a column whose span passes the float range scales to NaN
+        return smote(as_matrix(X), y, s.smote_k, stream.derive(0))
 
     def transform(self, X) -> np.ndarray:
-        """Scale with the fitted MinMax bounds and append the fitted pair means."""
-        return append_pair_means(apply_minmax(X, self.minmax), self.pairs)
+        """Scale with the fitted MinMax bounds and append the fitted pair means, checked
+        to be finite: the rows ``evaluate`` scores never pass through a ``Dataset``."""
+        return as_matrix(append_pair_means(apply_minmax(X, self.minmax), self.pairs))
 
     def to_dict(self) -> dict:
         col_min, col_max = self.minmax
