@@ -128,9 +128,13 @@ def json_value(tp, value, where: str):
     path, which a refusal's ``ValueError`` names.
 
     A dataclass is read from a JSON object with no unknown keys and with
-    every key that has no default, ``list[X]`` from a JSON list, and
-    anything else by its `_SCALARS` rule.
+    every key that has no default, ``list[X]`` from a JSON list, a tuple of
+    JSON values as one of them, and anything else by its `_SCALARS` rule.
     """
+    if type(tp) is tuple:  # the value must equal one of these, by exact type
+        if any(type(value) is type(choice) and value == choice for choice in tp):
+            return value
+        raise ValueError(f"{where} must be {' or '.join(map(json.dumps, tp))}, got {json.dumps(value)}")
     if type(None) in typing.get_args(tp):  # `X | None`: None only marks the field unset
         (tp,) = (arm for arm in typing.get_args(tp) if arm is not type(None))
     if dataclasses.is_dataclass(tp):

@@ -96,8 +96,7 @@ class VotingModel:
 
     @classmethod
     def from_params(cls, params: dict) -> "VotingModel":
-        Hyperparams(voting_mode=params["mode"])
-        return cls(members=_members(params), mode=params["mode"])
+        return cls(mode=json_value(("hard", "soft"), params["mode"], "voting.mode"), members=_members(params))
 
 
 def train_voting(member_specs: list, mode: str, X, y, stream: RngStream, Xval, yval) -> VotingModel:

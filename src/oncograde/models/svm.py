@@ -201,7 +201,12 @@ class SvmOvrModel:
     bias: np.ndarray  # (3,)
 
     def decision_matrix(self, X) -> np.ndarray:
-        return kernel_matrix(self.kernel, X, self.support_x) @ self.coef + self.bias
+        """Each machine's decision on each row; one that overflows raises ``ValueError``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = kernel_matrix(self.kernel, X, self.support_x) @ self.coef + self.bias
+        if not np.isfinite(D).all():
+            raise ValueError(f"{self.kernel.kind} kernel decisions are not finite on the rows to score")
+        return D
 
     def predict_proba(self, X) -> np.ndarray:
         return softmax(self.decision_matrix(X))

@@ -117,6 +117,8 @@ class TreeModel:
                 json_value(dict, node, f"tree node {i}")
             if "leaf" not in node:
                 rows.append((node["feature"], node["threshold"], node["left"], node["right"], (0, 0, 0)))
+            elif node["leaf"] is not True:
+                json_value((True,), node["leaf"], f"tree node {i}.leaf")
             elif type(node["hist"]) is not list or len(node["hist"]) != N_CLASSES:
                 raise ValueError(f"tree node {i}: hist must have {N_CLASSES} entries")
             else:

@@ -370,6 +370,7 @@ class Preprocessor:
         if names != _pair_names(pairs):
             held = f"{len(names)} engineered names" if isinstance(names, list) else f"engineered_names {names!r}"
             raise ValueError(f"pipeline has {len(pairs)} engineered pairs but {held}, not the pairs' own names")
+        json_value(PIPELINE_ORDERS, d["order"], "pipeline.order")  # refused as a model-file field, not a config one
         settings = json_value(PreprocessConfig, {k: d[k] for k in ("order", "corr_hi", "corr_lo")}, "pipeline")
         return cls(settings, (lo, hi), pairs.reshape(-1, 2))
 

@@ -613,6 +613,52 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err == "error: matrix contains non-finite values\n"
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("name,kind", [("svm_poly", "polynomial"), ("svm_rbf", "rbf")])
+    def test_overflowing_svm_decisions_exit_1(self, tmp_path, capsys, name, kind):
+        """A row the kernel overflows on is a failure while scoring, not labelled from NaN."""
+        train_cfg = write_config(tmp_path / "cfg.json", model={"name": name, "hyperparams": {}})
+        assert main(["train", "--config", str(train_cfg), "--output-dir", str(tmp_path / "run")]) == 0
+        d = synth_generate(60, 21)
+        d.X[7] = 1.7e308
+        save_csv(d, tmp_path / "rows.csv")
+        model_path = str(tmp_path / "run" / "model.json")
+        cfg = write_config(tmp_path / "eval.json", data={"csv_path": str(tmp_path / "rows.csv")}, model_path=model_path)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {kind} kernel decisions are not finite on the rows to score\n"
+        assert not out.exists() or not any(out.iterdir())
+
+
+class TestNonFiniteTraining:
+    """A matrix is checked where it is made: as a ``Dataset`` from the CSV, and after MinMax
+    scaling, which turns a column whose span passes the float range into NaN."""
+
+    def run(self, tmp_path, command, d) -> tuple[int, str, Path]:
+        save_csv(d, tmp_path / "rows.csv")
+        cfg = write_config(tmp_path / "cfg.json", data={"csv_path": str(tmp_path / "rows.csv")})
+        out = tmp_path / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--output-dir", str(out)])
+        return code, err.getvalue(), out
+
+    def test_infinite_cell_exit_1(self, tmp_path):
+        d = synth_generate(60, 21)
+        d.X[40, 5] = np.inf
+        code, err, out = self.run(tmp_path, "train", d)
+        assert (code, err) == (1, "error: matrix contains non-finite values\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # MinMax overflows on the way to the check
+    @pytest.mark.parametrize("command", ["train", "cv"])
+    def test_age_span_past_float_range_exit_1(self, tmp_path, command):
+        d = synth_generate(60, 21)
+        d.X[3, 0], d.X[4, 0] = -1.7e308, 1.7e308
+        code, err, out = self.run(tmp_path, command, d)
+        assert (code, err) == (1, "error: matrix contains non-finite values\n")
+        assert not out.exists() or not any(out.iterdir())
+
 
 @pytest.fixture(scope="module")
 def trained_model(tmp_path_factory) -> dict:
@@ -895,15 +941,15 @@ MALFORMED_MODEL_FILES = {
     # a mode train_voting would refuse; read as-is, it would score hard voting
     "voting_mode_capitalised": (
         lambda doc: with_keys(doc, "model", "params", "mode", "Soft"),
-        ": voting_mode must be 'hard' or 'soft', got 'Soft'",
+        ': voting.mode must be "hard" or "soft", got "Soft"',
     ),
     "voting_mode_number": (
         lambda doc: with_keys(doc, "model", "params", "mode", 5),
-        ": voting_mode must be 'hard' or 'soft', got 5",
+        ': voting.mode must be "hard" or "soft", got 5',
     ),
     "voting_mode_null": (
         lambda doc: with_keys(doc, "model", "params", "mode", None),
-        ": voting_mode must be 'hard' or 'soft', got None",
+        ': voting.mode must be "hard" or "soft", got null',
     ),
     # versions and the family by the run config's rules: JSON true is not the integer 1
     "wrapper_version_true": (lambda doc: with_keys(doc, "version", True), ": version must be an integer, got true"),
@@ -990,6 +1036,19 @@ MALFORMED_MODEL_FILES = {
         lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", False),
         ": tree node 2: hist must have 3 entries",
     ),
+    # a leaf is marked by "leaf": true and nothing else
+    "tree_leaf_false": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 2, "leaf", False),
+        ": tree node 2.leaf must be true, got false",
+    ),
+    "tree_leaf_null": (
+        lambda doc: with_keys(doc, *TREE, "nodes", 2, "leaf", None),
+        ": tree node 2.leaf must be true, got null",
+    ),
+    "pipeline_order_unknown": (
+        lambda doc: with_keys(doc, "pipeline", "order", "x"),
+        ': pipeline.order must be "paper_order" or "leak_safe", got "x"',
+    ),
 }
 
 # one JSON value of each kind, and an integer past the float range
@@ -1006,6 +1065,15 @@ def key_paths(node, path=()):
     for key in keys:
         yield path + (key,)
         yield from key_paths(node[key], path + (key,))
+
+
+class ArtifactNames(list):
+    """A stand-in for ``ArtifactWriter`` that lists each artifact's name and writes nothing."""
+
+    def write_text(self, name, *content):
+        self.append(name)
+
+    write_json = write_svg = write_text
 
 
 class TestMalformedModelFile:
@@ -1033,23 +1101,37 @@ class TestMalformedModelFile:
         assert rest[0].startswith("usage:")
         assert not out.exists() or not any(out.iterdir())
 
-    @settings(max_examples=50, deadline=None)
-    @given(st.data())
-    def test_one_value_anywhere_exits_0_or_2(self, tmp_path_factory, trained_model, data):
-        path = data.draw(st.sampled_from(list(key_paths(trained_model))))
-        root = tmp_path_factory.mktemp("one_value")
-        model_path = root / "model.json"
-        model_path.write_text(json.dumps(with_keys(trained_model, *path, data.draw(st.sampled_from(ODD_VALUES)))))
-        argv, out = self.evaluate(root, model_path)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 2)
-        if code == 2:
-            first, *rest = err.getvalue().splitlines()
-            assert first.startswith(f"error: model file {model_path}")
-            assert rest[0].startswith("usage:")
-            assert not out.exists() or not any(out.iterdir())
+    def test_one_value_anywhere_exits_0_or_2(self, tmp_path, capsys, monkeypatch, trained_model):
+        """Every pair of a key path and an odd value, run by ``cmd_evaluate`` on the document as
+        ``_json_object`` parses it: through ``main`` the 1,512 runs take a minute. ``main`` exits 2
+        on a ``ConfigError`` and 1 on any other exception; one pair checks ``main`` itself."""
+        model_path = tmp_path / "model.json"
+        argv, out = self.evaluate(tmp_path, model_path)
+        cfg = parse_config(json.loads(Path(argv[2]).read_text()))
+        doc = json.loads(json.dumps(trained_model))
+        monkeypatch.setattr(cli, "_json_object", lambda path, what: doc)
+        for path in key_paths(trained_model):
+            parent, key = at(doc, *path[:-1]), path[-1]
+            held = parent[key]
+            for value in ODD_VALUES:
+                parent[key] = value
+                writes = ArtifactNames()
+                try:
+                    cli.cmd_evaluate(cfg, writes)
+                except ConfigError as exc:
+                    assert str(exc).startswith(f"model file {model_path}"), (path, value)
+                    assert not writes, (path, value)
+                except Exception as exc:  # noqa: BLE001 - what main reports as exit 1
+                    pytest.fail(f"{json.dumps(value)} at {path} exits 1: {exc}")
+            parent[key] = held
+        assert doc == trained_model  # no reader changed the document it read
+        monkeypatch.undo()
+        model_path.write_text(json.dumps(with_keys(trained_model, "model", "params", "mode", None)))
+        assert main(argv) == 2
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first.startswith(f"error: model file {model_path}")
+        assert rest[0].startswith("usage:")
+        assert not out.exists() or not any(out.iterdir())
 
     def test_unreadable_file_exit_2(self, tmp_path, capsys):
         argv, out = self.evaluate(tmp_path, tmp_path / "missing.json")

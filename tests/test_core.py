@@ -11,6 +11,7 @@ from oncograde.core import (
     as_matrix,
     derive_stream,
     json_array,
+    json_value,
     parallel_map,
     shuffle,
 )
@@ -187,6 +188,29 @@ class TestAsMatrix:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError):
             as_matrix([1.0, 2.0])
+
+
+class TestJsonChoice:
+    """A tuple of JSON values reads a value equal to one of them, with the same type."""
+
+    def test_reads_a_choice(self):
+        assert json_value(("hard", "soft"), "soft", "mode") == "soft"
+        assert json_value((True,), True, "leaf") is True
+
+    @pytest.mark.parametrize(
+        "choices, value, message",
+        [
+            (("hard", "soft"), "Soft", 'mode must be "hard" or "soft", got "Soft"'),
+            (("hard", "soft"), None, 'mode must be "hard" or "soft", got null'),
+            ((True,), 1, "mode must be true, got 1"),
+            ((True,), [], "mode must be true, got []"),
+            ((1,), 1.0, "mode must be 1, got 1.0"),
+        ],
+    )
+    def test_refuses_any_other_value(self, choices, value, message):
+        with pytest.raises(ValueError) as info:
+            json_value(choices, value, "mode")
+        assert str(info.value) == message
 
 
 json_scalars = st.one_of(
