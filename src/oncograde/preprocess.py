@@ -329,7 +329,7 @@ class Preprocessor:
         s = self.settings
         X, report = engineer_features(X, pearson_matrix(X), s.corr_hi, s.corr_lo)
         self.pairs = report.engineered_pairs
-        # checked here, as no step after the load is: a column whose span passes the float range scales to NaN
+        # MinMax over a column whose span passes the float range makes NaN from finite rows
         return smote(as_matrix(X), y, s.smote_k, stream.derive(0))
 
     def transform(self, X) -> np.ndarray:
