@@ -172,6 +172,34 @@ class TestPinnedDigests:
         assert hashlib.sha256(csv_bytes).hexdigest() == digest
 
     @pytest.mark.parametrize(
+        "model,command,name,digest",
+        [
+            ("dnn", "cv", "cv.csv", "c16aaf11711a8dda47056d8686a8b6230fadf997b22faf47e217f2d37e8b7dca"),
+            ("dnn", "curve", "curve.csv", "ce55d9df48d759b7c14ac7810a68fed4c483a35fb26ad97c01e78409bb4b8362"),
+            ("dnn", "sweep", "sweep.csv", "1cee37fcb5cf3c8e80d397df1c0a18e2e4dda751414b3cfc018b43f165ddc1bb"),
+            ("dnn", "sweep", "sweep.svg", "738ed5e060206a2431d14a172b17b940797e6d10f7d8ef534ee2d8e3e079f175"),
+            ("svm_linear", "sweep", "sweep.csv", "27977ea6e90ec4ad6d0127cde84b66765707aca2fa4de1f7f89fa42c9e15fb3d"),
+        ],
+    )
+    def test_dnn_and_svm_harness(self, tmp_path, model, command, name, digest):
+        """The harness artifacts of a small dnn run, and the sweep of an
+        svm_linear run, over the default 3 x 3 sweep grid. The digests were
+        computed when ``sweep`` trained one model for every cell of the grid."""
+        hyperparams = {"epochs": 5, "hidden_layers": [8]} if model == "dnn" else {}
+        cfg = write_json(
+            tmp_path / "harness.json",
+            {
+                "seed": 8,
+                "data": {"synthetic": {"n": 150}},
+                "model": {"name": model, "hyperparams": hyperparams},
+                "eval": {"k": 3, "curve_fractions": [0.5, 1.0], "curve_repeats": 1},
+            },
+        )
+        assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
+        artifact = (tmp_path / "run" / name).read_bytes()
+        assert hashlib.sha256(artifact).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "command,name,digest",
         [
             ("profile", "correlation.csv", "525eac971754dcc2987d260ecb6a7cb190634668346842de3f0882c247c38e51"),
