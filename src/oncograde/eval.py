@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import RngStream, parallel_map
 from .dataset import LABEL_VALUES, N_CLASSES, csv_text
-from .models.base import Hyperparams
+from .models.base import SWEEP_AXES_READ, Hyperparams
 from .preprocess import _round_half_up, shuffled_classes, stratified_split
 
 
@@ -240,30 +240,31 @@ def sweep(X, y, model_spec, settings: EvalConfig, stream: RngStream) -> SweepRes
     learning rate x min child weight.
 
     Every cell reuses the same derived sub-stream (same 80/20 split, same
-    training randomness), so cells differ only through the hyperparameters;
-    an axis of length >= 2 whose cells are all bit-identical is reported as
-    inactive for this model family.
+    training randomness), so cells differ only through the hyperparameters.
+    An axis the model does not read (``SWEEP_AXES_READ``) is trained at its
+    first value only, its scores shared by the axis's other cells, and is
+    reported as inactive when it has two or more values.
     """
     lr_values, mcw_values = settings.sweep.learning_rate, settings.sweep.min_child_weight
+    axes = (("learning_rate", lr_values), ("min_child_weight", mcw_values))
+    reads = SWEEP_AXES_READ[model_spec.name]
+    lr_trained, mcw_trained = (values if name in reads else values[:1] for name, values in axes)
     cell_stream = stream.derive(0)
     split = stratified_split(y, 0.2, cell_stream)
     fits = []
-    for lr in lr_values:
-        for mcw in mcw_values:
+    for lr in lr_trained:
+        for mcw in mcw_trained:
             spec = model_spec.with_hyperparams(learning_rate=lr, min_child_weight=mcw)
             fits.append((spec, split.train, split.test, copy.copy(cell_stream)))
     results = _fit_and_score(X, y, fits)
-    grid = np.asarray([(t, v.accuracy) for t, v in results]).reshape(len(lr_values), len(mcw_values), 2)
-    axes = ("learning_rate", "min_child_weight")
-    inactive = [
-        name for a, name in enumerate(axes) if grid.shape[a] >= 2 and (grid == grid.take([0], a)).all()
-    ]
+    grid = np.asarray([(t, v.accuracy) for t, v in results]).reshape(len(lr_trained), len(mcw_trained), 2)
+    grid = np.broadcast_to(grid, (len(lr_values), len(mcw_values), 2))
     return SweepResult(
         learning_rates=lr_values,
         min_child_weights=mcw_values,
         train_grid=grid[..., 0],
         val_grid=grid[..., 1],
-        inactive_axes=inactive,
+        inactive_axes=[name for name, values in axes if name not in reads and len(values) >= 2],
     )
 
 

@@ -26,6 +26,11 @@ _SVM_KERNEL_OF = {
     "svm_sigmoid": "sigmoid",
 }
 
+# the sweep axes each model's training reads; `eval.sweep` trains one model per combination of them
+SWEEP_AXES_READ = dict.fromkeys(_SVM_KERNEL_OF, ()) | {
+    "dnn": ("learning_rate",), "bagging": ("min_child_weight",), "voting": ("learning_rate", "min_child_weight")
+}
+
 MODEL_DOC_VERSION = 1
 
 

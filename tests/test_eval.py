@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +23,9 @@ from oncograde.eval import (
     sweep,
     sweep_to_csv,
 )
+import oncograde.eval as ev
 from oncograde.eval import _stratified_subset
-from oncograde.models.base import Hyperparams, ModelSpec
+from oncograde.models.base import MODEL_NAMES, SWEEP_AXES_READ, Hyperparams, ModelSpec, model_to_doc
 
 FAST_TREEISH = ModelSpec("bagging", Hyperparams(n_estimators=3, max_depth=3))
 
@@ -260,6 +263,55 @@ class TestSweep:
     def test_empty_axis_errors(self):
         with pytest.raises(ValueError, match="non-empty"):
             SweepConfig([], [1.0])
+
+
+# two values of each sweep axis far enough apart to change a model that reads it
+AXIS_VALUES = {"learning_rate": (0.001, 0.1), "min_child_weight": (1.0, 30.0)}
+
+
+class TestSweepAxesRead:
+    def test_every_model_declares_its_axes(self):
+        assert set(SWEEP_AXES_READ) == set(MODEL_NAMES)
+        assert all(set(axes) <= set(AXIS_VALUES) for axes in SWEEP_AXES_READ.values())
+
+    @pytest.mark.parametrize("axis", sorted(AXIS_VALUES))
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_declaration_matches_the_trained_model(self, name, axis):
+        """Two values of an axis the declaration leaves out train the same
+        model document, and two values of a declared axis different ones."""
+        d = synth_generate(90, 7)
+        hp = Hyperparams(epochs=5, hidden_layers=[8], n_estimators=3, max_depth=3)
+        docs = set()
+        for value in AXIS_VALUES[axis]:
+            spec = ModelSpec(name, dataclasses.replace(hp, **{axis: value}))
+            model = spec.train(d.X[:70], d.y[:70], RngStream(3), d.X[70:], d.y[70:])
+            docs.add(json.dumps(model_to_doc(model)))
+        assert len(docs) == (2 if axis in SWEEP_AXES_READ[name] else 1)
+
+    @pytest.mark.parametrize(
+        "name,fits",
+        [("dnn", 3), ("bagging", 3), ("voting", 9)] + [(name, 1) for name in MODEL_NAMES if name.startswith("svm_")],
+    )
+    def test_sweep_trains_each_distinct_model_once(self, monkeypatch, name, fits):
+        handed = []
+
+        def count(X, y, cell_fits, score_train=True):
+            handed.extend(cell_fits)
+            return [(1.0, SimpleNamespace(accuracy=1.0))] * len(cell_fits)
+
+        monkeypatch.setattr(ev, "_fit_and_score", count)
+        d = synth_generate(60, 1)
+        res = sweep(d.X, d.y, ModelSpec(name), EvalConfig(), RngStream(1))
+        assert len(handed) == fits
+        assert len({(spec.hyperparams.learning_rate, spec.hyperparams.min_child_weight) for spec, *_ in handed}) == fits
+        assert res.val_grid.shape == res.train_grid.shape == (3, 3)
+
+    def test_bagging_min_child_weight_active_when_its_scores_tie(self):
+        # both values score alike here, yet train different trees
+        d = synth_generate(90, 7)
+        res = sweep(d.X, d.y, FAST_TREEISH, sweep_settings([0.01], [1.0, 2.0]), RngStream(7))
+        assert res.val_grid[0, 0] == res.val_grid[0, 1]
+        assert res.inactive_axes == []
 
 
 class TestArtifactFormats:
