@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .core import RngStream, derive_stream, json_value
+from .core import RngStream, derive_stream, json_value, worker_count
 from .dataset import (
     LABEL_VALUES, ORDINAL_HIGH, ORDINAL_LOW, Dataset, SyntheticConfig, csv_text,
     iter_csv_blocks, load_csv, synth_generate,
@@ -241,6 +241,8 @@ def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
         col = d.X[:, j]
         if name == "Age":
             lo, hi = float(col.min()), float(col.max())
+            if hi - lo == float("inf"):  # Python floats overflow to inf without a numpy warning
+                raise ValueError(f"Age spans {lo:g} to {hi:g}, past the float range, so it cannot be binned")
             if hi == lo:
                 hi = lo + 1.0
             edges = [lo + (hi - lo) * t / 10 for t in range(11)]
@@ -401,6 +403,10 @@ def main(argv: list[str] | None = None) -> int:
 
     writer: ArtifactWriter | None = None
     try:
+        try:  # read before any work, so a malformed value is refused before any artifact is written
+            worker_count()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if args.subcommand == "report":
             writer = ArtifactWriter(args.output_dir)
             cmd_report(args.runs, writer)

@@ -197,14 +197,15 @@ def json_array(tp: type, value, refusal: str) -> np.ndarray:
 
 
 def worker_count() -> int:
+    """The ONCOGRADE_THREADS worker count; unset or empty is 0 (sequential)."""
     raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if not raw:
-        return 0
     try:
-        n = int(raw)
+        n = int(raw or 0)
     except ValueError:
-        return 0
-    return max(n, 0)
+        n = -1
+    if n < 0:
+        raise ValueError(f"{THREADS_ENV_VAR} must be a non-negative integer, got {raw!r}")
+    return n
 
 
 def parallel_map(fn, items: list) -> list:

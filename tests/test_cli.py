@@ -658,6 +658,16 @@ class TestNonFiniteTraining:
         assert (code, err) == (1, "error: matrix contains non-finite values\n")
         assert not out.exists() or not any(out.iterdir())
 
+    def test_profile_of_age_span_past_float_range_exit_1(self, tmp_path):
+        # under the suite's error::RuntimeWarning filter, so binning the span
+        # before refusing it would fail with numpy's overflow warning instead
+        d = synth_generate(60, 21)
+        d.X[3, 0], d.X[4, 0] = -1.7e308, 1.7e308
+        code, err, out = self.run(tmp_path, "profile", d)
+        message = "error: Age spans -1.7e+308 to 1.7e+308, past the float range, so it cannot be binned\n"
+        assert (code, err) == (1, message)
+        assert not out.exists() or not any(out.iterdir())
+
 
 @pytest.fixture(scope="module")
 def trained_model(tmp_path_factory) -> dict:
@@ -1148,6 +1158,21 @@ class TestMalformedModelFile:
         assert main(argv) == 1
         assert "dimension mismatch" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestThreadsVariable:
+    @pytest.mark.parametrize("value", ["abc", "-3", "2.5"])
+    def test_malformed_value_exit_2_before_any_artifact(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("ONCOGRADE_THREADS", value)
+        cfg = write_config(tmp_path / "cfg.json")
+        runs = [[command, "--config", str(cfg)] for command in cli._COMMANDS]
+        for argv in runs + [["report", "--runs", str(tmp_path)]]:
+            out = tmp_path / f"out_{argv[0]}"
+            assert main([*argv, "--output-dir", str(out)]) == 2, argv[0]
+            first, *rest = capsys.readouterr().err.splitlines()
+            assert first == f"error: ONCOGRADE_THREADS must be a non-negative integer, got '{value}'"
+            assert all(line.startswith("usage:") or line.startswith(" ") for line in rest)
+            assert not out.exists()
 
 
 class TestHarnessCommands:

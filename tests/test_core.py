@@ -14,6 +14,7 @@ from oncograde.core import (
     json_value,
     parallel_map,
     shuffle,
+    worker_count,
 )
 from oncograde.models.base import proba_to_labels
 
@@ -301,3 +302,16 @@ class TestParallelMap:
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert results["items"] == [results["caller"]] * 6
+
+    @pytest.mark.parametrize("value,count", [(None, 0), ("", 0), ("0", 0), ("2", 2), (" 8 ", 8)])
+    def test_worker_count_reads_the_variable(self, monkeypatch, value, count):
+        monkeypatch.delenv("ONCOGRADE_THREADS", raising=False)
+        if value is not None:
+            monkeypatch.setenv("ONCOGRADE_THREADS", value)
+        assert worker_count() == count
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "2.5"])
+    def test_malformed_worker_count_is_refused(self, monkeypatch, value):
+        monkeypatch.setenv("ONCOGRADE_THREADS", value)
+        with pytest.raises(ValueError, match=f"^ONCOGRADE_THREADS must be a non-negative integer, got '{value}'$"):
+            worker_count()
