@@ -199,13 +199,9 @@ def json_array(tp: type, value, refusal: str) -> np.ndarray:
 def worker_count() -> int:
     """The ONCOGRADE_THREADS worker count; unset or empty is 0 (sequential)."""
     raw = os.environ.get(THREADS_ENV_VAR, "").strip()
-    try:
-        n = int(raw or 0)
-    except ValueError:
-        n = -1
-    if n < 0:
+    if raw and not raw.isdecimal():  # a sign, point or letter; int() reads any run of decimal digits
         raise ValueError(f"{THREADS_ENV_VAR} must be a non-negative integer, got {raw!r}")
-    return n
+    return int(raw or 0)
 
 
 def parallel_map(fn, items: list) -> list:
