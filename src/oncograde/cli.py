@@ -243,14 +243,13 @@ def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
             lo, hi = float(col.min()), float(col.max())
             if hi - lo == float("inf"):  # Python floats overflow to inf without a numpy warning
                 raise ValueError(f"Age spans {lo:g} to {hi:g}, past the float range, so it cannot be binned")
-            if hi == lo:
-                hi = lo + 1.0
-            edges = [lo + (hi - lo) * t / 10 for t in range(11)]
+            width = (hi - lo) or 1.0  # a constant column's rows all fall in the first bin
+            edges = [lo + width * t / 10 for t in range(11)]
             bins = [f"{edges[b]:g}-{edges[b + 1]:g}" for b in range(10)]
-            idx = np.clip(((col - lo) / (hi - lo) * 10).astype(int), 0, 9)
+            idx = np.clip(((col - lo) / width * 10).astype(int), 0, 9)
         else:
             bins = [str(b) for b in range(ORDINAL_LOW, ORDINAL_HIGH + 1)]
-            idx = np.clip(np.round(col).astype(int), ORDINAL_LOW, ORDINAL_HIGH) - ORDINAL_LOW
+            idx = np.clip(np.round(col), ORDINAL_LOW, ORDINAL_HIGH).astype(int) - ORDINAL_LOW
         series = []
         for cls, label in enumerate(LABEL_VALUES):
             counts = np.bincount(idx[d.y == cls], minlength=len(bins))[: len(bins)]

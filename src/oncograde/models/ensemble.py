@@ -13,7 +13,7 @@ import numpy as np
 from ..core import RngStream, json_value, parallel_map
 from ..dataset import N_CLASSES
 from .base import Hyperparams, model_from_doc, model_to_doc, proba_to_labels
-from .tree import train_tree
+from .tree import _BLOCK_CELLS, train_trees
 
 
 def _members(params: dict) -> list:
@@ -52,23 +52,27 @@ def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -
     Each member trains on the distinct rows of its resample, weighted by
     how often each was drawn, which grows the same tree as training on the
     resample itself. A resample that collapses to a single class yields a
-    one-leaf member, as ``train_tree`` grows for any pure node.
+    one-leaf member, as ``train_trees`` grows for any pure node.
+
+    The members are grown in groups, in order, each group together: a group
+    holds as many members as one ``_BLOCK_CELLS`` block of stacked (row,
+    feature) cells takes, and at least one.
     """
     Hyperparams(n_estimators=n_estimators)
-    y = np.asarray(y, dtype=np.int64)
-    n = X.shape[0]
+    n, m = X.shape
+    groups, cells = [], 0
+    for i in range(n_estimators):
+        rows, counts = np.unique(stream.derive(i).randints(n, n), return_counts=True)
+        if not groups or cells + rows.size * m > _BLOCK_CELLS:
+            groups.append([])
+            cells = 0
+        groups[-1].append((rows, counts))
+        cells += rows.size * m
 
-    def train_member(member_stream: RngStream):
-        rows, counts = np.unique(member_stream.randints(n, n), return_counts=True)
-        return train_tree(
-            X[rows],
-            y[rows],
-            sample_weights=counts,
-            max_depth=base_spec["max_depth"],
-            min_child_weight=base_spec["min_child_weight"],
-        )
+    def train_group(resamples: list) -> list:
+        return train_trees(X, y, resamples, base_spec["max_depth"], base_spec["min_child_weight"])
 
-    members = parallel_map(train_member, [stream.derive(i) for i in range(n_estimators)])
+    members = [tree for trees in parallel_map(train_group, groups) for tree in trees]
     return BaggingModel(members=members, base_spec=dict(base_spec))
 
 

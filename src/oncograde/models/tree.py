@@ -10,29 +10,38 @@ A split is admissible only if both children carry total weight of at
 least ``min_child_weight``; growth stops on purity, depth, or when no
 admissible split exists.
 
-Fitting grows the tree one depth at a time. Every feature column is
-argsorted once, and the rows of the depth's open nodes sit in one index
-matrix as consecutive segments, each still in value order. One pass per
-depth scores every open node: a cumsum of the class counts over the
-whole depth, restarted at each segment, gives each candidate's left
-histogram, and Gini gains and ``min_child_weight`` masks are evaluated
-only where the value changes inside a segment. After the splits, a
-stable partition of the index matrix carries each open child's rows on,
-so no node sorts again. Blocks of at most ``_BLOCK_CELLS`` (feature, row)
-cells bound every per-depth temporary.
+``train_trees`` grows a group of trees, one per ``(rows, counts)``
+resample, together and one depth at a time; ``train_tree`` is the group
+of one. The members' rows sit side by side as the columns of one matrix.
+Every feature is argsorted once per member, and the rows of the depth's
+open nodes, of every member, sit in one index matrix as consecutive
+segments, each still in value order. One pass per depth scores every
+open node: a cumsum of the class counts over the whole depth, restarted
+at each segment, gives each candidate's left histogram, and Gini gains
+and ``min_child_weight`` masks are evaluated only where the value changes
+inside a segment. After the splits, a stable partition of the index
+matrix carries each open child's rows on, so no node sorts again. Blocks
+of at most ``_BLOCK_CELLS`` (feature, row) cells bound every per-depth
+temporary, and bagging sizes its groups to one block.
 
 Sample weights are whole row counts, so every weight sum is exact in any
 order. With the Gini expression fixed (class histograms add as
 ``(c0 + c1) + c2``), the trees are bit-identical to a CART that argsorts
 every feature at every node, and training on a resample's distinct rows
 weighted by their draw counts grows the same tree as training on the
-resample.
+resample. Grouping changes no bit either: segments never mix, so each
+gain comes from the same whole-number counts through the same expression,
+with the same first-maximum tie rule, as when the member grows alone. The
+packed count fields need only hold the largest segment's total.
 
 A tree is parallel node arrays, numbered breadth-first as they grow (the
-layout of scikit-learn's trees). A leaf's children are the leaf itself,
-so prediction advances every row one level per step until all rows sit
-on leaves. Node dicts in preorder are only the serialized form, which
-``to_params`` writes and ``from_params`` reads and checks.
+layout of scikit-learn's trees). A group numbers its members' nodes
+together, and each member's nodes keep their relative order when the
+group is split, which is the numbering the member gets alone. A leaf's
+children are the leaf itself, so prediction advances every row one level
+per step until all rows sit on leaves. Node dicts in preorder are only the
+serialized form, which ``to_params`` writes and ``from_params`` reads and
+checks.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from ..dataset import N_CLASSES
 from .base import proba_to_labels
 
 # (feature, row) cells handled at once; bounds every per-depth temporary
-_BLOCK_CELLS = 16 * 1024
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -150,29 +159,25 @@ class _PackedCounts:
     """Whole-number class counts packed into int64 words.
 
     Class ``c`` sits ``shift[c]`` bits up in word ``word[c]``, in a field
-    wide enough for the tree's total weight, so one integer cumsum of the
-    words is every class's cumsum at once, exact and free of carries.
+    wide enough for the largest tree's total weight, so one integer cumsum
+    of the words, restarted at each node, is every class's cumsum at once,
+    exact and free of carries.
     """
 
     def __init__(self, total_weight: float):
         bits = int(total_weight).bit_length()
         classes = np.arange(N_CLASSES)
-        self.word, self.shift = classes // (63 // bits), bits * (classes % (63 // bits))
-        self.bits = bits
+        self.word, self.shift = classes // (63 // bits), bits * (classes % (63 // bits))[:, None]
+        self.first = np.flatnonzero(np.diff(self.word, prepend=-1))  # each word's first class
+        self.field = (1 << bits) - 1
 
     def pack(self, counts: np.ndarray) -> np.ndarray:
         """(class, k) counts -> (word, k) int64."""
-        words = np.zeros((self.word[-1] + 1, counts.shape[1]), dtype=np.int64)
-        for c in range(N_CLASSES):
-            words[self.word[c]] += counts[c].astype(np.int64) << self.shift[c]
-        return words
+        return np.add.reduceat(counts.astype(np.int64) << self.shift, self.first, axis=0)
 
-    def unpack(self, words: np.ndarray) -> list[np.ndarray]:
-        counts = []
-        for c in range(N_CLASSES):
-            above = words[self.word[c]] >> self.shift[c]  # this class's field and those above it
-            counts.append((above - ((above >> self.bits) << self.bits)).astype(float))
-        return counts
+    def unpack(self, words: np.ndarray) -> np.ndarray:
+        """(word, k) int64 -> (class, k) counts."""
+        return ((words[self.word] >> self.shift) & self.field).astype(float)
 
 
 def _best_splits(Xt, order, seg_of_col, starts, hist, packed, row_words, min_child_weight):
@@ -188,9 +193,10 @@ def _best_splits(Xt, order, seg_of_col, starts, hist, packed, row_words, min_chi
     m, n = order.shape
     total = (hist[0] + hist[1]) + hist[2]
     parent_gini = 1.0 - (((hist[0] / total) ** 2 + (hist[1] / total) ** 2) + (hist[2] / total) ** 2)
-    # subtracting the previous segment's counts at each segment's first
-    # column restarts one cumsum over the whole depth at every segment
-    restart = packed.pack(hist)[:, None, :-1]
+    # one flat cumsum runs over a block's rows of ``order``; subtracting the
+    # previous segment's counts at each segment's first cell restarts it (a
+    # row's first segment follows the last one of the row above)
+    seg_words = packed.pack(hist)
     inner = np.append(seg_of_col[:-1] == seg_of_col[1:], False)
     best_gain = np.full(starts.size, -np.inf)
     best_feat = np.zeros(starts.size, dtype=np.intp)
@@ -198,28 +204,29 @@ def _best_splits(Xt, order, seg_of_col, starts, hist, packed, row_words, min_chi
     step = max(1, _BLOCK_CELLS // n)
     for lo in range(0, m, step):
         block = order[lo : lo + step]
-        xs = Xt.ravel().take(block + Xt.shape[1] * np.arange(lo, lo + block.shape[0])[:, None])
+        rows = np.arange(block.shape[0])[:, None]
+        flat_starts = (starts + n * rows).ravel()  # every segment's first cell in the flat block
+        xs = Xt.ravel().take(block + Xt.shape[1] * (lo + rows))
         cand = np.zeros(block.shape, dtype=bool)
         np.not_equal(xs[:, :-1], xs[:, 1:], out=cand[:, :-1])
         at = np.flatnonzero(cand & inner)  # scored only where the value changes
-        cum = row_words.take(block, axis=1)
-        cum[:, :, starts[1:]] -= restart
-        np.cumsum(cum, axis=2, out=cum)
-        lh = packed.unpack(cum.reshape(cum.shape[0], -1).take(at, axis=1))
+        cum = row_words.take(block.ravel(), axis=1)
+        cum[:, flat_starts[1:]] -= np.tile(seg_words, block.shape[0])[:, :-1]
+        # a 1-D cumsum lets other threads run; one along an axis holds the GIL
+        lh = packed.unpack(np.stack([np.cumsum(words).take(at) for words in cum]))
         del cum
         s = seg_of_col[at % n]
-        left_w = (lh[0] + lh[1]) + lh[2]
-        right_w = total[s] - left_w
-        ok = (left_w >= min_child_weight) & (right_w >= min_child_weight)
-        at, s, left_w, right_w, lh = at[ok], s[ok], left_w[ok], right_w[ok], [h[ok] for h in lh]
-        rh = [hist[c, s] - lh[c] for c in range(N_CLASSES)]
-        gini_left = 1.0 - (((lh[0] / left_w) ** 2 + (lh[1] / left_w) ** 2) + (lh[2] / left_w) ** 2)
-        gini_right = 1.0 - (((rh[0] / right_w) ** 2 + (rh[1] / right_w) ** 2) + (rh[2] / right_w) ** 2)
+        rh = hist.take(s, axis=1) - lh
+        left_w, right_w = (lh[0] + lh[1]) + lh[2], (rh[0] + rh[1]) + rh[2]
+        sq_left, sq_right = (lh / left_w) ** 2, (rh / right_w) ** 2
+        gini_left = 1.0 - ((sq_left[0] + sq_left[1]) + sq_left[2])
+        gini_right = 1.0 - ((sq_right[0] + sq_right[1]) + sq_right[2])
+        gain = parent_gini[s] - (left_w * gini_left + right_w * gini_right) / total[s]
         gains = np.full(block.size, -np.inf)
-        gains[at] = parent_gini[s] - (left_w * gini_left + right_w * gini_right) / total[s]
-        gains = gains.reshape(block.shape)
+        gains[at] = np.where((left_w >= min_child_weight) & (right_w >= min_child_weight), gain, -np.inf)
         # each segment's first maximum: lowest feature, then lowest threshold
-        seg_max = np.maximum.reduceat(gains, starts, axis=1)
+        seg_max = np.maximum.reduceat(gains, flat_starts).reshape(block.shape[0], -1)
+        gains = gains.reshape(block.shape)
         feat = np.argmax(seg_max, axis=0)
         gain = seg_max[feat, np.arange(starts.size)]
         won = np.flatnonzero(gain > best_gain)
@@ -239,35 +246,49 @@ def _open(hist: np.ndarray, depth: int, max_depth: int) -> np.ndarray:
 
 def train_tree(X, y, sample_weights=None, max_depth: int = 8, min_child_weight: float = 1.0) -> TreeModel:
     """Fit CART; ``sample_weights`` are whole row counts (default 1 each)."""
-    y = np.asarray(y, dtype=np.int64)
-    if X.shape[0] == 0:
-        raise ValueError("cannot train a tree on empty input")
-    if sample_weights is None:
-        w = np.ones(X.shape[0], dtype=float)
-    else:
-        w = np.asarray(sample_weights, dtype=float)
-        if (w <= 0).any():
-            raise ValueError("sample weights must be positive")
-        if (w != np.floor(w)).any() or w.sum() >= 2.0**53:
-            raise ValueError("sample weights must be whole numbers (row counts) summing below 2**53")
+    counts = np.ones(X.shape[0]) if sample_weights is None else sample_weights
+    return train_trees(X, y, [(np.arange(X.shape[0]), counts)], max_depth, min_child_weight)[0]
 
-    n, m = X.shape
-    Xt = np.ascontiguousarray(X.T)
-    class_w = np.where(y == np.arange(N_CLASSES)[:, None], w, 0.0)
-    packed = _PackedCounts(w.sum())
+
+def train_trees(X, y, resamples, max_depth: int, min_child_weight: float) -> list[TreeModel]:
+    """Fit one CART per ``(rows, counts)`` resample, on those rows of ``X``
+    weighted by their whole row counts, growing all of them together."""
+    y = np.asarray(y, dtype=np.int64)
+    sizes = np.array([len(rows) for rows, _ in resamples])
+    if not sizes.all():
+        raise ValueError("cannot train a tree on empty input")
+    w = np.concatenate([np.asarray(counts, dtype=float) for _, counts in resamples])
+    if (w <= 0).any():
+        raise ValueError("sample weights must be positive")
+    offsets = np.cumsum(sizes) - sizes
+    totals = np.add.reduceat(w, offsets)
+    if (w != np.floor(w)).any() or (totals >= 2.0**53).any():
+        raise ValueError("sample weights must be whole numbers (row counts) summing below 2**53")
+
+    rows = np.concatenate([rows for rows, _ in resamples])
+    n, m = rows.size, X.shape[1]
+    # every member's rows side by side; a column belongs to one member only
+    Xt = np.ascontiguousarray(X[rows].T)
+    y_col = y[rows]
+    class_w = np.where(y_col == np.arange(N_CLASSES)[:, None], w, 0.0)
+    packed = _PackedCounts(totals.max())
     row_words = packed.pack(class_w)
-    hist = class_w.sum(axis=1)[:, None]  # (class, node); whole numbers sum exactly
-    # the node arrays, breadth-first; each node starts as a leaf
-    feature, threshold = np.zeros(1, dtype=np.intp), np.zeros(1)
-    left, right, node_hist = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), hist.T
-    if not _open(hist, 0, max_depth)[0]:
-        return TreeModel(m, feature, threshold, left, right, node_hist)
+    hist = np.add.reduceat(class_w, offsets, axis=1)  # (class, node); whole numbers sum exactly
+    # the node arrays of every member, breadth-first; each node starts as a
+    # leaf, and node i belongs to member owner[i]
+    t = sizes.size
+    feature, threshold = np.zeros(t, dtype=np.intp), np.zeros(t)
+    left, right, node_hist, owner = np.arange(t), np.arange(t), hist.T, np.arange(t)
+    is_open = _open(hist, 0, max_depth)
     # the open nodes of one depth, as consecutive segments of every row of
     # ``order``; the order of tied values never reaches the output
-    order = np.argsort(Xt, axis=1).astype(np.int32)
-    sizes, seg_node = np.array([n]), np.array([0])
+    if is_open.any():
+        order = np.hstack(
+            [o + np.argsort(Xt[:, o : o + k], axis=1) for o, k in zip(offsets[is_open], sizes[is_open])]
+        ).astype(np.int32)
+        sizes, seg_node, hist = sizes[is_open], np.flatnonzero(is_open), hist[:, is_open]
     depth = 0
-    while True:
+    while is_open.any():
         seg_of_col = np.repeat(np.arange(sizes.size), sizes)
         starts = np.cumsum(sizes) - sizes
         gain, feat, thr = _best_splits(Xt, order, seg_of_col, starts, hist, packed, row_words, min_child_weight)
@@ -279,7 +300,8 @@ def train_tree(X, y, sample_weights=None, max_depth: int = 8, min_child_weight: 
         in_split = split[seg_of_col]
         seg, moved = seg_of_col[in_split], order[0, in_split]
         child = (np.cumsum(split) - 1)[seg] + k * (Xt[feat[seg], moved] > thr[seg])
-        child_hist = np.stack([np.bincount(child, class_w[c, moved], 2 * k) for c in range(N_CLASSES)])
+        child_hist = np.bincount(N_CLASSES * child + y_col[moved], w[moved], N_CLASSES * 2 * k)
+        child_hist = child_hist.reshape(-1, N_CLASSES).T
         first, parent = feature.size, seg_node[split]
         feature[parent], threshold[parent] = feat[split], thr[split]
         left[parent], right[parent] = first + np.arange(k), first + k + np.arange(k)
@@ -288,24 +310,31 @@ def train_tree(X, y, sample_weights=None, max_depth: int = 8, min_child_weight: 
         threshold = np.append(threshold, np.zeros(2 * k))
         left, right = np.append(left, children), np.append(right, children)
         node_hist = np.vstack([node_hist, child_hist.T])
+        owner = np.append(owner, np.tile(owner[parent], 2))
         depth += 1
         is_open = _open(child_hist, depth, max_depth)
-        if not is_open.any():
-            break
         # stable partition: the open left children's rows, then the open
         # right children's, each segment still in value order
-        to_left, to_right = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-        to_left[moved] = is_open[child] & (child < k)
-        to_right[moved] = is_open[child] & (child >= k)
-        n_left = int(to_left.sum())
-        new_order = np.empty((m, n_left + int(to_right.sum())), dtype=order.dtype)
+        side = np.zeros(n, dtype=np.int8)  # 1 for an open left child's row, 2 for an open right child's
+        side[moved] = is_open[child] * (1 + (child >= k))
+        n_left, n_right = int((side == 1).sum()), int((side == 2).sum())
+        new_order = np.empty((m, n_left + n_right), dtype=order.dtype)
         step = max(1, _BLOCK_CELLS // order.shape[1])
         for lo in range(0, m, step):
             block = order[lo : lo + step]
-            new_order[lo : lo + step, :n_left] = block[to_left.take(block)].reshape(block.shape[0], n_left)
-            new_order[lo : lo + step, n_left:] = block[to_right.take(block)].reshape(block.shape[0], -1)
+            to, height = side.take(block).ravel(), block.shape[0]
+            new_order[lo : lo + step, :n_left] = block.ravel().compress(to == 1).reshape(height, n_left)
+            new_order[lo : lo + step, n_left:] = block.ravel().compress(to == 2).reshape(height, n_right)
         order = new_order
         sizes = np.bincount(child, minlength=2 * k)[is_open]
         seg_node = first + np.flatnonzero(is_open)
         hist = child_hist[:, is_open]
-    return TreeModel(m, feature, threshold, left, right, node_hist)
+    # each member's nodes keep their breadth-first order; ``rank`` renumbers
+    # them from 0, so a member's arrays are those it grows on its own
+    rank = np.empty(owner.size, dtype=np.intp)
+    trees = []
+    for i in range(t):
+        ids = np.flatnonzero(owner == i)
+        rank[ids] = np.arange(ids.size)
+        trees.append(TreeModel(m, feature[ids], threshold[ids], rank[left[ids]], rank[right[ids]], node_hist[ids]))
+    return trees

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oncograde.cli as cli
 from oncograde.cli import ArtifactWriter, ConfigError, main, parse_config
 from oncograde.core import derive_stream
-from oncograde.dataset import synth_generate, save_csv
+from oncograde.dataset import LABEL_VALUES, synth_generate, save_csv
 from oncograde.models.base import MODEL_NAMES
 from oncograde.preprocess import PIPELINE_ORDERS, PreprocessConfig, run_pipeline
 
@@ -667,6 +667,39 @@ class TestNonFiniteTraining:
         message = "error: Age spans -1.7e+308 to 1.7e+308, past the float range, so it cannot be binned\n"
         assert (code, err) == (1, message)
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestProfileBins:
+    """``profile``'s histogram bins at the edges of the values a CSV can hold,
+    under the suite's error::RuntimeWarning filter."""
+
+    def histograms(self, tmp_path, d) -> list[list[str]]:
+        tmp_path.mkdir(exist_ok=True)
+        save_csv(d, tmp_path / "rows.csv")
+        cfg = write_config(tmp_path / "cfg.json", data={"csv_path": str(tmp_path / "rows.csv")})
+        out = tmp_path / "o"
+        assert main(["profile", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        return [line.split(",") for line in (out / "histograms.csv").read_text().splitlines()[1:]]
+
+    @pytest.mark.parametrize("age", [1e17, 50.0])
+    def test_constant_age_fills_the_first_bin(self, tmp_path, age):
+        # past 2**53, lo + 1.0 == lo, so widening the span by 1.0 left 0 / 0
+        d = synth_generate(60, 21)
+        d.X[:, 0] = age
+        rows = [row for row in self.histograms(tmp_path, d) if row[0] == "Age"]
+        per_class = {label: int((d.y == cls).sum()) for cls, label in enumerate(LABEL_VALUES)}
+        assert [(row[1], int(row[3])) for row in rows[::10]] == list(per_class.items())
+        assert all(row[3] == "0" for i, row in enumerate(rows) if i % 10)
+        if age == 50.0:
+            assert [row[2] for row in rows[:2]] == ["50-50.1", "50.1-50.2"]
+
+    @pytest.mark.parametrize("cell, clipped", [(1e300, 9.0), (-1e300, 1.0), (-7.0, 1.0), (9.4, 9.0)])
+    def test_ordinal_values_out_of_range_clip_to_the_end_bins(self, tmp_path, cell, clipped):
+        d = synth_generate(60, 21)
+        d.X[7, 2] = cell
+        got = self.histograms(tmp_path / "cell", d)
+        d.X[7, 2] = clipped
+        assert got == self.histograms(tmp_path / "clipped", d)
 
 
 @pytest.fixture(scope="module")

@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oncograde.core import RngStream, derive_stream
 from oncograde.dataset import N_CLASSES, synth_generate
+from oncograde.models import tree
 from oncograde.models.base import model_from_doc, model_to_doc
-from oncograde.models.ensemble import BaggingModel
-from oncograde.models.tree import TreeModel, train_tree
+from oncograde.models.ensemble import BaggingModel, train_bagging
+from oncograde.models.tree import TreeModel, train_tree, train_trees
 from oncograde.preprocess import PreprocessConfig, run_pipeline
 
 
@@ -123,6 +126,22 @@ def random_tree_problem(seed, max_rows=160, max_depth=8):
     return X, y, w, int(rng.integers(0, max_depth + 1)), float(rng.choice([0.0, 1.0, 2.5, 6.0]))
 
 
+@st.composite
+def grouped_problems(draw):
+    """A matrix with ties and a group of count-weighted resamples of its
+    rows, some drawn from one class only."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(2, 60)), draw(st.integers(1, 6))
+    X = np.round(rng.normal(size=(n, m)), draw(st.sampled_from([0, 1, 3])))
+    y = rng.integers(0, N_CLASSES, size=n)
+    resamples = []
+    for one_class in draw(st.lists(st.booleans(), min_size=1, max_size=5)):
+        pool = np.flatnonzero(y == y[rng.integers(n)]) if one_class else np.arange(n)
+        rows = np.unique(rng.choice(pool, size=rng.integers(1, pool.size + 1)))
+        resamples.append((rows, rng.integers(1, 6, size=rows.size).astype(float)))
+    return X, y, resamples
+
+
 class TestPresortedFit:
     @pytest.mark.parametrize("seed", range(40))
     def test_same_nodes_as_per_node_argsort(self, seed):
@@ -163,8 +182,10 @@ class TestPresortedFit:
                     )
                     assert json.dumps(counted.to_params()["nodes"]) == json.dumps(resampled.to_params()["nodes"])
 
-    def test_tied_features_across_blocks_take_lowest_index(self):
-        # 40 columns x 500 rows spans several scoring blocks; copies tie exactly
+    def test_tied_features_across_blocks_take_lowest_index(self, monkeypatch):
+        # 40 columns x 500 rows spans several scoring blocks of 4,096 cells;
+        # copies tie exactly
+        monkeypatch.setattr(tree, "_BLOCK_CELLS", 4 * 1024)
         rng = np.random.default_rng(3)
         base = rng.integers(0, 6, size=(500, 10)).astype(float)
         X, y = np.tile(base, 4), rng.integers(0, N_CLASSES, size=500)
@@ -186,6 +207,45 @@ class TestPresortedFit:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_peak_memory_of_bagging_does_not_grow_with_members(self):
+        # paper-scale training matrix (876 x 59); members are grown in groups of
+        # at most one block of cells, so only the finished trees and their
+        # resamples' row indices and counts add up
+        d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
+        prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
+        X, y = prep.X_train, prep.y_train
+        spec, peaks, models = {"max_depth": 8, "min_child_weight": 1.0}, [], []
+        for n_estimators in (5, 40):
+            tracemalloc.start()
+            try:
+                models.append(train_bagging(X, y, spec, n_estimators, RngStream(8)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra = models[1].members[5:]
+        node_bytes = sum(a.nbytes for t in extra for a in (t.feature, t.threshold, t.left, t.right, t.hist))
+        resample_bytes = len(extra) * 2 * 8 * X.shape[0]  # int64 rows and counts, at most every row once
+        slack = 256 * 2**10
+        assert peaks[1] <= peaks[0] + node_bytes + resample_bytes + slack, f"peaks {peaks}, nodes {node_bytes}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        grouped_problems(),
+        st.integers(0, 6),
+        st.sampled_from([0.0, 1.0, 2.5, 1e6]),  # 1e6 is above every total weight
+        st.sampled_from([1, 64, 1 << 16]),  # blocks of one feature, a few, and all of them
+    )
+    def test_grouped_trees_equal_trees_grown_alone(self, problem, max_depth, mcw, block_cells):
+        X, y, resamples = problem
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tree, "_BLOCK_CELLS", block_cells)
+            grouped = train_trees(X, y, resamples, max_depth, mcw)
+        alone = [train_tree(X[r], y[r], c, max_depth, mcw) for r, c in resamples]
+        assert [json.dumps(t.to_params()) for t in grouped] == [json.dumps(t.to_params()) for t in alone]
+        fields = ("feature", "threshold", "left", "right", "hist")
+        for g, a in zip(grouped, alone):  # the same breadth-first node numbers, too
+            assert all(np.array_equal(getattr(g, f), getattr(a, f)) for f in fields)
 
 
 class TestTrainTree:
