@@ -222,20 +222,19 @@ def _best_splits(Xt, order, seg_of_col, starts, hist, packed, row_words, min_chi
         gini_left = 1.0 - ((sq_left[0] + sq_left[1]) + sq_left[2])
         gini_right = 1.0 - ((sq_right[0] + sq_right[1]) + sq_right[2])
         gain = parent_gini[s] - (left_w * gini_left + right_w * gini_right) / total[s]
-        gains = np.full(block.size, -np.inf)
-        gains[at] = np.where((left_w >= min_child_weight) & (right_w >= min_child_weight), gain, -np.inf)
-        # each segment's first maximum: lowest feature, then lowest threshold
-        seg_max = np.maximum.reduceat(gains, flat_starts).reshape(block.shape[0], -1)
-        gains = gains.reshape(block.shape)
-        feat = np.argmax(seg_max, axis=0)
-        gain = seg_max[feat, np.arange(starts.size)]
-        won = np.flatnonzero(gain > best_gain)
-        hits = gains[feat[seg_of_col], np.arange(n)] == gain[seg_of_col]
-        pos = np.minimum.reduceat(np.where(hits, np.arange(n), n), starts)[won]
-        feat = feat[won]
-        best_gain[won] = gain[won]
-        best_feat[won] = lo + feat
-        best_thr[won] = (xs[feat, pos] + xs[feat, pos + 1]) / 2.0
+        gain[(left_w < min_child_weight) | (right_w < min_child_weight)] = -np.inf
+        # each segment's first maximum: lowest feature, then lowest threshold,
+        # which is the lowest flat index among the candidates
+        seg_gain = np.full(starts.size, -np.inf)
+        np.maximum.at(seg_gain, s, gain)
+        hit = gain == seg_gain[s]
+        first = np.full(starts.size, block.size)
+        np.minimum.at(first, s[hit], at[hit])
+        won = np.flatnonzero(seg_gain > best_gain)
+        first = first[won]
+        best_gain[won] = seg_gain[won]
+        best_feat[won] = lo + first // n
+        best_thr[won] = (xs.ravel()[first] + xs.ravel()[first + 1]) / 2.0
     return best_gain, best_feat, best_thr
 
 
@@ -265,7 +264,7 @@ def train_trees(X, y, resamples, max_depth: int, min_child_weight: float) -> lis
     if (w != np.floor(w)).any() or (totals >= 2.0**53).any():
         raise ValueError("sample weights must be whole numbers (row counts) summing below 2**53")
 
-    rows = np.concatenate([rows for rows, _ in resamples])
+    rows = np.concatenate([r for r, _ in resamples])
     n, m = rows.size, X.shape[1]
     # every member's rows side by side; a column belongs to one member only
     Xt = np.ascontiguousarray(X[rows].T)
