@@ -129,7 +129,8 @@ def random_tree_problem(seed, max_rows=160, max_depth=8):
 @st.composite
 def grouped_problems(draw):
     """A matrix with ties and a group of count-weighted resamples of its
-    rows, some drawn from one class only."""
+    rows, some drawn from one class only and some with counts of 2**30 and
+    more, whose class counts take more than one packed word."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, m = draw(st.integers(2, 60)), draw(st.integers(1, 6))
     X = np.round(rng.normal(size=(n, m)), draw(st.sampled_from([0, 1, 3])))
@@ -138,7 +139,8 @@ def grouped_problems(draw):
     for one_class in draw(st.lists(st.booleans(), min_size=1, max_size=5)):
         pool = np.flatnonzero(y == y[rng.integers(n)]) if one_class else np.arange(n)
         rows = np.unique(rng.choice(pool, size=rng.integers(1, pool.size + 1)))
-        resamples.append((rows, rng.integers(1, 6, size=rows.size).astype(float)))
+        scale = float(rng.choice([1, 2**30]))
+        resamples.append((rows, scale * rng.integers(1, 6, size=rows.size)))
     return X, y, resamples
 
 
@@ -233,7 +235,7 @@ class TestPresortedFit:
     @given(
         grouped_problems(),
         st.integers(0, 6),
-        st.sampled_from([0.0, 1.0, 2.5, 1e6]),  # 1e6 is above every total weight
+        st.sampled_from([0.0, 1.0, 2.5, 1e13]),  # 1e13 is above every total weight
         st.sampled_from([1, 64, 1 << 16]),  # blocks of one feature, a few, and all of them
     )
     def test_grouped_trees_equal_trees_grown_alone(self, problem, max_depth, mcw, block_cells):
