@@ -95,6 +95,8 @@ class RunConfig:
             raise ConfigError("seed must be a non-negative integer")
         if self.seed >= 2**64:  # RngStream keeps 64 bits, so a larger seed would alias a smaller one
             raise ConfigError(f"seed must be below 2**64, got {self.seed}")
+        if not self.output_dir:
+            raise ConfigError("output_dir must name a directory, got an empty string")
 
     def to_dict(self) -> dict:
         """The resolved config as JSON, without the unset data source and model_path."""
@@ -413,10 +415,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         cfg = parse_config(_json_object(args.config, "config"))
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)  # __post_init__ checks it
-        if args.output_dir is not None:
-            cfg.output_dir = args.output_dir
+        flags = {"seed": args.seed, "output_dir": args.output_dir}
+        # __post_init__ checks a flag's value as it checks the config's own
+        cfg = dataclasses.replace(cfg, **{key: value for key, value in flags.items() if value is not None})
 
         resolved = cfg.to_dict()
         print(f"resolved config: {json.dumps(resolved)}")

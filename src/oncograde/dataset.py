@@ -215,8 +215,10 @@ def iter_csv_blocks(path):
     column order in the file does not matter. Numeric labels 1/2/3 are
     accepted as Low/Medium/High. Extra columns are ignored. Blank lines
     are skipped, and row numbers in messages count data rows across blocks.
+    A leading UTF-8 byte-order mark, which Excel's "CSV UTF-8" writes, is
+    skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = filter(None, csv.reader(fh))
         header = next(rows, None)
         if header is None:

@@ -16,7 +16,7 @@ import numpy as np
 from .core import RngStream, parallel_map
 from .dataset import LABEL_VALUES, N_CLASSES, csv_text
 from .models.base import SWEEP_AXES_READ, Hyperparams
-from .preprocess import _round_half_up, shuffled_classes, stratified_split
+from .preprocess import round_half_up, shuffled_classes, stratified_split
 
 
 @dataclass
@@ -201,7 +201,7 @@ def _stratified_subset(y, pool: list[int], fraction: float, stream: RngStream) -
     """Per-class shuffled prefix of about fraction * class size, at least 1."""
     subset: list[int] = []
     for cls, order in shuffled_classes(y, stream, pool):
-        n_sub = _round_half_up(fraction * len(order))
+        n_sub = round_half_up(fraction * len(order))
         if n_sub < 1:
             raise ValueError(
                 f"fraction {fraction} too small for stratification of class {cls}"

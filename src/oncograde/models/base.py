@@ -1,9 +1,6 @@
-"""Shared model machinery: hyperparameters, kernels, the model-name
-registry used by the CLI and evaluation harness, and JSON serialization.
-
-Every trained model exposes ``predict_proba(X) -> (n, 3)`` rows that are
-non-negative and sum to 1, and ``predict(X)`` equal to the row-wise
-argmax with ties resolved to the lowest class index.
+"""Shared model machinery: the trained-model contract, hyperparameters,
+kernels, the model-name registry used by the CLI and evaluation harness,
+and JSON serialization.
 """
 
 from __future__ import annotations
@@ -102,8 +99,7 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     """Kernel values for every row pair of A (n x d) and B (m x d)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    check_width(A, B.shape[1])
     K = A @ B.T
     if spec.kind == "linear":
         return K
@@ -132,8 +128,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def proba_to_labels(P: np.ndarray) -> np.ndarray:
     """Row-wise argmax; np.argmax already resolves ties to the lowest index."""
-    P = np.asarray(P, dtype=float)
     return np.argmax(P, axis=1).astype(np.int64)
+
+
+def check_width(X, n_features: int) -> None:
+    """Refuse rows that are not ``n_features`` wide, the width the model was trained on."""
+    if X.shape[1] != n_features:
+        raise ValueError(f"dimension mismatch: model expects {n_features} features, got {X.shape[1]}")
+
+
+class TrainedModel:
+    """What every trained model exposes: ``predict_proba(X) -> (n, 3)`` rows
+    that are non-negative and sum to 1, ``predict(X)`` their row-wise argmax
+    with ties resolved to the lowest class index, and ``to_params`` /
+    ``from_params`` for the document tagged with its ``family``."""
+
+    family: str
+
+    def predict(self, X) -> np.ndarray:
+        return proba_to_labels(self.predict_proba(X))
 
 
 @dataclass(frozen=True)
@@ -193,13 +206,7 @@ def model_from_doc(doc: dict):
     doc = json_value(dict, doc, "model")
     if json_value(int, doc["version"], "model.version") != MODEL_DOC_VERSION:
         raise ValueError(f"unsupported model document version: {doc['version']}")
-    families = {
-        "mlp": MlpModel,
-        "svm_ovr": SvmOvrModel,
-        "tree": TreeModel,
-        "bagging": BaggingModel,
-        "voting": VotingModel,
-    }
+    families = {cls.family: cls for cls in (MlpModel, SvmOvrModel, TreeModel, BaggingModel, VotingModel)}
     family = json_value(str, doc["family"], "model.family")
     if family not in families:
         raise ValueError(f"unknown model family: {family!r}")

@@ -12,8 +12,8 @@ import numpy as np
 
 from ..core import RngStream, json_value, parallel_map
 from ..dataset import N_CLASSES
-from .base import Hyperparams, model_from_doc, model_to_doc, proba_to_labels
-from .tree import _BLOCK_CELLS, train_trees
+from .base import Hyperparams, TrainedModel, model_from_doc, model_to_doc
+from .tree import block_groups, train_trees
 
 
 def _members(params: dict) -> list:
@@ -24,16 +24,13 @@ def _members(params: dict) -> list:
 
 
 @dataclass
-class BaggingModel:
+class BaggingModel(TrainedModel):
     family = "bagging"
     members: list
     base_spec: dict
 
     def predict_proba(self, X) -> np.ndarray:
         return np.mean([m.predict_proba(X) for m in self.members], axis=0)
-
-    def predict(self, X) -> np.ndarray:
-        return proba_to_labels(self.predict_proba(X))
 
     def to_params(self) -> dict:
         return {
@@ -54,30 +51,22 @@ def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -
     resample itself. A resample that collapses to a single class yields a
     one-leaf member, as ``train_trees`` grows for any pure node.
 
-    The members are grown in groups, in order, each group together: a group
-    holds as many members as one ``_BLOCK_CELLS`` block of stacked (row,
-    feature) cells takes, and at least one.
+    The members are grown in the groups ``block_groups`` sizes, each group
+    together.
     """
     Hyperparams(n_estimators=n_estimators)
     n, m = X.shape
-    groups, cells = [], 0
-    for i in range(n_estimators):
-        rows, counts = np.unique(stream.derive(i).randints(n, n), return_counts=True)
-        if not groups or cells + rows.size * m > _BLOCK_CELLS:
-            groups.append([])
-            cells = 0
-        groups[-1].append((rows, counts))
-        cells += rows.size * m
+    resamples = [np.unique(stream.derive(i).randints(n, n), return_counts=True) for i in range(n_estimators)]
 
-    def train_group(resamples: list) -> list:
-        return train_trees(X, y, resamples, base_spec["max_depth"], base_spec["min_child_weight"])
+    def train_group(group: list) -> list:
+        return train_trees(X, y, group, base_spec["max_depth"], base_spec["min_child_weight"])
 
-    members = [tree for trees in parallel_map(train_group, groups) for tree in trees]
+    members = [tree for trees in parallel_map(train_group, block_groups(resamples, m)) for tree in trees]
     return BaggingModel(members=members, base_spec=dict(base_spec))
 
 
 @dataclass
-class VotingModel:
+class VotingModel(TrainedModel):
     family = "voting"
     members: list
     mode: str
@@ -91,9 +80,6 @@ class VotingModel:
             pred = m.predict(X)
             votes[np.arange(X.shape[0]), pred] += 1.0
         return votes / len(self.members)
-
-    def predict(self, X) -> np.ndarray:
-        return proba_to_labels(self.predict_proba(X))
 
     def to_params(self) -> dict:
         return {"mode": self.mode, "members": [model_to_doc(m) for m in self.members]}

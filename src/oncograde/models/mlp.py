@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core import RngStream, json_array, json_value, shuffle
 from ..dataset import N_CLASSES
-from .base import Hyperparams, proba_to_labels, softmax
+from .base import Hyperparams, TrainedModel, check_width, proba_to_labels, softmax
 
 _MOMENTUM = 0.9
 _PATIENCE = 20
@@ -37,7 +37,7 @@ class TrainHistory:
 
 
 @dataclass
-class MlpModel:
+class MlpModel(TrainedModel):
     family = "mlp"
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -48,15 +48,9 @@ class MlpModel:
         return self.weights[0].shape[0]
 
     def predict_proba(self, X) -> np.ndarray:
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"dimension mismatch: model expects {self.n_features} features, got {X.shape[1]}"
-            )
+        check_width(X, self.n_features)
         logits = forward(self.weights, self.biases, X)
         return softmax(logits)
-
-    def predict(self, X) -> np.ndarray:
-        return proba_to_labels(self.predict_proba(X))
 
     def to_params(self) -> dict:
         return {
@@ -105,19 +99,16 @@ def forward(weights, biases, X) -> np.ndarray:
     return _layer_outputs(weights, biases, X)[-1]
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def _loss_and_accuracy(logits: np.ndarray, y) -> tuple[float, float]:
+    """Mean cross-entropy and the accuracy of :meth:`MlpModel.predict`, from
+    one softmax pass; the accuracy labels the softmax rows, as ``predict``
+    does, since softmax can round two close logits to one value."""
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def _logits_cross_entropy(logits: np.ndarray, y) -> float:
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(len(y)), y].mean())
-
-
-def _logits_accuracy(logits: np.ndarray, y) -> float:
-    """Accuracy of :meth:`MlpModel.predict`, which labels softmax rows."""
-    return float((proba_to_labels(softmax(logits)) == y).mean())
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    log_p = shifted - np.log(total)
+    loss = float(-log_p[np.arange(len(y)), y].mean())
+    return loss, float((proba_to_labels(e / total) == y).mean())
 
 
 def cross_entropy_grads(weights, biases, X, y):
@@ -148,12 +139,12 @@ def train_mlp(Xtr, ytr, Xval, yval, hp: Hyperparams, stream: RngStream) -> MlpMo
 
     sizes = [Xtr.shape[1]] + list(hp.hidden_layers) + [N_CLASSES]
     weights, biases = init_params(sizes, stream)
-    vel_w = [np.zeros_like(w) for w in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    params = weights + biases  # the same arrays, each stepped in place
+    velocity = [np.zeros_like(p) for p in params]
 
     history = TrainHistory()
     best_val = np.inf
-    best_snapshot = None
+    best = None
     stale = 0
     n = Xtr.shape[0]
 
@@ -162,34 +153,31 @@ def train_mlp(Xtr, ytr, Xval, yval, hp: Hyperparams, stream: RngStream) -> MlpMo
         for start in range(0, n, hp.batch_size):
             batch = order[start : start + hp.batch_size]
             gw, gb = cross_entropy_grads(weights, biases, Xtr[batch], ytr[batch])
-            for layer in range(len(weights)):
-                vel_w[layer] = _MOMENTUM * vel_w[layer] - hp.learning_rate * gw[layer]
-                vel_b[layer] = _MOMENTUM * vel_b[layer] - hp.learning_rate * gb[layer]
-                weights[layer] = weights[layer] + vel_w[layer]
-                biases[layer] = biases[layer] + vel_b[layer]
+            for p, v, g in zip(params, velocity, gw + gb):
+                v *= _MOMENTUM
+                v -= hp.learning_rate * g
+                p += v
 
         # one forward pass per split gives both its loss and its accuracy
-        logits_tr = forward(weights, biases, Xtr)
-        logits_val = forward(weights, biases, Xval)
-        train_loss = _logits_cross_entropy(logits_tr, ytr)
-        val_loss = _logits_cross_entropy(logits_val, yval)
+        train_loss, train_accuracy = _loss_and_accuracy(forward(weights, biases, Xtr), ytr)
+        val_loss, val_accuracy = _loss_and_accuracy(forward(weights, biases, Xval), yval)
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)) or train_loss > _LOSS_BLOWUP:
             raise ValueError(
                 f"training diverged (exploding loss) at learning_rate={hp.learning_rate}"
             )
         history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)
-        history.train_accuracy.append(_logits_accuracy(logits_tr, ytr))
-        history.val_accuracy.append(_logits_accuracy(logits_val, yval))
+        history.train_accuracy.append(train_accuracy)
+        history.val_accuracy.append(val_accuracy)
 
         if val_loss < best_val:
             best_val = val_loss
-            best_snapshot = ([w.copy() for w in weights], [b.copy() for b in biases])
+            best = [p.copy() for p in params]
             stale = 0
         else:
             stale += 1
             if stale >= _PATIENCE:
                 break
 
-    weights, biases = best_snapshot
-    return MlpModel(weights=weights, biases=biases, history=history)
+    layers = len(weights)
+    return MlpModel(weights=best[:layers], biases=best[layers:], history=history)

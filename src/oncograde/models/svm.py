@@ -42,7 +42,7 @@ import numpy as np
 
 from ..core import json_array, json_value
 from ..dataset import N_CLASSES
-from .base import KernelSpec, kernel_matrix, proba_to_labels, softmax
+from .base import KernelSpec, TrainedModel, kernel_matrix, proba_to_labels, softmax
 
 # floor on the pair curvature K_ii + K_tt - 2 K_it (LIBSVM's TAU); without it
 # an indefinite kernel gives non-positive curvature and an unbounded step
@@ -193,7 +193,7 @@ def train_svm_binary(
 
 
 @dataclass
-class SvmOvrModel:
+class SvmOvrModel(TrainedModel):
     family = "svm_ovr"
     kernel: KernelSpec
     support_x: np.ndarray  # (n_sv, d): each row that is a support vector of any machine, once
@@ -212,6 +212,7 @@ class SvmOvrModel:
         return softmax(self.decision_matrix(X))
 
     def predict(self, X) -> np.ndarray:
+        # the decisions' own argmax: softmax can round two close decisions to one value
         return proba_to_labels(self.decision_matrix(X))
 
     def to_params(self) -> dict:

@@ -22,7 +22,7 @@ and ``min_child_weight`` masks are evaluated only where the value changes
 inside a segment. After the splits, a stable partition of the index
 matrix carries each open child's rows on, so no node sorts again. Blocks
 of at most ``_BLOCK_CELLS`` (feature, row) cells bound every per-depth
-temporary, and bagging sizes its groups to one block.
+temporary, and ``block_groups`` sizes bagging's groups to one block.
 
 Sample weights are whole row counts, so every weight sum is exact in any
 order. With the Gini expression fixed (class histograms add as
@@ -52,14 +52,14 @@ import numpy as np
 
 from ..core import json_array, json_value
 from ..dataset import N_CLASSES
-from .base import proba_to_labels
+from .base import TrainedModel, check_width
 
 # (feature, row) cells handled at once; bounds every per-depth temporary
 _BLOCK_CELLS = 1 << 16
 
 
 @dataclass
-class TreeModel:
+class TreeModel(TrainedModel):
     family = "tree"
     n_features: int
     feature: np.ndarray  # (n_nodes,) split feature, 0 at a leaf
@@ -69,10 +69,7 @@ class TreeModel:
     hist: np.ndarray  # (n_nodes, 3) class weights; only a leaf's are read
 
     def predict_proba(self, X) -> np.ndarray:
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                f"dimension mismatch: model expects {self.n_features} features, got {X.shape[1]}"
-            )
+        check_width(X, self.n_features)
         internal = self.left != np.arange(self.left.size)
         cells = X.ravel()
         row_start = np.arange(X.shape[0]) * X.shape[1]
@@ -82,9 +79,6 @@ class TreeModel:
             at = np.where(go_left, self.left.take(at), self.right.take(at))
         hist = self.hist.take(at, axis=0)
         return hist / ((hist[:, 0] + hist[:, 1]) + hist[:, 2])[:, None]
-
-    def predict(self, X) -> np.ndarray:
-        return proba_to_labels(self.predict_proba(X))
 
     @property
     def node_count(self) -> int:
@@ -241,6 +235,20 @@ def _best_splits(Xt, order, seg_of_col, starts, hist, packed, row_words, min_chi
 def _open(hist: np.ndarray, depth: int, max_depth: int) -> np.ndarray:
     """Which nodes with class weights ``hist`` (class, node) may split."""
     return (depth < max_depth) & ((hist > 0).sum(axis=0) > 1)
+
+
+def block_groups(resamples: list, n_features: int) -> list[list]:
+    """Split ``resamples``, in order, into the groups ``train_trees`` grows
+    together: each holds as many resamples as one ``_BLOCK_CELLS`` block of
+    stacked (row, feature) cells takes, and at least one."""
+    groups, cells = [], 0
+    for rows, counts in resamples:
+        if not groups or cells + rows.size * n_features > _BLOCK_CELLS:
+            groups.append([])
+            cells = 0
+        groups[-1].append((rows, counts))
+        cells += rows.size * n_features
+    return groups
 
 
 def train_tree(X, y, sample_weights=None, max_depth: int = 8, min_child_weight: float = 1.0) -> TreeModel:

@@ -269,7 +269,8 @@ def smote(X, y, k: int, stream: RngStream):
     return np.vstack([X, *synth_X]), np.concatenate([y, *synth_y])
 
 
-def _round_half_up(x: float) -> int:
+def round_half_up(x: float) -> int:
+    """The nearest integer, a half rounded up (``round`` takes a half to the even one)."""
     return int(np.floor(x + 0.5))
 
 
@@ -296,7 +297,7 @@ def stratified_split(y, test_fraction: float, stream: RngStream) -> SplitIndices
     test: list[int] = []
     for _, order in shuffled_classes(y, stream):
         n_c = len(order)
-        n_test = _round_half_up(n_c * test_fraction)
+        n_test = round_half_up(n_c * test_fraction)
         if n_c >= 2:
             n_test = min(max(n_test, 1), n_c - 1)
         else:

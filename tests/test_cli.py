@@ -185,6 +185,17 @@ class TestConfigErrors:
         assert rest[0].startswith("usage:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("spelling", ["config", "flag"])
+    def test_empty_output_dir_exit_2_before_any_work(self, tmp_path, capsys, monkeypatch, spelling):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "cfg.json", **({"output_dir": ""} if spelling == "config" else {}))
+        flag = ["--output-dir", ""] if spelling == "flag" else []
+        assert main(["train", "--config", str(cfg), *flag]) == 2
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first == "error: output_dir must name a directory, got an empty string"
+        assert rest[0].startswith("usage:")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_both_data_sources_exit_2(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "cfg.json",
@@ -425,6 +436,7 @@ SPECIAL_VALUES = {
     "test_fraction": st.floats(0.01, 0.99),
     "k": st.integers(2, 50) | st.integers(2, 50).map(float),
     "curve_fractions": st.sets(st.integers(1, 10), min_size=1).map(lambda s: [t / 10 for t in sorted(s)]),
+    "output_dir": st.text(alphabet="ab./_ é", min_size=1, max_size=8),
 }
 SCALAR_VALUES = {
     int: st.integers(1, 50) | st.integers(1, 50).map(float),
@@ -627,6 +639,24 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(cfg), "--output-dir", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {kind} kernel decisions are not finite on the rows to score\n"
         assert not out.exists() or not any(out.iterdir())
+
+
+    def test_csv_with_byte_order_mark_writes_the_same_artifacts(self, tmp_path, trained_model):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(trained_model))
+        save_csv(synth_generate(60, 1), tmp_path / "plain.csv")
+        (tmp_path / "marked.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+        artifacts = {}
+        for name in ("plain", "marked"):
+            cfg = write_config(
+                tmp_path / f"{name}.json", data={"csv_path": str(tmp_path / f"{name}.csv")}, model_path=str(model_path)
+            )
+            for command in ("profile", "evaluate"):
+                out = tmp_path / f"{name}_{command}"
+                assert main([command, "--config", str(cfg), "--output-dir", str(out)]) == 0
+                artifacts[name, command] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        for command in ("profile", "evaluate"):
+            assert artifacts["plain", command] and artifacts["marked", command] == artifacts["plain", command]
 
 
 class TestNonFiniteTraining:

@@ -217,6 +217,15 @@ class TestLoadCsv:
         save_csv(d2, tmp_path / "round2.csv")
         assert (tmp_path / "round.csv").read_text() == (tmp_path / "round2.csv").read_text()
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with one
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_csv(synth_generate(60, 1), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_csv(plain), load_csv(marked)
+        assert np.array_equal(a.X, b.X)
+        assert np.array_equal(a.y, b.y)
+
     def test_roundtrip_with_patient_ids(self, tmp_path):
         d = synth_generate(40, 12)
         d.patient_ids = [f"P{i}" for i in range(40)]

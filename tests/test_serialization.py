@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oncograde.core import derive_stream
-from oncograde.models.base import Hyperparams, ModelSpec, model_from_doc, model_to_doc
+from oncograde.models.base import Hyperparams, ModelSpec, model_from_doc, model_to_doc, proba_to_labels
 
 ALL_NAMES = ("dnn", "voting", "bagging", "svm_rbf", "svm_linear", "svm_poly", "svm_sigmoid")
 
@@ -22,6 +22,21 @@ def test_json_roundtrip_preserves_predictions(name, small_prepared):
     assert np.array_equal(model.predict(prep.X_test), restored.predict(prep.X_test))
     # a second serialization round produces identical bytes
     assert json.dumps(model_to_doc(restored)) == text
+    # the contract: an svm labels by its decisions, every other model by its probabilities
+    for m in (model, restored):
+        scores = m.decision_matrix(prep.X_test) if name.startswith("svm_") else m.predict_proba(prep.X_test)
+        assert np.array_equal(m.predict(prep.X_test), proba_to_labels(scores))
+
+
+def test_wrong_width_rows_are_refused_with_one_message(small_prepared):
+    prep = small_prepared
+    hp = Hyperparams(epochs=4, n_estimators=2, max_depth=3)
+    args = (prep.X_train, prep.y_train, derive_stream(11, 2), prep.X_test, prep.y_test)
+    dnn, bagging = ModelSpec("dnn", hp).train(*args), ModelSpec("bagging", hp).train(*args)
+    d = prep.X_test.shape[1]
+    for model in (dnn, bagging.members[0]):
+        with pytest.raises(ValueError, match=f"^dimension mismatch: model expects {d} features, got {d + 1}$"):
+            model.predict_proba(np.hstack([prep.X_test, prep.X_test[:, :1]]))
 
 
 def test_document_is_versioned_and_tagged(small_prepared):
