@@ -51,7 +51,7 @@ from .preprocess import (
 )
 from .svg import render_svg
 
-MODEL_WRAPPER_VERSION = 1
+MODEL_WRAPPER_VERSION = 2
 
 
 class ConfigError(Exception):
@@ -270,15 +270,13 @@ def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
     )
     cm, report = evaluate_predictions(prep.y_test, model.predict(prep.X_test))
 
-    writer.write_json(
-        "model.json",
-        {
-            "version": MODEL_WRAPPER_VERSION,
-            "model_name": cfg.model.name,
-            "pipeline": prep.preprocessor.to_dict(),
-            "model": model_to_doc(model),
-        },
-    )
+    doc = {
+        "version": MODEL_WRAPPER_VERSION,
+        "model_name": cfg.model.name,
+        "pipeline": prep.preprocessor.to_dict(),
+        "model": model_to_doc(model),
+    }
+    writer.write_text("model.json", json.dumps(doc) + "\n")  # no indent, so CPython's C encoder writes it
     _write_metrics_artifacts(writer, cm, report, f"Confusion matrix: {cfg.model.name}")
 
     if cfg.model.name == "dnn":
@@ -409,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if args.subcommand == "report":
-            writer = ArtifactWriter(args.output_dir)
+            writer = ArtifactWriter(RunConfig(output_dir=args.output_dir).output_dir)  # checked as a config's
             cmd_report(args.runs, writer)
             writer.write_manifest("report", {"runs": args.runs}, started)
             return 0

@@ -28,9 +28,6 @@ SWEEP_AXES_READ = dict.fromkeys(_SVM_KERNEL_OF, ()) | {
     "dnn": ("learning_rate",), "bagging": ("min_child_weight",), "voting": ("learning_rate", "min_child_weight")
 }
 
-MODEL_DOC_VERSION = 1
-
-
 @dataclass
 class Hyperparams:
     learning_rate: float = 0.01
@@ -194,7 +191,7 @@ def svm_kernel_for(name: str, hp: Hyperparams, X) -> KernelSpec:
 
 
 def model_to_doc(model) -> dict:
-    return {"version": MODEL_DOC_VERSION, "family": model.family, "params": model.to_params()}
+    return {"family": model.family, "params": model.to_params()}
 
 
 def model_from_doc(doc: dict):
@@ -204,8 +201,6 @@ def model_from_doc(doc: dict):
     from .tree import TreeModel
 
     doc = json_value(dict, doc, "model")
-    if json_value(int, doc["version"], "model.version") != MODEL_DOC_VERSION:
-        raise ValueError(f"unsupported model document version: {doc['version']}")
     families = {cls.family: cls for cls in (MlpModel, SvmOvrModel, TreeModel, BaggingModel, VotingModel)}
     family = json_value(str, doc["family"], "model.family")
     if family not in families:

@@ -27,20 +27,16 @@ def _members(params: dict) -> list:
 class BaggingModel(TrainedModel):
     family = "bagging"
     members: list
-    base_spec: dict
 
     def predict_proba(self, X) -> np.ndarray:
         return np.mean([m.predict_proba(X) for m in self.members], axis=0)
 
     def to_params(self) -> dict:
-        return {
-            "base_spec": self.base_spec,
-            "members": [model_to_doc(m) for m in self.members],
-        }
+        return {"members": [model_to_doc(m) for m in self.members]}
 
     @classmethod
     def from_params(cls, params: dict) -> "BaggingModel":
-        return cls(members=_members(params), base_spec=params["base_spec"])
+        return cls(members=_members(params))
 
 
 def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -> BaggingModel:
@@ -62,7 +58,7 @@ def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -
         return train_trees(X, y, group, base_spec["max_depth"], base_spec["min_child_weight"])
 
     members = [tree for trees in parallel_map(train_group, block_groups(resamples, m)) for tree in trees]
-    return BaggingModel(members=members, base_spec=dict(base_spec))
+    return BaggingModel(members=members)
 
 
 @dataclass

@@ -39,9 +39,9 @@ layout of scikit-learn's trees). A group numbers its members' nodes
 together, and each member's nodes keep their relative order when the
 group is split, which is the numbering the member gets alone. A leaf's
 children are the leaf itself, so prediction advances every row one level
-per step until all rows sit on leaves. Node dicts in preorder are only the
-serialized form, which ``to_params`` writes and ``from_params`` reads and
-checks.
+per step until all rows sit on leaves. The arrays are also the model
+file's form: ``to_params`` writes them as they are, and ``from_params``
+reads and checks them.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ from .base import TrainedModel, check_width
 
 # (feature, row) cells handled at once; bounds every per-depth temporary
 _BLOCK_CELLS = 1 << 16
+
+_NODE_FIELDS = ("feature", "threshold", "left", "right", "hist")
 
 
 @dataclass
@@ -85,65 +87,41 @@ class TreeModel(TrainedModel):
         return self.left.size
 
     def to_params(self) -> dict:
-        """The nodes in preorder: each left child comes right after its parent."""
-        feature, threshold, left, right, hist = (
-            a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.hist)
-        )
-        nodes, stack = [], [(0, None)]  # (node id, the emitted node it is the right child of)
-        while stack:
-            i, parent = stack.pop()
-            if parent is not None:
-                nodes[parent]["right"] = len(nodes)
-            if left[i] == i:
-                nodes.append({"leaf": True, "hist": hist[i]})
-            else:
-                nodes.append({"feature": feature[i], "threshold": threshold[i], "left": len(nodes) + 1, "right": None})
-                stack += [(right[i], len(nodes) - 1), (left[i], None)]
-        return {"n_features": self.n_features, "nodes": nodes}
+        return {"n_features": self.n_features, **{k: getattr(self, k).tolist() for k in _NODE_FIELDS}}
 
     @classmethod
     def from_params(cls, params: dict) -> "TreeModel":
-        """Read ``to_params``'s nodes, their numbers by the run config's rules;
-        a node that cannot predict raises ``ValueError``."""
-        nodes = json_value(list, params["nodes"], "tree.nodes")
+        """Read ``to_params``'s node arrays, their numbers by the run config's
+        rules; a tree that cannot predict raises ``ValueError``."""
         n_features = json_value(int, params["n_features"], "tree.n_features")
         if not 0 < n_features < 2**63:  # a width some input can have, as an int64 like the split features
             raise ValueError(f"tree.n_features must be an integer in [1, 2**63), got {n_features}")
-        n = len(nodes)
-        if n == 0:
-            raise ValueError("tree has no nodes")
-        # a row per node, a leaf's split and an internal node's hist filled in
-        # as above, so entry i of every field is node i's
-        rows = []
-        for i, node in enumerate(nodes):
-            if type(node) is not dict:  # the reader words the refusal
-                json_value(dict, node, f"tree node {i}")
-            if "leaf" not in node:
-                rows.append((node["feature"], node["threshold"], node["left"], node["right"], (0, 0, 0)))
-            elif node["leaf"] is not True:
-                json_value((True,), node["leaf"], f"tree node {i}.leaf")
-            elif type(node["hist"]) is not list or len(node["hist"]) != N_CLASSES:
-                raise ValueError(f"tree node {i}: hist must have {N_CLASSES} entries")
-            else:
-                rows.append((0, 0, i, i, node["hist"]))
-        feature, threshold, left, right, hist = zip(*rows)
         in_range = f"tree node {{0}}: feature {{1!r}} must be an integer in [0, {n_features})"
-        weights = "tree node {0}: hist {1!r} must be non-negative with a finite, positive total"
-        feature = json_array(int, feature, in_range)
-        threshold = json_array(float, threshold, "tree node {0}: threshold {1!r} must be finite")
-        left = json_array(int, left, "tree node {0}: left {1!r} must be an integer")
-        right = json_array(int, right, "tree node {0}: right {1!r} must be an integer")
-        hist = json_array(float, hist, weights)
-        ids, leaf, total = np.arange(n), np.array(["leaf" in node for node in nodes]), hist.sum(axis=1)
-        # preorder puts each child after its parent, so every descent ends at a leaf
+        weights = "tree node {0}: hist {1!r} must be 3 non-negative numbers with a finite, positive total"
+        feature = json_array(int, params["feature"], in_range)
+        threshold = json_array(float, params["threshold"], "tree node {0}: threshold {1!r} must be finite")
+        left = json_array(int, params["left"], "tree node {0}: left {1!r} must be an integer")
+        right = json_array(int, params["right"], "tree node {0}: right {1!r} must be an integer")
+        hist = json_array(float, params["hist"], weights)
+        n = len(left) if left.ndim == 1 else 0
+        shapes = [a.shape for a in (feature, threshold, left, right, hist)]
+        if not n or shapes != [(n,)] * 4 + [(n, N_CLASSES)]:
+            raise ValueError(
+                "tree feature, threshold, left, right and hist must be shaped (n,) and (n, 3) with n >= 1, "
+                f"got {', '.join(map(str, shapes))}"
+            )
+        ids, total = np.arange(n), hist.sum(axis=1)
+        # children come after their parent, so every descent ends at a leaf
+        leaf = (left == ids) & (right == ids)
         bad = np.flatnonzero(~leaf & ~((ids < left) & (left < n) & (ids < right) & (right < n)))
         if bad.size:
             i = bad[0]
-            raise ValueError(f"tree node {i}: children {left[i]} and {right[i]} must lie in ({i}, {n})")
-        bad = np.flatnonzero(~leaf & ((feature < 0) | (feature >= n_features)))
+            raise ValueError(f"tree node {i}: children {left[i]} and {right[i]} must lie in ({i}, {n}) or both be {i}")
+        # predict reads every row's split cell, a leaf's too
+        bad = np.flatnonzero((feature < 0) | (feature >= n_features))
         if bad.size:
-            raise ValueError(in_range.format(bad[0], nodes[bad[0]]["feature"]))
-        bad = np.flatnonzero(leaf & ~((hist >= 0).all(axis=1) & (0 < total) & (total < np.inf)))
+            raise ValueError(in_range.format(bad[0], int(feature[bad[0]])))
+        bad = np.flatnonzero(~((hist >= 0).all(axis=1) & (0 < total) & (total < np.inf)))
         if bad.size:
             raise ValueError(weights.format(bad[0], hist[bad[0]].tolist()))
         return cls(n_features, feature, threshold, left, right, hist)

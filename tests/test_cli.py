@@ -754,6 +754,7 @@ def at(doc, *path):
 MLP = ("model", "params", "members", 0, "params")
 SVM = ("model", "params", "members", 1, "params")
 TREE = ("model", "params", "members", 2, "params", "members", 0, "params")
+NODE_FIELDS = ("feature", "threshold", "left", "right", "hist")
 
 
 def with_keys(doc: dict, *path_and_value) -> dict:
@@ -771,13 +772,11 @@ def with_keys(doc: dict, *path_and_value) -> dict:
 MALFORMED_MODEL_FILES = {
     "not_json": ("{not json", "is not valid JSON: Expecting property name"),
     "list": ([1, 2], ": not a JSON object"),
-    "version_only": ({"version": 1}, "is missing key 'pipeline'"),
-    "wrapper_version": (lambda doc: with_keys(doc, "version", 2), ": unsupported model file version: 2"),
+    "version_only": ({"version": 2}, "is missing key 'pipeline'"),
+    "wrapper_version": (lambda doc: with_keys(doc, "version", 3), ": unsupported model file version: 3"),
+    # version 1 stored each tree as node dicts in preorder
+    "wrapper_version_1": (lambda doc: with_keys(doc, "version", 1), ": unsupported model file version: 1"),
     "no_model": (lambda doc: {k: v for k, v in doc.items() if k != "model"}, "is missing key 'model'"),
-    "document_version": (
-        lambda doc: with_keys(doc, "model", "version", 7),
-        ": unsupported model document version: 7",
-    ),
     "unknown_family": (
         lambda doc: with_keys(doc, "model", "family", "forest"),
         ": unknown model family: 'forest'",
@@ -820,12 +819,16 @@ MALFORMED_MODEL_FILES = {
         ": mlp output layer is 2 wide, not 3",
     ),
     "tree_child_out_of_range": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 0, "right", 13),
-        ": tree node 0: children 1 and 13 must lie in (0, 13)",
+        lambda doc: with_keys(doc, *TREE, "right", 0, 13),
+        ": tree node 0: children 1 and 13 must lie in (0, 13) or both be 0",
     ),
     "tree_child_points_back": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 1, "left", 0),
-        ": tree node 1: children 0 and 3 must lie in (1, 13)",
+        lambda doc: with_keys(doc, *TREE, "left", 1, 0),
+        ": tree node 1: children 0 and 5 must lie in (1, 13) or both be 1",
+    ),
+    "tree_leaf_right_not_itself": (
+        lambda doc: with_keys(doc, *TREE, "right", 3, 5),
+        ": tree node 3: children 3 and 5 must lie in (3, 13) or both be 3",
     ),
     "mlp_no_layers": (
         lambda doc: with_keys(with_keys(doc, *MLP, "weights", []), *MLP, "biases", []),
@@ -839,46 +842,55 @@ MALFORMED_MODEL_FILES = {
         lambda doc: with_keys(doc, "model", "params", "members", 2, "params", "members", []),
         ": an ensemble needs at least one member",
     ),
-    "tree_no_nodes": (lambda doc: with_keys(doc, *TREE, "nodes", []), ": tree has no nodes"),
+    "tree_no_nodes": (
+        lambda doc: with_keys(doc, *TREE, {"n_features": 80, **dict.fromkeys(NODE_FIELDS, [])}),
+        ": tree feature, threshold, left, right and hist must be shaped (n,) and (n, 3) with n >= 1, "
+        "got (0,), (0,), (0,), (0,), (0,)",
+    ),
+    "tree_field_lengths_differ": (
+        lambda doc: with_keys(doc, *TREE, "left", at(doc, *TREE, "left")[:-1]),
+        ": tree feature, threshold, left, right and hist must be shaped (n,) and (n, 3) with n >= 1, "
+        "got (13,), (13,), (12,), (13,), (13, 3)",
+    ),
     "tree_child_infinite": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 0, "right", float("inf")),
+        lambda doc: with_keys(doc, *TREE, "right", 0, float("inf")),
         ": tree node 0: right inf must be an integer",
     ),
     "tree_short_hist": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", [46.0]),
-        ": tree node 2: hist must have 3 entries",
+        lambda doc: with_keys(doc, *TREE, "hist", 2, [46.0]),
+        ": tree node 2: hist [46.0] must be 3 non-negative numbers with a finite, positive total",
     ),
     "tree_feature_negative": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 0, "feature", -1),
+        lambda doc: with_keys(doc, *TREE, "feature", 0, -1),
         ": tree node 0: feature -1 must be an integer in [0, 80)",
     ),
     "tree_feature_past_width": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 0, "feature", 80),
+        lambda doc: with_keys(doc, *TREE, "feature", 0, 80),
         ": tree node 0: feature 80 must be an integer in [0, 80)",
     ),
     "tree_feature_fractional": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 0, "feature", 40.5),
+        lambda doc: with_keys(doc, *TREE, "feature", 0, 40.5),
         ": tree node 0: feature 40.5 must be an integer in [0, 80)",
     ),
     "tree_threshold_infinite": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 0, "threshold", float("inf")),
+        lambda doc: with_keys(doc, *TREE, "threshold", 0, float("inf")),
         ": tree node 0: threshold inf must be finite",
     ),
     "tree_threshold_nan": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 1, "threshold", float("nan")),
+        lambda doc: with_keys(doc, *TREE, "threshold", 1, float("nan")),
         ": tree node 1: threshold nan must be finite",
     ),
     "tree_hist_zero": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", [0, 0, 0]),
-        ": tree node 2: hist [0.0, 0.0, 0.0] must be non-negative with a finite, positive total",
+        lambda doc: with_keys(doc, *TREE, "hist", 2, [0, 0, 0]),
+        ": tree node 2: hist [0.0, 0.0, 0.0] must be 3 non-negative numbers with a finite, positive total",
     ),
     "tree_hist_negative": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", [46.0, -1.0, 0.0]),
-        ": tree node 2: hist [46.0, -1.0, 0.0] must be non-negative with a finite, positive total",
+        lambda doc: with_keys(doc, *TREE, "hist", 2, [46.0, -1.0, 0.0]),
+        ": tree node 2: hist [46.0, -1.0, 0.0] must be 3 non-negative numbers with a finite, positive total",
     ),
     "tree_hist_not_finite": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 3, "hist", [0.0, float("inf"), 0.0]),
-        ": tree node 3: hist [0.0, inf, 0.0] must be non-negative with a finite, positive total",
+        lambda doc: with_keys(doc, *TREE, "hist", 3, [0.0, float("inf"), 0.0]),
+        ": tree node 3: hist [0.0, inf, 0.0] must be 3 non-negative numbers with a finite, positive total",
     ),
     "pipeline_pair_negative": (
         lambda doc: with_keys(doc, "pipeline", "engineered_pairs", 0, [-1, 3]),
@@ -914,28 +926,28 @@ MALFORMED_MODEL_FILES = {
     ),
     # numbers read by the run config's rules: no strings, booleans or fractional indices
     "tree_threshold_string": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 0, "threshold", "0.5"),
+        lambda doc: with_keys(doc, *TREE, "threshold", 0, "0.5"),
         ": tree node 0: threshold '0.5' must be finite",
     ),
     "tree_threshold_bool": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 0, "threshold", True),
+        lambda doc: with_keys(doc, *TREE, "threshold", 0, True),
         ": tree node 0: threshold True must be finite",
     ),
     "tree_left_fractional": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 0, "left", 1.9),
+        lambda doc: with_keys(doc, *TREE, "left", 0, 1.9),
         ": tree node 0: left 1.9 must be an integer",
     ),
     "tree_right_string": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 0, "right", str(at(doc, *TREE, "nodes", 0, "right"))),
+        lambda doc: with_keys(doc, *TREE, "right", 0, str(at(doc, *TREE, "right", 0))),
         ": tree node 0: right '",
     ),
     "tree_hist_string": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", ["1", 0, 0]),
-        ": tree node 2: hist ['1', 0, 0] must be non-negative with a finite, positive total",
+        lambda doc: with_keys(doc, *TREE, "hist", 2, ["1", 0, 0]),
+        ": tree node 2: hist ['1', 0, 0] must be 3 non-negative numbers with a finite, positive total",
     ),
     "tree_hist_bool": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", [True, 0, 0]),
-        ": tree node 2: hist [True, 0, 0] must be non-negative with a finite, positive total",
+        lambda doc: with_keys(doc, *TREE, "hist", 2, [True, 0, 0]),
+        ": tree node 2: hist [True, 0, 0] must be 3 non-negative numbers with a finite, positive total",
     ),
     "svm_string_support": (
         lambda doc: with_keys(doc, *SVM, "support_x", 0, 0, "0.5"),
@@ -1023,16 +1035,8 @@ MALFORMED_MODEL_FILES = {
         lambda doc: with_keys(doc, "model", "params", "mode", None),
         ': voting.mode must be "hard" or "soft", got null',
     ),
-    # versions and the family by the run config's rules: JSON true is not the integer 1
+    # the version and the family by the run config's rules: JSON true is not the integer 1
     "wrapper_version_true": (lambda doc: with_keys(doc, "version", True), ": version must be an integer, got true"),
-    "document_version_true": (
-        lambda doc: with_keys(doc, "model", "version", True),
-        ": model.version must be an integer, got true",
-    ),
-    "member_version_true": (
-        lambda doc: with_keys(doc, "model", "params", "members", 2, "version", True),
-        ": model.version must be an integer, got true",
-    ),
     "family_list": (
         lambda doc: with_keys(doc, "model", "family", ["voting"]),
         ': model.family must be a string, got ["voting"]',
@@ -1096,26 +1100,9 @@ MALFORMED_MODEL_FILES = {
         lambda doc: with_keys(doc, "model", "params", "members", 2, "params", "members", "trees"),
         ': ensemble.members must be a list, got "trees"',
     ),
-    "tree_nodes_object": (
-        lambda doc: with_keys(doc, *TREE, "nodes", {"a": 1}),
-        ': tree.nodes must be a list, got {"a": 1}',
-    ),
-    "tree_node_number": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 1, 0.5),
-        ": tree node 1 must be a JSON object, got 0.5",
-    ),
-    "tree_hist_false": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 2, "hist", False),
-        ": tree node 2: hist must have 3 entries",
-    ),
-    # a leaf is marked by "leaf": true and nothing else
-    "tree_leaf_false": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 2, "leaf", False),
-        ": tree node 2.leaf must be true, got false",
-    ),
-    "tree_leaf_null": (
-        lambda doc: with_keys(doc, *TREE, "nodes", 2, "leaf", None),
-        ": tree node 2.leaf must be true, got null",
+    "tree_left_object": (
+        lambda doc: with_keys(doc, *TREE, "left", {"a": 1}),
+        ": tree node 0: left {'a': 1} must be an integer",
     ),
     "pipeline_order_unknown": (
         lambda doc: with_keys(doc, "pipeline", "order", "x"),
@@ -1129,9 +1116,9 @@ ODD_VALUES = [True, False, None, 0, -1, 2, 0.5, "x", "", [], [1], {}, {"a": 1}, 
 
 def key_paths(node, path=()):
     """The key path of every value under ``node``, a list's first and last
-    entries standing for the rest; no reader looks into ``base_spec``."""
+    entries standing for the rest."""
     if isinstance(node, dict):
-        keys = [k for k in node if k != "base_spec"]
+        keys = list(node)
     else:
         keys = sorted({0, len(node) - 1}) if isinstance(node, list) and node else []
     for key in keys:
@@ -1204,6 +1191,15 @@ class TestMalformedModelFile:
         assert first.startswith(f"error: model file {model_path}")
         assert rest[0].startswith("usage:")
         assert not out.exists() or not any(out.iterdir())
+
+    def test_file_carries_one_version(self, trained_model):
+        def versions(node) -> int:
+            if isinstance(node, dict):
+                return ("version" in node) + sum(map(versions, node.values()))
+            return sum(map(versions, node)) if isinstance(node, list) else 0
+
+        assert trained_model["version"] == 2
+        assert versions(trained_model) == 1
 
     def test_unreadable_file_exit_2(self, tmp_path, capsys):
         argv, out = self.evaluate(tmp_path, tmp_path / "missing.json")
@@ -1364,6 +1360,15 @@ class TestMalformedRunDirectory:
         assert rest[0].startswith("usage:")
         out = tmp_path / "report"
         assert not out.exists() or not any(out.iterdir())
+
+    def test_empty_output_dir_exit_2(self, tmp_path, capsys, monkeypatch):
+        argv, _ = self.report(tmp_path, VALID_RUN_FILES)
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv[:-1], ""]) == 2
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first == "error: output_dir must name a directory, got an empty string"
+        assert rest[0].startswith("usage:")
+        assert os.listdir(tmp_path) == ["run"]
 
     def test_missing_metrics_file_exit_2(self, tmp_path, capsys):
         argv, run = self.report(tmp_path, {"manifest.json": VALID_RUN_FILES["manifest.json"]})

@@ -14,19 +14,21 @@ from oncograde.models.tree import TreeModel, train_tree
 
 def leaf_model(hist):
     """Single-leaf tree with fixed class weights; constant predictions."""
-    return TreeModel.from_params({"nodes": [{"leaf": True, "hist": list(hist)}], "n_features": 2})
+    return TreeModel.from_params(
+        {"n_features": 2, "feature": [0], "threshold": [0.0], "left": [0], "right": [0], "hist": [list(hist)]}
+    )
 
 
 class TestBagging:
     def test_single_member_equals_that_member(self):
         member = leaf_model([1.0, 3.0, 0.0])
-        bag = BaggingModel(members=[member], base_spec={})
+        bag = BaggingModel(members=[member])
         X = np.zeros((5, 2))
         assert np.array_equal(bag.predict_proba(X), member.predict_proba(X))
         assert np.array_equal(bag.predict(X), member.predict(X))
 
     def test_constant_members_predict_that_class(self):
-        bag = BaggingModel(members=[leaf_model([0, 0, 2.0])] * 3, base_spec={})
+        bag = BaggingModel(members=[leaf_model([0, 0, 2.0])] * 3)
         assert (bag.predict(np.zeros((4, 2))) == 2).all()
 
     def test_single_class_bootstrap_becomes_constant(self):
@@ -64,11 +66,12 @@ class TestTreeEnsembleBytes:
     """Artifact bytes of a small bagging run, pinned so CART output cannot drift.
 
     The digests were recorded with the per-node argsort CART that preceded
-    the presorted one; both must grow the same trees bit for bit.
+    the presorted one; both must grow the same trees bit for bit. The model
+    digest was re-recorded when model files stored trees as node arrays.
     """
 
     PINNED = {
-        ("train", "model.json"): "59bcda90dcf58d14d895cbe386c32cf9bc49a5cc8f40e55a47451750f94948ae",
+        ("train", "model.json"): "2a35d5550016a37c31a1e155e19f13a29399a57db426c268cc63df75de4d9ad1",
         ("train", "metrics.json"): "84f8ed762a9240c60d70351fa4fb00e445733aa2eae9cef2ab7f26a8a411deaf",
         ("cv", "cv.json"): "730831728c96066a867471087ac274b9db37f4d3178328cba9b22ab83682a2c9",
     }

@@ -103,7 +103,8 @@ class TestPinnedDigests:
         and tree documents. The digests were computed with the hand-written
         field lists that ``dataclasses.asdict`` replaced in those documents
         and in the metrics report; the model digest was re-recorded with one
-        BLAS thread and the svm_rbf member in the one-support-set layout."""
+        BLAS thread and the svm_rbf member in the one-support-set layout, and
+        again for model file version 2, unindented with trees as node arrays."""
         cfg = write_json(
             tmp_path / "train.json",
             {
@@ -118,13 +119,14 @@ class TestPinnedDigests:
         assert main(["train", "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
         model = (tmp_path / "run" / "model.json").read_bytes()
         metrics = (tmp_path / "run" / "metrics.json").read_bytes()
-        assert hashlib.sha256(model).hexdigest() == "42b884edb45420c02786b285d3253be2ffdd15234c62b6e44bf5b3aa3f8d5fcc"
+        assert hashlib.sha256(model).hexdigest() == "448b07fb8e377455e7da80d15b46868b2a67f8b422f959a9f3f27bcc2922f483"
         assert hashlib.sha256(metrics).hexdigest() == "4f089a5a6539ce25112c6d7c2df2e165001715c3fcd1fa98ba85c3d3240cc445"
 
     def test_leak_safe_train_documents(self, tmp_path):
         """The leak_safe branch of the pipeline, with non-default settings
         written to and read from the ``pipeline`` document. The digests were
-        computed when the settings were separate ``run_pipeline`` keywords."""
+        computed when the settings were separate ``run_pipeline`` keywords;
+        the model digest was re-recorded for the unindented version 2 file."""
         cfg = write_json(
             tmp_path / "train.json",
             {
@@ -137,7 +139,7 @@ class TestPinnedDigests:
         assert main(["train", "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
         model = (tmp_path / "run" / "model.json").read_bytes()
         metrics = (tmp_path / "run" / "metrics.json").read_bytes()
-        assert hashlib.sha256(model).hexdigest() == "d35d820828baa2307ee27769252b08ceaf1d0a1a4898be3b39144328f9fb0036"
+        assert hashlib.sha256(model).hexdigest() == "678862590c2aff5cf62bd1134e675f35a56486b0e44989ae1dbd3c7debc6dbeb"
         assert hashlib.sha256(metrics).hexdigest() == "fbe24b321b9cc370d2944c408f91017860edf053c9de561ecaf748f8afaf6956"
 
     @pytest.mark.parametrize(

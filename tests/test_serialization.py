@@ -39,22 +39,20 @@ def test_wrong_width_rows_are_refused_with_one_message(small_prepared):
             model.predict_proba(np.hstack([prep.X_test, prep.X_test[:, :1]]))
 
 
-def test_document_is_versioned_and_tagged(small_prepared):
+def test_document_is_tagged_and_carries_no_version(small_prepared):
+    """Only the model file is versioned; a model document and its members
+    are a family and its params."""
     prep = small_prepared
     model = ModelSpec("bagging", Hyperparams(n_estimators=2, max_depth=2)).train(
         prep.X_train, prep.y_train, derive_stream(1, 2), prep.X_test, prep.y_test
     )
     doc = model_to_doc(model)
-    assert doc["version"] == 1
     assert doc["family"] == "bagging"
+    assert list(doc) == list(doc["params"]["members"][0]) == ["family", "params"]
+    assert list(doc["params"]) == ["members"]
     json.dumps(doc)  # must be JSON-serializable as-is
 
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="unknown model family"):
-        model_from_doc({"version": 1, "family": "forest", "params": {}})
-
-
-def test_unknown_version_rejected():
-    with pytest.raises(ValueError, match="version"):
-        model_from_doc({"version": 99, "family": "tree", "params": {}})
+        model_from_doc({"family": "forest", "params": {}})

@@ -26,3 +26,34 @@ def test_no_private_name_imported_from_another_oncograde_module():
         if alias.name.startswith("_") and not alias.name.endswith("__")  # a dunder like __version__ is public
     ]
     assert not imports, "\n".join(imports)
+
+
+# every module a top-level import under src/ may name, besides oncograde's own;
+# each one costs every command's start-up, so a new one is added here in plain sight
+MODULE_LEVEL_IMPORTS = {
+    "__future__", "argparse", "concurrent.futures", "copy", "csv", "dataclasses", "hashlib", "itertools",
+    "json", "numpy", "operator", "os", "sys", "threading", "time", "types", "typing",
+}
+
+
+def _module_level_imports(node):
+    """The import statements under ``node`` that run when the module loads,
+    so not those inside a function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _module_level_imports(child)
+
+
+def test_module_level_imports_name_only_the_pinned_modules():
+    imports = [
+        f"{path.relative_to(SRC)}:{node.lineno}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in _module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else [node.module])
+        if not (isinstance(node, ast.ImportFrom) and node.level)  # oncograde's own modules
+        and name.split(".")[0] != "oncograde"
+        and name not in MODULE_LEVEL_IMPORTS
+    ]
+    assert not imports, "\n".join(imports)

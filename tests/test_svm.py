@@ -257,7 +257,7 @@ class TestPinnedSmo:
         ))
         assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "run")]) == 0
         model = (tmp_path / "run" / "model.json").read_bytes()
-        assert hashlib.sha256(model).hexdigest() == "98cd13fd4d5ced9349a92e6248b6f72f0026b9bf2943cc2f0fcbdd4ccb9020a5"
+        assert hashlib.sha256(model).hexdigest() == "bc7176863dfc4948a09f3b8329434c7e066445e5ada24516c468e2b659eb49fe"
 
 
 def reference_smo(X, y, kernel, C=1.0, tol=1e-3):

@@ -22,34 +22,45 @@ def _gini(hist):
 
 def _walk_splits(model, X, y, w):
     """Replay every split, yielding (parent_rows, left_rows, right_rows)."""
-    nodes = model.to_params()["nodes"]
     stack = [(0, np.arange(len(y)))]
     while stack:
         idx, rows = stack.pop()
-        node = nodes[idx]
-        if "leaf" in node:
+        if model.left[idx] == idx:  # a leaf
             continue
-        mask = X[rows, node["feature"]] <= node["threshold"]
+        mask = X[rows, model.feature[idx]] <= model.threshold[idx]
         left, right = rows[mask], rows[~mask]
         yield rows, left, right
-        stack.append((node["left"], left))
-        stack.append((node["right"], right))
+        stack.append((model.left[idx], left))
+        stack.append((model.right[idx], right))
 
 
 def reference_predict_proba(model, X):
     """Per-row node walk: the reference for the flat-array predict."""
-    nodes = model.to_params()["nodes"]
     out = np.empty((X.shape[0], N_CLASSES))
     for r in range(X.shape[0]):
-        node = nodes[0]
-        while "leaf" not in node:
-            if X[r, node["feature"]] <= node["threshold"]:
-                node = nodes[node["left"]]
-            else:
-                node = nodes[node["right"]]
-        hist = np.asarray(node["hist"], dtype=float)
-        out[r] = hist / hist.sum()
+        idx = 0
+        while model.left[idx] != idx:
+            idx = model.left[idx] if X[r, model.feature[idx]] <= model.threshold[idx] else model.right[idx]
+        out[r] = model.hist[idx] / model.hist[idx].sum()
     return out
+
+
+def preorder_nodes(model) -> list[dict]:
+    """The tree's nodes in ``reference_tree_nodes``'s form: node dicts in
+    preorder, each left child right after its parent, a leaf holding only
+    its class weights."""
+    nodes, stack = [], [(0, None)]  # (node id, the emitted node it is the right child of)
+    while stack:
+        i, parent = stack.pop()
+        if parent is not None:
+            nodes[parent]["right"] = len(nodes)
+        if model.left[i] == i:
+            nodes.append({"leaf": True, "hist": model.hist[i].tolist()})
+        else:
+            feature, threshold = int(model.feature[i]), float(model.threshold[i])
+            nodes.append({"feature": feature, "threshold": threshold, "left": len(nodes) + 1, "right": None})
+            stack += [(model.right[i], len(nodes) - 1), (model.left[i], None)]
+    return nodes
 
 
 def _weighted_hist(y, w) -> np.ndarray:
@@ -150,14 +161,14 @@ class TestPresortedFit:
         X, y, w, depth, mcw = random_tree_problem(seed)
         model = train_tree(X, y, sample_weights=w, max_depth=depth, min_child_weight=mcw)
         expected = reference_tree_nodes(X, y, w, depth, mcw)
-        assert json.dumps(model.to_params()["nodes"]) == json.dumps(expected)
+        assert json.dumps(preorder_nodes(model)) == json.dumps(expected)
 
     @pytest.mark.parametrize("seed", range(40, 52))
     def test_same_nodes_on_deep_problems(self, seed):
         # deep trees hold many open nodes, so one depth's pass spans many segments
         X, y, w, depth, mcw = random_tree_problem(seed, max_rows=400, max_depth=12)
         model = train_tree(X, y, sample_weights=w, max_depth=depth, min_child_weight=mcw)
-        assert json.dumps(model.to_params()["nodes"]) == json.dumps(reference_tree_nodes(X, y, w, depth, mcw))
+        assert json.dumps(preorder_nodes(model)) == json.dumps(reference_tree_nodes(X, y, w, depth, mcw))
 
     @pytest.mark.parametrize("scale", [2**20, 2**30])
     def test_same_nodes_with_large_row_counts(self, scale):
@@ -165,7 +176,7 @@ class TestPresortedFit:
         X, y, w, depth, mcw = random_tree_problem(7, max_rows=400, max_depth=12)
         w = w * scale
         model = train_tree(X, y, sample_weights=w, max_depth=depth, min_child_weight=mcw * scale)
-        assert json.dumps(model.to_params()["nodes"]) == json.dumps(reference_tree_nodes(X, y, w, depth, mcw * scale))
+        assert json.dumps(preorder_nodes(model)) == json.dumps(reference_tree_nodes(X, y, w, depth, mcw * scale))
 
     def test_counted_distinct_rows_grow_the_resampled_tree(self):
         # bagging trains on each resample's distinct rows, weighted by their
@@ -182,7 +193,7 @@ class TestPresortedFit:
                     counted = train_tree(
                         X[distinct], y[distinct], sample_weights=counts, max_depth=depth, min_child_weight=mcw
                     )
-                    assert json.dumps(counted.to_params()["nodes"]) == json.dumps(resampled.to_params()["nodes"])
+                    assert json.dumps(counted.to_params()) == json.dumps(resampled.to_params())
 
     def test_tied_features_across_blocks_take_lowest_index(self, monkeypatch):
         # 40 columns x 500 rows spans several scoring blocks of 4,096 cells;
@@ -193,8 +204,8 @@ class TestPresortedFit:
         X, y = np.tile(base, 4), rng.integers(0, N_CLASSES, size=500)
         w = rng.choice([1.0, 2.0, 3.0, 5.0], size=500)
         model = train_tree(X, y, sample_weights=w, max_depth=6, min_child_weight=2.0)
-        assert json.dumps(model.to_params()["nodes"]) == json.dumps(reference_tree_nodes(X, y, w, 6, 2.0))
-        assert all(node["feature"] < 10 for node in model.to_params()["nodes"] if "leaf" not in node)
+        assert json.dumps(preorder_nodes(model)) == json.dumps(reference_tree_nodes(X, y, w, 6, 2.0))
+        assert (model.feature < 10).all()
 
     def test_peak_memory_of_one_bootstrap_tree(self):
         # paper-scale training matrix (876 x 59), resampled to 1,100 rows
@@ -256,7 +267,7 @@ class TestTrainTree:
         y = np.full(10, 2)
         model = train_tree(X, y)
         assert model.node_count == 1
-        assert model.to_params()["nodes"][0]["leaf"]
+        assert model.left[0] == model.right[0] == 0
         assert (model.predict(X) == 2).all()
 
     def test_xor_depth_limits(self):
@@ -305,7 +316,7 @@ class TestTrainTree:
             d = synth_generate(120, seed)
             for mcw in (1.0, 2.0, 4.0, 8.0, 16.0):
                 model = train_tree(d.X, d.y, max_depth=6, min_child_weight=mcw)
-                leaves = sum(1 for n in model.to_params()["nodes"] if "leaf" in n)
+                leaves = int((model.left == np.arange(model.node_count)).sum())
                 if model.node_count > 1:
                     assert leaves <= 120 / mcw
                     assert model.node_count == 2 * leaves - 1
@@ -361,7 +372,9 @@ class TestTreePredict:
         assert loaded.predict_proba(probe).tobytes() == model.predict_proba(probe).tobytes()
 
     def test_single_leaf_and_zero_rows(self):
-        leaf = TreeModel.from_params({"nodes": [{"leaf": True, "hist": [1.0, 3.0, 0.5]}], "n_features": 2})
+        leaf = TreeModel.from_params(
+            {"n_features": 2, "feature": [0], "threshold": [0.0], "left": [0], "right": [0], "hist": [[1.0, 3.0, 0.5]]}
+        )
         X = np.random.default_rng(1).normal(size=(7, 2))
         assert np.array_equal(leaf.predict_proba(X), reference_predict_proba(leaf, X))
         d = synth_generate(80, 3)
@@ -379,10 +392,10 @@ class TestTreePredict:
             model = train_tree(d.X[rows], d.y[rows], max_depth=5)
             doc = json.loads(json.dumps(model_to_doc(model)))
             loaded = model_from_doc(doc)
-            assert loaded.to_params()["nodes"] == model.to_params()["nodes"]
+            assert loaded.to_params() == model.to_params()
             assert np.array_equal(loaded.predict_proba(probe), reference_predict_proba(model, probe))
             trees.append(loaded)
-        bag = BaggingModel(members=trees, base_spec={})
+        bag = BaggingModel(members=trees)
         expected = np.mean([reference_predict_proba(t, probe) for t in trees], axis=0)
         assert np.array_equal(bag.predict_proba(probe), expected)
 
