@@ -1104,6 +1104,28 @@ MALFORMED_MODEL_FILES = {
         lambda doc: with_keys(doc, *TREE, "left", {"a": 1}),
         ": tree node 0: left {'a': 1} must be an integer",
     ),
+    # a tree in version 1's layout, its nodes under one key, has none of the arrays
+    "tree_nodes_object": (
+        lambda doc: with_keys(doc, *TREE, {"n_features": 80, "nodes": {"a": 1}}),
+        " is missing key 'feature'",
+    ),
+    "tree_node_number": (
+        lambda doc: with_keys(doc, *TREE, "hist", 1, 0.5),
+        ": tree node 1: hist 0.5 must be 3 non-negative numbers with a finite, positive total",
+    ),
+    "tree_hist_false": (
+        lambda doc: with_keys(doc, *TREE, "hist", 2, False),
+        ": tree node 2: hist False must be 3 non-negative numbers with a finite, positive total",
+    ),
+    # a leaf is marked by both children being its own number, and false or null is no number
+    "tree_leaf_false": (
+        lambda doc: with_keys(doc, *TREE, "left", 3, False),
+        ": tree node 3: left False must be an integer",
+    ),
+    "tree_leaf_null": (
+        lambda doc: with_keys(doc, *TREE, "right", 3, None),
+        ": tree node 3: right None must be an integer",
+    ),
     "pipeline_order_unknown": (
         lambda doc: with_keys(doc, "pipeline", "order", "x"),
         ': pipeline.order must be "paper_order" or "leak_safe", got "x"',
