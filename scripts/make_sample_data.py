@@ -19,7 +19,6 @@ def main() -> None:
     sample = Dataset(
         X=d.X[keep],
         y=d.y[keep],
-        feature_names=d.feature_names,
         patient_ids=[f"P{i + 1:03d}" for i in range(len(keep))],
     )
     out = Path(__file__).resolve().parents[1] / "data" / "sample_lung_cancer.csv"

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .core import RngStream, derive_stream, json_value, worker_count
 from .dataset import (
-    LABEL_VALUES, ORDINAL_HIGH, ORDINAL_LOW, Dataset, SyntheticConfig, csv_text,
+    FEATURE_NAMES, LABEL_VALUES, ORDINAL_HIGH, ORDINAL_LOW, Dataset, SyntheticConfig, csv_text,
     iter_csv_blocks, load_csv, synth_generate,
 )
 from .eval import (
@@ -42,9 +42,9 @@ from .models.base import ModelSpec, model_from_doc, model_to_doc
 from .preprocess import (
     PreprocessConfig,
     Preprocessor,
+    choose_pairs,
     correlation_to_csv,
     correlation_to_json,
-    engineer_features,
     pearson_matrix,
     run_pipeline,
     smote,  # noqa: F401 - bound here so benchmark tracing can patch it under this name too
@@ -231,15 +231,12 @@ def _write_metrics_artifacts(writer: ArtifactWriter, counts, report, title: str)
 
 def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
     d = _load_dataset(cfg)
-    report = pearson_matrix(d.X, d.feature_names)
-    _, report = engineer_features(
-        d.X, report, cfg.preprocess.corr_hi, cfg.preprocess.corr_lo
-    )
+    report = choose_pairs(pearson_matrix(d.X, FEATURE_NAMES), cfg.preprocess.corr_hi, cfg.preprocess.corr_lo)
     writer.write_text("correlation.csv", correlation_to_csv(report))
     writer.write_json("correlation.json", correlation_to_json(report))
 
     rows = []
-    for j, name in enumerate(d.feature_names):
+    for j, name in enumerate(FEATURE_NAMES):
         col = d.X[:, j]
         if name == "Age":
             lo, hi = float(col.min()), float(col.max())

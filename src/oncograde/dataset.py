@@ -58,11 +58,10 @@ N_CLASSES = 3
 
 @dataclass
 class Dataset:
-    """Feature matrix plus integer labels in {0,1,2}, with optional patient ids."""
+    """Feature matrix in the schema's FEATURE_NAMES columns plus labels in {0,1,2}, with optional patient ids."""
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: list[str]
     patient_ids: list[str] | None = None
 
     def __post_init__(self):
@@ -70,8 +69,8 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=np.int64)
         if self.X.shape[0] != self.y.shape[0]:
             raise ValueError("row count mismatch between X and y")
-        if self.X.shape[1] != len(self.feature_names):
-            raise ValueError("column count mismatch between X and feature_names")
+        if self.X.shape[1] != len(FEATURE_NAMES):
+            raise ValueError(f"column count mismatch: X has {self.X.shape[1]} columns, the schema {len(FEATURE_NAMES)}")
         if self.y.size and (self.y.min() < 0 or self.y.max() >= N_CLASSES):
             raise ValueError("labels must lie in {0,1,2}")
 
@@ -163,8 +162,7 @@ def synth_generate(n: int, seed: int, class_proportions=(1 / 3, 1 / 3, 1 / 3)) -
     props = SyntheticConfig(n, [float(p) for p in class_proportions]).class_proportions
     counts = largest_remainder_counts(n, props)
     stream = RngStream(seed)
-    names = list(FEATURE_NAMES)
-    base, slope, load, sigma = np.array([_ORDINAL_RECIPE[name] for name in names[2:]]).T
+    base, slope, load, sigma = np.array([_ORDINAL_RECIPE[name] for name in FEATURE_NAMES[2:]]).T
     # per row: age and gender uniforms, then a Box-Muller pair per normal
     width = 2 + 2 * _NORMALS_PER_ROW
     blocks = []
@@ -174,7 +172,7 @@ def synth_generate(n: int, seed: int, class_proportions=(1 / 3, 1 / 3, 1 / 3)) -
         draws = stream.uniforms(n_cls * width).reshape(n_cls, width)
         normal = box_muller(draws[:, 2:].reshape(n_cls, _NORMALS_PER_ROW, 2))
         severity = _SEVERITY_SD * normal[:, :1]
-        block = np.empty((n_cls, len(names)), dtype=np.float64)
+        block = np.empty((n_cls, len(FEATURE_NAMES)), dtype=np.float64)
         block[:, 0] = np.round(age_lo + draws[:, 0] * (age_hi - age_lo))
         block[:, 1] = np.where(draws[:, 1] < 0.6, 1.0, 2.0)
         v = base + slope * cls + load * severity + sigma * normal[:, 1:]
@@ -183,7 +181,7 @@ def synth_generate(n: int, seed: int, class_proportions=(1 / 3, 1 / 3, 1 / 3)) -
     X = np.vstack(blocks)
     y = np.repeat(np.arange(N_CLASSES, dtype=np.int64), counts)
 
-    return Dataset(X=X, y=y, feature_names=names)
+    return Dataset(X=X, y=y)
 
 
 # --- CSV I/O ---------------------------------------------------------------
@@ -249,7 +247,7 @@ def load_csv(path) -> Dataset:
     """The blocks of :func:`iter_csv_blocks` as one dataset."""
     Xs, ys, ids = zip(*iter_csv_blocks(path))
     ids = None if ids[0] is None else [i for block in ids for i in block]
-    return Dataset(np.concatenate(Xs), np.concatenate(ys), list(FEATURE_NAMES), ids)
+    return Dataset(np.concatenate(Xs), np.concatenate(ys), ids)
 
 
 def _parse_columns(data_rows, feature_idx, label_idx, id_idx):
@@ -299,7 +297,7 @@ def save_csv(d: Dataset, path) -> None:
     """Write a dataset back out in the schema's CSV layout."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = list(d.feature_names) + [LABEL_NAME]
+        header = list(FEATURE_NAMES) + [LABEL_NAME]
         if d.patient_ids is not None:
             header = [ID_NAME] + header
         writer.writerow(header)

@@ -175,10 +175,8 @@ class ModelSpec:
         if self.name in _SVM_KERNEL_OF:
             return train_svm_ovr(X, y, svm_kernel_for(self.name, hp, X), C=hp.C)
         if self.name == "bagging":
-            base_spec = {"max_depth": hp.max_depth, "min_child_weight": hp.min_child_weight}
-            return train_bagging(X, y, base_spec, hp.n_estimators, stream)
-        members = [ModelSpec("dnn", hp), ModelSpec("svm_rbf", hp), ModelSpec("bagging", hp)]
-        return train_voting(members, hp.voting_mode, X, y, stream, Xval, yval)
+            return train_bagging(X, y, hp, stream)
+        return train_voting(X, y, hp, stream, Xval, yval)
 
 
 def svm_kernel_for(name: str, hp: Hyperparams, X) -> KernelSpec:

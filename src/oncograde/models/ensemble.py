@@ -1,7 +1,9 @@
 """Bagging and voting ensembles over the base model families.
 
-Every member gets its own derived sub-stream, so ensembles come out
-bit-identical whether members train sequentially or across threads.
+Every member gets its own derived sub-stream. Bagging maps its groups of
+trees through ``parallel_map``; voting trains its three members (dnn,
+svm_rbf, bagging) one after another. So either ensemble comes out
+bit-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from ..core import RngStream, json_value, parallel_map
 from ..dataset import N_CLASSES
-from .base import Hyperparams, TrainedModel, model_from_doc, model_to_doc
+from .base import Hyperparams, ModelSpec, TrainedModel, model_from_doc, model_to_doc
 from .tree import block_groups, train_trees
 
 
@@ -39,8 +41,8 @@ class BaggingModel(TrainedModel):
         return cls(members=_members(params))
 
 
-def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -> BaggingModel:
-    """Train ``n_estimators`` trees on bootstrap resamples.
+def train_bagging(X, y, hp: Hyperparams, stream: RngStream) -> BaggingModel:
+    """Train ``hp.n_estimators`` trees of ``hp.max_depth`` and ``hp.min_child_weight`` on bootstrap resamples.
 
     Each member trains on the distinct rows of its resample, weighted by
     how often each was drawn, which grows the same tree as training on the
@@ -50,12 +52,11 @@ def train_bagging(X, y, base_spec: dict, n_estimators: int, stream: RngStream) -
     The members are grown in the groups ``block_groups`` sizes, each group
     together.
     """
-    Hyperparams(n_estimators=n_estimators)
     n, m = X.shape
-    resamples = [np.unique(stream.derive(i).randints(n, n), return_counts=True) for i in range(n_estimators)]
+    resamples = [np.unique(stream.derive(i).randints(n, n), return_counts=True) for i in range(hp.n_estimators)]
 
     def train_group(group: list) -> list:
-        return train_trees(X, y, group, base_spec["max_depth"], base_spec["min_child_weight"])
+        return train_trees(X, y, group, hp.max_depth, hp.min_child_weight)
 
     members = [tree for trees in parallel_map(train_group, block_groups(resamples, m)) for tree in trees]
     return BaggingModel(members=members)
@@ -68,14 +69,9 @@ class VotingModel(TrainedModel):
     mode: str
 
     def predict_proba(self, X) -> np.ndarray:
-        if self.mode == "soft":
-            return np.mean([m.predict_proba(X) for m in self.members], axis=0)
-        # hard: vote fractions; argmax then matches majority with low-index ties
-        votes = np.zeros((X.shape[0], N_CLASSES))
-        for m in self.members:
-            pred = m.predict(X)
-            votes[np.arange(X.shape[0]), pred] += 1.0
-        return votes / len(self.members)
+        # hard: vote fractions, the mean of one-hot votes; argmax then matches majority with low-index ties
+        votes = [m.predict_proba(X) if self.mode == "soft" else np.eye(N_CLASSES)[m.predict(X)] for m in self.members]
+        return np.mean(votes, axis=0)
 
     def to_params(self) -> dict:
         return {"mode": self.mode, "members": [model_to_doc(m) for m in self.members]}
@@ -85,15 +81,9 @@ class VotingModel(TrainedModel):
         return cls(mode=json_value(("hard", "soft"), params["mode"], "voting.mode"), members=_members(params))
 
 
-def train_voting(member_specs: list, mode: str, X, y, stream: RngStream, Xval, yval) -> VotingModel:
-    """Train each member spec independently on the same training and validation rows."""
-    if not member_specs:
-        raise ValueError("voting requires at least one member")
-    Hyperparams(voting_mode=mode)
-
-    def train_member(args):
-        index, spec = args
-        return spec.train(X, y, stream.derive(index), Xval, yval)
-
-    members = parallel_map(train_member, list(enumerate(member_specs)))
-    return VotingModel(members=members, mode=mode)
+def train_voting(X, y, hp: Hyperparams, stream: RngStream, Xval, yval) -> VotingModel:
+    """Train dnn, svm_rbf and bagging on the same training and validation rows, in that order,
+    member ``i`` on ``stream.derive(i)``."""
+    names = ("dnn", "svm_rbf", "bagging")
+    members = [ModelSpec(name, hp).train(X, y, stream.derive(i), Xval, yval) for i, name in enumerate(names)]
+    return VotingModel(members=members, mode=hp.voting_mode)

@@ -140,24 +140,33 @@ def append_pair_means(X, pairs) -> np.ndarray:
     return out
 
 
+def choose_pairs(report: CorrelationReport, hi: float, lo: float) -> CorrelationReport:
+    """The report with the column pairs to engineer and the pairs to flag.
+
+    Every original pair (i < j) with r > hi is engineered, in (i, j) order.
+    Pairs with r < lo (and not r > hi) are flagged, but nothing is dropped.
+    """
+    m = report.matrix.shape[0]
+    pairs = np.column_stack(np.triu_indices(m, 1))
+    r = report.matrix[pairs[:, 0], pairs[:, 1]]
+    above = r > hi
+    flagged = pairs[~above & (r < lo)]  # a pair above hi is never flagged, even when lo > hi
+    return replace(report, engineered_pairs=pairs[above], flagged_pairs=flagged, hi_threshold=hi, lo_threshold=lo)
+
+
 def engineer_features(X, report: CorrelationReport, hi: float, lo: float):
     """Combine strongly correlated column pairs into new mean columns.
 
-    For every original pair (i < j) with r > hi, a mean column is appended,
-    in (i, j) order. Pairs with r < lo (and not r > hi) are recorded as
-    flagged but nothing is dropped. Engineered columns never seed further
-    engineering.
+    A mean column is appended for every pair :func:`choose_pairs`
+    engineers, and the chosen report is returned beside the matrix.
+    Engineered columns never seed further engineering.
     """
     m = report.matrix.shape[0]
     if X.shape[1] != m:
         raise ValueError(
             f"shape mismatch: matrix has {X.shape[1]} columns, report covers {m}"
         )
-    pairs = np.column_stack(np.triu_indices(m, 1))
-    r = report.matrix[pairs[:, 0], pairs[:, 1]]
-    above = r > hi
-    flagged = pairs[~above & (r < lo)]  # a pair above hi is never flagged, even when lo > hi
-    out = replace(report, engineered_pairs=pairs[above], flagged_pairs=flagged, hi_threshold=hi, lo_threshold=lo)
+    out = choose_pairs(report, hi, lo)
     return append_pair_means(X, out.engineered_pairs), out
 
 

@@ -1022,7 +1022,7 @@ MALFORMED_MODEL_FILES = {
         lambda doc: with_keys(doc, "pipeline", "corr_lo", [-0.4]),
         ": pipeline.corr_lo must be a number, got [-0.4]",
     ),
-    # a mode train_voting would refuse; read as-is, it would score hard voting
+    # a mode Hyperparams would refuse; read as-is, it would score hard voting
     "voting_mode_capitalised": (
         lambda doc: with_keys(doc, "model", "params", "mode", "Soft"),
         ': voting.mode must be "hard" or "soft", got "Soft"',

@@ -8,7 +8,8 @@ from oncograde.cli import main
 from oncograde.core import RngStream, derive_stream
 from oncograde.dataset import synth_generate
 from oncograde.models.base import Hyperparams, ModelSpec
-from oncograde.models.ensemble import BaggingModel, VotingModel, train_bagging, train_voting
+from oncograde.models import ensemble
+from oncograde.models.ensemble import BaggingModel, VotingModel, train_bagging
 from oncograde.models.tree import TreeModel, train_tree
 
 
@@ -34,15 +35,13 @@ class TestBagging:
     def test_single_class_bootstrap_becomes_constant(self):
         X = np.random.default_rng(0).normal(size=(6, 2))
         y = np.zeros(6, dtype=int)
-        bag = train_bagging(X, y, {"max_depth": 3, "min_child_weight": 1.0}, 4, RngStream(1))
+        bag = train_bagging(X, y, Hyperparams(max_depth=3, n_estimators=4), RngStream(1))
         assert (bag.predict(X) == 0).all()
 
     def test_bagging_at_least_single_tree_minus_margin(self):
         d = synth_generate(400, 5)
         test = synth_generate(300, 6)
-        bag = train_bagging(
-            d.X, d.y, {"max_depth": 8, "min_child_weight": 1.0}, 25, RngStream(5)
-        )
+        bag = train_bagging(d.X, d.y, Hyperparams(max_depth=8, n_estimators=25), RngStream(5))
         tree = train_tree(d.X, d.y, max_depth=8, min_child_weight=1.0)
         bag_acc = (bag.predict(test.X) == test.y).mean()
         tree_acc = (tree.predict(test.X) == test.y).mean()
@@ -53,13 +52,9 @@ class TestBagging:
         results = []
         for threads in ("0", "8"):
             monkeypatch.setenv("ONCOGRADE_THREADS", threads)
-            bag = train_bagging(d.X, d.y, {"max_depth": 4, "min_child_weight": 1.0}, 8, RngStream(3))
+            bag = train_bagging(d.X, d.y, Hyperparams(max_depth=4, n_estimators=8), RngStream(3))
             results.append(bag.predict_proba(d.X))
         assert np.array_equal(results[0], results[1])
-
-    def test_bad_estimator_count(self):
-        with pytest.raises(ValueError, match="n_estimators"):
-            train_bagging(np.zeros((3, 1)), np.array([0, 1, 2]), {}, 0, RngStream(0))
 
 
 class TestTreeEnsembleBytes:
@@ -129,16 +124,6 @@ class TestVoting:
         P = model.predict_proba(np.zeros((1, 2)))
         assert P[0] == pytest.approx([1 / 3, 2 / 3, 0.0])
 
-    def test_empty_members_error(self):
-        X, y = np.zeros((3, 2)), np.array([0, 1, 2])
-        with pytest.raises(ValueError, match="at least one member"):
-            train_voting([], "hard", X, y, RngStream(0), X, y)
-
-    def test_bad_mode_error(self):
-        X, y = np.zeros((3, 2)), np.array([0, 1, 2])
-        with pytest.raises(ValueError, match="mode"):
-            train_voting([ModelSpec("bagging")], "plurality", X, y, RngStream(0), X, y)
-
     def test_trains_default_members(self, small_prepared):
         prep = small_prepared
         hp = Hyperparams(epochs=15, n_estimators=5, max_depth=4)
@@ -148,6 +133,25 @@ class TestVoting:
         assert len(model.members) == 3
         acc = (model.predict(prep.X_test) == prep.y_test).mean()
         assert acc > 0.5
+
+    def test_members_train_in_order_outside_the_pool(self, tmp_path, monkeypatch):
+        # the one mapped call is bagging's group map; the members train one after another
+        calls = []
+        original = ensemble.parallel_map
+        monkeypatch.setattr(ensemble, "parallel_map", lambda fn, items: calls.append(len(items)) or original(fn, items))
+        cfg = tmp_path / "cfg.json"
+        model = {"name": "voting", "hyperparams": {"epochs": 3, "n_estimators": 3, "max_depth": 3}}
+        cfg.write_text(json.dumps({"seed": 4, "data": {"synthetic": {"n": 90}}, "model": model}))
+        written = []
+        for threads in ("0", "2"):
+            monkeypatch.setenv("ONCOGRADE_THREADS", threads)
+            calls.clear()
+            assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / threads)]) == 0
+            assert len(calls) == 1
+            written.append((tmp_path / threads / "model.json").read_bytes())
+        assert written[0] == written[1]
+        members = json.loads(written[0])["model"]["params"]["members"]
+        assert [m["family"] for m in members] == ["mlp", "svm_ovr", "bagging"]
 
     def test_voting_deterministic(self, small_prepared):
         prep = small_prepared

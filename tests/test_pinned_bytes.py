@@ -15,7 +15,7 @@ import pytest
 
 from oncograde.cli import main
 from oncograde.core import RngStream, derive_stream, shuffle
-from oncograde.dataset import load_csv, save_csv, synth_generate
+from oncograde.dataset import FEATURE_NAMES, load_csv, save_csv, synth_generate
 from oncograde.models.mlp import init_params
 from oncograde.preprocess import (
     PreprocessConfig,
@@ -42,7 +42,7 @@ def paper_order_matrix(n: int, seed: int):
     """The scaled, engineered matrix that paper-order SMOTE runs on."""
     d = synth_generate(n, seed, PAPER_PROPORTIONS)
     X = apply_minmax(d.X, fit_minmax(d.X))
-    X, _ = engineer_features(X, pearson_matrix(X, d.feature_names), 0.5, -0.4)
+    X, _ = engineer_features(X, pearson_matrix(X, FEATURE_NAMES), 0.5, -0.4)
     return X, d.y
 
 

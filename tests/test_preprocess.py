@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import oncograde.preprocess as preprocess
 from oncograde.core import RngStream, derive_stream
-from oncograde.dataset import synth_generate
+from oncograde.dataset import FEATURE_NAMES, synth_generate
 from oncograde.preprocess import (
     PIPELINE_ORDERS,
     CorrelationReport,
@@ -365,7 +365,7 @@ class TestNearestNeighbours:
         # on how the product is split over threads
         d = synth_generate(3000, 61, (0.303, 0.332, 0.365))
         X = apply_minmax(d.X, fit_minmax(d.X))
-        X, _ = engineer_features(X, pearson_matrix(X, d.feature_names), 0.5, -0.4)
+        X, _ = engineer_features(X, pearson_matrix(X, FEATURE_NAMES), 0.5, -0.4)
         X = X[d.y == 1]
         np.save(tmp_path / "X.npy", X)
         code = (
@@ -431,7 +431,7 @@ class TestRunPipeline:
         assert prep.X_test.shape[0] == 219
         assert prep.preprocessor.settings.order == "paper_order"
         p = prep.preprocessor
-        assert len(d.feature_names) + len(p.pairs) == prep.X_train.shape[1]
+        assert len(FEATURE_NAMES) + len(p.pairs) == prep.X_train.shape[1]
 
     def test_leak_safe_no_synthetic_test_rows(self):
         d = synth_generate(300, 8, (0.2, 0.3, 0.5))

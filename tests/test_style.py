@@ -57,3 +57,23 @@ def test_module_level_imports_name_only_the_pinned_modules():
         and name not in MODULE_LEVEL_IMPORTS
     ]
     assert not imports, "\n".join(imports)
+
+
+def _names_read(function) -> set:
+    """Every name the body of ``function`` reads, nested functions and lambdas included."""
+    return {
+        n.id for stmt in function.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+
+
+def test_every_parameter_is_read_in_its_function():
+    # a parameter a refactor leaves behind still has to be passed by every caller
+    unread = [
+        f"{path.relative_to(SRC)}:{node.lineno}: {node.name}({arg.arg})"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (*node.args.posonlyargs, *node.args.args, node.args.vararg, *node.args.kwonlyargs, node.args.kwarg)
+        if arg is not None and arg.arg not in ("self", "cls") and arg.arg not in _names_read(node)
+    ]
+    assert not unread, "\n".join(unread)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oncograde.core import RngStream, derive_stream
 from oncograde.dataset import N_CLASSES, synth_generate
 from oncograde.models import tree
-from oncograde.models.base import model_from_doc, model_to_doc
+from oncograde.models.base import Hyperparams, model_from_doc, model_to_doc
 from oncograde.models.ensemble import BaggingModel, train_bagging
 from oncograde.models.tree import TreeModel, train_tree, train_trees
 from oncograde.preprocess import PreprocessConfig, run_pipeline
@@ -228,11 +228,12 @@ class TestPresortedFit:
         d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
         prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
         X, y = prep.X_train, prep.y_train
-        spec, peaks, models = {"max_depth": 8, "min_child_weight": 1.0}, [], []
+        peaks, models = [], []
         for n_estimators in (5, 40):
+            hp = Hyperparams(max_depth=8, n_estimators=n_estimators)
             tracemalloc.start()
             try:
-                models.append(train_bagging(X, y, spec, n_estimators, RngStream(8)))
+                models.append(train_bagging(X, y, hp, RngStream(8)))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
