@@ -56,6 +56,11 @@ class TestBagging:
             results.append(bag.predict_proba(d.X))
         assert np.array_equal(results[0], results[1])
 
+    def test_bad_estimator_count(self):
+        # refused where the spec is built, before train_bagging reads it
+        with pytest.raises(ValueError, match="n_estimators"):
+            ModelSpec("bagging").with_hyperparams(n_estimators=0)
+
 
 class TestTreeEnsembleBytes:
     """Artifact bytes of a small bagging run, pinned so CART output cannot drift.
@@ -123,6 +128,11 @@ class TestVoting:
         )
         P = model.predict_proba(np.zeros((1, 2)))
         assert P[0] == pytest.approx([1 / 3, 2 / 3, 0.0])
+
+    def test_bad_mode_error(self):
+        # refused where the spec is built, before train_voting reads it
+        with pytest.raises(ValueError, match="mode"):
+            ModelSpec("voting").with_hyperparams(voting_mode="plurality")
 
     def test_trains_default_members(self, small_prepared):
         prep = small_prepared
