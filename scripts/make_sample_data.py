@@ -16,11 +16,7 @@ def main() -> None:
     keep = []
     for cls in range(3):
         keep.extend(int(i) for i in np.where(d.y == cls)[0][:4])
-    sample = Dataset(
-        X=d.X[keep],
-        y=d.y[keep],
-        patient_ids=[f"P{i + 1:03d}" for i in range(len(keep))],
-    )
+    sample = Dataset(X=d.X[keep], y=d.y[keep])
     out = Path(__file__).resolve().parents[1] / "data" / "sample_lung_cancer.csv"
     out.parent.mkdir(exist_ok=True)
     save_csv(sample, out)

@@ -38,7 +38,7 @@ from .eval import (
     sweep,
     sweep_to_csv,
 )
-from .models.base import ModelSpec, model_from_doc, model_to_doc
+from .models.base import SWEEP_AXES_READ, ModelSpec, model_from_doc, model_to_doc
 from .preprocess import (
     PreprocessConfig,
     Preprocessor,
@@ -301,11 +301,11 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
         title = f"Confusion matrix: {json_value(str, wrapper.get('model_name', 'model'), 'model_name')}"
     except KeyError as exc:
         raise ConfigError(f"model file {path} is missing key {exc}") from None
-    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"model file {path}: {exc}") from None
 
     blocks = iter_csv_blocks(cfg.data.csv_path)  # scored as read, so memory stays bounded
-    cm = sum(confusion(y, model.predict(prep.transform(X))) for X, y, _ in blocks)
+    cm = sum(confusion(y, model.predict(prep.transform(X))) for X, y in blocks)
     _write_metrics_artifacts(writer, cm, metrics(cm), title)
 
 
@@ -326,6 +326,8 @@ def cmd_curve(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> None:
+    if not SWEEP_AXES_READ[cfg.model.name]:  # every cell would be one model, scored once
+        raise ConfigError(f"sweep: {cfg.model.name} reads neither sweep axis, learning_rate nor min_child_weight")
     X, y = _balanced_dataset(cfg)
     result = sweep(X, y, cfg.model, cfg.eval, derive_stream(cfg.seed, 3))
     writer.write_text("sweep.csv", sweep_to_csv(result))

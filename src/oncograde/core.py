@@ -168,10 +168,10 @@ def json_array(tp: type, value, refusal: str) -> np.ndarray:
     Each entry follows :func:`json_value`'s rule for a ``tp`` within the
     float range: strings, ``true``/``false``, ``null`` and ragged lists are
     refused, and so are non-finite values and, for ``int``, fractions
-    (``2.0`` reads as 2) and values past int64. A refused entry raises
-    ``ValueError(refusal.format(i, value[i]))``, ``i`` being its index
-    along the first axis (0 and ``value`` itself for a scalar). One type
-    scan and one conversion read the whole array.
+    (``2.0`` reads as 2) and values past int64; an integer reads exactly.
+    A refused entry raises ``ValueError(refusal.format(i, value[i]))``,
+    ``i`` being its index along the first axis (0 and ``value`` itself for
+    a scalar). One type scan and one conversion read the whole array.
     """
     cells = np.asarray(value, dtype=object)
     flat = cells.ravel()
@@ -183,8 +183,10 @@ def json_array(tp: type, value, refusal: str) -> np.ndarray:
         ok = np.array([_SCALARS[float][2](v) and _SCALARS[tp][2](v) for v in flat.tolist()], dtype=bool)
     else:
         ok = np.isfinite(out)
-        if tp is int:
-            ok &= (out == np.trunc(out)) & (np.abs(out) < 2.0**63)
+        if tp is int:  # float64 holds each integer below 2**53 exactly; a larger entry is read as the int it is
+            big = ok & (np.abs(out) >= 2.0**53)
+            ok &= out == np.trunc(out)
+            ok[big] = [abs(int(v)) < 2**63 for v in flat[big]]
     if not ok.all():
         bad = int(np.argmin(ok))
         i = int(np.unravel_index(bad, cells.shape)[0]) if cells.ndim else 0
@@ -193,7 +195,10 @@ def json_array(tp: type, value, refusal: str) -> np.ndarray:
             common = max(set(shapes), key=shapes.count)
             i = next((k for k, shape in enumerate(shapes) if shape != common), i)
         raise ValueError(refusal.format(i, value[i] if cells.ndim else value))
-    return (out.astype(np.int64) if tp is int else out).reshape(cells.shape)
+    if tp is int:
+        out = np.where(big, 0, out).astype(np.int64)
+        out[big] = [int(v) for v in flat[big]]
+    return out.reshape(cells.shape)
 
 
 def worker_count() -> int:

@@ -1,8 +1,9 @@
 """Dataset schema, CSV loading, and the seeded synthetic generator.
 
 The schema is a 23-feature tabular layout for lung-cancer risk records
-with a three-level target (Low=0, Medium=1, High=2). A "Patient Id"
-column is carried as metadata only; it never feeds a model.
+with a three-level target (Low=0, Medium=1, High=2). A dataset is those
+features and that level; any other CSV column, a Patient Id included, is
+ignored.
 
 Real data is not bundled; :func:`synth_generate` produces a deterministic
 stand-in with class-monotone risk features so the whole suite runs
@@ -52,17 +53,15 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 LABEL_NAME = "Level"
 LABEL_VALUES: tuple[str, str, str] = ("Low", "Medium", "High")
-ID_NAME = "Patient Id"
 N_CLASSES = 3
 
 
 @dataclass
 class Dataset:
-    """Feature matrix in the schema's FEATURE_NAMES columns plus labels in {0,1,2}, with optional patient ids."""
+    """Feature matrix in the schema's FEATURE_NAMES columns plus labels in {0,1,2}."""
 
     X: np.ndarray
     y: np.ndarray
-    patient_ids: list[str] | None = None
 
     def __post_init__(self):
         self.X = as_matrix(self.X)
@@ -206,15 +205,15 @@ def _parse_label(token: str) -> int:
 
 
 def iter_csv_blocks(path):
-    """Yield ``(X, y, patient_ids)`` for up to ``_BLOCK_ROWS`` data rows at a
-    time, matching columns to the schema by header name.
+    """Yield ``(X, y)`` for up to ``_BLOCK_ROWS`` data rows at a time,
+    matching columns to the schema by header name.
 
     Matching is case-insensitive with surrounding whitespace trimmed;
     column order in the file does not matter. Numeric labels 1/2/3 are
-    accepted as Low/Medium/High. Extra columns are ignored. Blank lines
-    are skipped, and row numbers in messages count data rows across blocks.
-    A leading UTF-8 byte-order mark, which Excel's "CSV UTF-8" writes, is
-    skipped.
+    accepted as Low/Medium/High. Any other column, a Patient Id included,
+    is ignored. Blank lines are skipped, and row numbers in messages count
+    data rows across blocks. A leading UTF-8 byte-order mark, which Excel's
+    "CSV UTF-8" writes, is skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = filter(None, csv.reader(fh))
@@ -227,16 +226,15 @@ def iter_csv_blocks(path):
                 raise ValueError(f"missing column: {name}")
         feature_idx = [col_of[_norm(name)] for name in FEATURE_NAMES]
         label_idx = col_of[_norm(LABEL_NAME)]
-        id_idx = col_of.get(_norm(ID_NAME))
 
         done = 0
         while block := list(islice(rows, _BLOCK_ROWS)):
             try:
-                parsed = _parse_columns(block, feature_idx, label_idx, id_idx)
+                parsed = _parse_columns(block, feature_idx, label_idx)
             except (ValueError, IndexError):
                 # a bad cell, or one that plain ``float`` rejects but
                 # ``float(cell.strip())`` accepts
-                parsed = _parse_rows(block, done, feature_idx, label_idx, id_idx)
+                parsed = _parse_rows(block, done, feature_idx, label_idx)
             yield parsed
             done += len(block)
     if not done:
@@ -245,12 +243,11 @@ def iter_csv_blocks(path):
 
 def load_csv(path) -> Dataset:
     """The blocks of :func:`iter_csv_blocks` as one dataset."""
-    Xs, ys, ids = zip(*iter_csv_blocks(path))
-    ids = None if ids[0] is None else [i for block in ids for i in block]
-    return Dataset(np.concatenate(Xs), np.concatenate(ys), ids)
+    Xs, ys = zip(*iter_csv_blocks(path))
+    return Dataset(np.concatenate(Xs), np.concatenate(ys))
 
 
-def _parse_columns(data_rows, feature_idx, label_idx, id_idx):
+def _parse_columns(data_rows, feature_idx, label_idx):
     """Convert one column at a time; label tokens are parsed once each."""
     n = len(data_rows)
     X = np.empty((n, len(FEATURE_NAMES)), dtype=np.float64)
@@ -259,11 +256,10 @@ def _parse_columns(data_rows, feature_idx, label_idx, id_idx):
     tokens = list(map(itemgetter(label_idx), data_rows))
     label_of = {t: _parse_label(t) for t in set(tokens)}
     y = np.fromiter(map(label_of.__getitem__, tokens), np.int64, n)
-    ids = None if id_idx is None else [row[id_idx].strip() for row in data_rows]
-    return X, y, ids
+    return X, y
 
 
-def _parse_rows(data_rows, done, feature_idx, label_idx, id_idx):
+def _parse_rows(data_rows, done, feature_idx, label_idx):
     """Raise the error for the first bad cell in row-major order, else parse
     the trimmed cells; ``done`` data rows precede ``data_rows`` in the file."""
     for r, row in enumerate(data_rows, done + 1):
@@ -272,21 +268,12 @@ def _parse_rows(data_rows, done, feature_idx, label_idx, id_idx):
             try:
                 float(cell)
             except ValueError:
-                raise ValueError(
-                    f"non-numeric value {cell!r} at row {r}, "
-                    f"column {FEATURE_NAMES[j]!r}"
-                ) from None
-        _parse_label(_cell(row, r, label_idx, LABEL_NAME))
-        if id_idx is not None:
-            _cell(row, r, id_idx, ID_NAME)
+                raise ValueError(f"non-numeric value {cell!r} at row {r}, column {FEATURE_NAMES[j]!r}") from None
+        if label_idx >= len(row):
+            raise ValueError(f"row {r} is too short to hold column {LABEL_NAME!r}")
+        _parse_label(row[label_idx])
     trimmed = [[cell.strip() for cell in row] for row in data_rows]
-    return _parse_columns(trimmed, feature_idx, label_idx, id_idx)
-
-
-def _cell(row, r: int, ci: int, name: str) -> str:
-    if ci >= len(row):
-        raise ValueError(f"row {r} is too short to hold column {name!r}")
-    return row[ci]
+    return _parse_columns(trimmed, feature_idx, label_idx)
 
 
 def _fmt_cell(v: float) -> str:
@@ -297,16 +284,8 @@ def save_csv(d: Dataset, path) -> None:
     """Write a dataset back out in the schema's CSV layout."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = list(FEATURE_NAMES) + [LABEL_NAME]
-        if d.patient_ids is not None:
-            header = [ID_NAME] + header
-        writer.writerow(header)
-        for i in range(d.n_rows):
-            row = [_fmt_cell(v) for v in d.X[i]]
-            row.append(LABEL_VALUES[d.y[i]])
-            if d.patient_ids is not None:
-                row = [d.patient_ids[i]] + row
-            writer.writerow(row)
+        writer.writerow([*FEATURE_NAMES, LABEL_NAME])
+        writer.writerows([*map(_fmt_cell, x), LABEL_VALUES[label]] for x, label in zip(d.X, d.y))
 
 
 def _text_cell(v) -> str:

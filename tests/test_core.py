@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oncograde.core import (
@@ -245,6 +245,7 @@ class TestJsonArray:
             (float, [float("-inf")], "0: -inf"),
             (int, [0.9, 5], "0: 0.9"),
             (int, [2**63], f"0: {2**63}"),
+            (int, [0, -(2**63)], f"1: {-(2**63)}"),
         ],
     )
     def test_refuses_with_the_index_and_entry(self, tp, value, message):
@@ -252,7 +253,14 @@ class TestJsonArray:
             json_array(tp, value, "{0}: {1!r}")
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("value", [2**53 + 1, 2**63 - 1, -(2**63) + 1])
+    def test_reads_an_integer_past_2_to_the_53_exactly(self, value):
+        got = json_array(int, [[1, value], [2.0, 3]], "{0}")
+        assert got.dtype == np.int64 and got.tolist() == [[1, value], [2, 3]]
+
     @given(st.lists(json_scalars, max_size=6), st.sampled_from([int, float]))
+    @example([2**53 + 1], int)
+    @example([2**63 - 1], int)
     def test_follows_the_config_scalar_rule(self, values, tp):
         def follows(v):
             # the config rule, within the float range and, for an index, within int64

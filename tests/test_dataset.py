@@ -128,13 +128,6 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="row 2 is too short to hold column 'Level'"):
             load_csv(p)
 
-    def test_row_too_short_for_patient_id_names_row_and_column(self, tmp_path):
-        p = tmp_path / "d.csv"
-        header = list(FEATURE_NAMES) + ["Level", "Patient Id"]
-        _write_csv(p, header, [_full_row() + ["Low", "P1"], _full_row() + ["High"]])
-        with pytest.raises(ValueError, match="row 2 is too short to hold column 'Patient Id'"):
-            load_csv(p)
-
     def test_short_row_through_cli_exits_with_its_message(self, tmp_path, capsys):
         from oncograde.cli import main
 
@@ -200,12 +193,15 @@ class TestLoadCsv:
             load_csv(p)
 
     def test_patient_id_is_metadata_only(self, tmp_path):
-        p = tmp_path / "d.csv"
-        header = ["Patient Id"] + list(FEATURE_NAMES) + ["Level"]
-        _write_csv(p, header, [["P7"] + _full_row() + ["Low"]])
-        d = load_csv(p)
-        assert d.patient_ids == ["P7"]
-        assert d.X.shape == (1, 23)
+        plain, with_ids = tmp_path / "plain.csv", tmp_path / "ids.csv"
+        rows = [_full_row() + ["Low"], list(reversed(_full_row())) + ["High"]]
+        _write_csv(plain, list(FEATURE_NAMES) + ["Level"], rows)
+        header = ["Patient Id"] + list(FEATURE_NAMES) + ["Level", "Patient Id"]
+        # the second row is short only of its trailing id cell
+        _write_csv(with_ids, header, [["P7"] + rows[0] + ["P7"], ["P8"] + rows[1]])
+        a, b = load_csv(plain), load_csv(with_ids)
+        assert np.array_equal(a.X, b.X)
+        assert np.array_equal(a.y, b.y)
 
     def test_roundtrip_save_load(self, tmp_path):
         d = synth_generate(60, 11)
@@ -226,17 +222,6 @@ class TestLoadCsv:
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y, b.y)
 
-    def test_roundtrip_with_patient_ids(self, tmp_path):
-        d = synth_generate(40, 12)
-        d.patient_ids = [f"P{i}" for i in range(40)]
-        d.patient_ids[3] = 'P3, "the third"'
-        p = tmp_path / "ids.csv"
-        save_csv(d, p)
-        assert p.read_text(encoding="utf-8").startswith("Patient Id,Age,")
-        d2 = load_csv(p)
-        assert d2.patient_ids == d.patient_ids
-        assert np.array_equal(d.X, d2.X)
-        assert np.array_equal(d.y, d2.y)
 
 
 class TestCsvBlocks:
@@ -247,14 +232,12 @@ class TestCsvBlocks:
     def test_three_blocks_load_as_written(self, tmp_path):
         n = 2 * _BLOCK_ROWS + 1
         d = synth_generate(n, 13)
-        d.patient_ids = [f'P{i}, "no. {i}"' for i in range(n)]
         p = tmp_path / "blocks.csv"
         save_csv(d, p)
-        assert [len(y) for _, y, _ in iter_csv_blocks(p)] == [_BLOCK_ROWS, _BLOCK_ROWS, 1]
+        assert [len(y) for _, y in iter_csv_blocks(p)] == [_BLOCK_ROWS, _BLOCK_ROWS, 1]
         d2 = load_csv(p)
         assert np.array_equal(d2.X, d.X)
         assert np.array_equal(d2.y, d.y)
-        assert d2.patient_ids == d.patient_ids
 
     def test_bad_cells_in_the_third_block_name_their_row(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -312,5 +295,4 @@ class TestSampleFile:
     def test_shipped_sample_loads(self):
         d = load_csv(SAMPLE_CSV)
         assert d.n_rows == 12
-        assert d.patient_ids is not None and len(d.patient_ids) == 12
         assert sorted(set(d.y)) == [0, 1, 2]

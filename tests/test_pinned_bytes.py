@@ -180,14 +180,13 @@ class TestPinnedDigests:
             ("dnn", "curve", "curve.csv", "ce55d9df48d759b7c14ac7810a68fed4c483a35fb26ad97c01e78409bb4b8362"),
             ("dnn", "sweep", "sweep.csv", "1cee37fcb5cf3c8e80d397df1c0a18e2e4dda751414b3cfc018b43f165ddc1bb"),
             ("dnn", "sweep", "sweep.svg", "738ed5e060206a2431d14a172b17b940797e6d10f7d8ef534ee2d8e3e079f175"),
-            ("svm_linear", "sweep", "sweep.csv", "27977ea6e90ec4ad6d0127cde84b66765707aca2fa4de1f7f89fa42c9e15fb3d"),
         ],
     )
     def test_dnn_and_svm_harness(self, tmp_path, model, command, name, digest):
-        """The harness artifacts of a small dnn run, and the sweep of an
-        svm_linear run, over the default 3 x 3 sweep grid. The digests were
-        computed when ``sweep`` trained one model for every cell of the grid."""
-        hyperparams = {"epochs": 5, "hidden_layers": [8]} if model == "dnn" else {}
+        """The harness artifacts of a small dnn run over the default 3 x 3
+        sweep grid. The digests were computed when ``sweep`` trained one
+        model for every cell of the grid."""
+        hyperparams = {"epochs": 5, "hidden_layers": [8]}
         cfg = write_json(
             tmp_path / "harness.json",
             {
@@ -200,6 +199,19 @@ class TestPinnedDigests:
         assert main([command, "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
         artifact = (tmp_path / "run" / name).read_bytes()
         assert hashlib.sha256(artifact).hexdigest() == digest
+
+    @pytest.mark.parametrize("model", ["svm_linear", "svm_rbf", "svm_poly", "svm_sigmoid"])
+    def test_svm_sweep_is_refused(self, tmp_path, capsys, model):
+        """An svm reads neither sweep axis, so its grid would be one model
+        repeated; ``sweep`` refuses it before it reads any data."""
+        data = {"csv_path": str(tmp_path / "absent.csv")}
+        cfg = write_json(tmp_path / "harness.json", {"data": data, "model": {"name": model}})
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", cfg, "--output-dir", str(out)]) == 2
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first == f"error: sweep: {model} reads neither sweep axis, learning_rate nor min_child_weight"
+        assert rest[0].startswith("usage:")
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "command,name,digest",

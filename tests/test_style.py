@@ -1,6 +1,7 @@
 """Source-wide style rules that no linter in the toolchain enforces."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -77,3 +78,48 @@ def test_every_parameter_is_read_in_its_function():
         if arg is not None and arg.arg not in ("self", "cls") and arg.arg not in _names_read(node)
     ]
     assert not unread, "\n".join(unread)
+
+
+def _names_in(tree):
+    """Every name ``tree`` mentions: read names, attribute names, imported
+    names, and each dotted part of a string constant, which is how a patch
+    table names what it wraps."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.rsplit(".", 1)[-1]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield from n.value.split(".")
+
+
+def _parts(module):
+    """The module-level functions and classes of ``module`` and the non-dunder methods of its classes."""
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                child for child in node.body
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (child.name.startswith("__") and child.name.endswith("__"))
+            )
+
+
+def test_every_part_has_a_caller():
+    # a part only tests name is code no command runs; tests do not count as callers
+    files = [
+        path for folder in ("src", "scripts", "perfbench")
+        for path in sorted((SRC.parent / folder).rglob("*.py")) if not path.name.startswith("test_")
+    ]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in files}
+    named = Counter(name for tree in trees.values() for name in _names_in(tree))
+    uncalled = [
+        f"{path.relative_to(SRC)}:{part.lineno}: {part.name}"
+        for path, tree in trees.items() if SRC in path.parents
+        for part in _parts(tree)
+        if named[part.name] == Counter(_names_in(part))[part.name]  # named only inside its own definition
+    ]
+    assert not uncalled, "\n".join(uncalled)
