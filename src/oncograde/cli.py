@@ -38,7 +38,7 @@ from .eval import (
     sweep,
     sweep_to_csv,
 )
-from .models.base import SWEEP_AXES_READ, ModelSpec, model_from_doc, model_to_doc
+from .models.base import HYPERPARAMS_READ, ModelSpec, model_from_doc, model_to_doc
 from .preprocess import (
     PreprocessConfig,
     Preprocessor,
@@ -99,17 +99,23 @@ class RunConfig:
             raise ConfigError("output_dir must name a directory, got an empty string")
 
     def to_dict(self) -> dict:
-        """The resolved config as JSON, without the unset data source and model_path."""
-        return dataclasses.asdict(
-            self, dict_factory=lambda items: {k: v for k, v in items if v is not None}
-        )
+        """The resolved config as JSON, without the unset data source, model_path or an unread hyperparameter."""
+        doc = dataclasses.asdict(self, dict_factory=lambda items: {k: v for k, v in items if v is not None})
+        doc["model"]["hyperparams"] = {k: doc["model"]["hyperparams"][k] for k in HYPERPARAMS_READ[self.model.name]}
+        return doc
 
 
 def parse_config(doc) -> RunConfig:
     try:
-        return json_value(RunConfig, doc, "")
+        cfg = json_value(RunConfig, doc, "")
     except ValueError as exc:  # a refusal of the reader or of a section type's own check
         raise ConfigError(str(exc)) from None
+    reads = HYPERPARAMS_READ[cfg.model.name]
+    for key in doc.get("model", {}).get("hyperparams", {}):
+        if key not in reads:
+            reason = f"{cfg.model.name} does not read it (it reads {', '.join(reads)})"
+            raise ConfigError(f"model.hyperparams.{key}: {reason}")
+    return cfg
 
 
 def _json_object(path: str, what: str) -> dict:
@@ -326,7 +332,8 @@ def cmd_curve(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> None:
-    if not SWEEP_AXES_READ[cfg.model.name]:  # every cell would be one model, scored once
+    # with neither axis read, every cell would be one model, scored once
+    if not {"learning_rate", "min_child_weight"}.intersection(HYPERPARAMS_READ[cfg.model.name]):
         raise ConfigError(f"sweep: {cfg.model.name} reads neither sweep axis, learning_rate nor min_child_weight")
     X, y = _balanced_dataset(cfg)
     result = sweep(X, y, cfg.model, cfg.eval, derive_stream(cfg.seed, 3))
@@ -345,14 +352,14 @@ def cmd_report(run_dirs: list[str], writer: ArtifactWriter) -> None:
         metrics_path = os.path.join(run_dir, "metrics.json")
         manifest, m = _json_object(manifest_path, "run file"), _json_object(metrics_path, "run file")
         try:
-            name = manifest.get("resolved_config", {}).get("model", {}).get("name", os.path.basename(run_dir))
-            json_value(str, name, f"run file {manifest_path}: resolved_config.model.name")
+            where = f"run file {manifest_path}: resolved_config"
+            resolved = json_value(dict, manifest.get("resolved_config", {}), where)
+            model = json_value(dict, resolved.get("model", {}), f"{where}.model")
+            name = json_value(str, model.get("name", os.path.basename(run_dir)), f"{where}.model.name")
             for key in header[1:]:
                 if key not in m:
                     raise ConfigError(f"run file {metrics_path} is missing key {key!r}")
                 json_value(float, m[key], f"run file {metrics_path}: {key}")
-        except AttributeError:
-            raise ConfigError(f"run file {manifest_path}: resolved_config.model is not a JSON object") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         rows.append([name, *(m[key] for key in header[1:])])

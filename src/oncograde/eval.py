@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import RngStream, parallel_map
 from .dataset import LABEL_VALUES, N_CLASSES, csv_text
-from .models.base import SWEEP_AXES_READ, Hyperparams
+from .models.base import HYPERPARAMS_READ, Hyperparams
 from .preprocess import round_half_up, shuffled_classes, stratified_split
 
 
@@ -32,7 +32,10 @@ class SweepConfig:
             raise ValueError("sweep axes must be non-empty")
         for lr in self.learning_rate:
             for mcw in self.min_child_weight:
-                Hyperparams(learning_rate=lr, min_child_weight=mcw)
+                try:  # Hyperparams owns the range rule; the prefix tells a grid value from a model one
+                    Hyperparams(learning_rate=lr, min_child_weight=mcw)
+                except ValueError as exc:
+                    raise ValueError(f"eval.sweep: {exc}") from None
 
 
 @dataclass
@@ -241,13 +244,13 @@ def sweep(X, y, model_spec, settings: EvalConfig, stream: RngStream) -> SweepRes
 
     Every cell reuses the same derived sub-stream (same 80/20 split, same
     training randomness), so cells differ only through the hyperparameters.
-    An axis the model does not read (``SWEEP_AXES_READ``) is trained at its
+    An axis the model does not read (``HYPERPARAMS_READ``) is trained at its
     first value only, its scores shared by the axis's other cells, and is
     reported as inactive when it has two or more values.
     """
     lr_values, mcw_values = settings.sweep.learning_rate, settings.sweep.min_child_weight
     axes = (("learning_rate", lr_values), ("min_child_weight", mcw_values))
-    reads = SWEEP_AXES_READ[model_spec.name]
+    reads = HYPERPARAMS_READ[model_spec.name]
     lr_trained, mcw_trained = (values if name in reads else values[:1] for name, values in axes)
     cell_stream = stream.derive(0)
     split = stratified_split(y, 0.2, cell_stream)

@@ -1,6 +1,6 @@
-"""Shared model machinery: the trained-model contract, hyperparameters,
-kernels, the model-name registry used by the CLI and evaluation harness,
-and JSON serialization.
+"""Shared model machinery: the trained-model contract, hyperparameters and the
+fields each model reads, kernels, the model-name registry used by the CLI and
+evaluation harness, and JSON serialization.
 """
 
 from __future__ import annotations
@@ -14,19 +14,14 @@ from ..core import RngStream, json_value
 
 MODEL_NAMES = ("dnn", "voting", "bagging", "svm_rbf", "svm_linear", "svm_poly", "svm_sigmoid")
 
-KERNEL_KINDS = ("linear", "rbf", "polynomial", "sigmoid")
-
-_SVM_KERNEL_OF = {
-    "svm_rbf": "rbf",
-    "svm_linear": "linear",
-    "svm_poly": "polynomial",
-    "svm_sigmoid": "sigmoid",
+# each kernel kind and the KernelSpec fields it reads; an unread field keeps its default
+_KERNEL_READS = {
+    "linear": (), "rbf": ("gamma",), "polynomial": ("gamma", "degree", "coef0"), "sigmoid": ("gamma", "coef0")
 }
+_SVM_KERNEL_OF = {"svm_rbf": "rbf", "svm_linear": "linear", "svm_poly": "polynomial", "svm_sigmoid": "sigmoid"}
 
-# the sweep axes each model's training reads; `eval.sweep` trains one model per combination of them
-SWEEP_AXES_READ = dict.fromkeys(_SVM_KERNEL_OF, ()) | {
-    "dnn": ("learning_rate",), "bagging": ("min_child_weight",), "voting": ("learning_rate", "min_child_weight")
-}
+VOTING_MEMBERS = ("dnn", "svm_rbf", "bagging")
+
 
 @dataclass
 class Hyperparams:
@@ -66,6 +61,15 @@ class Hyperparams:
             raise ValueError(f"voting_mode must be 'hard' or 'soft', got {self.voting_mode!r}")
 
 
+# the Hyperparams fields each model's training reads, in field order: the only keys its run config may set
+HYPERPARAMS_READ = {name: ("C", *_KERNEL_READS[kind]) for name, kind in _SVM_KERNEL_OF.items()} | {
+    "dnn": ("learning_rate", "epochs", "batch_size", "hidden_layers"),
+    "bagging": ("min_child_weight", "max_depth", "n_estimators"),
+}
+_voting_reads = {"voting_mode"}.union(*(HYPERPARAMS_READ[name] for name in VOTING_MEMBERS))
+HYPERPARAMS_READ["voting"] = tuple(f.name for f in dataclasses.fields(Hyperparams) if f.name in _voting_reads)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str
@@ -74,8 +78,8 @@ class KernelSpec:
     coef0: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {self.kind!r}")
+        if self.kind not in _KERNEL_READS:
+            raise ValueError(f"kernel kind must be one of {tuple(_KERNEL_READS)}, got {self.kind!r}")
         if self.kind != "linear" and self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.degree < 1:
@@ -180,9 +184,10 @@ class ModelSpec:
 
 
 def svm_kernel_for(name: str, hp: Hyperparams, X) -> KernelSpec:
+    """The kernel of the svm_* model ``name``, taking from ``hp`` only the fields its kind reads."""
     kind = _SVM_KERNEL_OF[name]
-    gamma = resolve_gamma(hp.gamma, X) if kind != "linear" else 1.0
-    return KernelSpec(kind=kind, gamma=gamma, degree=hp.degree, coef0=hp.coef0)
+    read = {key: resolve_gamma(hp.gamma, X) if key == "gamma" else getattr(hp, key) for key in _KERNEL_READS[kind]}
+    return KernelSpec(kind, **read)
 
 
 # --- serialization ----------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..core import RngStream, json_value, parallel_map
 from ..dataset import N_CLASSES
-from .base import Hyperparams, ModelSpec, TrainedModel, model_from_doc, model_to_doc
+from .base import VOTING_MEMBERS, Hyperparams, ModelSpec, TrainedModel, model_from_doc, model_to_doc
 from .tree import block_groups, train_trees
 
 
@@ -84,6 +84,5 @@ class VotingModel(TrainedModel):
 def train_voting(X, y, hp: Hyperparams, stream: RngStream, Xval, yval) -> VotingModel:
     """Train dnn, svm_rbf and bagging on the same training and validation rows, in that order,
     member ``i`` on ``stream.derive(i)``."""
-    names = ("dnn", "svm_rbf", "bagging")
-    members = [ModelSpec(name, hp).train(X, y, stream.derive(i), Xval, yval) for i, name in enumerate(names)]
+    members = [ModelSpec(name, hp).train(X, y, stream.derive(i), Xval, yval) for i, name in enumerate(VOTING_MEMBERS)]
     return VotingModel(members=members, mode=hp.voting_mode)

@@ -20,7 +20,7 @@ import oncograde.cli as cli
 from oncograde.cli import ArtifactWriter, ConfigError, main, parse_config
 from oncograde.core import derive_stream
 from oncograde.dataset import LABEL_VALUES, synth_generate, save_csv
-from oncograde.models.base import MODEL_NAMES
+from oncograde.models.base import HYPERPARAMS_READ, MODEL_NAMES, Hyperparams
 from oncograde.preprocess import PIPELINE_ORDERS, PreprocessConfig, run_pipeline
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
@@ -45,7 +45,7 @@ def write_config(path, **overrides):
         "preprocess": {"order": "paper_order", "smote_k": 3},
         "model": {
             "name": "bagging",
-            "hyperparams": {"n_estimators": 4, "max_depth": 4, "epochs": 12},
+            "hyperparams": {"n_estimators": 4, "max_depth": 4},
         },
         "eval": {
             "k": 3,
@@ -293,8 +293,9 @@ class TestConfigErrors:
             ),
             ({"eval": {"curve_repeats": 0}}, "curve_repeats must be >= 1, got 0"),
             ({"eval": {"sweep": {"learning_rate": []}}}, "sweep axes must be non-empty"),
-            ({"eval": {"sweep": {"learning_rate": [0.1, -1]}}}, "learning_rate must be positive"),
-            ({"eval": {"sweep": {"min_child_weight": [0]}}}, "min_child_weight must be positive"),
+            ({"eval": {"sweep": {"learning_rate": [0.1, -1]}}}, "eval.sweep: learning_rate must be positive"),
+            ({"eval": {"sweep": {"min_child_weight": [0]}}}, "eval.sweep: min_child_weight must be positive"),
+            ({"model": {"name": "dnn", "hyperparams": {"learning_rate": -1}}}, "learning_rate must be positive"),
             # RngStream keeps 64 bits: 2**64 would alias seed 0
             ({"seed": 2**64}, "seed must be below 2**64, got 18446744073709551616"),
             ({"seed": 1e20}, "seed must be below 2**64, got 100000000000000000000"),
@@ -328,6 +329,7 @@ class TestConfigErrors:
             "sweep_axis_empty",
             "sweep_learning_rate_negative",
             "sweep_min_child_weight_0",
+            "hyperparams_learning_rate_negative",
             "seed_2_64",
             "seed_1e20",
         ],
@@ -472,6 +474,15 @@ SPECIAL_VALUES["data"] = st.fixed_dictionaries({"csv_path": SCALAR_VALUES[str]})
 )
 
 
+def model_documents(name):
+    """Valid `model` sections naming `name`, whose hyperparams set only fields that model reads."""
+    hp = documents(Hyperparams).map(lambda doc: {k: v for k, v in doc.items() if k in HYPERPARAMS_READ[name]})
+    return st.fixed_dictionaries({"name": st.just(name)}, optional={"hyperparams": hp})
+
+
+SPECIAL_VALUES["model"] = st.sampled_from(MODEL_NAMES).flatmap(model_documents)
+
+
 def config_fields(tp, prefix=()):
     """(key path, annotation) of every field under the dataclass `tp`."""
     hints = typing.get_type_hints(tp)
@@ -527,20 +538,7 @@ GOLDEN_RESOLVED = {
     },
     "model": {
         "name": "dnn",
-        "hyperparams": {
-            "learning_rate": 0.05,
-            "min_child_weight": 1.0,
-            "epochs": 60,
-            "batch_size": 32,
-            "hidden_layers": [16, 8],
-            "C": 1.0,
-            "gamma": "scale",
-            "degree": 3,
-            "coef0": 0.0,
-            "max_depth": 8,
-            "n_estimators": 25,
-            "voting_mode": "hard",
-        },
+        "hyperparams": {"learning_rate": 0.05, "epochs": 60, "batch_size": 32, "hidden_layers": [16, 8]},
     },
     "eval": {
         "k": 5,
@@ -555,12 +553,7 @@ DEFAULT_RESOLVED = {
     "data": {"synthetic": {"n": 1000, "class_proportions": [0.303, 0.332, 0.365]}},
     "model": {
         "name": "dnn",
-        "hyperparams": {
-            **GOLDEN_RESOLVED["model"]["hyperparams"],
-            "learning_rate": 0.01,
-            "epochs": 200,
-            "hidden_layers": [32, 16],
-        },
+        "hyperparams": {"learning_rate": 0.01, "epochs": 200, "batch_size": 32, "hidden_layers": [32, 16]},
     },
     "output_dir": "oncograde_out",
 }
@@ -574,6 +567,44 @@ class TestResolvedConfigLayout:
 
     def test_empty_config(self):
         assert json.dumps(parse_config({}).to_dict()) == json.dumps(DEFAULT_RESOLVED)
+
+
+# every (model, Hyperparams field) pair: 7 x 12 = 84, of which a model's run config may set the 27 it reads
+HYPERPARAMS_PAIRS = [(name, f.name) for name in MODEL_NAMES for f in dataclasses.fields(Hyperparams)]
+
+
+class TestUnreadHyperparams:
+    def test_the_models_read_27_of_the_84_pairs(self):
+        assert len(HYPERPARAMS_PAIRS) == 84
+        assert sum(key in HYPERPARAMS_READ[name] for name, key in HYPERPARAMS_PAIRS) == 27
+
+    @pytest.mark.parametrize("name,key", HYPERPARAMS_PAIRS, ids=[f"{name}-{key}" for name, key in HYPERPARAMS_PAIRS])
+    def test_a_key_is_taken_only_by_a_model_that_reads_it(self, name, key):
+        value = dataclasses.asdict(Hyperparams())[key]
+        doc = {"model": {"name": name, "hyperparams": {key: value}}}
+        reads = HYPERPARAMS_READ[name]
+        if key in reads:
+            assert parse_config(doc).to_dict()["model"]["hyperparams"][key] == value
+        else:
+            with pytest.raises(ConfigError) as refused:
+                parse_config(doc)
+            reason = f"{name} does not read it (it reads {', '.join(reads)})"
+            assert str(refused.value) == f"model.hyperparams.{key}: {reason}"
+
+    def test_train_with_an_unread_key_exits_2_before_any_work(self, tmp_path, capsys):
+        model = {"name": "svm_rbf", "hyperparams": {"C": 2.0, "learning_rate": 5.0}}
+        cfg = write_config(tmp_path / "cfg.json", model=model)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--output-dir", str(out)]) == 2
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first == "error: model.hyperparams.learning_rate: svm_rbf does not read it (it reads C, gamma)"
+        assert rest[0].startswith("usage:")
+        assert not out.exists()
+
+    def test_readme_run_config_example_is_accepted(self):
+        readme = (GOLDEN_DIR.parent / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        parse_config(json.loads(example))
 
 
 class TestEvaluateCommand:
@@ -1306,11 +1337,9 @@ class TestHarnessCommands:
     def test_report(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         runs = []
-        for name in ("bagging", "svm_linear"):
-            cfg_n = write_config(
-                tmp_path / f"{name}.json",
-                model={"name": name, "hyperparams": {"n_estimators": 4, "max_depth": 4}},
-            )
+        for model in ({"name": "bagging", "hyperparams": {"n_estimators": 4, "max_depth": 4}}, {"name": "svm_linear"}):
+            name = model["name"]
+            cfg_n = write_config(tmp_path / f"{name}.json", model=model)
             out = tmp_path / f"run_{name}"
             assert main(["train", "--config", str(cfg_n), "--output-dir", str(out)]) == 0
             runs.append(str(out))
@@ -1338,10 +1367,16 @@ MALFORMED_RUN_FILES = {
     "metrics_not_json": ("metrics.json", "[1,", " is not valid JSON: Expecting value"),
     "manifest_list": ("manifest.json", [1, 2], ": not a JSON object"),
     "metrics_string": ("metrics.json", '"accuracy"', ": not a JSON object"),
+    "resolved_config_null": (
+        "manifest.json",
+        {"resolved_config": None},
+        ": resolved_config must be a JSON object, got null",
+    ),
+    "resolved_config_list": ("manifest.json", {"resolved_config": []}, ": resolved_config must be a JSON object, got []"),
     "model_list": (
         "manifest.json",
         {"resolved_config": {"model": []}},
-        ": resolved_config.model is not a JSON object",
+        ": resolved_config.model must be a JSON object, got []",
     ),
     "name_number": ("manifest.json", {"resolved_config": {"model": {"name": 3}}}, "name must be a string, got 3"),
     "metric_string": (

@@ -25,7 +25,7 @@ from oncograde.eval import (
 )
 import oncograde.eval as ev
 from oncograde.eval import _stratified_subset
-from oncograde.models.base import MODEL_NAMES, SWEEP_AXES_READ, Hyperparams, ModelSpec, model_to_doc
+from oncograde.models.base import HYPERPARAMS_READ, MODEL_NAMES, Hyperparams, ModelSpec, model_to_doc
 
 FAST_TREEISH = ModelSpec("bagging", Hyperparams(n_estimators=3, max_depth=3))
 
@@ -265,28 +265,46 @@ class TestSweep:
             SweepConfig([], [1.0])
 
 
-# two values of each sweep axis far enough apart to change a model that reads it
-AXIS_VALUES = {"learning_rate": (0.001, 0.1), "min_child_weight": (1.0, 30.0)}
+# two values of each Hyperparams field far enough apart to change a model that reads it
+FIELD_VALUES = {
+    "learning_rate": (0.001, 0.1),
+    "min_child_weight": (1.0, 30.0),
+    "epochs": (5, 3),
+    "batch_size": (32, 8),
+    "hidden_layers": ([8], [4]),
+    "C": (0.1, 0.01),
+    "gamma": ("scale", 0.01),
+    "degree": (2, 3),
+    "coef0": (0.0, 1.0),
+    "max_depth": (3, 1),
+    "n_estimators": (3, 2),
+    "voting_mode": ("hard", "soft"),
+}
 
 
 class TestSweepAxesRead:
     def test_every_model_declares_its_axes(self):
-        assert set(SWEEP_AXES_READ) == set(MODEL_NAMES)
-        assert all(set(axes) <= set(AXIS_VALUES) for axes in SWEEP_AXES_READ.values())
+        assert set(HYPERPARAMS_READ) == set(MODEL_NAMES)
+        fields = [f.name for f in dataclasses.fields(Hyperparams)]
+        assert set(FIELD_VALUES) == set(fields)
+        # each entry in field order, and every field read by some model
+        assert all(list(reads) == [f for f in fields if f in reads] for reads in HYPERPARAMS_READ.values())
+        assert set().union(*HYPERPARAMS_READ.values()) == set(fields)
 
-    @pytest.mark.parametrize("axis", sorted(AXIS_VALUES))
+    @pytest.mark.parametrize("field", list(FIELD_VALUES))
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_declaration_matches_the_trained_model(self, name, axis):
-        """Two values of an axis the declaration leaves out train the same
-        model document, and two values of a declared axis different ones."""
+    def test_declaration_matches_the_trained_model(self, name, field):
+        """Two values of a field the declaration leaves out train the same
+        model document, and two values of a declared field different ones."""
         d = synth_generate(90, 7)
-        hp = Hyperparams(epochs=5, hidden_layers=[8], n_estimators=3, max_depth=3)
+        # a small C and degree keep the svm machines short on these unscaled rows
+        hp = Hyperparams(epochs=5, hidden_layers=[8], C=0.1, degree=2, max_depth=3, n_estimators=3)
         docs = set()
-        for value in AXIS_VALUES[axis]:
-            spec = ModelSpec(name, dataclasses.replace(hp, **{axis: value}))
+        for value in FIELD_VALUES[field]:
+            spec = ModelSpec(name, dataclasses.replace(hp, **{field: value}))
             model = spec.train(d.X[:70], d.y[:70], RngStream(3), d.X[70:], d.y[70:])
             docs.add(json.dumps(model_to_doc(model)))
-        assert len(docs) == (2 if axis in SWEEP_AXES_READ[name] else 1)
+        assert len(docs) == (2 if field in HYPERPARAMS_READ[name] else 1)
 
     @pytest.mark.parametrize(
         "name,fits",

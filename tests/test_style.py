@@ -17,6 +17,14 @@ def test_no_source_line_over_120_characters():
     assert not long_lines, "\n".join(long_lines)
 
 
+def test_every_file_parses_as_python_3_10():
+    # pyproject.toml's floor: a newer form, such as an ``except*`` block, fails here on a newer interpreter
+    root = SRC.parent
+    folders = ("src", "scripts", "perfbench", "tests")
+    for path in [root / "conftest.py", *(path for folder in folders for path in sorted((root / folder).rglob("*.py")))]:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
 def test_no_private_name_imported_from_another_oncograde_module():
     imports = [
         f"{path.relative_to(SRC)}:{node.lineno}: {alias.name} from {'.' * node.level}{node.module or ''}"
