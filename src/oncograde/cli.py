@@ -78,6 +78,8 @@ class DataConfig:
     def __post_init__(self):
         if (self.csv_path is None) == (self.synthetic is None):
             raise ConfigError("data must name exactly one source: csv_path or synthetic")
+        if self.csv_path == "":
+            raise ConfigError("data.csv_path must name a file, got an empty string")
 
 
 @dataclass

@@ -57,8 +57,6 @@ class RngStream:
 
     def randints(self, n: int, size: int) -> np.ndarray:
         """``size`` uniform integers in [0, n), each ``floor(uniform * n)``."""
-        if n <= 0:
-            raise ValueError("randints requires n >= 1")
         return (self.uniforms(size) * n).astype(np.int64)
 
     def normals(self, size: int) -> np.ndarray:

@@ -209,9 +209,10 @@ def iter_csv_blocks(path):
     matching columns to the schema by header name.
 
     Matching is case-insensitive with surrounding whitespace trimmed;
-    column order in the file does not matter. Numeric labels 1/2/3 are
-    accepted as Low/Medium/High. Any other column, a Patient Id included,
-    is ignored. Blank lines are skipped, and row numbers in messages count
+    column order in the file does not matter, and a schema column named
+    twice is refused. Numeric labels 1/2/3 are accepted as Low/Medium/High.
+    Any other column, a Patient Id included, is ignored, even when
+    repeated. Blank lines are skipped, and row numbers in messages count
     data rows across blocks. A leading UTF-8 byte-order mark, which Excel's
     "CSV UTF-8" writes, is skipped.
     """
@@ -220,10 +221,13 @@ def iter_csv_blocks(path):
         header = next(rows, None)
         if header is None:
             raise ValueError(f"empty file: {path}")
-        col_of = {_norm(h): i for i, h in enumerate(header)}
+        names = [_norm(h) for h in header]
+        col_of = {name: i for i, name in enumerate(names)}
         for name in (*FEATURE_NAMES, LABEL_NAME):
             if _norm(name) not in col_of:
                 raise ValueError(f"missing column: {name}")
+            if names.count(_norm(name)) > 1:
+                raise ValueError(f"duplicate column: {name}")
         feature_idx = [col_of[_norm(name)] for name in FEATURE_NAMES]
         label_idx = col_of[_norm(LABEL_NAME)]
 

@@ -90,7 +90,6 @@ class LearningCurve:
     fractions: list[float]
     train_score: list[float]
     val_score: list[float]
-    repeats: int
 
 
 @dataclass
@@ -103,14 +102,9 @@ class SweepResult:
 
 
 def confusion(y_true, y_pred) -> np.ndarray:
-    """3x3 counts: rows are the true class, columns the predicted class."""
+    """3x3 counts of two equal-length label sequences in {0, 1, 2}: rows are the true class, columns the predicted."""
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(f"length mismatch: {y_true.shape[0]} true vs {y_pred.shape[0]} predicted")
-    for arr, which in ((y_true, "true"), (y_pred, "predicted")):
-        if arr.size and (arr.min() < 0 or arr.max() >= N_CLASSES):
-            raise ValueError(f"{which} labels must lie in {{0,1,2}}")
     cells = np.bincount(N_CLASSES * y_true + y_pred, minlength=N_CLASSES * N_CLASSES)
     return cells.reshape(N_CLASSES, N_CLASSES)
 
@@ -122,8 +116,6 @@ def metrics(counts: np.ndarray) -> MetricsReport:
     serializable and comparable.
     """
     total = counts.sum()
-    if total == 0:
-        raise ValueError("empty evaluation")
     accuracy = float(np.trace(counts) / total)
     precision, recall, f1 = [], [], []
     for c in range(N_CLASSES):
@@ -176,7 +168,6 @@ def _fit_and_score(X, y, fits, score_train: bool = True) -> list:
     """Train each ``(spec, train rows, validation rows, stream)`` fit in one
     :func:`parallel_map`, the dnn monitoring the validation rows; each gives
     (training accuracy, or None unless ``score_train``; validation report)."""
-    y = np.asarray(y, dtype=np.int64)
 
     def run(fit):
         spec, train, val, fit_stream = fit
@@ -233,9 +224,7 @@ def learning_curve(X, y, model_spec, settings: EvalConfig, stream: RngStream) ->
     # made contiguous as (train/val, fraction, repeat), so each mean adds its
     # repeats in the order np.mean adds a list of them
     train_score, val_score = np.ascontiguousarray(scores.T).mean(axis=-1).tolist()
-    return LearningCurve(
-        fractions=fractions, train_score=train_score, val_score=val_score, repeats=repeats
-    )
+    return LearningCurve(fractions=fractions, train_score=train_score, val_score=val_score)
 
 
 def sweep(X, y, model_spec, settings: EvalConfig, stream: RngStream) -> SweepResult:

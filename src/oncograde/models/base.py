@@ -49,10 +49,10 @@ class Hyperparams:
             raise ValueError("hidden_layers must be a non-empty list of positive counts")
         if self.C <= 0:
             raise ValueError("C must be positive")
-        if self.gamma != "scale" and (isinstance(self.gamma, str) or self.gamma <= 0):
+        if isinstance(self.gamma, str) and self.gamma != "scale":
             raise ValueError(f"gamma must be positive or 'scale', got {self.gamma!r}")
-        if self.degree < 1:
-            raise ValueError("degree must be >= 1")
+        # KernelSpec owns the numeric kernel rules; a kind that reads gamma and degree applies both
+        KernelSpec("polynomial", 1.0 if self.gamma == "scale" else self.gamma, self.degree)
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         if self.n_estimators < 1:
@@ -141,8 +141,9 @@ def check_width(X, n_features: int) -> None:
 class TrainedModel:
     """What every trained model exposes: ``predict_proba(X) -> (n, 3)`` rows
     that are non-negative and sum to 1, ``predict(X)`` their row-wise argmax
-    with ties resolved to the lowest class index, and ``to_params`` /
-    ``from_params`` for the document tagged with its ``family``."""
+    with ties resolved to the lowest class index, and ``from_params``, the
+    reader of the ``params`` that :func:`model_to_doc` writes under its
+    ``family``."""
 
     family: str
 
@@ -194,7 +195,20 @@ def svm_kernel_for(name: str, hp: Hyperparams, X) -> KernelSpec:
 
 
 def model_to_doc(model) -> dict:
-    return {"family": model.family, "params": model.to_params()}
+    """Every model's document: its ``family`` and, as ``params``, its dataclass fields in field order,
+    an array as its ``tolist()``, a member model as its own document and a list entry by entry."""
+
+    def value(v):
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        if isinstance(v, TrainedModel):
+            return model_to_doc(v)
+        if isinstance(v, list):
+            return [value(item) for item in v]
+        return dataclasses.asdict(v) if dataclasses.is_dataclass(v) else v  # a KernelSpec or TrainHistory
+
+    params = {f.name: value(getattr(model, f.name)) for f in dataclasses.fields(model)}
+    return {"family": model.family, "params": params}
 
 
 def model_from_doc(doc: dict):

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..core import RngStream, json_value, parallel_map
 from ..dataset import N_CLASSES
-from .base import VOTING_MEMBERS, Hyperparams, ModelSpec, TrainedModel, model_from_doc, model_to_doc
+from .base import VOTING_MEMBERS, Hyperparams, ModelSpec, TrainedModel, model_from_doc
 from .tree import block_groups, train_trees
 
 
@@ -32,9 +32,6 @@ class BaggingModel(TrainedModel):
 
     def predict_proba(self, X) -> np.ndarray:
         return np.mean([m.predict_proba(X) for m in self.members], axis=0)
-
-    def to_params(self) -> dict:
-        return {"members": [model_to_doc(m) for m in self.members]}
 
     @classmethod
     def from_params(cls, params: dict) -> "BaggingModel":
@@ -65,16 +62,13 @@ def train_bagging(X, y, hp: Hyperparams, stream: RngStream) -> BaggingModel:
 @dataclass
 class VotingModel(TrainedModel):
     family = "voting"
-    members: list
     mode: str
+    members: list
 
     def predict_proba(self, X) -> np.ndarray:
         # hard: vote fractions, the mean of one-hot votes; argmax then matches majority with low-index ties
         votes = [m.predict_proba(X) if self.mode == "soft" else np.eye(N_CLASSES)[m.predict(X)] for m in self.members]
         return np.mean(votes, axis=0)
-
-    def to_params(self) -> dict:
-        return {"mode": self.mode, "members": [model_to_doc(m) for m in self.members]}
 
     @classmethod
     def from_params(cls, params: dict) -> "VotingModel":

@@ -9,7 +9,6 @@ epoch, so training is fully deterministic given (data, hyperparams, seed).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,16 +51,9 @@ class MlpModel(TrainedModel):
         logits = forward(self.weights, self.biases, X)
         return softmax(logits)
 
-    def to_params(self) -> dict:
-        return {
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "history": dataclasses.asdict(self.history),
-        }
-
     @classmethod
     def from_params(cls, params: dict) -> "MlpModel":
-        """Read ``to_params``'s document, its numbers by the run config's rules."""
+        """Read the ``params`` that ``model_to_doc`` writes, their numbers by the run config's rules."""
         weights, biases = (
             [json_array(float, a, f"mlp {key}[{k}][{{0}}] must hold finite numbers") for k, a in enumerate(layers)]
             for key in ("weights", "biases")
@@ -132,8 +124,6 @@ def cross_entropy_grads(weights, biases, X, y):
 def train_mlp(Xtr, ytr, Xval, yval, hp: Hyperparams, stream: RngStream) -> MlpModel:
     """Train with momentum SGD; early stopping on validation loss with
     patience 20, restoring the best-epoch weights."""
-    ytr = np.asarray(ytr, dtype=np.int64)
-    yval = np.asarray(yval, dtype=np.int64)
     if np.unique(ytr).size < 2:
         raise ValueError("training set contains a single class")
 

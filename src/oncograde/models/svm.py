@@ -35,7 +35,6 @@ over seeds 42, 7, 101 and 3, against 0.07-0.14 by the highest.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,14 +110,11 @@ def _training_kernel(kernel: KernelSpec, X: np.ndarray) -> np.ndarray:
 def train_svm_binary(
     X, y, kernel: KernelSpec, C: float = 1.0, tol: float = 1e-3, K: np.ndarray | None = None
 ) -> BinarySvm:
-    """SMO with WSS2 working-set selection on labels in {-1, +1}.
+    """SMO with WSS2 working-set selection on float labels in {-1, +1}, both present.
 
     ``K`` is the kernel matrix of ``X`` against itself; it is computed
     here when not given.
     """
-    y = np.asarray(y, dtype=float)
-    if not ((y == 1).any() and (y == -1).any()):
-        raise ValueError("both classes must be present for binary SVM training")
     if K is None:
         K = _training_kernel(kernel, X)
 
@@ -215,17 +211,9 @@ class SvmOvrModel(TrainedModel):
         # the decisions' own argmax: softmax can round two close decisions to one value
         return proba_to_labels(self.decision_matrix(X))
 
-    def to_params(self) -> dict:
-        return {
-            "kernel": dataclasses.asdict(self.kernel),
-            "support_x": self.support_x.tolist(),
-            "coef": self.coef.tolist(),
-            "bias": self.bias.tolist(),
-        }
-
     @classmethod
     def from_params(cls, params: dict) -> "SvmOvrModel":
-        """Read ``to_params``'s document, its numbers by the run config's rules."""
+        """Read the ``params`` that ``model_to_doc`` writes, their numbers by the run config's rules."""
         support_x, coef, bias = (
             json_array(float, params[k], f"svm support_x, coef and bias must be finite numbers, and {k}[{{0}}] is not")
             for k in ("support_x", "coef", "bias")
@@ -243,7 +231,6 @@ def train_svm_ovr(X, y, kernel: KernelSpec, C: float = 1.0) -> SvmOvrModel:
     """One binary machine per class (class c = +1, rest = -1), stored in
     LIBSVM's multi-class layout (Chang & Lin 2011). An absent class gets a
     zero ``coef`` column and bias -1, a constant that never wins."""
-    y = np.asarray(y, dtype=np.int64)
     if np.unique(y).size < 2:
         raise ValueError("at least 2 classes required for one-vs-rest training")
     K = _training_kernel(kernel, X)  # shared by the three machines

@@ -40,7 +40,7 @@ together, and each member's nodes keep their relative order when the
 group is split, which is the numbering the member gets alone. A leaf's
 children are the leaf itself, so prediction advances every row one level
 per step until all rows sit on leaves. The arrays are also the model
-file's form: ``to_params`` writes them as they are, and ``from_params``
+file's form: ``model_to_doc`` writes them as they are, and ``from_params``
 reads and checks them.
 """
 
@@ -56,8 +56,6 @@ from .base import TrainedModel, check_width
 
 # (feature, row) cells handled at once; bounds every per-depth temporary
 _BLOCK_CELLS = 1 << 16
-
-_NODE_FIELDS = ("feature", "threshold", "left", "right", "hist")
 
 
 @dataclass
@@ -86,13 +84,10 @@ class TreeModel(TrainedModel):
     def node_count(self) -> int:
         return self.left.size
 
-    def to_params(self) -> dict:
-        return {"n_features": self.n_features, **{k: getattr(self, k).tolist() for k in _NODE_FIELDS}}
-
     @classmethod
     def from_params(cls, params: dict) -> "TreeModel":
-        """Read ``to_params``'s node arrays, their numbers by the run config's
-        rules; a tree that cannot predict raises ``ValueError``."""
+        """Read the node arrays that ``model_to_doc`` writes, their numbers by the
+        run config's rules; a tree that cannot predict raises ``ValueError``."""
         n_features = json_value(int, params["n_features"], "tree.n_features")
         if not 0 < n_features < 2**63:  # a width some input can have, as an int64 like the split features
             raise ValueError(f"tree.n_features must be an integer in [1, 2**63), got {n_features}")
@@ -237,18 +232,12 @@ def train_tree(X, y, sample_weights=None, max_depth: int = 8, min_child_weight: 
 
 def train_trees(X, y, resamples, max_depth: int, min_child_weight: float) -> list[TreeModel]:
     """Fit one CART per ``(rows, counts)`` resample, on those rows of ``X``
-    weighted by their whole row counts, growing all of them together."""
-    y = np.asarray(y, dtype=np.int64)
+    weighted by their whole row counts, growing all of them together. Each
+    resample holds at least one row, and each count is a positive integer."""
     sizes = np.array([len(rows) for rows, _ in resamples])
-    if not sizes.all():
-        raise ValueError("cannot train a tree on empty input")
     w = np.concatenate([np.asarray(counts, dtype=float) for _, counts in resamples])
-    if (w <= 0).any():
-        raise ValueError("sample weights must be positive")
     offsets = np.cumsum(sizes) - sizes
     totals = np.add.reduceat(w, offsets)
-    if (w != np.floor(w)).any() or (totals >= 2.0**53).any():
-        raise ValueError("sample weights must be whole numbers (row counts) summing below 2**53")
 
     rows = np.concatenate([r for r, _ in resamples])
     n, m = rows.size, X.shape[1]

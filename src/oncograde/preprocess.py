@@ -73,8 +73,6 @@ class PreparedData:
 
 def fit_minmax(X_fit) -> tuple[np.ndarray, np.ndarray]:
     """The fitted bounds ``(col_min, col_max)``."""
-    if X_fit.shape[0] == 0:
-        raise ValueError("cannot fit MinMax on an empty matrix")
     return X_fit.min(axis=0), X_fit.max(axis=0)
 
 
@@ -85,10 +83,6 @@ def apply_minmax(X, minmax: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     not clamped, so transformed values may fall outside [0, 1].
     """
     col_min, col_max = minmax
-    if X.shape[1] != col_min.shape[0]:
-        raise ValueError(
-            f"column count mismatch: matrix has {X.shape[1]}, params have {col_min.shape[0]}"
-        )
     span = col_max - col_min
     safe = np.where(span == 0, 1.0, span)
     out = (X - col_min) / safe
@@ -161,11 +155,6 @@ def engineer_features(X, report: CorrelationReport, hi: float, lo: float):
     engineers, and the chosen report is returned beside the matrix.
     Engineered columns never seed further engineering.
     """
-    m = report.matrix.shape[0]
-    if X.shape[1] != m:
-        raise ValueError(
-            f"shape mismatch: matrix has {X.shape[1]} columns, report covers {m}"
-        )
     out = choose_pairs(report, hi, lo)
     return append_pair_means(X, out.engineered_pairs), out
 
@@ -250,8 +239,6 @@ def smote(X, y, k: int, stream: RngStream):
     synthetic rows draw their (member, neighbour pick, gap) triples as one
     block, in the order scalar draws would take them.
     """
-    PreprocessConfig(smote_k=k)
-    y = np.asarray(y, dtype=np.int64)
     counts = np.bincount(y, minlength=N_CLASSES)
     majority = int(counts.max())
 
@@ -286,7 +273,6 @@ def round_half_up(x: float) -> int:
 def shuffled_classes(y, stream: RngStream, rows=None):
     """Yield ``(class, its rows in a seeded shuffle)`` for each class present
     among ``rows`` of ``y`` (default: all), each taken in ``rows`` order."""
-    y = np.asarray(y, dtype=np.int64)
     rows = np.arange(len(y)) if rows is None else np.asarray(rows, dtype=np.int64)
     labels = y[rows]
     for cls in range(N_CLASSES):
@@ -299,9 +285,9 @@ def stratified_split(y, test_fraction: float, stream: RngStream) -> SplitIndices
     """Per-class shuffled split; test gets round(n_c * fraction) per class.
 
     Classes with at least 2 samples contribute at least 1 test row and
-    keep at least 1 training row.
+    keep at least 1 training row; a split with an empty side, which only
+    classes of one row each can make, is refused.
     """
-    PreprocessConfig(test_fraction=test_fraction)
     train: list[int] = []
     test: list[int] = []
     for _, order in shuffled_classes(y, stream):
@@ -313,6 +299,8 @@ def stratified_split(y, test_fraction: float, stream: RngStream) -> SplitIndices
             n_test = min(n_test, n_c)
         test.extend(order[:n_test])
         train.extend(order[n_test:])
+    if not (train and test):
+        raise ValueError(f"the split leaves no {'test' if train else 'training'} rows: every class has a single row")
     return SplitIndices(train=train, test=test)
 
 

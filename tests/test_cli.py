@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oncograde.cli as cli
 from oncograde.cli import ArtifactWriter, ConfigError, main, parse_config
 from oncograde.core import derive_stream
-from oncograde.dataset import LABEL_VALUES, synth_generate, save_csv
+from oncograde.dataset import LABEL_VALUES, Dataset, synth_generate, save_csv
 from oncograde.models.base import HYPERPARAMS_READ, MODEL_NAMES, Hyperparams
 from oncograde.preprocess import PIPELINE_ORDERS, PreprocessConfig, run_pipeline
 
@@ -271,6 +271,7 @@ class TestConfigErrors:
             ({"model": {"hyperparams": []}}, "model.hyperparams must be a JSON object, got []"),
             ({"data": 5}, "data must be a JSON object, got 5"),
             ({"data": {"csv_path": 5}}, "data.csv_path must be a string, got 5"),
+            ({"data": {"csv_path": ""}}, "data.csv_path must name a file, got an empty string"),
             ({"data": {"synthetic": {"n": 10}}}, "n must be >= 30, got 10"),
             (
                 {"data": {"synthetic": {"class_proportions": [0.5]}}},
@@ -317,6 +318,7 @@ class TestConfigErrors:
             "hyperparams_list",
             "data_number",
             "csv_path_number",
+            "csv_path_empty",
             "synthetic_n_below_30",
             "class_proportions_short",
             "test_fraction_above_1",
@@ -468,8 +470,8 @@ def documents(tp):
     return SCALAR_VALUES[tp]
 
 
-# `data` names exactly one source
-SPECIAL_VALUES["data"] = st.fixed_dictionaries({"csv_path": SCALAR_VALUES[str]}) | st.fixed_dictionaries(
+# `data` names exactly one source, a csv_path being a non-empty string
+SPECIAL_VALUES["data"] = st.fixed_dictionaries({"csv_path": SCALAR_VALUES[str].filter(bool)}) | st.fixed_dictionaries(
     {"synthetic": documents(cli.SyntheticConfig)}
 )
 
@@ -1213,6 +1215,26 @@ class TestMalformedModelFile:
         assert rest[0].startswith("usage:")
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "name, key, value, message",
+        [
+            ("svm_poly", "degree", 0, "kernel degree must be >= 1, got 0"),
+            ("svm_rbf", "gamma", -1, "gamma must be positive"),
+        ],
+    )
+    def test_config_and_model_file_refuse_a_kernel_value_alike(
+        self, tmp_path, capsys, trained_model, name, key, value, message
+    ):
+        # KernelSpec owns the kernel range rules, which a run config reaches through Hyperparams
+        cfg = write_config(tmp_path / "cfg.json", model={"name": name, "hyperparams": {key: value}})
+        assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "train")]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(with_keys(trained_model, *SVM, "kernel", key, value)))
+        argv, _ = self.evaluate(tmp_path, model_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[0] == f"error: model file {model_path}: {message}"
+
     def test_one_value_anywhere_exits_0_or_2(self, tmp_path, capsys, monkeypatch, trained_model):
         """Every pair of a key path and an odd value, run by ``cmd_evaluate`` on the document as
         ``_json_object`` parses it: through ``main`` the 1,512 runs take a minute. ``main`` exits 2
@@ -1389,6 +1411,33 @@ MALFORMED_RUN_FILES = {
         for key in REPORT_METRICS
     },
 }
+
+
+class TestSplitWithAnEmptySide:
+    """On a CSV with one row per class every split leaves one side empty,
+    which the split itself refuses, naming the side."""
+
+    @pytest.mark.parametrize(
+        "command, preprocess, side",
+        [
+            ("train", {"order": "paper_order", "test_fraction": 0.5}, "training"),
+            ("train", {"order": "leak_safe", "test_fraction": 0.5}, "training"),
+            ("train", {"order": "leak_safe"}, "test"),
+            ("curve", {}, "test"),
+            ("sweep", {}, "test"),
+        ],
+    )
+    def test_exit_1_naming_the_empty_side(self, tmp_path, capsys, command, preprocess, side):
+        d = synth_generate(60, 21)  # rows grouped by class, 20 each
+        save_csv(Dataset(d.X[[0, 20, 40]], d.y[[0, 20, 40]]), tmp_path / "rows.csv")
+        data = {"csv_path": str(tmp_path / "rows.csv")}
+        cfg = write_config(tmp_path / "cfg.json", data=data, preprocess={"smote_k": 3, **preprocess})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: the split leaves no {side} rows: every class has a single row"
+        ]
+        assert not any(out.iterdir())
 
 
 class TestMalformedRunDirectory:

@@ -111,6 +111,21 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="missing column: Smoking"):
             load_csv(p)
 
+    @pytest.mark.parametrize(
+        "header, row, name",
+        [
+            (["Age", *FEATURE_NAMES, "Level"], [50, *_full_row(), "Low"], "Age"),
+            # matched as every header name is, case and surrounding spaces ignored
+            ([*FEATURE_NAMES, "Level", " level"], [*_full_row(), "Low", "High"], "Level"),
+        ],
+    )
+    def test_schema_column_named_twice_is_refused(self, tmp_path, header, row, name):
+        # read silently, the last copy would win and the first be dropped
+        p = tmp_path / "d.csv"
+        _write_csv(p, header, [row])
+        with pytest.raises(ValueError, match=f"^duplicate column: {name}$"):
+            load_csv(p)
+
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "d.csv"
         header = list(FEATURE_NAMES) + ["Level"]

@@ -61,11 +61,6 @@ class TestMinMax:
         with pytest.raises(ValueError):
             fit_minmax(np.zeros((0, 3)))
 
-    def test_column_mismatch_errors(self):
-        p = fit_minmax(np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="column count mismatch"):
-            apply_minmax(np.zeros((2, 4)), p)
-
     @given(finite_matrices)
     def test_scaled_range_and_roundtrip(self, X):
         p = fit_minmax(X)
@@ -170,10 +165,6 @@ class TestEngineerFeatures:
         X2, rep = engineer_features(X, _report_for(matrix), 0.5, -0.4)
         assert X2.shape[1] == 2
         assert rep.flagged_pairs.tolist() == [[0, 1]]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape mismatch"):
-            engineer_features(np.zeros((4, 3)), _report_for(np.eye(2)), 0.5, -0.4)
 
 
 def reference_pairs(matrix, hi, lo):
@@ -294,10 +285,6 @@ class TestSmote:
         with pytest.raises(ValueError, match="class too small for SMOTE"):
             smote(X, y, 5, stream)
 
-    def test_bad_k(self, stream):
-        with pytest.raises(ValueError, match="k must be"):
-            smote(np.zeros((4, 2)), np.array([0, 0, 1, 1]), 0, stream)
-
     @pytest.mark.parametrize("block_cells", [1, 6 * 300 * 7, 1 << 20])
     def test_blocked_neighbours_match_dense_search(self, monkeypatch, block_cells):
         # a coarse non-dyadic grid: many exactly tied distances, which the
@@ -417,9 +404,10 @@ class TestStratifiedSplit:
         for cls in range(3):
             assert sum(1 for i in split.test if y[i] == cls) == 1
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])
-    def test_bad_fraction(self, fraction):
-        with pytest.raises(ValueError, match="test_fraction"):
+    @pytest.mark.parametrize("fraction, side", [(0.2, "test"), (0.5, "training")])
+    def test_split_with_an_empty_side_is_refused(self, fraction, side):
+        # one row per class: each row goes wholly to one side
+        with pytest.raises(ValueError, match=f"^the split leaves no {side} rows: every class has a single row$"):
             stratified_split(np.array([0, 1, 2]), fraction, RngStream(0))
 
 

@@ -131,3 +131,37 @@ def test_every_part_has_a_caller():
         if named[part.name] == Counter(_names_in(part))[part.name]  # named only inside its own definition
     ]
     assert not uncalled, "\n".join(uncalled)
+
+
+def _scoped_nodes(node, scope=""):
+    """Every node under ``node``, with the dotted name of the classes and functions around it."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        yield from _scoped_nodes(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+
+def _callee(call) -> str | None:
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+
+
+# the three places a matrix enters: a dataset, the rows a Preprocessor is fitted on and those it transforms
+MATRIX_ENTRIES = {"Dataset.__post_init__", "Preprocessor.fit_resample", "Preprocessor.transform"}
+
+
+def test_values_are_checked_where_they_enter():
+    # a value is checked once, where it enters or is made: a construction kept only for its
+    # check is a type's own rule, so it runs in a __post_init__, and no later step re-checks a matrix
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.rglob("*.py"))}
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    misplaced = []
+    for path, tree in trees.items():
+        for scope, node in _scoped_nodes(tree):
+            kept_for_its_check = (
+                isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) and _callee(node.value) in classes
+            )
+            if kept_for_its_check and "__post_init__" not in scope.split("."):
+                misplaced.append(f"{path.relative_to(SRC)}:{node.lineno}: {_callee(node.value)}(...) in {scope}")
+            if isinstance(node, ast.Call) and _callee(node) == "as_matrix" and scope not in MATRIX_ENTRIES:
+                misplaced.append(f"{path.relative_to(SRC)}:{node.lineno}: as_matrix(...) in {scope or 'the module'}")
+    assert not misplaced, "\n".join(misplaced)

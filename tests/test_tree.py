@@ -193,7 +193,7 @@ class TestPresortedFit:
                     counted = train_tree(
                         X[distinct], y[distinct], sample_weights=counts, max_depth=depth, min_child_weight=mcw
                     )
-                    assert json.dumps(counted.to_params()) == json.dumps(resampled.to_params())
+                    assert json.dumps(model_to_doc(counted)) == json.dumps(model_to_doc(resampled))
 
     def test_tied_features_across_blocks_take_lowest_index(self, monkeypatch):
         # 40 columns x 500 rows spans several scoring blocks of 4,096 cells;
@@ -256,7 +256,7 @@ class TestPresortedFit:
             mp.setattr(tree, "_BLOCK_CELLS", block_cells)
             grouped = train_trees(X, y, resamples, max_depth, mcw)
         alone = [train_tree(X[r], y[r], c, max_depth, mcw) for r, c in resamples]
-        assert [json.dumps(t.to_params()) for t in grouped] == [json.dumps(t.to_params()) for t in alone]
+        assert [json.dumps(model_to_doc(t)) for t in grouped] == [json.dumps(model_to_doc(t)) for t in alone]
         fields = ("feature", "threshold", "left", "right", "hist")
         for g, a in zip(grouped, alone):  # the same breadth-first node numbers, too
             assert all(np.array_equal(getattr(g, f), getattr(a, f)) for f in fields)
@@ -284,16 +284,6 @@ class TestTrainTree:
         y = np.array([0, 0, 1, 1])
         model = train_tree(X, y, min_child_weight=3.0)
         assert model.node_count == 1
-
-    def test_empty_errors(self):
-        with pytest.raises(ValueError, match="empty"):
-            train_tree(np.zeros((0, 2)), np.array([], dtype=int))
-
-    def test_nonpositive_weights_error(self):
-        with pytest.raises(ValueError, match="positive"):
-            train_tree(np.zeros((2, 1)), np.array([0, 1]), sample_weights=[1.0, 0.0])
-        with pytest.raises(ValueError, match="whole numbers"):
-            train_tree(np.zeros((2, 1)), np.array([0, 1]), sample_weights=[1.0, 0.5])
 
     def test_splits_never_increase_gini_and_respect_weight(self):
         d = synth_generate(200, 13)
@@ -367,9 +357,9 @@ class TestTreePredict:
     def test_json_round_trip_keeps_nodes_and_predict_bits(self, seed):
         X, y, w, depth, mcw = random_tree_problem(seed)
         model = train_tree(X, y, sample_weights=w, max_depth=depth, min_child_weight=mcw)
-        loaded = TreeModel.from_params(json.loads(json.dumps(model.to_params())))
+        loaded = TreeModel.from_params(json.loads(json.dumps(model_to_doc(model)))["params"])
         probe = np.vstack([X, np.random.default_rng(seed).normal(size=(40, X.shape[1]))])
-        assert json.dumps(loaded.to_params()) == json.dumps(model.to_params())
+        assert json.dumps(model_to_doc(loaded)) == json.dumps(model_to_doc(model))
         assert loaded.predict_proba(probe).tobytes() == model.predict_proba(probe).tobytes()
 
     def test_single_leaf_and_zero_rows(self):
@@ -393,7 +383,7 @@ class TestTreePredict:
             model = train_tree(d.X[rows], d.y[rows], max_depth=5)
             doc = json.loads(json.dumps(model_to_doc(model)))
             loaded = model_from_doc(doc)
-            assert loaded.to_params() == model.to_params()
+            assert model_to_doc(loaded) == model_to_doc(model)
             assert np.array_equal(loaded.predict_proba(probe), reference_predict_proba(model, probe))
             trees.append(loaded)
         bag = BaggingModel(members=trees)
