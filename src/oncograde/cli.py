@@ -206,8 +206,8 @@ def _balanced_dataset(cfg: RunConfig):
     prepares it before its split; cv/curve/sweep run on it whatever the
     order, because only `train` holds out a test set."""
     d = _load_dataset(cfg)
-    prep = Preprocessor(cfg.preprocess)
-    return prep.fit_resample(d.X, d.y, derive_stream(cfg.seed, 1))
+    _, X, y = Preprocessor.fit_resample(d.X, d.y, cfg.preprocess, derive_stream(cfg.seed, 1))
+    return X, y
 
 
 def _slug(name: str) -> str:
@@ -306,6 +306,8 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
             raise ValueError(f"unsupported model file version: {wrapper['version']}")
         prep = Preprocessor.from_dict(json_value(dict, wrapper["pipeline"], "pipeline"))
         model = model_from_doc(wrapper["model"])
+        # scoring no rows refuses a model that reads another width than the pipeline makes
+        model.predict(prep.transform(np.empty((0, len(FEATURE_NAMES)))))
         title = f"Confusion matrix: {json_value(str, wrapper.get('model_name', 'model'), 'model_name')}"
     except KeyError as exc:
         raise ConfigError(f"model file {path} is missing key {exc}") from None

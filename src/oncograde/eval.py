@@ -117,25 +117,19 @@ def metrics(counts: np.ndarray) -> MetricsReport:
     """
     total = counts.sum()
     accuracy = float(np.trace(counts) / total)
-    precision, recall, f1 = [], [], []
-    for c in range(N_CLASSES):
-        col = counts[:, c].sum()
-        row = counts[c, :].sum()
-        p = float(counts[c, c] / col) if col else 0.0
-        r = float(counts[c, c] / row) if row else 0.0
-        f = 2 * p * r / (p + r) if (p + r) else 0.0
-        precision.append(p)
-        recall.append(r)
-        f1.append(f)
+    hits, predicted, support = np.diag(counts), counts.sum(axis=0), counts.sum(axis=1)
+    precision = np.divide(hits, predicted, out=np.zeros(N_CLASSES), where=predicted > 0)
+    recall = np.divide(hits, support, out=np.zeros(N_CLASSES), where=support > 0)
+    f1 = np.divide(2 * precision * recall, precision + recall, out=np.zeros(N_CLASSES), where=precision + recall > 0)
     return MetricsReport(
         accuracy=accuracy,
-        precision_per_class=precision,
-        recall_per_class=recall,
-        f1_per_class=f1,
+        precision_per_class=precision.tolist(),
+        recall_per_class=recall.tolist(),
+        f1_per_class=f1.tolist(),
         macro_precision=float(np.mean(precision)),
         macro_recall=float(np.mean(recall)),
         macro_f1=float(np.mean(f1)),
-        support=[int(v) for v in counts.sum(axis=1)],
+        support=support.tolist(),
     )
 
 

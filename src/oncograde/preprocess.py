@@ -28,7 +28,7 @@ PIPELINE_ORDERS = ("paper_order", "leak_safe")
 @dataclass
 class PreprocessConfig:
     """The preprocessing settings, read from the run config's ``preprocess``
-    section; :func:`run_pipeline` and :class:`Preprocessor` take them whole."""
+    section; :func:`run_pipeline` and ``Preprocessor.fit_resample`` take them whole."""
 
     order: str = "paper_order"
     smote_k: int = 5
@@ -306,29 +306,27 @@ def stratified_split(y, test_fraction: float, stream: RngStream) -> SplitIndices
 
 @dataclass
 class Preprocessor:
-    """MinMax scaling, pair-mean engineering and SMOTE, fitted once.
+    """MinMax scaling and pair-mean engineering as fitted once: the ``minmax``
+    bounds ``(col_min, col_max)`` and the (k, 2) engineered ``pairs``.
 
-    Built from the settings; ``fit_resample`` sets the fitted ``minmax``
-    bounds ``(col_min, col_max)`` and the (k, 2) engineered ``pairs``, which
-    ``transform`` applies to other rows and ``to_dict`` writes to ``model.json``
-    with ``order``, ``corr_hi``, ``corr_lo`` and the names of the dataset
-    schema's columns. ``smote_k`` and ``test_fraction`` are not written, so
-    ``from_dict`` reads them back as their defaults.
+    ``fit_resample`` fits one from the settings, which it does not keep;
+    ``transform`` applies it to other rows and ``to_dict`` writes it to
+    ``model.json``.
     """
 
-    settings: PreprocessConfig
-    minmax: tuple[np.ndarray, np.ndarray] | None = None
-    pairs: np.ndarray | None = None
+    minmax: tuple[np.ndarray, np.ndarray]
+    pairs: np.ndarray
 
-    def fit_resample(self, X, y, stream: RngStream):
-        """Fit on (X, y), transform X, and oversample with SMOTE on ``stream.derive(0)``."""
-        self.minmax = fit_minmax(X)
-        X = apply_minmax(X, self.minmax)
-        s = self.settings
-        X, report = engineer_features(X, pearson_matrix(X), s.corr_hi, s.corr_lo)
-        self.pairs = report.engineered_pairs
+    @classmethod
+    def fit_resample(cls, X, y, settings: PreprocessConfig, stream: RngStream):
+        """``(preprocessor, X, y)``: the preprocessor fitted on (X, y), and X transformed
+        by it and oversampled with SMOTE on ``stream.derive(0)``."""
+        minmax = fit_minmax(X)
+        X = apply_minmax(X, minmax)
+        X, report = engineer_features(X, pearson_matrix(X), settings.corr_hi, settings.corr_lo)
         # MinMax over a column whose span passes the float range makes NaN from finite rows
-        return smote(as_matrix(X), y, s.smote_k, stream.derive(0))
+        X, y = smote(as_matrix(X), y, settings.smote_k, stream.derive(0))
+        return cls(minmax, report.engineered_pairs), X, y
 
     def transform(self, X) -> np.ndarray:
         """Scale with the fitted MinMax bounds and append the fitted pair means, checked
@@ -337,23 +335,13 @@ class Preprocessor:
 
     def to_dict(self) -> dict:
         col_min, col_max = self.minmax
-        return {
-            "order": self.settings.order,
-            "minmax": {"min": col_min.tolist(), "max": col_max.tolist()},
-            "feature_names": list(FEATURE_NAMES),
-            "engineered_pairs": self.pairs.tolist(),
-            "engineered_names": _pair_names(self.pairs),
-            "corr_hi": self.settings.corr_hi,
-            "corr_lo": self.settings.corr_lo,
-        }
+        return {"minmax": {"min": col_min.tolist(), "max": col_max.tolist()}, "engineered_pairs": self.pairs.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Preprocessor":
         """Read ``to_dict``'s document, its numbers by the run config's rules;
         one that cannot transform rows of the dataset schema raises ``ValueError``."""
         m = len(FEATURE_NAMES)
-        if d["feature_names"] != list(FEATURE_NAMES):
-            raise ValueError(f"pipeline feature_names must be the dataset's {m} feature names in order")
         bounds = f"pipeline minmax min and max must each hold {m} finite values, with min <= max"
         minmax = json_value(dict, d["minmax"], "pipeline.minmax")
         lo, hi = (json_array(float, minmax[k], f"{bounds}: {k}[{{0}}] is {{1!r}}") for k in ("min", "max"))
@@ -364,32 +352,20 @@ class Preprocessor:
         for k, row in enumerate(pairs.tolist()):
             if not (type(row) is list and len(row) == 2 and 0 <= row[0] < row[1] < m):
                 raise ValueError(pair.format(k, row))
-        names = d["engineered_names"]
-        if names != _pair_names(pairs):
-            held = f"{len(names)} engineered names" if isinstance(names, list) else f"engineered_names {names!r}"
-            raise ValueError(f"pipeline has {len(pairs)} engineered pairs but {held}, not the pairs' own names")
-        json_value(PIPELINE_ORDERS, d["order"], "pipeline.order")  # refused as a model-file field, not a config one
-        settings = json_value(PreprocessConfig, {k: d[k] for k in ("order", "corr_hi", "corr_lo")}, "pipeline")
-        return cls(settings, (lo, hi), pairs.reshape(-1, 2))
-
-
-def _pair_names(pairs) -> list[str]:
-    """The dataset schema's "<name_i>+<name_j>" names of the (k, 2) ``pairs``."""
-    return [f"{FEATURE_NAMES[i]}+{FEATURE_NAMES[j]}" for i, j in pairs.tolist()]
+        return cls((lo, hi), pairs.reshape(-1, 2))
 
 
 def run_pipeline(d: Dataset, settings: PreprocessConfig, stream: RngStream) -> PreparedData:
     """Run the full preprocessing chain in ``settings.order``; the split
     draws from ``stream.derive(1)``."""
-    prep = Preprocessor(settings)
     if settings.order == "paper_order":
-        X, y = prep.fit_resample(d.X, d.y, stream)
+        prep, X, y = Preprocessor.fit_resample(d.X, d.y, settings, stream)
         split = stratified_split(y, settings.test_fraction, stream.derive(1))
         X_train, y_train = X[split.train], y[split.train]
         X_test, y_test = X[split.test], y[split.test]
     else:
         split = stratified_split(d.y, settings.test_fraction, stream.derive(1))
-        X_train, y_train = prep.fit_resample(d.X[split.train], d.y[split.train], stream)
+        prep, X_train, y_train = Preprocessor.fit_resample(d.X[split.train], d.y[split.train], settings, stream)
         X_test, y_test = prep.transform(d.X[split.test]), d.y[split.test]
     return PreparedData(X_train, y_train, X_test, y_test, prep)
 

@@ -19,6 +19,8 @@ from .dataset import LABEL_VALUES
 
 WIDTH, HEIGHT = 800, 600
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 80, 170, 60, 70
+# the plot area's corners
+X0, Y0, X1, Y1 = MARGIN_LEFT, MARGIN_TOP, WIDTH - MARGIN_RIGHT, HEIGHT - MARGIN_BOTTOM
 
 PALETTE = ("#4C72B0", "#DD8452", "#55A868", "#C44E52", "#8172B3", "#937860")
 
@@ -56,24 +58,16 @@ def _rect(x, y, w, h, fill, stroke="none") -> str:
     )
 
 
-def _line(x1, y1, x2, y2, color="#888888", width=1) -> str:
+def _line(x1, y1, x2, y2) -> str:
     return (
-        f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
-        f'stroke="{color}" stroke-width="{width}"/>\n'
+        f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" '
+        f'y2="{_num(y2)}" stroke="#888888" stroke-width="1"/>\n'
     )
 
 
-def _polyline(points, color, width=2) -> str:
+def _polyline(points, color) -> str:
     pts = " ".join(f"{_num(x)},{_num(y)}" for x, y in points)
-    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>\n'
-
-
-def _plot_area():
-    x0 = MARGIN_LEFT
-    y0 = MARGIN_TOP
-    x1 = WIDTH - MARGIN_RIGHT
-    y1 = HEIGHT - MARGIN_BOTTOM
-    return x0, y0, x1, y1
+    return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>\n'
 
 
 def _nice_range(lo: float, hi: float) -> tuple[float, float]:
@@ -84,14 +78,13 @@ def _nice_range(lo: float, hi: float) -> tuple[float, float]:
 
 
 def _y_axis(parts, lo, hi, label):
-    x0, y0, x1, y1 = _plot_area()
-    parts.append(_line(x0, y0, x0, y1))
+    parts.append(_line(X0, Y0, X0, Y1))
     for t in range(6):
         v = lo + (hi - lo) * t / 5
-        y = y1 - (v - lo) / (hi - lo) * (y1 - y0)
-        parts.append(_line(x0 - 4, y, x0, y))
-        parts.append(_text(x0 - 8, y + 4, _tick_label(v), size=11, anchor="end"))
-    parts.append(_text(18, (y0 + y1) / 2, label, size=13, anchor="middle", rotate=-90))
+        y = Y1 - (v - lo) / (hi - lo) * (Y1 - Y0)
+        parts.append(_line(X0 - 4, y, X0, y))
+        parts.append(_text(X0 - 8, y + 4, _tick_label(v), size=11, anchor="end"))
+    parts.append(_text(18, (Y0 + Y1) / 2, label, size=13, anchor="middle", rotate=-90))
 
 
 def _legend(parts, names):
@@ -122,7 +115,6 @@ def _x_and_series(data, chart: str):
 def _render_lines(data) -> str:
     xs, series = _x_and_series(data, "lines")
     xs = [float(v) for v in xs]
-    x0, y0, x1, y1 = _plot_area()
     all_y = [float(v) for s in series for v in s["y"]]
     ylo, yhi = _nice_range(min(all_y), max(all_y))
     xlo, xhi = min(xs), max(xs)
@@ -130,20 +122,20 @@ def _render_lines(data) -> str:
         xhi = xlo + 1.0
 
     def px(v):
-        return x0 + (v - xlo) / (xhi - xlo) * (x1 - x0)
+        return X0 + (v - xlo) / (xhi - xlo) * (X1 - X0)
 
     def py(v):
-        return y1 - (v - ylo) / (yhi - ylo) * (y1 - y0)
+        return Y1 - (v - ylo) / (yhi - ylo) * (Y1 - Y0)
 
     parts = [_HEADER]
     _title(parts, data.get("title", ""))
     _y_axis(parts, ylo, yhi, data.get("y_label", ""))
-    parts.append(_line(x0, y1, x1, y1))
+    parts.append(_line(X0, Y1, X1, Y1))
     tick_xs = xs if len(xs) <= 12 else [xs[i] for i in range(0, len(xs), max(1, len(xs) // 10))]
     for v in tick_xs:
-        parts.append(_line(px(v), y1, px(v), y1 + 4))
-        parts.append(_text(px(v), y1 + 18, _tick_label(v), size=11, anchor="middle"))
-    parts.append(_text((x0 + x1) / 2, HEIGHT - 18, data.get("x_label", ""), anchor="middle"))
+        parts.append(_line(px(v), Y1, px(v), Y1 + 4))
+        parts.append(_text(px(v), Y1 + 18, _tick_label(v), size=11, anchor="middle"))
+    parts.append(_text((X0 + X1) / 2, HEIGHT - 18, data.get("x_label", ""), anchor="middle"))
     for i, s in enumerate(series):
         pts = [(px(x), py(float(y))) for x, y in zip(xs, s["y"])]
         parts.append(_polyline(pts, PALETTE[i % len(PALETTE)]))
@@ -154,29 +146,28 @@ def _render_lines(data) -> str:
 
 def _render_grouped_bars(data, rotate_long_labels=True) -> str:
     labels, series = _x_and_series(data, "bar")
-    x0, y0, x1, y1 = _plot_area()
     all_v = [float(v) for s in series for v in s["y"]]
     ylo = 0.0
     yhi = max(all_v + [1e-9]) * 1.05
 
     def py(v):
-        return y1 - (v - ylo) / (yhi - ylo) * (y1 - y0)
+        return Y1 - (v - ylo) / (yhi - ylo) * (Y1 - Y0)
 
     parts = [_HEADER]
     _title(parts, data.get("title", ""))
     _y_axis(parts, ylo, yhi, data.get("y_label", ""))
-    parts.append(_line(x0, y1, x1, y1))
+    parts.append(_line(X0, Y1, X1, Y1))
     n_cat, n_ser = len(labels), len(series)
-    slot = (x1 - x0) / n_cat
+    slot = (X1 - X0) / n_cat
     bar_w = slot * 0.8 / n_ser
     for ci, cat in enumerate(labels):
-        base = x0 + ci * slot + slot * 0.1
+        base = X0 + ci * slot + slot * 0.1
         for si, s in enumerate(series):
             v = float(s["y"][ci])
-            parts.append(_rect(base + si * bar_w, py(v), bar_w, y1 - py(v), PALETTE[si % len(PALETTE)]))
+            parts.append(_rect(base + si * bar_w, py(v), bar_w, Y1 - py(v), PALETTE[si % len(PALETTE)]))
         rotate = -30 if len(str(cat)) > 8 and rotate_long_labels else None
-        parts.append(_text(base + slot * 0.4, y1 + 18, str(cat), size=11, anchor="middle", rotate=rotate))
-    parts.append(_text((x0 + x1) / 2, HEIGHT - 18, data.get("x_label", ""), anchor="middle"))
+        parts.append(_text(base + slot * 0.4, Y1 + 18, str(cat), size=11, anchor="middle", rotate=rotate))
+    parts.append(_text((X0 + X1) / 2, HEIGHT - 18, data.get("x_label", ""), anchor="middle"))
     _legend(parts, [s["name"] for s in series])
     parts.append("</svg>\n")
     return "".join(parts)
@@ -195,9 +186,8 @@ def _render_heatmap3x3(data) -> str:
     counts = data["counts"]
     if len(counts) != 3 or any(len(row) != 3 for row in counts):
         raise ValueError("heatmap3x3 requires a 3x3 count grid")
-    x0, y0, x1, y1 = _plot_area()
-    cell_w = (x1 - x0) / 3
-    cell_h = (y1 - y0) / 3
+    cell_w = (X1 - X0) / 3
+    cell_h = (Y1 - Y0) / 3
     vmax = max(float(v) for row in counts for v in row)
 
     parts = [_HEADER]
@@ -205,8 +195,8 @@ def _render_heatmap3x3(data) -> str:
     for i in range(3):
         for j in range(3):
             v = float(counts[i][j])
-            cx = x0 + j * cell_w
-            cy = y0 + i * cell_h
+            cx = X0 + j * cell_w
+            cy = Y0 + i * cell_h
             parts.append(_rect(cx, cy, cell_w, cell_h, _heat_color(v, vmax), stroke="#FFFFFF"))
             text_color = "#FFFFFF" if vmax > 0 and v / vmax > 0.55 else "#222222"
             parts.append(
@@ -214,11 +204,11 @@ def _render_heatmap3x3(data) -> str:
                       anchor="middle", color=text_color)
             )
     for j, lab in enumerate(LABEL_VALUES):
-        parts.append(_text(x0 + j * cell_w + cell_w / 2, y1 + 22, lab, anchor="middle"))
+        parts.append(_text(X0 + j * cell_w + cell_w / 2, Y1 + 22, lab, anchor="middle"))
     for i, lab in enumerate(LABEL_VALUES):
-        parts.append(_text(x0 - 10, y0 + i * cell_h + cell_h / 2 + 4, lab, anchor="end"))
-    parts.append(_text((x0 + x1) / 2, HEIGHT - 18, "predicted", anchor="middle"))
-    parts.append(_text(20, (y0 + y1) / 2, "true", anchor="middle", rotate=-90))
+        parts.append(_text(X0 - 10, Y0 + i * cell_h + cell_h / 2 + 4, lab, anchor="end"))
+    parts.append(_text((X0 + X1) / 2, HEIGHT - 18, "predicted", anchor="middle"))
+    parts.append(_text(20, (Y0 + Y1) / 2, "true", anchor="middle", rotate=-90))
     parts.append("</svg>\n")
     return "".join(parts)
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import oncograde.cli as cli
 from oncograde.cli import ArtifactWriter, ConfigError, main, parse_config
 from oncograde.core import derive_stream
-from oncograde.dataset import LABEL_VALUES, Dataset, synth_generate, save_csv
+from oncograde.dataset import FEATURE_NAMES, LABEL_VALUES, Dataset, synth_generate, save_csv
 from oncograde.models.base import HYPERPARAMS_READ, MODEL_NAMES, Hyperparams
 from oncograde.preprocess import PIPELINE_ORDERS, PreprocessConfig, run_pipeline
 
@@ -937,14 +937,6 @@ MALFORMED_MODEL_FILES = {
         lambda doc: with_keys(doc, "pipeline", "engineered_pairs", 0, [2, 23]),
         ": pipeline engineered pair [2, 23] must satisfy 0 <= i < j < 23",
     ),
-    "pipeline_pair_names_differ": (
-        lambda doc: with_keys(doc, "pipeline", "engineered_names", at(doc, "pipeline", "engineered_names")[1:]),
-        ": pipeline has 57 engineered pairs but 56 engineered names",
-    ),
-    "pipeline_feature_names": (
-        lambda doc: with_keys(doc, "pipeline", "feature_names", 0, "Years"),
-        ": pipeline feature_names must be the dataset's 23 feature names in order",
-    ),
     "pipeline_max_infinite": (
         lambda doc: with_keys(doc, "pipeline", "minmax", "max", 0, float("inf")),
         ": pipeline minmax min and max must each hold 23 finite values, with min <= max",
@@ -1022,14 +1014,6 @@ MALFORMED_MODEL_FILES = {
         lambda doc: with_keys(doc, "pipeline", "engineered_pairs", 0, ["2", 5]),
         ": pipeline engineered pair ['2', 5] must satisfy 0 <= i < j < 23, as integers",
     ),
-    "pipeline_corr_hi_string": (
-        lambda doc: with_keys(doc, "pipeline", "corr_hi", "x"),
-        ': pipeline.corr_hi must be a number, got "x"',
-    ),
-    "pipeline_names_string": (
-        lambda doc: with_keys(doc, "pipeline", "engineered_names", "Age+Gender"),
-        ": pipeline has 57 engineered pairs but engineered_names 'Age+Gender', not the pairs' own names",
-    ),
     # one number where a model file wants one, not a list of one
     "svm_gamma_list": (
         lambda doc: with_keys(doc, *SVM, "kernel", "gamma", [0.25]),
@@ -1046,14 +1030,6 @@ MALFORMED_MODEL_FILES = {
     "tree_n_features_list": (
         lambda doc: with_keys(doc, *TREE, "n_features", [80]),
         ": tree.n_features must be an integer, got [80]",
-    ),
-    "pipeline_corr_hi_list": (
-        lambda doc: with_keys(doc, "pipeline", "corr_hi", [0.5]),
-        ": pipeline.corr_hi must be a number, got [0.5]",
-    ),
-    "pipeline_corr_lo_list": (
-        lambda doc: with_keys(doc, "pipeline", "corr_lo", [-0.4]),
-        ": pipeline.corr_lo must be a number, got [-0.4]",
     ),
     # a mode Hyperparams would refuse; read as-is, it would score hard voting
     "voting_mode_capitalised": (
@@ -1159,10 +1135,6 @@ MALFORMED_MODEL_FILES = {
         lambda doc: with_keys(doc, *TREE, "right", 3, None),
         ": tree node 3: right None must be an integer",
     ),
-    "pipeline_order_unknown": (
-        lambda doc: with_keys(doc, "pipeline", "order", "x"),
-        ': pipeline.order must be "paper_order" or "leak_safe", got "x"',
-    ),
 }
 
 # one JSON value of each kind, and an integer past the float range
@@ -1237,7 +1209,7 @@ class TestMalformedModelFile:
 
     def test_one_value_anywhere_exits_0_or_2(self, tmp_path, capsys, monkeypatch, trained_model):
         """Every pair of a key path and an odd value, run by ``cmd_evaluate`` on the document as
-        ``_json_object`` parses it: through ``main`` the 1,512 runs take a minute. ``main`` exits 2
+        ``_json_object`` parses it: through ``main`` the 1,540 runs take a minute. ``main`` exits 2
         on a ``ConfigError`` and 1 on any other exception; one pair checks ``main`` itself."""
         model_path = tmp_path / "model.json"
         argv, out = self.evaluate(tmp_path, model_path)
@@ -1283,15 +1255,61 @@ class TestMalformedModelFile:
         assert message == f"error: cannot read model file {tmp_path / 'missing.json'}: No such file or directory"
         assert not out.exists() or not any(out.iterdir())
 
-    def test_failure_while_scoring_exit_1(self, tmp_path, capsys, trained_model):
-        # a well-formed document whose trees expect other inputs fails in predict
+    def test_tree_wider_than_the_pipeline_exit_2_at_load(self, tmp_path, capsys, trained_model):
+        # a well-formed document whose trees expect other inputs is refused before any row is read
         doc = with_keys(trained_model, *TREE, "n_features", at(trained_model, *TREE, "n_features") + 1)
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(doc))
         argv, out = self.evaluate(tmp_path, model_path)
-        assert main(argv) == 1
-        assert "dimension mismatch" in capsys.readouterr().err
+        assert main(argv) == 2
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first.startswith(f"error: model file {model_path}: dimension mismatch: model expects")
+        assert rest[0].startswith("usage:")
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_pipeline_narrower_than_the_model_exit_2_at_load(self, tmp_path, capsys, name):
+        hyperparams = {"epochs": 5, "n_estimators": 3, "max_depth": 3}
+        model = {"name": name, "hyperparams": {k: v for k, v in hyperparams.items() if k in HYPERPARAMS_READ[name]}}
+        cfg = write_config(tmp_path / "cfg.json", model=model)
+        assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "run")]) == 0
+        doc = json.loads((tmp_path / "run" / "model.json").read_text())
+        pairs = at(doc, "pipeline", "engineered_pairs")
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(with_keys(doc, "pipeline", "engineered_pairs", pairs[:-1])))
+        argv, out = self.evaluate(tmp_path, model_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        first, *rest = capsys.readouterr().err.splitlines()
+        width = len(FEATURE_NAMES) + len(pairs)
+        mismatch = f"dimension mismatch: model expects {width} features, got {width - 1}"
+        assert first == f"error: model file {model_path}: {mismatch}"
+        assert rest[0].startswith("usage:")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_pipeline_with_retired_settings_evaluates_alike(self, tmp_path, trained_model):
+        # a file written before the pipeline held only its fitted state also carries the settings and names
+        pipeline = trained_model["pipeline"]
+        names = [f"{FEATURE_NAMES[i]}+{FEATURE_NAMES[j]}" for i, j in pipeline["engineered_pairs"]]
+        retired = {
+            "order": "paper_order",
+            "minmax": pipeline["minmax"],
+            "feature_names": list(FEATURE_NAMES),
+            "engineered_pairs": pipeline["engineered_pairs"],
+            "engineered_names": names,
+            "corr_hi": 0.5,
+            "corr_lo": -0.4,
+        }
+        artifacts = {}
+        for kind, doc in (("current", trained_model), ("retired", with_keys(trained_model, "pipeline", retired))):
+            model_path = tmp_path / f"{kind}.json"
+            model_path.write_text(json.dumps(doc))
+            (tmp_path / kind).mkdir()
+            argv, out = self.evaluate(tmp_path / kind, model_path)
+            assert main(argv) == 0
+            artifacts[kind] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        assert "metrics.json" in artifacts["current"]
+        assert artifacts["retired"] == artifacts["current"]
 
 
 class TestThreadsVariable:

@@ -65,7 +65,42 @@ class TestConfusion:
         assert np.array_equal(confusion(y_true, y_pred), expected)
 
 
+def scalar_metrics(counts) -> dict:
+    """``metrics`` as a loop over the classes, one float at a time: the reference
+    the array arithmetic must match bit for bit."""
+    total = counts.sum()
+    precision, recall, f1 = [], [], []
+    for c in range(3):
+        col = counts[:, c].sum()
+        row = counts[c, :].sum()
+        p = float(counts[c, c] / col) if col else 0.0
+        r = float(counts[c, c] / row) if row else 0.0
+        precision.append(p)
+        recall.append(r)
+        f1.append(2 * p * r / (p + r) if (p + r) else 0.0)
+    return {
+        "accuracy": float(np.trace(counts) / total),
+        "precision_per_class": precision,
+        "recall_per_class": recall,
+        "f1_per_class": f1,
+        "macro_precision": float(np.mean(precision)),
+        "macro_recall": float(np.mean(recall)),
+        "macro_f1": float(np.mean(f1)),
+        "support": [int(v) for v in counts.sum(axis=1)],
+    }
+
+
 class TestMetrics:
+    @given(st.lists(st.integers(0, 400), min_size=9, max_size=9), st.sets(st.integers(0, 2), max_size=2))
+    @settings(max_examples=300)
+    def test_matches_the_scalar_loop(self, cells, empty_predicted):
+        counts = np.array(cells, dtype=np.int64).reshape(3, 3)
+        counts[:, sorted(empty_predicted)] = 0  # a class never predicted has no precision
+        if counts.sum() == 0:
+            counts[0, 0] = 1
+        got = json.dumps(dataclasses.asdict(metrics(counts)))
+        assert got == json.dumps(scalar_metrics(counts))
+
     def test_perfect(self):
         rep = metrics(confusion([0, 1, 2], [0, 1, 2]))
         assert rep.accuracy == 1.0

@@ -104,7 +104,8 @@ class TestPinnedDigests:
         field lists that ``dataclasses.asdict`` replaced in those documents
         and in the metrics report; the model digest was re-recorded with one
         BLAS thread and the svm_rbf member in the one-support-set layout, and
-        again for model file version 2, unindented with trees as node arrays."""
+        again for model file version 2, unindented with trees as node arrays,
+        and once more when the pipeline section kept only its fitted state."""
         cfg = write_json(
             tmp_path / "train.json",
             {
@@ -119,14 +120,15 @@ class TestPinnedDigests:
         assert main(["train", "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
         model = (tmp_path / "run" / "model.json").read_bytes()
         metrics = (tmp_path / "run" / "metrics.json").read_bytes()
-        assert hashlib.sha256(model).hexdigest() == "448b07fb8e377455e7da80d15b46868b2a67f8b422f959a9f3f27bcc2922f483"
+        assert hashlib.sha256(model).hexdigest() == "3f2510cf39bbbdb915c8f8c791e76bc4110cefe6c1f140fcf926792d72d00ed9"
         assert hashlib.sha256(metrics).hexdigest() == "4f089a5a6539ce25112c6d7c2df2e165001715c3fcd1fa98ba85c3d3240cc445"
 
     def test_leak_safe_train_documents(self, tmp_path):
-        """The leak_safe branch of the pipeline, with non-default settings
-        written to and read from the ``pipeline`` document. The digests were
-        computed when the settings were separate ``run_pipeline`` keywords;
-        the model digest was re-recorded for the unindented version 2 file."""
+        """The leak_safe branch of the pipeline, with non-default settings.
+        The digests were computed when the settings were separate
+        ``run_pipeline`` keywords; the model digest was re-recorded for the
+        unindented version 2 file, and again when its ``pipeline`` section
+        kept only the fitted bounds and pairs."""
         cfg = write_json(
             tmp_path / "train.json",
             {
@@ -139,7 +141,7 @@ class TestPinnedDigests:
         assert main(["train", "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
         model = (tmp_path / "run" / "model.json").read_bytes()
         metrics = (tmp_path / "run" / "metrics.json").read_bytes()
-        assert hashlib.sha256(model).hexdigest() == "678862590c2aff5cf62bd1134e675f35a56486b0e44989ae1dbd3c7debc6dbeb"
+        assert hashlib.sha256(model).hexdigest() == "337832c8671152c9d5007e6e2e13c52863950ddeed7c0f520d6c3c2970406189"
         assert hashlib.sha256(metrics).hexdigest() == "fbe24b321b9cc370d2944c408f91017860edf053c9de561ecaf748f8afaf6956"
 
     @pytest.mark.parametrize(
@@ -307,8 +309,7 @@ class TestMemoryGuards:
         # the (20000, 61) result is 9.3 MB; gathering the pair means as
         # separate columns before stacking them peaked at 18.6 MB
         d = synth_generate(1000, 61, PAPER_PROPORTIONS)
-        prep = Preprocessor(PreprocessConfig())
-        prep.fit_resample(d.X, d.y, derive_stream(61, 1))
+        prep, _, _ = Preprocessor.fit_resample(d.X, d.y, PreprocessConfig(), derive_stream(61, 1))
         X = synth_generate(20000, 62).X
         peak = traced_peak_mb(lambda: prep.transform(X))
         assert peak <= 16.0, f"transform peaked at {peak:.1f} MB"

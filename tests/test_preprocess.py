@@ -417,7 +417,6 @@ class TestRunPipeline:
         prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
         assert prep.X_train.shape[0] == 876
         assert prep.X_test.shape[0] == 219
-        assert prep.preprocessor.settings.order == "paper_order"
         p = prep.preprocessor
         assert len(FEATURE_NAMES) + len(p.pairs) == prep.X_train.shape[1]
 
@@ -452,14 +451,15 @@ class TestPreprocessor:
         d = synth_generate(200, 4)
         fitted = run_pipeline(d, PreprocessConfig(order), derive_stream(4, 1)).preprocessor
         assert len(fitted.pairs)
-        restored = Preprocessor.from_dict(json.loads(json.dumps(fitted.to_dict())))
-        assert restored.to_dict() == fitted.to_dict()
+        doc = json.loads(json.dumps(fitted.to_dict()))
+        assert list(doc) == ["minmax", "engineered_pairs"]  # the settings it was fitted with are the config's
+        restored = Preprocessor.from_dict(doc)
+        assert restored.to_dict() == doc
         assert restored.transform(d.X).tobytes() == fitted.transform(d.X).tobytes()
 
     def test_fit_resample_keeps_transformed_rows_first(self):
         d = synth_generate(200, 4, (0.2, 0.3, 0.5))
-        prep = Preprocessor(PreprocessConfig(smote_k=3))
-        X, y = prep.fit_resample(d.X, d.y, derive_stream(4, 1))
+        prep, X, y = Preprocessor.fit_resample(d.X, d.y, PreprocessConfig(smote_k=3), derive_stream(4, 1))
         assert X[: d.n_rows].tobytes() == prep.transform(d.X).tobytes()
         assert np.array_equal(y[: d.n_rows], d.y)
         assert np.bincount(y).min() == np.bincount(y).max()

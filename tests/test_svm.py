@@ -253,7 +253,7 @@ class TestPinnedSmo:
         ))
         assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "run")]) == 0
         model = (tmp_path / "run" / "model.json").read_bytes()
-        assert hashlib.sha256(model).hexdigest() == "bc7176863dfc4948a09f3b8329434c7e066445e5ada24516c468e2b659eb49fe"
+        assert hashlib.sha256(model).hexdigest() == "1fb4e3803570a737cd43abee3ca63e736e6302c8589ae5e25755f9dabb0796ff"
 
 
 def reference_smo(X, y, kernel, C=1.0, tol=1e-3):
