@@ -38,7 +38,7 @@ from .eval import (
     sweep,
     sweep_to_csv,
 )
-from .models.base import HYPERPARAMS_READ, ModelSpec, model_from_doc, model_to_doc
+from .models.base import HYPERPARAMS_READ, MODEL_NAMES, ModelSpec, model_from_doc, model_to_doc
 from .preprocess import (
     PreprocessConfig,
     Preprocessor,
@@ -294,7 +294,8 @@ def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
         _write_chart(writer, "history.svg", "lines", title, range(len(h)), series, "epoch", "accuracy")
 
 
-def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
+def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> str | None:
+    """Score the model file's model on the CSV rows; return its name if it is one of MODEL_NAMES."""
     path = cfg.model_path
     if path is None:
         raise ConfigError("evaluate requires model_path in the config")
@@ -308,7 +309,7 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
         model = model_from_doc(wrapper["model"])
         # scoring no rows refuses a model that reads another width than the pipeline makes
         model.predict(prep.transform(np.empty((0, len(FEATURE_NAMES)))))
-        title = f"Confusion matrix: {json_value(str, wrapper.get('model_name', 'model'), 'model_name')}"
+        name = json_value(str, wrapper.get("model_name", "model"), "model_name")
     except KeyError as exc:
         raise ConfigError(f"model file {path} is missing key {exc}") from None
     except ValueError as exc:
@@ -316,7 +317,8 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
     blocks = iter_csv_blocks(cfg.data.csv_path)  # scored as read, so memory stays bounded
     cm = sum(confusion(y, model.predict(prep.transform(X))) for X, y in blocks)
-    _write_metrics_artifacts(writer, cm, metrics(cm), title)
+    _write_metrics_artifacts(writer, cm, metrics(cm), f"Confusion matrix: {name}")
+    return name if name in MODEL_NAMES else None
 
 
 def cmd_cv(cfg: RunConfig, writer: ArtifactWriter) -> None:
@@ -428,9 +430,13 @@ def main(argv: list[str] | None = None) -> int:
         cfg = dataclasses.replace(cfg, **{key: value for key, value in flags.items() if value is not None})
 
         resolved = cfg.to_dict()
+        if args.subcommand == "evaluate":
+            del resolved["model"]  # it scores the model its model file holds, and reads no model section
         print(f"resolved config: {json.dumps(resolved)}")
         writer = ArtifactWriter(cfg.output_dir)
-        _COMMANDS[args.subcommand](cfg, writer)
+        scored = _COMMANDS[args.subcommand](cfg, writer)
+        if scored is not None:  # the model an evaluate run scored, which report names the run by
+            resolved["model"] = {"name": scored}
         writer.write_manifest(args.subcommand, resolved, started)
         return 0
     except ConfigError as exc:

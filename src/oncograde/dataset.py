@@ -25,62 +25,8 @@ from .core import RngStream, as_matrix, box_muller
 ORDINAL_LOW, ORDINAL_HIGH = 1, 9
 AGE_MIN, AGE_MAX = 25, 75
 
-FEATURE_NAMES: tuple[str, ...] = (
-    "Age",
-    "Gender",
-    "Air Pollution",
-    "Alcohol use",
-    "Dust Allergy",
-    "Occupational Hazards",
-    "Genetic Risk",
-    "Chronic Lung Disease",
-    "Balanced Diet",
-    "Obesity",
-    "Smoking",
-    "Passive Smoker",
-    "Chest Pain",
-    "Coughing of Blood",
-    "Fatigue",
-    "Weight Loss",
-    "Shortness of Breath",
-    "Wheezing",
-    "Swallowing Difficulty",
-    "Clubbing of Finger Nails",
-    "Frequent Cold",
-    "Dry Cough",
-    "Snoring",
-)
-
-LABEL_NAME = "Level"
-LABEL_VALUES: tuple[str, str, str] = ("Low", "Medium", "High")
-N_CLASSES = 3
-
-
-@dataclass
-class Dataset:
-    """Feature matrix in the schema's FEATURE_NAMES columns plus labels in {0,1,2}."""
-
-    X: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.X = as_matrix(self.X)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        if self.X.shape[0] != self.y.shape[0]:
-            raise ValueError("row count mismatch between X and y")
-        if self.X.shape[1] != len(FEATURE_NAMES):
-            raise ValueError(f"column count mismatch: X has {self.X.shape[1]} columns, the schema {len(FEATURE_NAMES)}")
-        if self.y.size and (self.y.min() < 0 or self.y.max() >= N_CLASSES):
-            raise ValueError("labels must lie in {0,1,2}")
-
-    @property
-    def n_rows(self) -> int:
-        return self.X.shape[0]
-
-
-# --- synthetic generation -------------------------------------------------
-#
-# Each ordinal feature f is drawn as
+# The 21 ordinal features, in schema order after Age and Gender, each with
+# its synthetic recipe: synth_generate draws feature f as
 #   clamp(round(base_f + slope_f * class + load_f * t + sigma_f * eps), 1, 9)
 # where t is a per-row severity latent shared across features (it is what
 # makes symptom features correlate), eps is independent noise, and slope
@@ -113,6 +59,37 @@ _ORDINAL_RECIPE: dict[str, tuple[float, float, float, float]] = {
     "Dry Cough": (3.5, 1.1, 0.0, 1.55),
     "Snoring": (4.0, 0.7, 0.0, 1.65),
 }
+
+FEATURE_NAMES: tuple[str, ...] = ("Age", "Gender", *_ORDINAL_RECIPE)
+
+LABEL_NAME = "Level"
+LABEL_VALUES: tuple[str, str, str] = ("Low", "Medium", "High")
+N_CLASSES = 3
+
+
+@dataclass
+class Dataset:
+    """Feature matrix in the schema's FEATURE_NAMES columns plus labels in {0,1,2}."""
+
+    X: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        self.X = as_matrix(self.X)
+        self.y = np.asarray(self.y, dtype=np.int64)
+        if self.X.shape[0] != self.y.shape[0]:
+            raise ValueError("row count mismatch between X and y")
+        if self.X.shape[1] != len(FEATURE_NAMES):
+            raise ValueError(f"column count mismatch: X has {self.X.shape[1]} columns, the schema {len(FEATURE_NAMES)}")
+        if self.y.size and (self.y.min() < 0 or self.y.max() >= N_CLASSES):
+            raise ValueError("labels must lie in {0,1,2}")
+
+    @property
+    def n_rows(self) -> int:
+        return self.X.shape[0]
+
+
+# --- synthetic generation -------------------------------------------------
 
 _SEVERITY_SD = 0.7
 # per row: the severity latent, then one noise draw per ordinal feature
@@ -161,7 +138,7 @@ def synth_generate(n: int, seed: int, class_proportions=(1 / 3, 1 / 3, 1 / 3)) -
     props = SyntheticConfig(n, [float(p) for p in class_proportions]).class_proportions
     counts = largest_remainder_counts(n, props)
     stream = RngStream(seed)
-    base, slope, load, sigma = np.array([_ORDINAL_RECIPE[name] for name in FEATURE_NAMES[2:]]).T
+    base, slope, load, sigma = np.array(list(_ORDINAL_RECIPE.values())).T
     # per row: age and gender uniforms, then a Box-Muller pair per normal
     width = 2 + 2 * _NORMALS_PER_ROW
     blocks = []

@@ -35,12 +35,13 @@ over seeds 42, 7, 101 and 3, against 0.07-0.14 by the highest.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import json_array, json_value
-from ..dataset import N_CLASSES
+from ..dataset import LABEL_VALUES, N_CLASSES
 from .base import KernelSpec, TrainedModel, kernel_matrix, proba_to_labels, softmax
 
 # floor on the pair curvature K_ii + K_tt - 2 K_it (LIBSVM's TAU); without it
@@ -240,6 +241,9 @@ def train_svm_ovr(X, y, kernel: KernelSpec, C: float = 1.0) -> SvmOvrModel:
         if not (y == cls).any():
             continue
         svm = train_svm_binary(X, np.where(y == cls, 1.0, -1.0), kernel, C, K=K)
+        if svm.hit_cap:  # kept as it stands, with the warning LIBSVM prints in the same case
+            where = f"the {kernel.kind} svm machine for class {LABEL_VALUES[cls]}"
+            print(f"warning: {where} stopped at its iteration cap with gap {svm.gap:.6g}", file=sys.stderr)
         coef[:, cls] = svm.alphas * svm.y
         bias[cls] = svm.bias
     support = coef.any(axis=1)

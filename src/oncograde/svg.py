@@ -9,8 +9,10 @@ The three x-and-series charts, ``lines``, ``grouped_bars`` and
 ``{"name", "y"}``, each ``y`` as long as ``x``), ``x_label`` and
 ``y_label``. Lines plot ``x`` as numbers; bars label one slot per ``x``
 and rotate labels over 8 characters; a histogram is grouped bars whose
-labels are never rotated. ``heatmap3x3`` reads ``title`` and a 3x3
-``counts`` grid.
+labels are never rotated. Each is drawn in one frame, ``_frame``: its
+renderer computes only the ranges, x ticks and marks. ``heatmap3x3``
+reads ``title`` and a 3x3 ``counts`` grid. ``cli.py`` builds every
+payload from values checked where they entered, so none is checked again.
 """
 
 from __future__ import annotations
@@ -39,15 +41,12 @@ def _tick_label(v: float) -> str:
     return f"{float(v):.6g}"
 
 
-def _esc(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
 def _text(x, y, s, size=13, anchor="start", color="#222222", rotate=None) -> str:
     transform = f' transform="rotate({rotate} {_num(x)} {_num(y)})"' if rotate is not None else ""
+    escaped = s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (
         f'<text x="{_num(x)}" y="{_num(y)}" font-family="sans-serif" font-size="{size}" '
-        f'fill="{color}" text-anchor="{anchor}"{transform}>{_esc(s)}</text>\n'
+        f'fill="{color}" text-anchor="{anchor}"{transform}>{escaped}</text>\n'
     )
 
 
@@ -70,53 +69,39 @@ def _polyline(points, color) -> str:
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>\n'
 
 
-def _nice_range(lo: float, hi: float) -> tuple[float, float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    pad = (hi - lo) * 0.05
-    return lo - pad, hi + pad
-
-
-def _y_axis(parts, lo, hi, label):
+def _frame(data, ylo, yhi, x_ticks, marks) -> str:
+    """The document around a chart's x ticks and marks: the title, a y
+    axis from ``ylo`` to ``yhi`` with six ticks, the x axis, ``x_ticks``,
+    the x label, ``marks`` and a legend of the payload's series."""
+    parts = [_HEADER, _text(WIDTH / 2, 28, data.get("title", ""), size=17, anchor="middle")]
     parts.append(_line(X0, Y0, X0, Y1))
     for t in range(6):
-        v = lo + (hi - lo) * t / 5
-        y = Y1 - (v - lo) / (hi - lo) * (Y1 - Y0)
+        v = ylo + (yhi - ylo) * t / 5
+        y = Y1 - (v - ylo) / (yhi - ylo) * (Y1 - Y0)
         parts.append(_line(X0 - 4, y, X0, y))
         parts.append(_text(X0 - 8, y + 4, _tick_label(v), size=11, anchor="end"))
-    parts.append(_text(18, (Y0 + Y1) / 2, label, size=13, anchor="middle", rotate=-90))
-
-
-def _legend(parts, names):
-    x0 = WIDTH - MARGIN_RIGHT + 15
-    y = MARGIN_TOP + 10
-    for i, name in enumerate(names):
-        parts.append(_rect(x0, y - 9, 12, 12, PALETTE[i % len(PALETTE)]))
-        parts.append(_text(x0 + 18, y + 2, name, size=12))
-        y += 20
-
-
-def _title(parts, title):
-    parts.append(_text(WIDTH / 2, 28, title, size=17, anchor="middle"))
-
-
-def _x_and_series(data, chart: str):
-    """The payload's x values and series, each series' ``y`` as long as x."""
-    xs = list(data["x"])
-    series = data["series"]
-    if not xs or not series:
-        raise ValueError(f"{chart} chart needs x values and at least one series")
-    for s in series:
-        if len(s["y"]) != len(xs):
-            raise ValueError(f"series {s['name']!r} length does not match x")
-    return xs, series
+    parts.append(_text(18, (Y0 + Y1) / 2, data.get("y_label", ""), anchor="middle", rotate=-90))
+    parts.append(_line(X0, Y1, X1, Y1))
+    parts += x_ticks
+    parts.append(_text((X0 + X1) / 2, HEIGHT - 18, data.get("x_label", ""), anchor="middle"))
+    parts += marks
+    for i, s in enumerate(data["series"]):  # the legend, right of the plot area
+        y = Y0 + 10 + 20 * i
+        parts.append(_rect(X1 + 15, y - 9, 12, 12, PALETTE[i % len(PALETTE)]))
+        parts.append(_text(X1 + 33, y + 2, s["name"], size=12))
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
 def _render_lines(data) -> str:
-    xs, series = _x_and_series(data, "lines")
-    xs = [float(v) for v in xs]
+    xs = [float(v) for v in data["x"]]
+    series = data["series"]
     all_y = [float(v) for s in series for v in s["y"]]
-    ylo, yhi = _nice_range(min(all_y), max(all_y))
+    ylo, yhi = min(all_y), max(all_y)
+    if yhi <= ylo:
+        yhi = ylo + 1.0
+    pad = (yhi - ylo) * 0.05
+    ylo, yhi = ylo - pad, yhi + pad
     xlo, xhi = min(xs), max(xs)
     if xhi == xlo:
         xhi = xlo + 1.0
@@ -127,50 +112,31 @@ def _render_lines(data) -> str:
     def py(v):
         return Y1 - (v - ylo) / (yhi - ylo) * (Y1 - Y0)
 
-    parts = [_HEADER]
-    _title(parts, data.get("title", ""))
-    _y_axis(parts, ylo, yhi, data.get("y_label", ""))
-    parts.append(_line(X0, Y1, X1, Y1))
-    tick_xs = xs if len(xs) <= 12 else [xs[i] for i in range(0, len(xs), max(1, len(xs) // 10))]
-    for v in tick_xs:
-        parts.append(_line(px(v), Y1, px(v), Y1 + 4))
-        parts.append(_text(px(v), Y1 + 18, _tick_label(v), size=11, anchor="middle"))
-    parts.append(_text((X0 + X1) / 2, HEIGHT - 18, data.get("x_label", ""), anchor="middle"))
-    for i, s in enumerate(series):
-        pts = [(px(x), py(float(y))) for x, y in zip(xs, s["y"])]
-        parts.append(_polyline(pts, PALETTE[i % len(PALETTE)]))
-    _legend(parts, [s["name"] for s in series])
-    parts.append("</svg>\n")
-    return "".join(parts)
+    ticks = []
+    for v in xs if len(xs) <= 12 else xs[:: len(xs) // 10]:
+        ticks.append(_line(px(v), Y1, px(v), Y1 + 4))
+        ticks.append(_text(px(v), Y1 + 18, _tick_label(v), size=11, anchor="middle"))
+    marks = [
+        _polyline([(px(x), py(float(y))) for x, y in zip(xs, s["y"])], PALETTE[i % len(PALETTE)])
+        for i, s in enumerate(series)
+    ]
+    return _frame(data, ylo, yhi, ticks, marks)
 
 
 def _render_grouped_bars(data, rotate_long_labels=True) -> str:
-    labels, series = _x_and_series(data, "bar")
-    all_v = [float(v) for s in series for v in s["y"]]
-    ylo = 0.0
-    yhi = max(all_v + [1e-9]) * 1.05
-
-    def py(v):
-        return Y1 - (v - ylo) / (yhi - ylo) * (Y1 - Y0)
-
-    parts = [_HEADER]
-    _title(parts, data.get("title", ""))
-    _y_axis(parts, ylo, yhi, data.get("y_label", ""))
-    parts.append(_line(X0, Y1, X1, Y1))
-    n_cat, n_ser = len(labels), len(series)
-    slot = (X1 - X0) / n_cat
-    bar_w = slot * 0.8 / n_ser
+    labels, series = data["x"], data["series"]
+    yhi = max([float(v) for s in series for v in s["y"]] + [1e-9]) * 1.05
+    slot = (X1 - X0) / len(labels)
+    bar_w = slot * 0.8 / len(series)
+    ticks = []  # each slot's bars, then its label, all before the x label
     for ci, cat in enumerate(labels):
         base = X0 + ci * slot + slot * 0.1
         for si, s in enumerate(series):
-            v = float(s["y"][ci])
-            parts.append(_rect(base + si * bar_w, py(v), bar_w, Y1 - py(v), PALETTE[si % len(PALETTE)]))
+            top = Y1 - float(s["y"][ci]) / yhi * (Y1 - Y0)
+            ticks.append(_rect(base + si * bar_w, top, bar_w, Y1 - top, PALETTE[si % len(PALETTE)]))
         rotate = -30 if len(str(cat)) > 8 and rotate_long_labels else None
-        parts.append(_text(base + slot * 0.4, Y1 + 18, str(cat), size=11, anchor="middle", rotate=rotate))
-    parts.append(_text((X0 + X1) / 2, HEIGHT - 18, data.get("x_label", ""), anchor="middle"))
-    _legend(parts, [s["name"] for s in series])
-    parts.append("</svg>\n")
-    return "".join(parts)
+        ticks.append(_text(base + slot * 0.4, Y1 + 18, str(cat), size=11, anchor="middle", rotate=rotate))
+    return _frame(data, 0.0, yhi, ticks, [])
 
 
 def _heat_color(v: float, vmax: float) -> str:
@@ -184,14 +150,11 @@ def _heat_color(v: float, vmax: float) -> str:
 
 def _render_heatmap3x3(data) -> str:
     counts = data["counts"]
-    if len(counts) != 3 or any(len(row) != 3 for row in counts):
-        raise ValueError("heatmap3x3 requires a 3x3 count grid")
     cell_w = (X1 - X0) / 3
     cell_h = (Y1 - Y0) / 3
     vmax = max(float(v) for row in counts for v in row)
 
-    parts = [_HEADER]
-    _title(parts, data.get("title", ""))
+    parts = [_HEADER, _text(WIDTH / 2, 28, data.get("title", ""), size=17, anchor="middle")]
     for i in range(3):
         for j in range(3):
             v = float(counts[i][j])
@@ -223,8 +186,6 @@ _RENDERERS = {
 
 def render_svg(chart: str, data: dict, path) -> None:
     """Render one chart to a standalone SVG file."""
-    if chart not in _RENDERERS:
-        raise ValueError(f"unknown chart kind {chart!r}; expected one of {sorted(_RENDERERS)}")
     content = _RENDERERS[chart](data)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(content)

@@ -1391,6 +1391,32 @@ class TestHarnessCommands:
         assert lines[1].startswith("bagging,") and lines[2].startswith("svm_linear,")
         assert (rep_out / "comparison.svg").exists()
 
+    def test_report_names_an_evaluate_run_by_the_model_it_scored(self, tmp_path):
+        """An evaluate run is named by the model its model file holds, not the
+        config's unread model section (dnn by default)."""
+        train_cfg = tmp_path / "train.json"
+        train_cfg.write_text(
+            json.dumps(
+                {
+                    "seed": 3,
+                    "data": {"synthetic": {"n": 150}},
+                    "model": {"name": "voting", "hyperparams": {"epochs": 5, "n_estimators": 3}},
+                }
+            )
+        )
+        train_run, eval_run = tmp_path / "train_run", tmp_path / "eval_run"
+        assert main(["train", "--config", str(train_cfg), "--output-dir", str(train_run)]) == 0
+        save_csv(synth_generate(200, 3), tmp_path / "rows.csv")
+        eval_cfg = tmp_path / "eval.json"
+        eval_cfg.write_text(
+            json.dumps({"data": {"csv_path": str(tmp_path / "rows.csv")}, "model_path": str(train_run / "model.json")})
+        )
+        assert main(["evaluate", "--config", str(eval_cfg), "--output-dir", str(eval_run)]) == 0
+        rep_out = tmp_path / "report"
+        assert main(["report", "--runs", str(train_run), str(eval_run), "--output-dir", str(rep_out)]) == 0
+        rows = list(csv.reader(io.StringIO((rep_out / "comparison.csv").read_text())))
+        assert [row[0] for row in rows[1:]] == ["voting", "voting"]
+
     def test_report_missing_run_exit_2(self, tmp_path):
         assert main(["report", "--runs", str(tmp_path / "ghost"), "--output-dir", str(tmp_path / "r")]) == 2
 

@@ -1,4 +1,6 @@
+import hashlib
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -50,6 +52,13 @@ def test_document_shell(chart, data, tmp_path):
 
 
 @pytest.mark.parametrize("chart,data", ALL_CHARTS)
+def test_parses_to_one_svg_root(chart, data, tmp_path):
+    path = tmp_path / "c.svg"
+    render_svg(chart, data, path)
+    assert ET.parse(path).getroot().tag == "{http://www.w3.org/2000/svg}svg"
+
+
+@pytest.mark.parametrize("chart,data", ALL_CHARTS)
 def test_byte_deterministic(chart, data, tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     render_svg(chart, data, a)
@@ -84,23 +93,31 @@ def test_histogram_bar_count(tmp_path):
     assert len(re.findall(r"<rect ", text)) == 9 * 3 + 3
 
 
-def test_unknown_chart_kind(tmp_path):
-    with pytest.raises(ValueError, match="unknown chart kind"):
-        render_svg("pie", {}, tmp_path / "x.svg")
+# one x value and flat series: both ranges are empty and widened to 1
+ONE_POINT_LINES = {
+    "title": "one point",
+    "x": [3],
+    "series": [{"name": "flat", "y": [0.5]}, {"name": "also flat", "y": [0.5]}],
+    "x_label": "epoch",
+    "y_label": "accuracy",
+}
+# every bar 0: the y range is floored at 1e-9
+ZERO_BARS = {
+    "title": "zeros",
+    "x": ["a", "b", "c"],
+    "series": [{"name": "s1", "y": [0, 0, 0]}, {"name": "s2", "y": [0.0, 0.0, 0.0]}],
+    "y_label": "count",
+}
 
 
-def test_heatmap_shape_mismatch(tmp_path):
-    with pytest.raises(ValueError, match="3x3"):
-        render_svg("heatmap3x3", {"counts": [[1, 2], [3, 4]]}, tmp_path / "x.svg")
-
-
-def test_lines_series_length_mismatch(tmp_path):
-    bad = {"x": [1, 2], "series": [{"name": "s", "y": [1.0]}]}
-    with pytest.raises(ValueError, match="length"):
-        render_svg("lines", bad, tmp_path / "x.svg")
-
-
-def test_bars_series_length_mismatch(tmp_path):
-    bad = {"x": ["a"], "series": [{"name": "s", "y": [1.0, 2.0]}]}
-    with pytest.raises(ValueError, match="length"):
-        render_svg("grouped_bars", bad, tmp_path / "x.svg")
+@pytest.mark.parametrize(
+    "chart,data,digest",
+    [
+        ("lines", ONE_POINT_LINES, "a9894c69ab022b325564fda5119ba30beb4dc399020d3960ae2b0334774f766c"),
+        ("grouped_bars", ZERO_BARS, "6e274337b0b9a6f46cb5c3cf492e6c1c26098062a7ee83ba9a58175cd0178604"),
+    ],
+)
+def test_degenerate_range_bytes(chart, data, digest, tmp_path):
+    path = tmp_path / "d.svg"
+    render_svg(chart, data, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -396,6 +396,28 @@ class TestOneVsRest:
         assert (P >= 0).all()
         assert np.array_equal(model.predict(X), np.argmax(P, axis=1))
 
+    def test_machine_at_its_iteration_cap_warns_once(self, blobs3, monkeypatch, capsys):
+        """A machine that stops at its cap is kept, with one stderr line naming
+        its kernel kind, its class and its final gap."""
+        X, y = blobs3
+        capped = []
+
+        def train_middle_capped(*args, **kwargs):
+            machine = train_svm_binary(*args, **kwargs)
+            if np.array_equal(args[1] > 0, y == 1):  # the class-1 (Medium) machine
+                machine.hit_cap = True
+                capped.append(machine)
+            return machine
+
+        monkeypatch.setattr(svm_module, "train_svm_binary", train_middle_capped)
+        model = train_svm_ovr(X, y, KernelSpec("rbf", gamma=0.5))
+        machine = capped[0]
+        assert capsys.readouterr().err == (
+            f"warning: the rbf svm machine for class Medium stopped at its iteration cap with gap {machine.gap:.6g}\n"
+        )
+        reference = train_svm_ovr(X, y, KernelSpec("rbf", gamma=0.5))
+        assert model_to_doc(model) == model_to_doc(reference)
+
     def test_single_class_errors(self):
         with pytest.raises(ValueError, match="2 classes"):
             train_svm_ovr(np.zeros((3, 2)), np.zeros(3, dtype=int), KernelSpec("linear"))
