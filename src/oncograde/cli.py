@@ -344,10 +344,13 @@ def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> None:
     X, y = _balanced_dataset(cfg)
     result = sweep(X, y, cfg.model, cfg.eval, derive_stream(cfg.seed, 3))
     writer.write_text("sweep.csv", sweep_to_csv(result))
-    series = [(f"mcw={mcw:g}", result.val_grid[:, j]) for j, mcw in enumerate(result.min_child_weights)]
+    rates, mcws, grid = result.learning_rates, result.min_child_weights, result.val_grid
+    if "learning_rate" in HYPERPARAMS_READ[cfg.model.name]:
+        x, x_label, series = rates, "learning rate", [(f"mcw={mcw:g}", grid[:, j]) for j, mcw in enumerate(mcws)]
+    else:  # chart the axis the model reads, min child weight, on x
+        x, x_label, series = mcws, "min child weight", [(f"lr={lr:g}", grid[i]) for i, lr in enumerate(rates)]
     title = f"Validation accuracy: {cfg.model.name}"
-    rates = result.learning_rates
-    _write_chart(writer, "sweep.svg", "lines", title, rates, series, "learning rate", "validation accuracy")
+    _write_chart(writer, "sweep.svg", "lines", title, x, series, x_label, "validation accuracy")
 
 
 def cmd_report(run_dirs: list[str], writer: ArtifactWriter) -> None:

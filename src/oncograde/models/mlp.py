@@ -1,6 +1,6 @@
 """Fully connected ReLU network with a softmax head, trained by
 mini-batch gradient descent with momentum and validation-based early
-stopping.
+stopping on one parameter vector, of which every weight and bias is a view.
 
 Initialization is He-style (normal scaled by sqrt(2 / fan_in)) drawn from
 the caller's stream; batch order is reshuffled from the same stream every
@@ -42,12 +42,8 @@ class MlpModel(TrainedModel):
     biases: list[np.ndarray]
     history: TrainHistory
 
-    @property
-    def n_features(self) -> int:
-        return self.weights[0].shape[0]
-
     def predict_proba(self, X) -> np.ndarray:
-        check_width(X, self.n_features)
+        check_width(X, self.weights[0].shape[0])
         logits = forward(self.weights, self.biases, X)
         return softmax(logits)
 
@@ -123,18 +119,21 @@ def cross_entropy_grads(weights, biases, X, y):
 
 def train_mlp(Xtr, ytr, Xval, yval, hp: Hyperparams, stream: RngStream) -> MlpModel:
     """Train with momentum SGD; early stopping on validation loss with
-    patience 20, restoring the best-epoch weights."""
+    patience 20, restoring the best-epoch weights. The model's weights and
+    biases are C-contiguous views of one float64 vector, in that order."""
     if np.unique(ytr).size < 2:
         raise ValueError("training set contains a single class")
 
     sizes = [Xtr.shape[1]] + list(hp.hidden_layers) + [N_CLASSES]
     weights, biases = init_params(sizes, stream)
-    params = weights + biases  # the same arrays, each stepped in place
-    velocity = [np.zeros_like(p) for p in params]
+    params = np.concatenate(weights + biases, axis=None)
+    starts = np.cumsum([0] + [a.size for a in weights + biases])
+    views = [params[lo:hi].reshape(a.shape) for a, lo, hi in zip(weights + biases, starts, starts[1:])]
+    weights, biases = views[: len(weights)], views[len(weights) :]
+    velocity = np.zeros_like(params)
 
     history = TrainHistory()
     best_val = np.inf
-    best = None
     stale = 0
     n = Xtr.shape[0]
 
@@ -143,10 +142,9 @@ def train_mlp(Xtr, ytr, Xval, yval, hp: Hyperparams, stream: RngStream) -> MlpMo
         for start in range(0, n, hp.batch_size):
             batch = order[start : start + hp.batch_size]
             gw, gb = cross_entropy_grads(weights, biases, Xtr[batch], ytr[batch])
-            for p, v, g in zip(params, velocity, gw + gb):
-                v *= _MOMENTUM
-                v -= hp.learning_rate * g
-                p += v
+            velocity *= _MOMENTUM
+            velocity -= hp.learning_rate * np.concatenate(gw + gb, axis=None)
+            params += velocity
 
         # one forward pass per split gives both its loss and its accuracy
         train_loss, train_accuracy = _loss_and_accuracy(forward(weights, biases, Xtr), ytr)
@@ -162,12 +160,12 @@ def train_mlp(Xtr, ytr, Xval, yval, hp: Hyperparams, stream: RngStream) -> MlpMo
 
         if val_loss < best_val:
             best_val = val_loss
-            best = [p.copy() for p in params]
+            best = params.copy()
             stale = 0
         else:
             stale += 1
             if stale >= _PATIENCE:
                 break
 
-    layers = len(weights)
-    return MlpModel(weights=best[:layers], biases=best[layers:], history=history)
+    params[:] = best
+    return MlpModel(weights=weights, biases=biases, history=history)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import typing
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -1360,6 +1361,20 @@ class TestHarnessCommands:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + 1x2 grid
         assert (out / "sweep.svg").exists()
+
+    def test_bagging_sweep_charts_min_child_weight_on_x(self, tmp_path):
+        """Bagging reads no learning rate, so its chart puts the axis it does
+        read on x, one tick per min child weight, with a line per learning rate."""
+        sweep_axes = {"learning_rate": [0.01, 0.1], "min_child_weight": [1.0, 3.0, 8.0]}
+        cfg = write_config(tmp_path / "cfg.json", eval={"k": 3, "sweep": sweep_axes})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        texts = [el for el in ET.parse(out / "sweep.svg").iter() if el.tag.endswith("text")]
+        x_ticks = [el.text for el in texts if el.get("font-size") == "11" and el.get("text-anchor") == "middle"]
+        labels = [el.text for el in texts if el.get("font-size") == "13"]
+        assert x_ticks == ["1", "3", "8"]
+        assert "min child weight" in labels and "learning rate" not in labels
+        assert [el.text for el in texts if el.get("font-size") == "12"] == ["lr=0.01", "lr=0.1"]
 
     def test_profile(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

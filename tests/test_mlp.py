@@ -108,6 +108,17 @@ class TestTrainMlp:
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
 
+    def test_layers_are_views_of_one_parameter_vector(self):
+        """Every weight and bias is a C-contiguous view of one float64
+        vector, weights first, so the vector is the layers joined in order."""
+        X, y = make_blobs(seed=8, n_per_class=10)
+        model = train_mlp(X, y, X, y, Hyperparams(epochs=5, hidden_layers=[8, 4]), RngStream(7))
+        layers = model.weights + model.biases
+        params = layers[0].base
+        assert params.ndim == 1 and params.dtype == np.float64
+        assert all(a.base is params and a.flags.c_contiguous for a in layers)
+        assert np.array_equal(params, np.concatenate(layers, axis=None))
+
 
 @pytest.fixture(scope="module")
 def model():

@@ -9,6 +9,7 @@ SMOTE and ``evaluate`` bounded as row counts grow.
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ def digest(*arrays) -> str:
 
 
 PAPER_PROPORTIONS = (0.303, 0.332, 0.365)
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
 
 def paper_order_matrix(n: int, seed: int):
@@ -145,19 +147,51 @@ class TestPinnedDigests:
         assert hashlib.sha256(metrics).hexdigest() == "fbe24b321b9cc370d2944c408f91017860edf053c9de561ecaf748f8afaf6956"
 
     @pytest.mark.parametrize(
+        "doc,epochs,best,digest",
+        [
+            (
+                {"seed": 3, "data": {"synthetic": {"n": 300}}, "model": {"name": "dnn"}},
+                83,
+                62,
+                "a0c192ea58d06728857c59c387c6ae7630b8b3cdf924975c0b52ea7983e90bd8",
+            ),
+            (
+                json.loads((GOLDEN_DIR / "config.json").read_text(encoding="utf-8")),
+                60,
+                53,
+                "5cd8cf8128b5506a28611e5c65d6b3327e55c70ca64d2fd8fe9abdbbb8882683",
+            ),
+        ],
+        ids=["default-dnn", "golden"],
+    )
+    def test_dnn_restores_its_best_epoch(self, tmp_path, doc, epochs, best, digest):
+        """A dnn whose best validation loss comes before its last epoch, so its
+        file holds the restored weights: the default network stops on patience
+        after 83 epochs, best at epoch index 62, and the golden two-hidden-layer
+        network runs to its 60-epoch cap, best at index 53."""
+        cfg = write_json(tmp_path / "train.json", doc)
+        assert main(["train", "--config", cfg, "--output-dir", str(tmp_path / "run")]) == 0
+        model = (tmp_path / "run" / "model.json").read_bytes()
+        val_loss = json.loads(model)["model"]["params"]["history"]["val_loss"]
+        assert (len(val_loss), int(np.argmin(val_loss))) == (epochs, best)
+        assert hashlib.sha256(model).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "command,name,digest",
         [
             ("curve", "curve.csv", "52e6cb4a4e967d4f5fd4cea17716f1d2f7488aa009dd803ffc031c6414472b6e"),
             ("sweep", "sweep.csv", "96258ceea9d4f0dc04c97d7e2515a4d8045bb2047bdbe5dfd97c19cfea8ecebe"),
             ("curve", "curve.svg", "f986b596bc88913dc48957e42acec81bc5937e1a92f65142c1e6a924754b285b"),
-            ("sweep", "sweep.svg", "2bc90019fa5b01f2def2e67c2d14ffe6c17802ff1dd440a5ace5e62edce1f6c8"),
+            ("sweep", "sweep.svg", "8039acb4193da2c3119df78ec36eec5cfb1f10d201f7bea0481ec83414de1653"),
         ],
     )
     def test_harness_csv(self, tmp_path, command, name, digest):
         """``curve.csv`` and ``sweep.csv`` of a small bagging run, and the
         charts drawn from them. The CSV digests were computed when ``cli.py``
         handed the harness each ``eval`` field as its own argument; the chart
-        digests when ``cli.py`` wrote each chart payload out by hand."""
+        digests when ``cli.py`` wrote each chart payload out by hand. The
+        ``sweep.svg`` digest was re-recorded when bagging's chart moved min
+        child weight, the axis it reads, onto x."""
         cfg = write_json(
             tmp_path / "harness.json",
             {
