@@ -42,7 +42,6 @@ from .models.base import HYPERPARAMS_READ, MODEL_NAMES, ModelSpec, model_from_do
 from .preprocess import (
     PreprocessConfig,
     Preprocessor,
-    choose_pairs,
     correlation_to_csv,
     correlation_to_json,
     pearson_matrix,
@@ -239,9 +238,10 @@ def _write_metrics_artifacts(writer: ArtifactWriter, counts, report, title: str)
 
 def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
     d = _load_dataset(cfg)
-    report = choose_pairs(pearson_matrix(d.X, FEATURE_NAMES), cfg.preprocess.corr_hi, cfg.preprocess.corr_lo)
+    settings = cfg.preprocess
+    report = pearson_matrix(d.X, settings.corr_hi, settings.corr_lo)
     writer.write_text("correlation.csv", correlation_to_csv(report))
-    writer.write_json("correlation.json", correlation_to_json(report))
+    writer.write_json("correlation.json", correlation_to_json(report, settings.corr_hi, settings.corr_lo))
 
     rows = []
     for j, name in enumerate(FEATURE_NAMES):
@@ -338,17 +338,20 @@ def cmd_curve(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> None:
+    read_axes = {"learning_rate", "min_child_weight"}.intersection(HYPERPARAMS_READ[cfg.model.name])
     # with neither axis read, every cell would be one model, scored once
-    if not {"learning_rate", "min_child_weight"}.intersection(HYPERPARAMS_READ[cfg.model.name]):
+    if not read_axes:
         raise ConfigError(f"sweep: {cfg.model.name} reads neither sweep axis, learning_rate nor min_child_weight")
     X, y = _balanced_dataset(cfg)
     result = sweep(X, y, cfg.model, cfg.eval, derive_stream(cfg.seed, 3))
     writer.write_text("sweep.csv", sweep_to_csv(result))
     rates, mcws, grid = result.learning_rates, result.min_child_weights, result.val_grid
-    if "learning_rate" in HYPERPARAMS_READ[cfg.model.name]:
+    if "learning_rate" in read_axes:
         x, x_label, series = rates, "learning rate", [(f"mcw={mcw:g}", grid[:, j]) for j, mcw in enumerate(mcws)]
     else:  # chart the axis the model reads, min child weight, on x
         x, x_label, series = mcws, "min child weight", [(f"lr={lr:g}", grid[i]) for i, lr in enumerate(rates)]
+    if len(read_axes) == 1:  # the other axis is not read, so its lines would copy one model's
+        series = [("validation accuracy", series[0][1])]
     title = f"Validation accuracy: {cfg.model.name}"
     _write_chart(writer, "sweep.svg", "lines", title, x, series, x_label, "validation accuracy")
 

@@ -142,20 +142,13 @@ _AGG_KEYS = ("accuracy", "macro_precision", "macro_recall", "macro_f1")
 
 
 def stratified_folds(y, k: int, stream: RngStream) -> list[list[int]]:
-    """Per-class round-robin assignment after a seeded shuffle.
-
-    Remainder classes start at rotating offsets so overall fold sizes
-    differ by at most 1.
-    """
-    folds: list[list[int]] = [[] for _ in range(k)]
-    offset = 0
-    for cls, order in shuffled_classes(y, stream):
-        if len(order) < k:
-            raise ValueError(f"class {cls} has {len(order)} samples, fewer than k={k}")
-        for m, i in enumerate(order):
-            folds[(m + offset) % k].append(i)
-        offset = (offset + len(order)) % k
-    return folds
+    """The classes' seeded shuffles, laid end to end, dealt round-robin into ``k`` folds."""
+    order: list[int] = []
+    for cls, rows in shuffled_classes(y, stream):
+        if len(rows) < k:
+            raise ValueError(f"class {cls} has {len(rows)} samples, fewer than k={k}")
+        order += rows
+    return [order[f::k] for f in range(k)]
 
 
 def _fit_and_score(X, y, fits, score_train: bool = True) -> list:

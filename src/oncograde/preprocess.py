@@ -1,8 +1,10 @@
 """Preprocessing chain: MinMax scaling, correlation-driven feature
 engineering, SMOTE oversampling, and stratified train/test splitting.
 
-One fitted :class:`Preprocessor` serves ``train``, the harness commands
-and ``evaluate``. Two pipeline orders are supported. ``paper_order`` fits
+:func:`pearson_matrix` builds the whole correlation report that
+``profile`` writes and each fit engineers from. One fitted
+:class:`Preprocessor` serves ``train``, the harness commands and
+``evaluate``. Two pipeline orders are supported. ``paper_order`` fits
 and oversamples the full dataset before splitting; it reproduces the
 familiar 876/219 arithmetic on a 1000-row input but leaks test information
 through global scaling and SMOTE. ``leak_safe`` splits first and fits on
@@ -15,7 +17,7 @@ and every synthetic row, do not depend on how the product rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,13 +49,12 @@ class PreprocessConfig:
 
 @dataclass
 class CorrelationReport:
+    """Pearson r, the constant columns, and the (k, 2) pairs (i, j), i < j, to engineer and flag."""
+
     matrix: np.ndarray
-    feature_names: list[str]
     zero_variance_columns: list[int]
-    engineered_pairs: np.ndarray | None = None  # (k, 2) rows (i, j), i < j, in row order; set by `engineer_features`
-    flagged_pairs: np.ndarray | None = None
-    hi_threshold: float | None = None
-    lo_threshold: float | None = None
+    engineered_pairs: np.ndarray
+    flagged_pairs: np.ndarray
 
 
 @dataclass
@@ -90,31 +91,25 @@ def apply_minmax(X, minmax: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return out
 
 
-def pearson_matrix(X, feature_names: list[str] | None = None) -> CorrelationReport:
-    """Pearson r for every column pair.
+def pearson_matrix(X, hi: float, lo: float) -> CorrelationReport:
+    """Pearson r for every column pair, and the pairs :func:`choose_pairs` picks from it.
 
-    Zero-variance columns get r=0 against everything else and 1 on the
-    diagonal.
+    A constant column, one whose every row equals its first, gets r=0 against every other column and 1 on the diagonal.
     """
-    n, m = X.shape
+    n = len(X)
     if n < 2:
         raise ValueError("pearson_matrix needs at least 2 rows")
-    if feature_names is None:
-        feature_names = [f"col_{j}" for j in range(m)]
+    constant = (X == X[0]).all(axis=0)
     centered = X - X.mean(axis=0)
-    # each column scaled by a power of two, so its largest entry lies in
+    centered[:, constant] = 0.0  # the mean of n copies of 0.1 need not round back to 0.1
+    # each other column scaled by a power of two, so its largest entry lies in
     # [0.5, 1): exact, so r keeps its bits, and a column of tiny values no
-    # longer loses precision to subnormal squares
+    # longer loses precision to subnormal squares; a column of zeros keeps scale 1
     centered = np.ldexp(centered, -np.frexp(np.abs(centered).max(axis=0))[1])
-    sd = np.sqrt((centered**2).mean(axis=0))
-    zero_var = [int(j) for j in np.where(sd == 0)[0]]
-    safe_sd = np.where(sd == 0, 1.0, sd)
-    corr = (centered.T @ centered) / n / np.outer(safe_sd, safe_sd)
-    for j in zero_var:
-        corr[j, :] = 0.0
-        corr[:, j] = 0.0
+    sd = np.where(constant, 1.0, np.sqrt((centered**2).mean(axis=0)))
+    corr = (centered.T @ centered) / n / np.outer(sd, sd)
     np.fill_diagonal(corr, 1.0)
-    return CorrelationReport(corr, list(feature_names), zero_var)
+    return CorrelationReport(corr, np.flatnonzero(constant).tolist(), *choose_pairs(corr, hi, lo))
 
 
 # rows of pair means made per step; bounds the two (rows, k) operands a step gathers
@@ -134,29 +129,26 @@ def append_pair_means(X, pairs) -> np.ndarray:
     return out
 
 
-def choose_pairs(report: CorrelationReport, hi: float, lo: float) -> CorrelationReport:
-    """The report with the column pairs to engineer and the pairs to flag.
+def choose_pairs(matrix, hi: float, lo: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 2) column pairs ``(engineered, flagged)`` of a correlation matrix.
 
     Every original pair (i < j) with r > hi is engineered, in (i, j) order.
     Pairs with r < lo (and not r > hi) are flagged, but nothing is dropped.
     """
-    m = report.matrix.shape[0]
-    pairs = np.column_stack(np.triu_indices(m, 1))
-    r = report.matrix[pairs[:, 0], pairs[:, 1]]
+    pairs = np.column_stack(np.triu_indices(len(matrix), 1))
+    r = matrix[pairs[:, 0], pairs[:, 1]]
     above = r > hi
-    flagged = pairs[~above & (r < lo)]  # a pair above hi is never flagged, even when lo > hi
-    return replace(report, engineered_pairs=pairs[above], flagged_pairs=flagged, hi_threshold=hi, lo_threshold=lo)
+    return pairs[above], pairs[~above & (r < lo)]  # a pair above hi is never flagged, even when lo > hi
 
 
-def engineer_features(X, report: CorrelationReport, hi: float, lo: float):
+def engineer_features(X, hi: float, lo: float):
     """Combine strongly correlated column pairs into new mean columns.
 
-    A mean column is appended for every pair :func:`choose_pairs`
-    engineers, and the chosen report is returned beside the matrix.
-    Engineered columns never seed further engineering.
+    A mean column is appended for every pair :func:`pearson_matrix` engineers, and its
+    report is returned beside the matrix. Engineered columns never seed further engineering.
     """
-    out = choose_pairs(report, hi, lo)
-    return append_pair_means(X, out.engineered_pairs), out
+    report = pearson_matrix(X, hi, lo)
+    return append_pair_means(X, report.engineered_pairs), report
 
 
 # bounds the neighbour search's scratch, in 8-byte cells: a block of rows
@@ -323,7 +315,7 @@ class Preprocessor:
         by it and oversampled with SMOTE on ``stream.derive(0)``."""
         minmax = fit_minmax(X)
         X = apply_minmax(X, minmax)
-        X, report = engineer_features(X, pearson_matrix(X), settings.corr_hi, settings.corr_lo)
+        X, report = engineer_features(X, settings.corr_hi, settings.corr_lo)
         # MinMax over a column whose span passes the float range makes NaN from finite rows
         X, y = smote(as_matrix(X), y, settings.smote_k, stream.derive(0))
         return cls(minmax, report.engineered_pairs), X, y
@@ -374,21 +366,20 @@ def run_pipeline(d: Dataset, settings: PreprocessConfig, stream: RngStream) -> P
 
 
 def correlation_to_csv(report: CorrelationReport) -> str:
-    names = report.feature_names
-    return csv_text(["", *names], ([name, *row] for name, row in zip(names, report.matrix)))
+    return csv_text(["", *FEATURE_NAMES], ([name, *row] for name, row in zip(FEATURE_NAMES, report.matrix)))
 
 
-def correlation_to_json(report: CorrelationReport) -> dict:
+def correlation_to_json(report: CorrelationReport, hi: float, lo: float) -> dict:
     def pair_docs(pairs):
-        names = report.feature_names
+        r = report.matrix
         return [
-            {"i": i, "j": j, "feature_i": names[i], "feature_j": names[j], "r": float(report.matrix[i, j])}
+            {"i": i, "j": j, "feature_i": FEATURE_NAMES[i], "feature_j": FEATURE_NAMES[j], "r": float(r[i, j])}
             for i, j in pairs.tolist()
         ]
 
     return {
-        "hi_threshold": report.hi_threshold,
-        "lo_threshold": report.lo_threshold,
+        "hi_threshold": hi,
+        "lo_threshold": lo,
         "engineered": pair_docs(report.engineered_pairs),
         "flagged": pair_docs(report.flagged_pairs),
         "zero_variance_columns": list(report.zero_variance_columns),

@@ -98,8 +98,9 @@ def _render_lines(data) -> str:
     series = data["series"]
     all_y = [float(v) for s in series for v in s["y"]]
     ylo, yhi = min(all_y), max(all_y)
-    if yhi <= ylo:
-        yhi = ylo + 1.0
+    if yhi <= ylo:  # widened around its value by 5% of it, 0.05 at 0, as matplotlib's `nonsingular` does
+        half = 0.05 * abs(ylo) or 0.05
+        ylo, yhi = ylo - half, yhi + half
     pad = (yhi - ylo) * 0.05
     ylo, yhi = ylo - pad, yhi + pad
     xlo, xhi = min(xs), max(xs)

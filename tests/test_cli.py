@@ -1364,7 +1364,8 @@ class TestHarnessCommands:
 
     def test_bagging_sweep_charts_min_child_weight_on_x(self, tmp_path):
         """Bagging reads no learning rate, so its chart puts the axis it does
-        read on x, one tick per min child weight, with a line per learning rate."""
+        read on x, one tick per min child weight, with one line: a line per
+        learning rate would draw one trained model's scores twice."""
         sweep_axes = {"learning_rate": [0.01, 0.1], "min_child_weight": [1.0, 3.0, 8.0]}
         cfg = write_config(tmp_path / "cfg.json", eval={"k": 3, "sweep": sweep_axes})
         out = tmp_path / "sweep"
@@ -1374,7 +1375,19 @@ class TestHarnessCommands:
         labels = [el.text for el in texts if el.get("font-size") == "13"]
         assert x_ticks == ["1", "3", "8"]
         assert "min child weight" in labels and "learning rate" not in labels
-        assert [el.text for el in texts if el.get("font-size") == "12"] == ["lr=0.01", "lr=0.1"]
+        assert [el.text for el in texts if el.get("font-size") == "12"] == ["validation accuracy"]
+
+    def test_dnn_sweep_draws_one_line(self, tmp_path):
+        # the dnn reads no min child weight, so a line per mcw value drew copies of one
+        sweep_axes = {"learning_rate": [0.01, 0.1], "min_child_weight": [1.0, 3.0, 5.0]}
+        model = {"name": "dnn", "hyperparams": {"epochs": 5, "hidden_layers": [8]}}
+        cfg = write_config(tmp_path / "cfg.json", model=model, eval={"sweep": sweep_axes})
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        elements = list(ET.parse(out / "sweep.svg").iter())
+        assert len([el for el in elements if el.tag.endswith("polyline")]) == 1
+        legend = [el.text for el in elements if el.tag.endswith("text") and el.get("font-size") == "12"]
+        assert legend == ["validation accuracy"]
 
     def test_profile(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -1388,6 +1401,20 @@ class TestHarnessCommands:
         assert len(svgs) == 23
         doc = json.loads((out / "correlation.json").read_text())
         assert "engineered" in doc and "flagged" in doc
+
+    def test_profile_finds_non_integer_constant_columns(self, tmp_path):
+        # the mean of 300 copies of 7.7 is not 7.7; the centred noise read as r = 1.0 between the two
+        d = synth_generate(300, 3)
+        constant = [FEATURE_NAMES.index("Snoring"), FEATURE_NAMES.index("Dry Cough")]
+        d.X[:, constant] = 7.7
+        save_csv(d, tmp_path / "rows.csv")
+        cfg = write_config(tmp_path / "cfg.json", data={"csv_path": str(tmp_path / "rows.csv")})
+        out = tmp_path / "profile"
+        assert main(["profile", "--config", str(cfg), "--output-dir", str(out)]) == 0
+        doc = json.loads((out / "correlation.json").read_text())
+        assert doc["zero_variance_columns"] == sorted(constant)
+        pairs = [(p["i"], p["j"]) for p in doc["engineered"] + doc["flagged"]]
+        assert pairs and not any(i in constant or j in constant for i, j in pairs)
 
     def test_report(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

@@ -16,7 +16,7 @@ import pytest
 
 from oncograde.cli import main
 from oncograde.core import RngStream, derive_stream, shuffle
-from oncograde.dataset import FEATURE_NAMES, load_csv, save_csv, synth_generate
+from oncograde.dataset import load_csv, save_csv, synth_generate
 from oncograde.models.mlp import init_params
 from oncograde.preprocess import (
     PreprocessConfig,
@@ -24,7 +24,6 @@ from oncograde.preprocess import (
     apply_minmax,
     engineer_features,
     fit_minmax,
-    pearson_matrix,
     smote,
 )
 
@@ -44,7 +43,7 @@ def paper_order_matrix(n: int, seed: int):
     """The scaled, engineered matrix that paper-order SMOTE runs on."""
     d = synth_generate(n, seed, PAPER_PROPORTIONS)
     X = apply_minmax(d.X, fit_minmax(d.X))
-    X, _ = engineer_features(X, pearson_matrix(X, FEATURE_NAMES), 0.5, -0.4)
+    X, _ = engineer_features(X, 0.5, -0.4)
     return X, d.y
 
 
@@ -182,7 +181,7 @@ class TestPinnedDigests:
             ("curve", "curve.csv", "52e6cb4a4e967d4f5fd4cea17716f1d2f7488aa009dd803ffc031c6414472b6e"),
             ("sweep", "sweep.csv", "96258ceea9d4f0dc04c97d7e2515a4d8045bb2047bdbe5dfd97c19cfea8ecebe"),
             ("curve", "curve.svg", "f986b596bc88913dc48957e42acec81bc5937e1a92f65142c1e6a924754b285b"),
-            ("sweep", "sweep.svg", "8039acb4193da2c3119df78ec36eec5cfb1f10d201f7bea0481ec83414de1653"),
+            ("sweep", "sweep.svg", "d31f1a13a1c8af8c77e24f2e8d811397d955d82664a734a0d1285fbc6a767678"),
         ],
     )
     def test_harness_csv(self, tmp_path, command, name, digest):
@@ -191,7 +190,8 @@ class TestPinnedDigests:
         handed the harness each ``eval`` field as its own argument; the chart
         digests when ``cli.py`` wrote each chart payload out by hand. The
         ``sweep.svg`` digest was re-recorded when bagging's chart moved min
-        child weight, the axis it reads, onto x."""
+        child weight, the axis it reads, onto x, and again when it drew its one
+        trained line once and widened its flat y range by 5% of its value."""
         cfg = write_json(
             tmp_path / "harness.json",
             {
@@ -215,13 +215,15 @@ class TestPinnedDigests:
             ("dnn", "cv", "cv.csv", "c16aaf11711a8dda47056d8686a8b6230fadf997b22faf47e217f2d37e8b7dca"),
             ("dnn", "curve", "curve.csv", "ce55d9df48d759b7c14ac7810a68fed4c483a35fb26ad97c01e78409bb4b8362"),
             ("dnn", "sweep", "sweep.csv", "1cee37fcb5cf3c8e80d397df1c0a18e2e4dda751414b3cfc018b43f165ddc1bb"),
-            ("dnn", "sweep", "sweep.svg", "738ed5e060206a2431d14a172b17b940797e6d10f7d8ef534ee2d8e3e079f175"),
+            ("dnn", "sweep", "sweep.svg", "b6c0ab7d23c8fe991f2411659d60c23325d7a06b638cb7bd73f5102ea9a8e629"),
         ],
     )
     def test_dnn_and_svm_harness(self, tmp_path, model, command, name, digest):
         """The harness artifacts of a small dnn run over the default 3 x 3
         sweep grid. The digests were computed when ``sweep`` trained one
-        model for every cell of the grid."""
+        model for every cell of the grid; ``sweep.svg``'s was re-recorded when
+        the chart drew the dnn's one line per learning rate once, not once per
+        min child weight, which the dnn does not read."""
         hyperparams = {"epochs": 5, "hidden_layers": [8]}
         cfg = write_json(
             tmp_path / "harness.json",

@@ -19,6 +19,7 @@ from oncograde.preprocess import (
     Preprocessor,
     append_pair_means,
     apply_minmax,
+    choose_pairs,
     correlation_to_csv,
     correlation_to_json,
     engineer_features,
@@ -76,33 +77,41 @@ class TestMinMax:
 class TestPearson:
     def test_self_correlation(self):
         X = np.array([[1.0, 1.0], [2.0, 2.0], [5.0, 5.0]])
-        r = pearson_matrix(X).matrix
+        r = pearson_matrix(X, 0.5, -0.4).matrix
         assert r[0, 1] == pytest.approx(1.0)
 
     def test_anticorrelation(self):
         x = np.array([1.0, 2.0, 5.0])
         X = np.column_stack([x, -x])
-        assert pearson_matrix(X).matrix[0, 1] == pytest.approx(-1.0)
+        assert pearson_matrix(X, 0.5, -0.4).matrix[0, 1] == pytest.approx(-1.0)
 
     def test_frozen_example(self):
         X = np.column_stack([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0]])
-        r = pearson_matrix(X).matrix[0, 1]
+        r = pearson_matrix(X, 0.5, -0.4).matrix[0, 1]
         assert r == pytest.approx(9 / np.sqrt(84), abs=1e-12)
 
     def test_zero_variance_convention(self):
         X = np.column_stack([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0]])
-        rep = pearson_matrix(X)
+        rep = pearson_matrix(X, 0.5, -0.4)
         assert rep.zero_variance_columns == [1]
         assert rep.matrix[0, 1] == 0.0 and rep.matrix[1, 1] == 1.0
 
+    def test_constant_columns_found_by_value(self):
+        # the mean of three 0.1s is not 0.1: centring left noise that scaling blew up to r = 1
+        X = np.column_stack([[0.1, 0.1, 0.1], [0.1, 0.1, 0.1], [1.0, 2.0, 4.0]])
+        rep = pearson_matrix(X, 0.5, -0.4)
+        assert rep.zero_variance_columns == [0, 1]
+        assert rep.matrix[0, 1] == 0.0 and rep.matrix[0, 2] == 0.0 and rep.matrix[0, 0] == 1.0
+        assert rep.engineered_pairs.tolist() == [] and rep.flagged_pairs.tolist() == []
+
     def test_too_few_rows(self):
         with pytest.raises(ValueError, match="at least 2 rows"):
-            pearson_matrix(np.ones((1, 2)))
+            pearson_matrix(np.ones((1, 2)), 0.5, -0.4)
 
     @given(finite_matrices)
     @settings(max_examples=50)
     def test_bounded(self, X):
-        r = pearson_matrix(X).matrix
+        r = pearson_matrix(X, 0.5, -0.4).matrix
         assert (np.abs(r) <= 1 + 1e-12).all()
         assert np.allclose(r, r.T)
 
@@ -110,7 +119,7 @@ class TestPearson:
         # squares of 1e-156 are subnormal; they made this r 1.0000000000044713
         X = np.zeros((6, 4))
         X[5, 0], X[5, 1] = 1.0, 1.0191897999465152e-156
-        r = pearson_matrix(X).matrix
+        r = pearson_matrix(X, 0.5, -0.4).matrix
         assert (np.abs(r) <= 1 + 1e-12).all()
         assert r[0, 1] == pytest.approx(1.0, abs=1e-15)
 
@@ -119,27 +128,27 @@ class TestPearson:
         X = rng.normal(size=(40, 3))
         X2 = X.copy()
         X2[:, 0] = 3.5 * X2[:, 0] + 11.0
-        assert np.allclose(pearson_matrix(X).matrix, pearson_matrix(X2).matrix, atol=1e-9)
+        assert np.allclose(pearson_matrix(X, 0.5, -0.4).matrix, pearson_matrix(X2, 0.5, -0.4).matrix, atol=1e-9)
 
 
-def _report_for(matrix, names=None):
-    m = np.asarray(matrix, dtype=float)
-    names = names or [f"col_{j}" for j in range(m.shape[0])]
-    return CorrelationReport(m, names, [])
+def _engineer_from(X, matrix, hi, lo):
+    """``engineer_features`` on a hand-written correlation matrix: X with the
+    pair means, and the engineered and flagged pairs."""
+    engineered, flagged = choose_pairs(np.asarray(matrix, dtype=float), hi, lo)
+    return append_pair_means(X, engineered), engineered, flagged
 
 
 class TestEngineerFeatures:
     def test_no_pairs_unchanged(self):
         X = np.random.default_rng(1).normal(size=(10, 3))
-        rep = pearson_matrix(X)
-        X2, rep2 = engineer_features(X, rep, hi=0.999999, lo=-0.999999)
+        X2, rep = engineer_features(X, hi=0.999999, lo=-0.999999)
         assert np.array_equal(X, X2)
-        assert rep2.engineered_pairs.tolist() == []
+        assert rep.engineered_pairs.tolist() == []
 
     def test_duplicate_columns_mean(self):
         a = np.array([0.1, 0.5, 0.9, 0.3])
         X = np.column_stack([a, a])
-        X2, rep = engineer_features(X, pearson_matrix(X, ["a", "b"]), 0.5, -0.4)
+        X2, rep = engineer_features(X, 0.5, -0.4)
         assert X2.shape[1] == 3
         assert np.allclose(X2[:, 2], a)
         assert rep.engineered_pairs.tolist() == [[0, 1]]
@@ -147,8 +156,8 @@ class TestEngineerFeatures:
     def test_pair_selection_and_order(self):
         matrix = [[1.0, 0.9, 0.6], [0.9, 1.0, 0.3], [0.6, 0.3, 1.0]]
         X = np.random.default_rng(2).uniform(size=(6, 3))
-        X2, rep = engineer_features(X, _report_for(matrix), hi=0.5, lo=-0.4)
-        assert rep.engineered_pairs.tolist() == [[0, 1], [0, 2]]
+        X2, engineered, _ = _engineer_from(X, matrix, hi=0.5, lo=-0.4)
+        assert engineered.tolist() == [[0, 1], [0, 2]]
         assert X2.shape[1] == 5
         assert np.allclose(X2[:, 3], (X[:, 0] + X[:, 1]) / 2)
         assert np.allclose(X2[:, 4], (X[:, 0] + X[:, 2]) / 2)
@@ -156,15 +165,15 @@ class TestEngineerFeatures:
     def test_thresholds_strict(self):
         matrix = [[1.0, 0.5, -0.4], [0.5, 1.0, 0.0], [-0.4, 0.0, 1.0]]
         X = np.zeros((4, 3))
-        _, rep = engineer_features(X, _report_for(matrix), 0.5, -0.4)
-        assert rep.engineered_pairs.tolist() == [] and rep.flagged_pairs.tolist() == []
+        _, engineered, flagged = _engineer_from(X, matrix, 0.5, -0.4)
+        assert engineered.tolist() == [] and flagged.tolist() == []
 
     def test_flagged_not_dropped(self):
         matrix = [[1.0, -0.8], [-0.8, 1.0]]
         X = np.ones((4, 2))
-        X2, rep = engineer_features(X, _report_for(matrix), 0.5, -0.4)
+        X2, _, flagged = _engineer_from(X, matrix, 0.5, -0.4)
         assert X2.shape[1] == 2
-        assert rep.flagged_pairs.tolist() == [[0, 1]]
+        assert flagged.tolist() == [[0, 1]]
 
 
 def reference_pairs(matrix, hi, lo):
@@ -226,12 +235,12 @@ class TestSinglePairForm:
     @given(pair_problems())
     def test_engineer_features_matches_the_double_loop(self, problem):
         X, matrix, hi, lo = problem
-        X2, rep = engineer_features(X, _report_for(matrix), hi, lo)
+        X2, got_engineered, got_flagged = _engineer_from(X, matrix, hi, lo)
         engineered, flagged = reference_pairs(matrix, hi, lo)
-        assert rep.engineered_pairs.shape == (len(engineered), 2)
-        assert rep.flagged_pairs.shape == (len(flagged), 2)
-        assert rep.engineered_pairs.tolist() == [[i, j] for i, j, _ in engineered]
-        assert rep.flagged_pairs.tolist() == [[i, j] for i, j, _ in flagged]
+        assert got_engineered.shape == (len(engineered), 2)
+        assert got_flagged.shape == (len(flagged), 2)
+        assert got_engineered.tolist() == [[i, j] for i, j, _ in engineered]
+        assert got_flagged.tolist() == [[i, j] for i, j, _ in flagged]
         expected = reference_pair_means(X, engineered)
         assert X2.shape == expected.shape and X2.tobytes() == expected.tobytes()
 
@@ -247,10 +256,10 @@ class TestSinglePairForm:
     @given(pair_problems())
     def test_correlation_json_matches_the_triples_document(self, problem):
         X, matrix, hi, lo = problem
-        names = [f"f{j}" for j in range(matrix.shape[0])]
-        _, rep = engineer_features(X, CorrelationReport(matrix, names, [0]), hi, lo)
+        rep = CorrelationReport(matrix, [0], *choose_pairs(matrix, hi, lo))
         engineered, flagged = reference_pairs(matrix, hi, lo)
-        assert correlation_to_json(rep) == reference_correlation_json(names, hi, lo, engineered, flagged, [0])
+        expected = reference_correlation_json(FEATURE_NAMES, hi, lo, engineered, flagged, [0])
+        assert correlation_to_json(rep, hi, lo) == expected
 
 
 class TestSmote:
@@ -352,7 +361,7 @@ class TestNearestNeighbours:
         # on how the product is split over threads
         d = synth_generate(3000, 61, (0.303, 0.332, 0.365))
         X = apply_minmax(d.X, fit_minmax(d.X))
-        X, _ = engineer_features(X, pearson_matrix(X, FEATURE_NAMES), 0.5, -0.4)
+        X, _ = engineer_features(X, 0.5, -0.4)
         X = X[d.y == 1]
         np.save(tmp_path / "X.npy", X)
         code = (
@@ -467,21 +476,20 @@ class TestPreprocessor:
 
 class TestReportSerialization:
     def test_csv_layout(self):
-        X = np.random.default_rng(1).normal(size=(20, 3))
-        rep = pearson_matrix(X, ["a", "b", "c"])
+        X = np.random.default_rng(1).normal(size=(40, len(FEATURE_NAMES)))
+        rep = pearson_matrix(X, 0.5, -0.4)
         text = correlation_to_csv(rep)
         lines = text.strip().split("\n")
-        assert lines[0] == ",a,b,c"
-        assert len(lines) == 4
-        assert lines[1].split(",")[0] == "a"
+        assert lines[0] == ",".join(["", *FEATURE_NAMES])
+        assert len(lines) == len(FEATURE_NAMES) + 1
+        assert lines[1].split(",")[0] == FEATURE_NAMES[0]
         assert float(lines[1].split(",")[1]) == 1.0
 
     def test_json_pairs(self):
-        matrix = [[1.0, 0.7, -0.6], [0.7, 1.0, 0.1], [-0.6, 0.1, 1.0]]
-        X = np.zeros((4, 3))
-        _, rep = engineer_features(X, _report_for(matrix, ["a", "b", "c"]), 0.5, -0.4)
-        doc = correlation_to_json(rep)
-        assert doc["engineered"][0]["feature_i"] == "a"
-        assert doc["engineered"][0]["feature_j"] == "b"
+        matrix = np.array([[1.0, 0.7, -0.6], [0.7, 1.0, 0.1], [-0.6, 0.1, 1.0]])
+        rep = CorrelationReport(matrix, [], *choose_pairs(matrix, 0.5, -0.4))
+        doc = correlation_to_json(rep, 0.5, -0.4)
+        assert doc["engineered"][0]["feature_i"] == FEATURE_NAMES[0]
+        assert doc["engineered"][0]["feature_j"] == FEATURE_NAMES[1]
         assert doc["flagged"][0]["r"] == -0.6
         assert doc["hi_threshold"] == 0.5

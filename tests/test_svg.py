@@ -93,7 +93,7 @@ def test_histogram_bar_count(tmp_path):
     assert len(re.findall(r"<rect ", text)) == 9 * 3 + 3
 
 
-# one x value and flat series: both ranges are empty and widened to 1
+# one x value and flat series: both ranges are empty; x is widened to 1, y by 5% of its value each side
 ONE_POINT_LINES = {
     "title": "one point",
     "x": [3],
@@ -113,7 +113,7 @@ ZERO_BARS = {
 @pytest.mark.parametrize(
     "chart,data,digest",
     [
-        ("lines", ONE_POINT_LINES, "a9894c69ab022b325564fda5119ba30beb4dc399020d3960ae2b0334774f766c"),
+        ("lines", ONE_POINT_LINES, "277661e4937b4e06f909366918c31eae67496ed3de23b94874ea891d548f5d1e"),
         ("grouped_bars", ZERO_BARS, "6e274337b0b9a6f46cb5c3cf492e6c1c26098062a7ee83ba9a58175cd0178604"),
     ],
 )
@@ -121,3 +121,13 @@ def test_degenerate_range_bytes(chart, data, digest, tmp_path):
     path = tmp_path / "d.svg"
     render_svg(chart, data, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_flat_lines_label_y_around_their_value(tmp_path):
+    # widening a flat range to [y, y + 1] labelled a series of 0.818182 up to 1.86818
+    data = {"title": "flat", "x": [1, 3], "series": [{"name": "val", "y": [0.818182, 0.818182]}]}
+    path = tmp_path / "f.svg"
+    render_svg("lines", data, path)
+    texts = [el for el in ET.parse(path).iter() if el.tag.endswith("text") and el.get("text-anchor") == "end"]
+    ticks = [float(el.text) for el in texts]
+    assert len(ticks) == 6 and all(0.7 <= v <= 0.9 for v in ticks)
