@@ -769,7 +769,7 @@ class TestProfileBins:
 @pytest.fixture(scope="module")
 def trained_model(tmp_path_factory) -> dict:
     """A voting model.json document trained once for the malformed-file tests;
-    its members hold an mlp, an svm_ovr and a bagging document of trees."""
+    its members hold an mlp, an svm_ovo and a bagging document of trees."""
     root = tmp_path_factory.mktemp("trained")
     voting = {"name": "voting", "hyperparams": {"n_estimators": 4, "max_depth": 4, "epochs": 12}}
     cfg = write_config(root / "cfg.json", model=voting)
@@ -1186,6 +1186,28 @@ class TestMalformedModelFile:
         assert first.startswith(f"error: model file {model_path}")
         assert problem in first
         assert rest[0].startswith("usage:")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("member", [None, 1])
+    def test_a_one_vs_rest_svm_document_is_refused(self, tmp_path, capsys, trained_model, member):
+        """An svm model, alone or as voting's member, written before the
+        machines became one per class pair has family ``svm_ovr`` and the same
+        params layout; it exits 2 at load instead of scoring under the wrong rule."""
+        if member is None:
+            cfg = write_config(tmp_path / "cfg.json", model={"name": "svm_rbf"})
+            assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "train")]) == 0
+            doc = json.loads((tmp_path / "train" / "model.json").read_text())
+            path = ("model", "family")
+        else:
+            doc, path = trained_model, ("model", "params", "members", member, "family")
+        assert at(doc, *path) == "svm_ovo"
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(with_keys(doc, *path, "svm_ovr")))
+        capsys.readouterr()
+        argv, out = self.evaluate(tmp_path, model_path)
+        assert main(argv) == 2
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first == f"error: model file {model_path}: unknown model family: 'svm_ovr'"
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(

@@ -162,7 +162,7 @@ class TestVoting:
             written.append((tmp_path / threads / "model.json").read_bytes())
         assert written[0] == written[1]
         members = json.loads(written[0])["model"]["params"]["members"]
-        assert [m["family"] for m in members] == ["mlp", "svm_ovr", "bagging"]
+        assert [m["family"] for m in members] == ["mlp", "svm_ovo", "bagging"]
 
     def test_voting_deterministic(self, small_prepared):
         prep = small_prepared

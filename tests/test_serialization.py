@@ -22,9 +22,9 @@ def test_json_roundtrip_preserves_predictions(name, small_prepared):
     assert np.array_equal(model.predict(prep.X_test), restored.predict(prep.X_test))
     # a second serialization round produces identical bytes
     assert json.dumps(model_to_doc(restored)) == text
-    # the contract: an svm labels by its decisions, every other model by its probabilities
+    # the contract: an svm labels by its vote scores, every other model by its probabilities
     for m in (model, restored):
-        scores = m.decision_matrix(prep.X_test) if name.startswith("svm_") else m.predict_proba(prep.X_test)
+        scores = m.scores(prep.X_test) if name.startswith("svm_") else m.predict_proba(prep.X_test)
         assert np.array_equal(m.predict(prep.X_test), proba_to_labels(scores))
 
 

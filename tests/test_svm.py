@@ -81,7 +81,7 @@ def kernel_calls(monkeypatch):
 
 @pytest.fixture()
 def machines(monkeypatch):
-    """The binary machines each ``train_svm_ovr`` call trains, by class."""
+    """The binary machines each ``train_svm_ovr`` call trains, by pair."""
     fitted = []
 
     def recording(X, y, kernel, C=1.0, tol=1e-3, K=None):
@@ -222,7 +222,9 @@ class TestPinnedSmo:
     kernel matrix per machine and allocated its temporaries per iteration,
     with one BLAS thread (the root ``conftest.py``): at two, ``X @ X.T``
     differs by one ulp in one entry, which moves the svm_linear machine.
-    The svm_poly document is pinned in the one-support-set layout."""
+    The svm_poly document is pinned in the one-support-set layout, and was
+    re-recorded when one machine per class pair replaced the one-vs-rest
+    machines and the family became ``svm_ovo``."""
 
     @pytest.mark.parametrize(
         "name,cls,iterations,tau_clamps,digest",
@@ -253,7 +255,7 @@ class TestPinnedSmo:
         ))
         assert main(["train", "--config", str(cfg), "--output-dir", str(tmp_path / "run")]) == 0
         model = (tmp_path / "run" / "model.json").read_bytes()
-        assert hashlib.sha256(model).hexdigest() == "1fb4e3803570a737cd43abee3ca63e736e6302c8589ae5e25755f9dabb0796ff"
+        assert hashlib.sha256(model).hexdigest() == "c2f90342ff51776f2b20b569ff9f501912124d97e969ff192ebaf1e0e98e55a5"
 
 
 def reference_smo(X, y, kernel, C=1.0, tol=1e-3):
@@ -311,13 +313,25 @@ def same_fit(a, b) -> bool:
     )
 
 
-class TestSharedKernelMatrix:
-    def test_one_kernel_matrix_per_one_vs_rest_fit(self, blobs3, kernel_calls):
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def pair_rows(y, pair) -> np.ndarray:
+    """The indices of the rows of pair (a, b)'s two classes, in training order."""
+    return np.flatnonzero(np.isin(y, pair))
+
+
+class TestPairKernelMatrix:
+    def test_one_kernel_matrix_per_pair_machine_over_its_rows(self, blobs3, kernel_calls, machines):
         X, y = blobs3
         train_svm_ovr(X, y, KernelSpec("rbf", gamma=0.5))
-        assert kernel_calls == ["rbf"]
+        assert kernel_calls == ["rbf"] * 3
+        for (a, b), svm in zip(PAIRS, machines):
+            rows = pair_rows(y, (a, b))
+            assert np.array_equal(svm.X, X[rows])
+            assert np.array_equal(svm.y, np.where(y[rows] == a, 1.0, -1.0))
 
-    def test_one_vs_rest_fit_holds_one_kernel_matrix(self, blobs3):
+    def test_fit_holds_one_pair_kernel_matrix(self, blobs3):
         train_svm_ovr(*blobs3, KernelSpec("linear"))  # first-call imports are not the fit's
         X, y = make_blobs(seed=5, n_per_class=150)
         tracemalloc.start()
@@ -326,17 +340,20 @@ class TestSharedKernelMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * len(y) ** 2 * 8
+        m = max(len(pair_rows(y, pair)) for pair in PAIRS)
+        assert peak <= 1.5 * m**2 * 8
 
-    def test_absent_class_keeps_constant_machine(self, kernel_calls):
+    def test_pairs_with_an_absent_class_train_no_machine(self, kernel_calls):
         X, y = make_blobs(seed=6, n_per_class=20)
         present = y != 1
         model = train_svm_ovr(X[present], y[present], KernelSpec("linear"))
         assert kernel_calls == ["linear"]
         assert model.support_x.shape[1] == 2
-        assert not model.coef[:, 1].any() and model.bias[1] == -1.0
-        assert model.coef[:, 0].any() and model.coef[:, 2].any()
+        assert not model.coef[:, [0, 2]].any() and model.bias[[0, 2]].tolist() == [1.0, -1.0]
+        assert model.coef[:, 1].any()
 
+
+class TestSharedKernelMatrix:
     @pytest.mark.parametrize(
         "kern",
         [
@@ -371,7 +388,7 @@ class TestSharedKernelMatrix:
         assert same_fit(given_K, reference_smo(X, y, kern, C))
 
 
-class TestOneVsRest:
+class TestOneVsOne:
     def test_separated_blobs_perfect(self):
         X, y = make_blobs(seed=4, n_per_class=25)
         train = np.r_[0:20, 25:45, 50:70]
@@ -379,14 +396,30 @@ class TestOneVsRest:
         model = train_svm_ovr(X[train], y[train], KernelSpec("linear"))
         assert (model.predict(X[test]) == y[test]).all()
 
-    def test_equal_decisions_tie_to_class_zero(self):
+    @pytest.mark.parametrize(
+        "bias, scores, label",
+        [
+            # a decision of exactly 0 votes for b, as in LIBSVM: class 2 wins both its pairs
+            ((0.0, 0.0, 0.0), (0.0, 1.0, 2.0), 2),
+            # votes outrank confidence: class 1's summed confidence is 4.9
+            ((0.1, 0.1, 5.0), (2 + 0.2 / 3.6, 1 + 4.9 / 17.7, -5.1 / 18.3), 0),
+            # a three-way vote tie goes to the highest summed confidence, 1, -1 and 0 here
+            ((2.0, -1.0, 1.0), (1 + 1 / 6, 1 - 1 / 6, 1.0), 0),
+            ((1.0, -2.0, 1.0), (1 - 1 / 6, 1.0, 1 + 1 / 6), 2),
+            # and, with the confidences equal too, to class 0
+            ((0.5, -0.5, 0.5), (1.0, 1.0, 1.0), 0),
+        ],
+    )
+    def test_votes_then_confidence_then_lowest_class(self, bias, scores, label):
         model = SvmOvrModel(
             kernel=KernelSpec("linear"),
             support_x=np.empty((0, 2)),
             coef=np.empty((0, 3)),
-            bias=np.full(3, 0.25),
+            bias=np.array(bias),
         )
-        assert model.predict(np.zeros((4, 2))).tolist() == [0, 0, 0, 0]
+        rows = np.zeros((4, 2))
+        assert np.allclose(model.scores(rows), scores, rtol=0.0, atol=1e-12)
+        assert model.predict(rows).tolist() == [label] * 4
 
     def test_proba_rows_sum_to_one(self, blobs3):
         X, y = blobs3
@@ -398,25 +431,28 @@ class TestOneVsRest:
 
     def test_machine_at_its_iteration_cap_warns_once(self, blobs3, monkeypatch, capsys):
         """A machine that stops at its cap is kept, with one stderr line naming
-        its kernel kind, its class and its final gap."""
+        its kernel kind, its two classes and its final gap."""
         X, y = blobs3
         capped = []
 
-        def train_middle_capped(*args, **kwargs):
+        def train_last_pair_capped(*args, **kwargs):
             machine = train_svm_binary(*args, **kwargs)
-            if np.array_equal(args[1] > 0, y == 1):  # the class-1 (Medium) machine
+            if np.array_equal(args[0], X[pair_rows(y, (1, 2))]):  # the Medium against High machine
                 machine.hit_cap = True
                 capped.append(machine)
             return machine
 
-        monkeypatch.setattr(svm_module, "train_svm_binary", train_middle_capped)
+        monkeypatch.setattr(svm_module, "train_svm_binary", train_last_pair_capped)
         model = train_svm_ovr(X, y, KernelSpec("rbf", gamma=0.5))
         machine = capped[0]
         assert capsys.readouterr().err == (
-            f"warning: the rbf svm machine for class Medium stopped at its iteration cap with gap {machine.gap:.6g}\n"
+            "warning: the rbf svm machine for Medium against High stopped at its iteration cap"
+            f" with gap {machine.gap:.6g}\n"
         )
+        monkeypatch.undo()
         reference = train_svm_ovr(X, y, KernelSpec("rbf", gamma=0.5))
-        assert model_to_doc(model) == model_to_doc(reference)
+        assert capsys.readouterr().err == ""
+        assert json.dumps(model_to_doc(model)) == json.dumps(model_to_doc(reference))
 
     def test_single_class_errors(self):
         with pytest.raises(ValueError, match="2 classes"):
@@ -428,10 +464,11 @@ class TestOneVsRest:
         present = y != 1
         model = train_svm_ovr(X[present], y[present], KernelSpec(kind, gamma=0.5))
         doc = json.loads(json.dumps(model_to_doc(model)))
-        assert [row[1] for row in doc["params"]["coef"]] == [0.0] * len(doc["params"]["coef"])
-        assert doc["params"]["bias"][1] == -1.0
+        assert doc["family"] == "svm_ovo"
+        assert [(row[0], row[2]) for row in doc["params"]["coef"]] == [(0.0, 0.0)] * len(doc["params"]["coef"])
+        assert (doc["params"]["bias"][0], doc["params"]["bias"][2]) == (1.0, -1.0)
         loaded = model_from_doc(doc)
-        assert not loaded.coef[:, 1].any() and loaded.support_x.shape[1] == 2
+        assert not loaded.coef[:, [0, 2]].any() and loaded.support_x.shape[1] == 2
 
         grid = np.random.default_rng(6).uniform(-6.0, 10.0, size=(400, 2))
         rows = np.vstack([X, grid])
@@ -446,32 +483,59 @@ class TestOneVsRest:
         assert model.predict(np.zeros((0, 2))).shape == (0,)
         assert model.predict_proba(np.zeros((0, 2))).shape == (0, 3)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["linear", "rbf", "polynomial", "sigmoid"]),
+        st.sampled_from([0.1, 1.0, 10.0]),
+    )
+    def test_pair_decisions_are_each_pair_machine_alone(self, seed, kind, C):
+        """Each pair's decision is that of ``train_svm_binary`` run on the
+        pair's rows alone, and ``predict`` is the vote winner wherever the
+        votes have a unique maximum."""
+        r = np.random.default_rng(seed)
+        n = int(r.integers(6, 41))
+        X = r.normal(size=(n, 3))
+        y = r.integers(0, 3, size=n)
+        if np.unique(y).size < 2:
+            y[0] = (y[0] + 1) % 3
+        kern = KernelSpec(kind, gamma=0.5, degree=2, coef0=0.5)
+        model = train_svm_ovr(X, y, kern, C)
+        rows = np.vstack([X, r.normal(size=(20, 3))])
+        D = model.decision_matrix(rows)
+        for p, (a, b) in enumerate(PAIRS):
+            sel = pair_rows(y, (a, b))
+            if (y == a).any() and (y == b).any():
+                alone = train_svm_binary(X[sel], np.where(y[sel] == a, 1.0, -1.0), kern, C).decision(rows)
+            else:
+                alone = np.full(len(rows), 1.0 if (y == a).any() else -1.0)
+            assert np.abs(D[:, p] - alone).max() <= 1e-9 * max(1.0, np.abs(alone).max())
+
+        votes = np.zeros((len(rows), 3), dtype=int)
+        for p, (a, b) in enumerate(PAIRS):
+            np.add.at(votes, (np.arange(len(rows)), np.where(D[:, p] > 0, a, b)), 1)
+        unique = (votes == votes.max(axis=1, keepdims=True)).sum(axis=1) == 1
+        assert np.array_equal(model.predict(rows)[unique], votes.argmax(axis=1)[unique])
+
 
 PAPER_SVMS = ("svm_rbf", "svm_linear", "svm_poly", "svm_sigmoid")
 
 
-def stacked_decisions(fitted, classes, Xq) -> np.ndarray:
-    """The binary machines' decisions by class; an absent class decides -1."""
-    columns = [np.full(len(Xq), -1.0)] * 3
-    for cls, svm in zip(classes, fitted):
-        columns[cls] = svm.decision(Xq)
-    return np.column_stack(columns)
-
-
 def assert_same_decisions(got, reference):
-    assert np.array_equal(got.argmax(axis=1), reference.argmax(axis=1))
+    assert np.array_equal(got > 0, reference > 0)
     assert np.abs(got - reference).max() <= 1e-9 * np.abs(reference).max()
 
 
 class TestSupportSet:
-    """One support matrix and one coefficient matrix per one-vs-rest model."""
+    """One support matrix and one coefficient matrix per one-vs-one model."""
 
     @pytest.mark.parametrize("name", PAPER_SVMS)
     def test_decisions_match_the_binary_machines(self, paper_split, machines, name):
         X, y = paper_split.X_train, paper_split.y_train
         model = ModelSpec(name).train(X, y, derive_stream(42, 2), paper_split.X_test, paper_split.y_test)
         rows = np.vstack([paper_split.X_test, X])
-        assert_same_decisions(model.decision_matrix(rows), stacked_decisions(machines, range(3), rows))
+        reference = np.column_stack([svm.decision(rows) for svm in machines])
+        assert_same_decisions(model.decision_matrix(rows), reference)
 
     @pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial", "sigmoid"])
     def test_absent_class_decisions_match_the_binary_machines(self, machines, kind):
@@ -479,27 +543,34 @@ class TestSupportSet:
         present = y != 1
         model = train_svm_ovr(X[present], y[present], KernelSpec(kind, gamma=0.5, coef0=0.5))
         rows = np.vstack([X, np.random.default_rng(6).uniform(-6.0, 10.0, size=(400, 2))])
-        assert_same_decisions(model.decision_matrix(rows), stacked_decisions(machines, (0, 2), rows))
+        (svm,) = machines  # only the Low against High pair trains
+        constant = np.ones(len(rows))
+        assert_same_decisions(model.decision_matrix(rows), np.column_stack([constant, svm.decision(rows), -constant]))
 
     def test_support_rows_are_stored_once_in_training_order(self, paper_split, machines):
         X, y = paper_split.X_train, paper_split.y_train
         model = ModelSpec("svm_rbf").train(X, y, derive_stream(42, 2), paper_split.X_test, paper_split.y_test)
-        union = np.any([svm.support_mask for svm in machines], axis=0)
+        union = np.zeros(len(y), dtype=bool)
+        columns = np.zeros((len(y), 3))
+        for p, (pair, svm) in enumerate(zip(PAIRS, machines)):
+            rows = pair_rows(y, pair)
+            union[rows] |= svm.support_mask
+            columns[rows, p] = svm.alphas * svm.y
+            assert model.bias[p] == svm.bias
         assert np.array_equal(model.support_x, X[union])
-        for cls, svm in enumerate(machines):
-            assert np.array_equal(model.coef[:, cls], (svm.alphas * svm.y)[union])
-            assert model.bias[cls] == svm.bias
-        # 486 support vectors over the three machines, 290 distinct rows
-        assert (len(model.support_x), sum(int(svm.support_mask.sum()) for svm in machines)) == (290, 486)
+        assert np.array_equal(model.coef, columns[union])
+        # 292 support vectors over the three pair machines, 246 distinct rows
+        assert (len(model.support_x), sum(int(svm.support_mask.sum()) for svm in machines)) == (246, 292)
 
     def test_one_kernel_matrix_per_decision_matrix(self, blobs3, kernel_calls):
         X, y = blobs3
         model = train_svm_ovr(X, y, KernelSpec("rbf", gamma=0.5))
         kernel_calls.clear()
         model.decision_matrix(X)
+        model.scores(X)
         model.predict(X)
         model.predict_proba(X)
-        assert kernel_calls == ["rbf"] * 3
+        assert kernel_calls == ["rbf"] * 4
 
     def test_document_holds_kernel_and_three_arrays(self, blobs3):
         model = train_svm_ovr(*blobs3, KernelSpec("rbf", gamma=0.5))
@@ -509,7 +580,7 @@ class TestSupportSet:
         assert np.shape(params["coef"]) == (n_sv, 3) and np.shape(params["bias"]) == (3,)
 
 
-def test_sigmoid_machines_end_at_box_corners_and_are_inverted(paper_split, machines):
+def test_sigmoid_pair_machines_end_at_the_box_and_are_inverted(paper_split, machines):
     """The diagnosis in the ``svm.py`` docstring, on the seed-42 paper rows."""
     spec = ModelSpec("svm_sigmoid")
     model = spec.train(
@@ -518,9 +589,10 @@ def test_sigmoid_machines_end_at_box_corners_and_are_inverted(paper_split, machi
     C = spec.hyperparams.C
     for svm in machines:
         assert ((svm.alphas > 0) & (svm.alphas < C)).sum() <= 2
-    for svm in (machines[0], machines[2]):
-        assert (svm.alphas[svm.y > 0] == C).all()
-    D = model.decision_matrix(paper_split.X_test)
-    lowest = np.mean(D.argmin(axis=1) == paper_split.y_test)
-    highest = np.mean(D.argmax(axis=1) == paper_split.y_test)
-    assert lowest > highest
+        assert np.isin(svm.alphas, (0.0, C)).all()
+    # of its 584 rows at C: 564 of the Low against Medium machine, every row of the other two
+    assert [int((svm.alphas == C).sum()) for svm in machines] == [564, 584, 584]
+    S = model.scores(paper_split.X_test)
+    lowest = np.mean(S.argmin(axis=1) == paper_split.y_test)
+    highest = np.mean(S.argmax(axis=1) == paper_split.y_test)
+    assert lowest > highest == 0.0
