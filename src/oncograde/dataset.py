@@ -223,9 +223,20 @@ def iter_csv_blocks(path):
 
 
 def load_csv(path) -> Dataset:
-    """The blocks of :func:`iter_csv_blocks` as one dataset."""
-    Xs, ys = zip(*iter_csv_blocks(path))
-    return Dataset(np.concatenate(Xs), np.concatenate(ys))
+    """The blocks of :func:`iter_csv_blocks` as one dataset, filled into one
+    matrix as they arrive, so the file's rows are never held twice."""
+    # a record ends at a line break or at the end of the file and the header
+    # is one, so the line breaks bound the data rows; text mode reads "\r" and
+    # "\r\n" as "\n", and a byte that is not UTF-8 is left for the reader to refuse
+    with open(path, encoding="utf-8-sig", errors="replace") as fh:
+        bound = sum(chunk.count("\n") for chunk in iter(lambda: fh.read(1 << 20), ""))
+    X = np.empty((bound, len(FEATURE_NAMES)))
+    y = np.empty(bound, dtype=np.int64)
+    n = 0
+    for Xb, yb in iter_csv_blocks(path):
+        X[n : n + len(yb)], y[n : n + len(yb)] = Xb, yb
+        n += len(yb)
+    return Dataset(X[:n], y[:n])
 
 
 def _parse_columns(data_rows, feature_idx, label_idx):

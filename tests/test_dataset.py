@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oncograde.dataset import (
     AGE_MAX,
     AGE_MIN,
     FEATURE_NAMES,
+    Dataset,
     csv_text,
     iter_csv_blocks,
     largest_remainder_counts,
@@ -237,6 +239,44 @@ class TestLoadCsv:
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("ends_in_one", [True, False])
+    def test_every_line_ending_and_none_after_the_last_row(self, tmp_path, ending, ends_in_one):
+        # the matrix is sized by the file's line breaks, so each ending the
+        # csv reader takes must count as one, and a last row may lack one
+        d = synth_generate(60, 4)
+        plain, p = tmp_path / "plain.csv", tmp_path / "d.csv"
+        save_csv(d, plain)
+        lines = plain.read_text(encoding="utf-8").splitlines()
+        p.write_bytes((ending.join(lines) + ending * ends_in_one).encode())
+        d2 = load_csv(p)
+        assert np.array_equal(d2.X, d.X)
+        assert np.array_equal(d2.y, d.y)
+
+    def test_a_byte_that_is_not_utf8_is_refused_as_the_reader_refuses_it(self, tmp_path):
+        p = tmp_path / "d.csv"
+        save_csv(synth_generate(60, 4), p)
+        p.write_bytes(p.read_bytes().replace(b"Low", b"L\xffw", 1))
+        with pytest.raises(UnicodeDecodeError) as reader:
+            list(iter_csv_blocks(p))
+        with pytest.raises(UnicodeDecodeError) as loader:
+            load_csv(p)
+        assert str(loader.value) == str(reader.value)
+
+
+class TestDatasetRefusals:
+    @pytest.mark.parametrize(
+        "shape, y, message",
+        [
+            ((3, 23), [0, 1], "row count mismatch between X and y"),
+            ((2, 22), [0, 1], "column count mismatch: X has 22 columns, the schema 23"),
+            ((2, 23), [0, 3], "labels must lie in {0,1,2}"),
+            ((2, 23), [-1, 0], "labels must lie in {0,1,2}"),
+        ],
+    )
+    def test_refuses_by_message(self, shape, y, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset(np.ones(shape), y)
 
 
 class TestCsvBlocks:
