@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .core import RngStream, derive_stream, json_value, worker_count
+from .core import RngStream, json_value, worker_count
 from .dataset import (
     FEATURE_NAMES, LABEL_VALUES, ORDINAL_HIGH, ORDINAL_LOW, Dataset, SyntheticConfig, csv_text,
     iter_csv_blocks, load_csv, synth_generate,
@@ -31,7 +31,6 @@ from .eval import (
     confusion_to_csv,
     curve_to_csv,
     cv_to_csv,
-    evaluate_predictions,
     kfold_cv,
     learning_curve,
     metrics,
@@ -205,7 +204,7 @@ def _balanced_dataset(cfg: RunConfig):
     prepares it before its split; cv/curve/sweep run on it whatever the
     order, because only `train` holds out a test set."""
     d = _load_dataset(cfg)
-    _, X, y = Preprocessor.fit_resample(d.X, d.y, cfg.preprocess, derive_stream(cfg.seed, 1))
+    _, X, y = Preprocessor.fit_resample(d.X, d.y, cfg.preprocess, RngStream(cfg.seed).derive(1))
     return X, y
 
 
@@ -223,13 +222,14 @@ def _write_chart(
     writer.write_svg(name, chart, data)
 
 
-def _write_metrics_artifacts(writer: ArtifactWriter, counts, report, title: str) -> None:
-    writer.write_json("metrics.json", dataclasses.asdict(report))
+def _write_metrics_artifacts(writer: ArtifactWriter, counts, name: str) -> None:
+    """Write the metrics of the confusion ``counts`` of model ``name``, the counts and their heatmap."""
+    writer.write_json("metrics.json", dataclasses.asdict(metrics(counts)))
     writer.write_text("confusion.csv", confusion_to_csv(counts))
     writer.write_svg(
         "confusion.svg",
         "heatmap3x3",
-        {"title": title, "counts": counts.tolist()},
+        {"title": f"Confusion matrix: {name}", "counts": counts.tolist()},
     )
 
 
@@ -257,11 +257,10 @@ def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
         else:
             bins = [str(b) for b in range(ORDINAL_LOW, ORDINAL_HIGH + 1)]
             idx = np.clip(np.round(col), ORDINAL_LOW, ORDINAL_HIGH).astype(int) - ORDINAL_LOW
-        series = []
-        for cls, label in enumerate(LABEL_VALUES):
-            counts = np.bincount(idx[d.y == cls], minlength=len(bins))[: len(bins)]
-            series.append((label, counts))
-            rows.extend([name, label, bin_label, n] for bin_label, n in zip(bins, counts))
+        # one count of (class, bin) cells, a row of bin counts per class
+        counts = np.bincount(len(bins) * d.y + idx, minlength=len(LABEL_VALUES) * len(bins)).reshape(-1, len(bins))
+        series = list(zip(LABEL_VALUES, counts))
+        rows.extend([name, label, b, n] for label, row in series for b, n in zip(bins, row))
         title = f"{name} distribution by risk level"
         _write_chart(writer, f"histogram_{_slug(name)}.svg", "histogram", title, bins, series, name, "count")
     writer.write_text("histograms.csv", csv_text(["feature", "class", "bin", "count"], rows))
@@ -269,11 +268,11 @@ def cmd_profile(cfg: RunConfig, writer: ArtifactWriter) -> None:
 
 def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
     d = _load_dataset(cfg)
-    prep = run_pipeline(d, cfg.preprocess, derive_stream(cfg.seed, 1))
+    prep = run_pipeline(d, cfg.preprocess, RngStream(cfg.seed).derive(1))
     model = cfg.model.train(
-        prep.X_train, prep.y_train, derive_stream(cfg.seed, 2), prep.X_test, prep.y_test
+        prep.X_train, prep.y_train, RngStream(cfg.seed).derive(2), prep.X_test, prep.y_test
     )
-    cm, report = evaluate_predictions(prep.y_test, model.predict(prep.X_test))
+    cm = confusion(prep.y_test, model.predict(prep.X_test))
 
     doc = {
         "version": MODEL_WRAPPER_VERSION,
@@ -282,7 +281,7 @@ def cmd_train(cfg: RunConfig, writer: ArtifactWriter) -> None:
         "model": model_to_doc(model),
     }
     writer.write_text("model.json", json.dumps(doc) + "\n")  # no indent, so CPython's C encoder writes it
-    _write_metrics_artifacts(writer, cm, report, f"Confusion matrix: {cfg.model.name}")
+    _write_metrics_artifacts(writer, cm, cfg.model.name)
 
     if cfg.model.name == "dnn":
         h = model.history
@@ -317,20 +316,20 @@ def cmd_evaluate(cfg: RunConfig, writer: ArtifactWriter) -> str | None:
 
     blocks = iter_csv_blocks(cfg.data.csv_path)  # scored as read, so memory stays bounded
     cm = sum(confusion(y, model.predict(prep.transform(X))) for X, y in blocks)
-    _write_metrics_artifacts(writer, cm, metrics(cm), f"Confusion matrix: {name}")
+    _write_metrics_artifacts(writer, cm, name)
     return name if name in MODEL_NAMES else None
 
 
 def cmd_cv(cfg: RunConfig, writer: ArtifactWriter) -> None:
     X, y = _balanced_dataset(cfg)
-    result = kfold_cv(X, y, cfg.model, cfg.eval, derive_stream(cfg.seed, 3))
+    result = kfold_cv(X, y, cfg.model, cfg.eval, RngStream(cfg.seed).derive(3))
     writer.write_text("cv.csv", cv_to_csv(result))
     writer.write_json("cv.json", dataclasses.asdict(result))
 
 
 def cmd_curve(cfg: RunConfig, writer: ArtifactWriter) -> None:
     X, y = _balanced_dataset(cfg)
-    curve = learning_curve(X, y, cfg.model, cfg.eval, derive_stream(cfg.seed, 3))
+    curve = learning_curve(X, y, cfg.model, cfg.eval, RngStream(cfg.seed).derive(3))
     writer.write_text("curve.csv", curve_to_csv(curve))
     series = [("train accuracy", curve.train_score), ("validation accuracy", curve.val_score)]
     title = f"Learning curve: {cfg.model.name}"
@@ -343,7 +342,7 @@ def cmd_sweep(cfg: RunConfig, writer: ArtifactWriter) -> None:
     if not read_axes:
         raise ConfigError(f"sweep: {cfg.model.name} reads neither sweep axis, learning_rate nor min_child_weight")
     X, y = _balanced_dataset(cfg)
-    result = sweep(X, y, cfg.model, cfg.eval, derive_stream(cfg.seed, 3))
+    result = sweep(X, y, cfg.model, cfg.eval, RngStream(cfg.seed).derive(3))
     writer.write_text("sweep.csv", sweep_to_csv(result))
     rates, mcws, grid = result.learning_rates, result.min_child_weights, result.val_grid
     if "learning_rate" in read_axes:
@@ -445,16 +444,13 @@ def main(argv: list[str] | None = None) -> int:
             resolved["model"] = {"name": scored}
         writer.write_manifest(args.subcommand, resolved, started)
         return 0
-    except ConfigError as exc:
-        if writer is not None:
-            writer.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - single CLI failure boundary
         if writer is not None:
             writer.cleanup()
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ConfigError):
+            parser.print_usage(sys.stderr)
+            return 2
         return 1
 
 

@@ -77,10 +77,6 @@ def box_muller(uv: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u)) * np.cos(2.0 * np.pi * uv[..., 1])
 
 
-def derive_stream(seed: int, index: int) -> RngStream:
-    return RngStream(seed).derive(index)
-
-
 def shuffle(indices, stream: RngStream) -> list:
     """Fisher-Yates permutation of `indices` driven by `stream`.
 

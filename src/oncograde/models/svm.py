@@ -35,16 +35,12 @@ are drawn.
 
 At its default gamma="scale" the sigmoid model gets every test row wrong,
 because that gamma saturates tanh, not because of a solver defect or of
-the kernel's indefiniteness (Lin & Lin 2003; Haasdonk 2005, TPAMI). On the
-seed-42 paper rows "scale" is 0.319 and tanh(gamma x.y) lies in [0.355,
-1], near 1 for most pairs; at gamma=0.01 it lies in [0.012, 0.399], with
-more negative eigenvalues (773 of 876 against 431) but test macro-F1
-0.959. At "scale" most selected pairs are tau-clamped and step to the box,
-every alpha ends at 0 or C, the bias is the midpoint fallback, and the
-machines are inverted: the true class never wins the vote, so test
-accuracy is 0.000 on seeds 42, 7, 101 and 3, while labelling each row by
-its lowest score scores 0.79-0.92. README's "SVM models" section has the
-measurements.
+the kernel's indefiniteness (Lin & Lin 2003; Haasdonk 2005, TPAMI): with
+tanh(gamma x.y) near 1 for most pairs, most selected pairs are tau-clamped
+and step to the box, every alpha ends at 0 or C, the bias is the midpoint
+fallback, and the machines are inverted, so the true class never wins the
+vote. A smaller gamma does not saturate and scores well. README's "SVM
+models" section has the measurements.
 """
 
 from __future__ import annotations

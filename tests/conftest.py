@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oncograde.core import RngStream, derive_stream
+from oncograde.core import RngStream
 from oncograde.dataset import synth_generate
 from oncograde.preprocess import PreprocessConfig, run_pipeline
 
@@ -24,7 +24,7 @@ def blobs3():
 def small_prepared():
     """Prepared pipeline output on a small synthetic dataset (fast model food)."""
     d = synth_generate(150, 7, (0.3, 0.3, 0.4))
-    return run_pipeline(d, PreprocessConfig(), derive_stream(7, 1))
+    return run_pipeline(d, PreprocessConfig(), RngStream(7).derive(1))
 
 
 @pytest.fixture()

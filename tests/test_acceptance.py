@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oncograde.cli import main
-from oncograde.core import RngStream, derive_stream
+from oncograde.core import RngStream
 from oncograde.dataset import synth_generate
 from oncograde.eval import confusion, evaluate_predictions, metrics, stratified_folds
 from oncograde.models.base import KernelSpec, ModelSpec
@@ -31,7 +31,7 @@ def _report(criterion: int, name: str) -> None:
 @pytest.fixture(scope="module")
 def full_scale_prep():
     d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
-    return run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
+    return run_pipeline(d, PreprocessConfig(), RngStream(42).derive(1))
 
 
 def test_criterion_1_split_arithmetic():
@@ -41,7 +41,7 @@ def test_criterion_1_split_arithmetic():
     assert len(y_bal) == 1095
     assert np.bincount(y_bal).tolist() == [365, 365, 365]
 
-    prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
+    prep = run_pipeline(d, PreprocessConfig(), RngStream(42).derive(1))
     assert prep.X_train.shape[0] == 876
     assert prep.X_test.shape[0] == 219
     elapsed = time.time() - started
@@ -56,7 +56,7 @@ def test_criterion_2_model_ordering(full_scale_prep, monkeypatch):
     scores = {}
     for name in ("dnn", "voting", "bagging", "svm_sigmoid"):
         model = ModelSpec(name).train(
-            prep.X_train, prep.y_train, derive_stream(42, 2), prep.X_test, prep.y_test
+            prep.X_train, prep.y_train, RngStream(42).derive(2), prep.X_test, prep.y_test
         )
         _, report = evaluate_predictions(prep.y_test, model.predict(prep.X_test))
         scores[name] = report.macro_f1

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oncograde.cli as cli
 from oncograde.cli import ArtifactWriter, ConfigError, main, parse_config
-from oncograde.core import derive_stream
+from oncograde.core import RngStream
 from oncograde.dataset import FEATURE_NAMES, LABEL_VALUES, Dataset, synth_generate, save_csv
 from oncograde.models.base import HYPERPARAMS_READ, MODEL_NAMES, Hyperparams
 from oncograde.preprocess import PIPELINE_ORDERS, PreprocessConfig, run_pipeline
@@ -1649,7 +1649,7 @@ class TestHarnessMatchesTrain:
             assert main([command, "--config", str(cfg), "--output-dir", str(tmp_path / command)]) == 0
 
         d = synth_generate(150, 21, (0.3, 0.3, 0.4))
-        prep = run_pipeline(d, PreprocessConfig(smote_k=3), derive_stream(21, 1))
+        prep = run_pipeline(d, PreprocessConfig(smote_k=3), RngStream(21).derive(1))
         split_rows = sorted(
             zip(map(tuple, np.vstack([prep.X_train, prep.X_test]).tolist()),
                 np.concatenate([prep.y_train, prep.y_test]).tolist())

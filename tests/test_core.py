@@ -9,7 +9,6 @@ from oncograde.core import (
     _SCALARS,
     RngStream,
     as_matrix,
-    derive_stream,
     json_array,
     json_value,
     parallel_map,
@@ -116,9 +115,6 @@ class TestRngStream:
             assert block.uniforms(size).tolist() == [uniform(scalar) for _ in range(size)]
             assert block.normals(size).tolist() == [normal(scalar) for _ in range(size)]
             assert next_u64(block) == next_u64(scalar)
-
-    def test_derive_stream_helper(self):
-        assert next_u64(derive_stream(7, 2)) == next_u64(RngStream(7).derive(2))
 
 
 def reference_shuffle(indices, stream: RngStream) -> list:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oncograde.cli import main
-from oncograde.core import RngStream, derive_stream
+from oncograde.core import RngStream
 from oncograde.dataset import synth_generate
 from oncograde.models.base import Hyperparams, ModelSpec
 from oncograde.models import ensemble
@@ -139,7 +139,7 @@ class TestVoting:
         prep = small_prepared
         hp = Hyperparams(epochs=15, n_estimators=5, max_depth=4)
         model = ModelSpec("voting", hp).train(
-            prep.X_train, prep.y_train, derive_stream(5, 2), prep.X_test, prep.y_test
+            prep.X_train, prep.y_train, RngStream(5).derive(2), prep.X_test, prep.y_test
         )
         assert len(model.members) == 3
         acc = (model.predict(prep.X_test) == prep.y_test).mean()
@@ -168,8 +168,8 @@ class TestVoting:
         prep = small_prepared
         hp = Hyperparams(epochs=10, n_estimators=4, max_depth=4)
         spec = ModelSpec("voting", hp)
-        a = spec.train(prep.X_train, prep.y_train, derive_stream(6, 2), prep.X_test, prep.y_test)
-        b = spec.train(prep.X_train, prep.y_train, derive_stream(6, 2), prep.X_test, prep.y_test)
+        a = spec.train(prep.X_train, prep.y_train, RngStream(6).derive(2), prep.X_test, prep.y_test)
+        b = spec.train(prep.X_train, prep.y_train, RngStream(6).derive(2), prep.X_test, prep.y_test)
         assert np.array_equal(a.predict_proba(prep.X_test), b.predict_proba(prep.X_test))
 
 
@@ -212,7 +212,7 @@ class TestModelSpec:
         hp = Hyperparams(epochs=10, n_estimators=4, max_depth=4)
         for name in ("dnn", "voting", "bagging", "svm_rbf", "svm_linear", "svm_poly", "svm_sigmoid"):
             model = ModelSpec(name, hp).train(
-                prep.X_train, prep.y_train, derive_stream(9, 2), prep.X_test, prep.y_test
+                prep.X_train, prep.y_train, RngStream(9).derive(2), prep.X_test, prep.y_test
             )
             P = model.predict_proba(prep.X_test)
             assert P.shape == (len(prep.y_test), 3)

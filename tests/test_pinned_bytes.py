@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oncograde.cli import main
-from oncograde.core import RngStream, derive_stream, shuffle
+from oncograde.core import RngStream, shuffle
 from oncograde.dataset import load_csv, save_csv, synth_generate
 from oncograde.models.mlp import init_params
 from oncograde.preprocess import (
@@ -83,7 +83,7 @@ class TestPinnedDigests:
 
     def test_smote_paper_order(self):
         X, y = paper_order_matrix(1000, 61)
-        X_out, y_out = smote(X, y, 5, derive_stream(61, 1).derive(0))
+        X_out, y_out = smote(X, y, 5, RngStream(61).derive(1).derive(0))
         assert digest(X_out, y_out) == "e30eefa696e0702e193cbc3363d0895fd4da4aaa6609a28e13c59ae50c162fc8"
 
     def test_shuffle(self):
@@ -331,7 +331,7 @@ def traced_peak_mb(fn) -> float:
 class TestMemoryGuards:
     def test_smote_at_3000_rows(self):
         X, y = paper_order_matrix(3000, 61)
-        peak = traced_peak_mb(lambda: smote(X, y, 5, derive_stream(61, 1).derive(0)))
+        peak = traced_peak_mb(lambda: smote(X, y, 5, RngStream(61).derive(1).derive(0)))
         assert peak <= 32.0, f"smote peaked at {peak:.1f} MB"
 
     def test_smote_on_a_3000_row_class_of_5_distinct_rows(self):
@@ -341,14 +341,14 @@ class TestMemoryGuards:
         picks = np.random.default_rng(61).integers(0, 5, size=3000)
         X = np.vstack([X[picks], X, X[:1]])
         y = np.repeat([0, 1], [3000, 3001])
-        peak = traced_peak_mb(lambda: smote(X, y, 5, derive_stream(61, 1).derive(0)))
+        peak = traced_peak_mb(lambda: smote(X, y, 5, RngStream(61).derive(1).derive(0)))
         assert peak <= 32.0, f"smote peaked at {peak:.1f} MB"
 
     def test_transform_of_20000_rows(self):
         # the (20000, 61) result is 9.3 MB; gathering the pair means as
         # separate columns before stacking them peaked at 18.6 MB
         d = synth_generate(1000, 61, PAPER_PROPORTIONS)
-        prep, _, _ = Preprocessor.fit_resample(d.X, d.y, PreprocessConfig(), derive_stream(61, 1))
+        prep, _, _ = Preprocessor.fit_resample(d.X, d.y, PreprocessConfig(), RngStream(61).derive(1))
         X = synth_generate(20000, 62).X
         peak = traced_peak_mb(lambda: prep.transform(X))
         assert peak <= 16.0, f"transform peaked at {peak:.1f} MB"

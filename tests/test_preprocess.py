@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oncograde.preprocess as preprocess
-from oncograde.core import RngStream, derive_stream
+from oncograde.core import RngStream
 from oncograde.dataset import FEATURE_NAMES, synth_generate
 from oncograde.preprocess import (
     PIPELINE_ORDERS,
@@ -423,7 +423,7 @@ class TestStratifiedSplit:
 class TestRunPipeline:
     def test_paper_order_arithmetic(self):
         d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
-        prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
+        prep = run_pipeline(d, PreprocessConfig(), RngStream(42).derive(1))
         assert prep.X_train.shape[0] == 876
         assert prep.X_test.shape[0] == 219
         p = prep.preprocessor
@@ -431,7 +431,7 @@ class TestRunPipeline:
 
     def test_leak_safe_no_synthetic_test_rows(self):
         d = synth_generate(300, 8, (0.2, 0.3, 0.5))
-        prep = run_pipeline(d, PreprocessConfig("leak_safe"), derive_stream(8, 1))
+        prep = run_pipeline(d, PreprocessConfig("leak_safe"), RngStream(8).derive(1))
         # every test row must be an original (scaled+engineered) dataset row
         scaled = apply_minmax(d.X, prep.preprocessor.minmax)
         originals = append_pair_means(scaled, prep.preprocessor.pairs)
@@ -444,8 +444,8 @@ class TestRunPipeline:
     def test_deterministic(self):
         d = synth_generate(200, 3)
         for order in ("paper_order", "leak_safe"):
-            a = run_pipeline(d, PreprocessConfig(order), derive_stream(3, 1))
-            b = run_pipeline(d, PreprocessConfig(order), derive_stream(3, 1))
+            a = run_pipeline(d, PreprocessConfig(order), RngStream(3).derive(1))
+            b = run_pipeline(d, PreprocessConfig(order), RngStream(3).derive(1))
             assert np.array_equal(a.X_train, b.X_train)
             assert np.array_equal(a.X_test, b.X_test)
 
@@ -458,7 +458,7 @@ class TestPreprocessor:
     @pytest.mark.parametrize("order", PIPELINE_ORDERS)
     def test_dict_roundtrip_transforms_bit_for_bit(self, order):
         d = synth_generate(200, 4)
-        fitted = run_pipeline(d, PreprocessConfig(order), derive_stream(4, 1)).preprocessor
+        fitted = run_pipeline(d, PreprocessConfig(order), RngStream(4).derive(1)).preprocessor
         assert len(fitted.pairs)
         doc = json.loads(json.dumps(fitted.to_dict()))
         assert list(doc) == ["minmax", "engineered_pairs"]  # the settings it was fitted with are the config's
@@ -468,7 +468,7 @@ class TestPreprocessor:
 
     def test_fit_resample_keeps_transformed_rows_first(self):
         d = synth_generate(200, 4, (0.2, 0.3, 0.5))
-        prep, X, y = Preprocessor.fit_resample(d.X, d.y, PreprocessConfig(smote_k=3), derive_stream(4, 1))
+        prep, X, y = Preprocessor.fit_resample(d.X, d.y, PreprocessConfig(smote_k=3), RngStream(4).derive(1))
         assert X[: d.n_rows].tobytes() == prep.transform(d.X).tobytes()
         assert np.array_equal(y[: d.n_rows], d.y)
         assert np.bincount(y).min() == np.bincount(y).max()

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oncograde.core import derive_stream
+from oncograde.core import RngStream
 from oncograde.models.base import Hyperparams, ModelSpec, model_from_doc, model_to_doc, proba_to_labels
 
 ALL_NAMES = ("dnn", "voting", "bagging", "svm_rbf", "svm_linear", "svm_poly", "svm_sigmoid")
@@ -14,7 +14,7 @@ def test_json_roundtrip_preserves_predictions(name, small_prepared):
     prep = small_prepared
     hp = Hyperparams(epochs=8, n_estimators=3, max_depth=3)
     model = ModelSpec(name, hp).train(
-        prep.X_train, prep.y_train, derive_stream(11, 2), prep.X_test, prep.y_test
+        prep.X_train, prep.y_train, RngStream(11).derive(2), prep.X_test, prep.y_test
     )
     text = json.dumps(model_to_doc(model))
     restored = model_from_doc(json.loads(text))
@@ -31,7 +31,7 @@ def test_json_roundtrip_preserves_predictions(name, small_prepared):
 def test_wrong_width_rows_are_refused_with_one_message(small_prepared):
     prep = small_prepared
     hp = Hyperparams(epochs=4, n_estimators=2, max_depth=3)
-    args = (prep.X_train, prep.y_train, derive_stream(11, 2), prep.X_test, prep.y_test)
+    args = (prep.X_train, prep.y_train, RngStream(11).derive(2), prep.X_test, prep.y_test)
     dnn, bagging = ModelSpec("dnn", hp).train(*args), ModelSpec("bagging", hp).train(*args)
     d = prep.X_test.shape[1]
     for model in (dnn, bagging.members[0]):
@@ -44,7 +44,7 @@ def test_document_is_tagged_and_carries_no_version(small_prepared):
     are a family and its params."""
     prep = small_prepared
     model = ModelSpec("bagging", Hyperparams(n_estimators=2, max_depth=2)).train(
-        prep.X_train, prep.y_train, derive_stream(1, 2), prep.X_test, prep.y_test
+        prep.X_train, prep.y_train, RngStream(1).derive(2), prep.X_test, prep.y_test
     )
     doc = model_to_doc(model)
     assert doc["family"] == "bagging"

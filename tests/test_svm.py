@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oncograde.cli import main
-from oncograde.core import derive_stream
+from oncograde.core import RngStream
 from oncograde.dataset import synth_generate
 from oncograde.eval import evaluate_predictions
 from oncograde.models.base import (
@@ -59,7 +59,7 @@ def smo_digest(svm) -> str:
 def paper_split():
     """The seed-42, n=1000 paper_order split (876 training and 219 test rows, 59 columns)."""
     d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
-    return run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
+    return run_pipeline(d, PreprocessConfig(), RngStream(42).derive(1))
 
 
 @pytest.fixture(scope="module")
@@ -533,7 +533,7 @@ class TestSupportSet:
     @pytest.mark.parametrize("name", PAPER_SVMS)
     def test_decisions_match_the_binary_machines(self, paper_split, machines, name):
         X, y = paper_split.X_train, paper_split.y_train
-        model = ModelSpec(name).train(X, y, derive_stream(42, 2), paper_split.X_test, paper_split.y_test)
+        model = ModelSpec(name).train(X, y, RngStream(42).derive(2), paper_split.X_test, paper_split.y_test)
         rows = np.vstack([paper_split.X_test, X])
         reference = np.column_stack([svm.decision(rows) for svm in machines])
         assert_same_decisions(model.decision_matrix(rows), reference)
@@ -550,7 +550,7 @@ class TestSupportSet:
 
     def test_support_rows_are_stored_once_in_training_order(self, paper_split, machines):
         X, y = paper_split.X_train, paper_split.y_train
-        model = ModelSpec("svm_rbf").train(X, y, derive_stream(42, 2), paper_split.X_test, paper_split.y_test)
+        model = ModelSpec("svm_rbf").train(X, y, RngStream(42).derive(2), paper_split.X_test, paper_split.y_test)
         union = np.zeros(len(y), dtype=bool)
         columns = np.zeros((len(y), 3))
         for p, (pair, svm) in enumerate(zip(PAIRS, machines)):
@@ -585,7 +585,7 @@ def test_sigmoid_pair_machines_end_at_the_box_and_are_inverted(paper_split, mach
     """The diagnosis in the ``svm.py`` docstring, on the seed-42 paper rows."""
     spec = ModelSpec("svm_sigmoid")
     model = spec.train(
-        paper_split.X_train, paper_split.y_train, derive_stream(42, 2), paper_split.X_test, paper_split.y_test
+        paper_split.X_train, paper_split.y_train, RngStream(42).derive(2), paper_split.X_test, paper_split.y_test
     )
     C = spec.hyperparams.C
     for svm in machines:
@@ -603,7 +603,7 @@ def test_sigmoid_at_small_gamma_scores_well(paper_split):
     """The kernel's indefiniteness alone does not sink svm_sigmoid: at gamma=0.01, where
     tanh is nearly linear, it scores 0.959 test macro-F1 on the seed-42 paper rows."""
     model = ModelSpec("svm_sigmoid", Hyperparams(gamma=0.01)).train(
-        paper_split.X_train, paper_split.y_train, derive_stream(42, 2), paper_split.X_test, paper_split.y_test
+        paper_split.X_train, paper_split.y_train, RngStream(42).derive(2), paper_split.X_test, paper_split.y_test
     )
     _, report = evaluate_predictions(paper_split.y_test, model.predict(paper_split.X_test))
     assert report.macro_f1 >= 0.9

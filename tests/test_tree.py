@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oncograde.core import RngStream, derive_stream
+from oncograde.core import RngStream
 from oncograde.dataset import N_CLASSES, synth_generate
 from oncograde.models import tree
 from oncograde.models.base import Hyperparams, model_from_doc, model_to_doc
@@ -182,7 +182,7 @@ class TestPresortedFit:
         # bagging trains on each resample's distinct rows, weighted by their
         # draw counts; paper-scale training matrix (876 x 59)
         d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
-        prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
+        prep = run_pipeline(d, PreprocessConfig(), RngStream(42).derive(1))
         X, y = prep.X_train, prep.y_train
         for seed in range(3):
             rows = RngStream(seed).randints(X.shape[0], X.shape[0])
@@ -210,7 +210,7 @@ class TestPresortedFit:
     def test_peak_memory_of_one_bootstrap_tree(self):
         # paper-scale training matrix (876 x 59), resampled to 1,100 rows
         d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
-        prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
+        prep = run_pipeline(d, PreprocessConfig(), RngStream(42).derive(1))
         rows = RngStream(8).randints(prep.X_train.shape[0], 1100)
         Xb, yb = prep.X_train[rows], prep.y_train[rows]
         tracemalloc.start()
@@ -226,7 +226,7 @@ class TestPresortedFit:
         # at most one block of cells, so only the finished trees and their
         # resamples' row indices and counts add up
         d = synth_generate(1000, 42, (0.303, 0.332, 0.365))
-        prep = run_pipeline(d, PreprocessConfig(), derive_stream(42, 1))
+        prep = run_pipeline(d, PreprocessConfig(), RngStream(42).derive(1))
         X, y = prep.X_train, prep.y_train
         peaks, models = [], []
         for n_estimators in (5, 40):
