@@ -145,7 +145,11 @@ class ArtifactWriter:
         os.makedirs(output_dir, exist_ok=True)
 
     def _finalize(self, name: str, tmp: str) -> None:
-        os.replace(tmp, os.path.join(self.output_dir, name))
+        try:
+            os.replace(tmp, os.path.join(self.output_dir, name))
+        except OSError:  # the rename failed, so the temp file is no artifact's and would be left behind
+            os.remove(tmp)
+            raise
         self.written.append(name)
 
     def write_text(self, name: str, content: str) -> None:

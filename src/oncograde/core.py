@@ -3,7 +3,8 @@
 All randomness in the toolkit flows through :class:`RngStream`, a
 splitmix64 generator. Parallel work (ensemble members, CV folds, sweep
 cells) derives disjoint sub-streams so results never depend on thread
-scheduling.
+scheduling. Draws and derived seeds alike come from one block mixer,
+:func:`_words`; there is no scalar mixer.
 """
 
 from __future__ import annotations
@@ -25,10 +26,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 THREADS_ENV_VAR = "ONCOGRADE_THREADS"
 
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _words(start: int, size: int) -> np.ndarray:
+    """Splitmix64 words 1 to ``size`` after ``start`` as uint64, made in one block: the
+    generator is counter-based, so word ``k`` mixes ``start + k * golden`` and needs none before it."""
+    z = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(start)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 @dataclass
@@ -43,20 +47,14 @@ class RngStream:
         self.state = self.origin_seed
 
     def uniforms(self, size: int) -> np.ndarray:
-        """``size`` uniforms in [0, 1), each the top 53 bits of the next
-        splitmix64 word, made in one block: the generator is counter-based, so
-        word ``k`` mixes ``state + k * golden`` and needs none before it.
-        Every draw below is built on this one."""
-        steps = np.arange(1, size + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-        z = steps + np.uint64(self.state)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
+        """``size`` uniforms in [0, 1), each the top 53 bits of the next word; every draw below is built on this one."""
+        z = _words(self.state, size)
         self.state = (self.state + size * _GOLDEN) & _MASK64
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def randints(self, n: int, size: int) -> np.ndarray:
-        """``size`` uniform integers in [0, n), each ``floor(uniform * n)``."""
+    def randints(self, n: int | np.ndarray, size: int) -> np.ndarray:
+        """``size`` uniform integers in [0, n), each ``floor(uniform * n)``;
+        an array ``n`` gives draw ``k`` its own bound ``n[k]``."""
         return (self.uniforms(size) * n).astype(np.int64)
 
     def normals(self, size: int) -> np.ndarray:
@@ -64,10 +62,9 @@ class RngStream:
         return box_muller(self.uniforms(2 * size).reshape(size, 2))
 
     def derive(self, index: int) -> "RngStream":
-        """Disjoint sub-stream for task `index`; same (seed, index) -> same stream."""
-        mixed = (index * _GOLDEN) & _MASK64
-        seed = _mix64(((self.origin_seed ^ mixed) + _GOLDEN) & _MASK64)
-        return RngStream(seed)
+        """Disjoint sub-stream for task `index`; same (seed, index) -> same stream.
+        Its seed is the first word after ``origin_seed ^ (index * golden)``."""
+        return RngStream(int(_words(self.origin_seed ^ ((index * _GOLDEN) & _MASK64), 1)[0]))
 
 
 def box_muller(uv: np.ndarray) -> np.ndarray:
@@ -80,15 +77,14 @@ def box_muller(uv: np.ndarray) -> np.ndarray:
 def shuffle(indices, stream: RngStream) -> list:
     """Fisher-Yates permutation of `indices` driven by `stream`.
 
-    Step ``i = n-1, ..., 1`` swaps in ``j = floor(u * (i + 1))``; all the
-    ``j`` come from one block of ``n - 1`` uniforms.
+    Step ``i = n-1, ..., 1`` swaps in ``j``, a :meth:`RngStream.randints`
+    draw below ``i + 1``; all the ``j`` come from one block of ``n - 1``.
     """
     out = list(indices)
     n = len(out)
     if n < 2:
         return out
-    picks = (stream.uniforms(n - 1) * np.arange(n, 1, -1)).astype(np.int64)
-    for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
+    for i, j in zip(range(n - 1, 0, -1), stream.randints(np.arange(n, 1, -1), n - 1).tolist()):
         out[i], out[j] = out[j], out[i]
     return out
 

@@ -30,12 +30,13 @@ class SweepConfig:
     def __post_init__(self):
         if not self.learning_rate or not self.min_child_weight:
             raise ValueError("sweep axes must be non-empty")
-        for lr in self.learning_rate:
+        try:  # Hyperparams owns the range rule; a cell is valid when both its values are, so each is checked once
+            for lr in self.learning_rate:
+                Hyperparams(learning_rate=lr)
             for mcw in self.min_child_weight:
-                try:  # Hyperparams owns the range rule; the prefix tells a grid value from a model one
-                    Hyperparams(learning_rate=lr, min_child_weight=mcw)
-                except ValueError as exc:
-                    raise ValueError(f"eval.sweep: {exc}") from None
+                Hyperparams(min_child_weight=mcw)
+        except ValueError as exc:  # the prefix tells a grid value from a model one
+            raise ValueError(f"eval.sweep: {exc}") from None
 
 
 @dataclass

@@ -139,9 +139,10 @@ def train_mlp(Xtr, ytr, Xval, yval, hp: Hyperparams, stream: RngStream) -> MlpMo
 
     for _epoch in range(hp.epochs):
         order = shuffle(range(n), stream)
+        X_epoch, y_epoch = Xtr[order], ytr[order]  # gathered once; each batch is a view of its rows
         for start in range(0, n, hp.batch_size):
-            batch = order[start : start + hp.batch_size]
-            gw, gb = cross_entropy_grads(weights, biases, Xtr[batch], ytr[batch])
+            stop = start + hp.batch_size
+            gw, gb = cross_entropy_grads(weights, biases, X_epoch[start:stop], y_epoch[start:stop])
             velocity *= _MOMENTUM
             velocity -= hp.learning_rate * np.concatenate(gw + gb, axis=None)
             params += velocity

@@ -297,6 +297,11 @@ class TestConfigErrors:
             ({"eval": {"sweep": {"learning_rate": []}}}, "sweep axes must be non-empty"),
             ({"eval": {"sweep": {"learning_rate": [0.1, -1]}}}, "eval.sweep: learning_rate must be positive"),
             ({"eval": {"sweep": {"min_child_weight": [0]}}}, "eval.sweep: min_child_weight must be positive"),
+            # learning rates are checked before min child weights, not cell by cell
+            (
+                {"eval": {"sweep": {"learning_rate": [0.1, -1], "min_child_weight": [0, 1]}}},
+                "eval.sweep: learning_rate must be positive",
+            ),
             ({"model": {"name": "dnn", "hyperparams": {"learning_rate": -1}}}, "learning_rate must be positive"),
             # RngStream keeps 64 bits: 2**64 would alias seed 0
             ({"seed": 2**64}, "seed must be below 2**64, got 18446744073709551616"),
@@ -332,6 +337,7 @@ class TestConfigErrors:
             "sweep_axis_empty",
             "sweep_learning_rate_negative",
             "sweep_min_child_weight_0",
+            "sweep_both_axes_bad",
             "hyperparams_learning_rate_negative",
             "seed_2_64",
             "seed_1e20",
@@ -1674,6 +1680,15 @@ class TestArtifactWriter:
         writer.write_text("a.txt", "hello")
         leftovers = [p for p in os.listdir(tmp_path / "out") if p.endswith(".tmp")]
         assert leftovers == []
+
+    def test_failed_rename_removes_its_temp_file(self, tmp_path):
+        # a directory where the artifact goes makes os.replace fail
+        (tmp_path / "out" / "metrics.json").mkdir(parents=True)
+        writer = ArtifactWriter(str(tmp_path / "out"))
+        with pytest.raises(OSError):
+            writer.write_json("metrics.json", {"a": 1})
+        assert sorted(os.listdir(tmp_path / "out")) == ["metrics.json"]
+        assert writer.written == []
 
 
 class TestUsage:

@@ -89,6 +89,12 @@ class TestRngStream:
         assert len(set(seqs)) == 50
         assert len({w for seq in seqs for w in seq}) == 200
 
+    @pytest.mark.parametrize("seed", [0, 99, MASK])
+    @pytest.mark.parametrize("index", [0, 1, 3, 2**63 + 5])
+    def test_derive_seed_is_the_first_word_after_the_mixed_index(self, seed, index):
+        derived = RngStream(seed).derive(index)
+        assert derived.origin_seed == reference_splitmix64(seed ^ (index * GOLDEN & MASK), 1)[0]
+
     def test_derive_does_not_consume_parent_state(self):
         a, b = RngStream(5), RngStream(5)
         a.derive(1)
