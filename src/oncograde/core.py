@@ -3,8 +3,7 @@
 All randomness in the toolkit flows through :class:`RngStream`, a
 splitmix64 generator. Parallel work (ensemble members, CV folds, sweep
 cells) derives disjoint sub-streams so results never depend on thread
-scheduling. Draws and derived seeds alike come from one block mixer,
-:func:`_words`; there is no scalar mixer.
+scheduling. :func:`_words` makes every draw and derived seed.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ class RngStream:
         self.state = self.origin_seed
 
     def uniforms(self, size: int) -> np.ndarray:
-        """``size`` uniforms in [0, 1), each the top 53 bits of the next word; every draw below is built on this one."""
+        """``size`` uniforms in [0, 1), each the top 53 bits of the next word."""
         z = _words(self.state, size)
         self.state = (self.state + size * _GOLDEN) & _MASK64
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -64,7 +63,8 @@ class RngStream:
     def derive(self, index: int) -> "RngStream":
         """Disjoint sub-stream for task `index`; same (seed, index) -> same stream.
         Its seed is the first word after ``origin_seed ^ (index * golden)``."""
-        return RngStream(int(_words(self.origin_seed ^ ((index * _GOLDEN) & _MASK64), 1)[0]))
+        mixed = (index * _GOLDEN) & _MASK64
+        return RngStream(int(_words(self.origin_seed ^ mixed, 1)[0]))
 
 
 def box_muller(uv: np.ndarray) -> np.ndarray:
@@ -84,7 +84,8 @@ def shuffle(indices, stream: RngStream) -> list:
     n = len(out)
     if n < 2:
         return out
-    for i, j in zip(range(n - 1, 0, -1), stream.randints(np.arange(n, 1, -1), n - 1).tolist()):
+    picks = stream.randints(np.arange(n, 1, -1), n - 1)
+    for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
         out[i], out[j] = out[j], out[i]
     return out
 
