@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -192,10 +192,17 @@ def iter_csv_blocks(path):
     repeated. Blank lines are skipped, and row numbers in messages count
     data rows across blocks. A leading UTF-8 byte-order mark, which Excel's
     "CSV UTF-8" writes, is skipped.
+
+    A block of plain lines is read by numpy's CSV reader: each line holds a
+    comma, and the block holds no ``"`` and no NUL (numpy drops a string's
+    trailing NULs), so every line is one record of unquoted cells; both
+    readers end a line at a line feed, a carriage return or the two
+    together. The csv module reads every other block, a plain block that
+    numpy refuses, and the rest of the file from the first block that is not
+    plain, so the values and the messages are the csv module's either way.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = filter(None, csv.reader(fh))
-        header = next(rows, None)
+        header = next(filter(None, csv.reader(fh)), None)
         if header is None:
             raise ValueError(f"empty file: {path}")
         names = [_norm(h) for h in header]
@@ -209,14 +216,18 @@ def iter_csv_blocks(path):
         label_idx = col_of[_norm(LABEL_NAME)]
 
         done = 0
-        while block := list(islice(rows, _BLOCK_ROWS)):
+        # the csv reader has read the header's lines and no more, so the
+        # file's next lines are the data rows
+        while (lines := list(islice(fh, _BLOCK_ROWS))) and _is_plain(lines):
             try:
-                parsed = _parse_columns(block, feature_idx, label_idx)
+                parsed = _read_plain(lines, feature_idx, label_idx)
             except (ValueError, IndexError):
-                # a bad cell, or one that plain ``float`` rejects but
-                # ``float(cell.strip())`` accepts
-                parsed = _parse_rows(block, done, feature_idx, label_idx)
+                parsed = _parse_block(list(csv.reader(lines)), done, feature_idx, label_idx)
             yield parsed
+            done += len(lines)
+        rows = filter(None, csv.reader(chain(lines, fh)))
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            yield _parse_block(block, done, feature_idx, label_idx)
             done += len(block)
     if not done:
         raise ValueError(f"no data rows in {path}")
@@ -237,6 +248,29 @@ def load_csv(path) -> Dataset:
         X[n : n + len(yb)], y[n : n + len(yb)] = Xb, yb
         n += len(yb)
     return Dataset(X[:n], y[:n])
+
+
+def _is_plain(lines) -> bool:
+    text = "".join(lines)
+    return '"' not in text and "\x00" not in text and all("," in line for line in lines)
+
+
+def _read_plain(lines, feature_idx, label_idx):
+    """Parse plain lines with numpy's reader; each distinct label token is parsed once."""
+    X = np.loadtxt(lines, delimiter=",", usecols=feature_idx, comments=None, ndmin=2)
+    tokens = np.loadtxt(lines, delimiter=",", usecols=label_idx, dtype=str, comments=None, ndmin=1)
+    distinct, at = np.unique(tokens, return_inverse=True)
+    return X, np.array([_parse_label(str(t)) for t in distinct], dtype=np.int64)[at]
+
+
+def _parse_block(data_rows, done, feature_idx, label_idx):
+    """Parse the csv module's rows of one block; ``done`` data rows precede them in the file."""
+    try:
+        return _parse_columns(data_rows, feature_idx, label_idx)
+    except (ValueError, IndexError):
+        # a bad cell, or one that plain ``float`` rejects but
+        # ``float(cell.strip())`` accepts
+        return _parse_rows(data_rows, done, feature_idx, label_idx)
 
 
 def _parse_columns(data_rows, feature_idx, label_idx):

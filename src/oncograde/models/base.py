@@ -22,6 +22,9 @@ _SVM_KERNEL_OF = {"svm_rbf": "rbf", "svm_linear": "linear", "svm_poly": "polynom
 
 VOTING_MEMBERS = ("dnn", "svm_rbf", "bagging")
 
+# (row, column) cells of one rbf kernel block; bounds its outer-sum temporary
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass
 class Hyperparams:
@@ -104,14 +107,19 @@ def kernel_matrix(spec: KernelSpec, A, B) -> np.ndarray:
     K = A @ B.T
     if spec.kind == "linear":
         return K
-    # each step below writes into K, so a call holds at most two n x m arrays
+    # each step below writes into K, so a call holds one n x m array
     if spec.kind == "rbf":
-        # exp(-gamma * max(|a|^2 + |b|^2 - 2ab, 0))
-        K *= 2
-        np.subtract((A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :], K, out=K)
-        np.maximum(K, 0.0, out=K)
-        K *= -spec.gamma
-        return np.exp(K, out=K)
+        # exp(-gamma * max(|a|^2 + |b|^2 - 2ab, 0)), a block of rows at a time
+        a2, b2 = (A**2).sum(axis=1)[:, None], (B**2).sum(axis=1)[None, :]
+        step = max(1, _BLOCK_CELLS // K.shape[1])
+        for lo in range(0, K.shape[0], step):
+            block = K[lo : lo + step]
+            block *= 2
+            np.subtract(a2[lo : lo + step] + b2, block, out=block)
+            np.maximum(block, 0.0, out=block)
+            block *= -spec.gamma
+            np.exp(block, out=block)
+        return K
     K *= spec.gamma
     K += spec.coef0
     if spec.kind == "polynomial":

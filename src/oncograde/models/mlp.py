@@ -99,13 +99,13 @@ def _loss_and_accuracy(logits: np.ndarray, y) -> tuple[float, float]:
     return loss, float((proba_to_labels(e / total) == y).mean())
 
 
-def cross_entropy_grads(weights, biases, X, y):
-    """Gradients of the mean cross-entropy w.r.t. every weight and bias."""
+def cross_entropy_grads(weights, biases, X, Y):
+    """Gradients of the mean cross-entropy w.r.t. every weight and bias,
+    for the one-hot targets ``Y`` (n, 3) of the rows of ``X``."""
     *activations, logits = _layer_outputs(weights, biases, X)
-    n = X.shape[0]
     delta = softmax(logits)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
+    delta -= Y  # p - 0.0 is p, so only each row's true class moves
+    delta /= X.shape[0]
 
     grads_w = [None] * len(weights)
     grads_b = [None] * len(biases)
@@ -136,13 +136,14 @@ def train_mlp(Xtr, ytr, Xval, yval, hp: Hyperparams, stream: RngStream) -> MlpMo
     best_val = np.inf
     stale = 0
     n = Xtr.shape[0]
+    Ytr = np.eye(N_CLASSES)[ytr]
 
     for _epoch in range(hp.epochs):
         order = shuffle(range(n), stream)
-        X_epoch, y_epoch = Xtr[order], ytr[order]  # gathered once; each batch is a view of its rows
+        X_epoch, Y_epoch = Xtr[order], Ytr[order]  # gathered once; each batch is a view of its rows
         for start in range(0, n, hp.batch_size):
             stop = start + hp.batch_size
-            gw, gb = cross_entropy_grads(weights, biases, X_epoch[start:stop], y_epoch[start:stop])
+            gw, gb = cross_entropy_grads(weights, biases, X_epoch[start:stop], Y_epoch[start:stop])
             velocity *= _MOMENTUM
             velocity -= hp.learning_rate * np.concatenate(gw + gb, axis=None)
             params += velocity

@@ -39,7 +39,10 @@ layout of scikit-learn's trees). A group numbers its members' nodes
 together, and each member's nodes keep their relative order when the
 group is split, which is the numbering the member gets alone. A leaf's
 children are the leaf itself, so prediction advances every row one level
-per step until all rows sit on leaves. The arrays are also the model
+per step, for as many steps as the deepest leaf lies below the root, with
+one ``take`` a step from a table of each node's (right, left) children
+indexed by ``2 * node + go_left``; the table and the step count are built
+from the node arrays when the model is made. The arrays are also the model
 file's form: ``model_to_doc`` writes them as they are, and ``from_params``
 reads and checks them.
 """
@@ -68,15 +71,28 @@ class TreeModel(TrainedModel):
     right: np.ndarray
     hist: np.ndarray  # (n_nodes, 3) class weights; only a leaf's are read
 
+    def __post_init__(self):
+        # prediction's descent, built from the node arrays and kept off the
+        # fields that model_to_doc writes: node i's children sit at 2i (right)
+        # and 2i + 1 (left) of one table, and ``_levels`` is the most splits on
+        # any path from the root, found by walking the nodes each level reaches
+        self._children = np.column_stack([self.right, self.left]).ravel()
+        internal = self.left != np.arange(self.left.size)
+        self._levels, reached = 0, np.zeros(self.left.size, dtype=bool)
+        reached[0] = True
+        while (parents := reached & internal).any():
+            reached = np.zeros_like(reached)
+            reached[self.left[parents]] = reached[self.right[parents]] = True
+            self._levels += 1
+
     def predict_proba(self, X) -> np.ndarray:
         check_width(X, self.n_features)
-        internal = self.left != np.arange(self.left.size)
         cells = X.ravel()
         row_start = np.arange(X.shape[0]) * X.shape[1]
         at = np.zeros(X.shape[0], dtype=np.intp)
-        while internal.take(at).any():
+        for _ in range(self._levels):  # a row on a leaf stays there, as a leaf's children are itself
             go_left = cells.take(row_start + self.feature.take(at)) <= self.threshold.take(at)
-            at = np.where(go_left, self.left.take(at), self.right.take(at))
+            at = self._children.take(2 * at + go_left)
         hist = self.hist.take(at, axis=0)
         return hist / ((hist[:, 0] + hist[:, 1]) + hist[:, 2])[:, None]
 

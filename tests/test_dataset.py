@@ -2,16 +2,27 @@ import csv
 import io
 import json
 import re
+import tempfile
+from functools import partial
+from itertools import islice
+from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oncograde import dataset
 from oncograde.dataset import (
     _BLOCK_ROWS,
     AGE_MAX,
     AGE_MIN,
     FEATURE_NAMES,
+    LABEL_NAME,
     Dataset,
+    _norm,
+    _parse_label,
     csv_text,
     iter_csv_blocks,
     largest_remainder_counts,
@@ -315,6 +326,159 @@ class TestCsvBlocks:
         _write_csv(p, self.HEADER, rows)
         with pytest.raises(ValueError, match=f"'late' at row {_BLOCK_ROWS}, column 'Snoring'"):
             load_csv(p)
+
+
+def reference_blocks(path):
+    """The csv-module reader that numpy's reads plain blocks in place of: the
+    reference for ``iter_csv_blocks``, with ``dataset._BLOCK_ROWS`` rows a block."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = filter(None, csv.reader(fh))
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"empty file: {path}")
+        names = [_norm(h) for h in header]
+        col_of = {name: i for i, name in enumerate(names)}
+        for name in (*FEATURE_NAMES, LABEL_NAME):
+            if _norm(name) not in col_of:
+                raise ValueError(f"missing column: {name}")
+            if names.count(_norm(name)) > 1:
+                raise ValueError(f"duplicate column: {name}")
+        feature_idx = [col_of[_norm(name)] for name in FEATURE_NAMES]
+        label_idx = col_of[_norm(LABEL_NAME)]
+
+        done = 0
+        while block := list(islice(rows, dataset._BLOCK_ROWS)):
+            try:
+                parsed = _reference_columns(block, feature_idx, label_idx)
+            except (ValueError, IndexError):
+                parsed = _reference_rows(block, done, feature_idx, label_idx)
+            yield parsed
+            done += len(block)
+    if not done:
+        raise ValueError(f"no data rows in {path}")
+
+
+def _reference_columns(data_rows, feature_idx, label_idx):
+    n = len(data_rows)
+    X = np.empty((n, len(FEATURE_NAMES)), dtype=np.float64)
+    for j, ci in enumerate(feature_idx):
+        X[:, j] = np.fromiter(map(float, map(itemgetter(ci), data_rows)), np.float64, n)
+    tokens = list(map(itemgetter(label_idx), data_rows))
+    label_of = {t: _parse_label(t) for t in set(tokens)}
+    y = np.fromiter(map(label_of.__getitem__, tokens), np.int64, n)
+    return X, y
+
+
+def _reference_rows(data_rows, done, feature_idx, label_idx):
+    for r, row in enumerate(data_rows, done + 1):
+        for j, ci in enumerate(feature_idx):
+            cell = row[ci].strip() if ci < len(row) else ""
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(f"non-numeric value {cell!r} at row {r}, column {FEATURE_NAMES[j]!r}") from None
+        if label_idx >= len(row):
+            raise ValueError(f"row {r} is too short to hold column {LABEL_NAME!r}")
+        _parse_label(row[label_idx])
+    trimmed = [[cell.strip() for cell in row] for row in data_rows]
+    return _reference_columns(trimmed, feature_idx, label_idx)
+
+
+def read_outcome(reader, path):
+    """Every block's X bytes, shape and labels, then the error that ended the read, if any."""
+    blocks = []
+    try:
+        for X, y in reader(path):
+            blocks.append((X.shape, X.dtype.str, X.tobytes(), y.dtype.str, y.tolist()))
+    except (ValueError, UnicodeDecodeError) as exc:
+        return blocks, (type(exc), str(exc))
+    return blocks, None
+
+
+# cells numpy's reader and float() both read, cells only float() reads (as
+# written or trimmed), and cells neither reads
+NUMBERS = ["3", "7", "2.5", "1e0", "-0", " 3 ", "+4", "nan", "-nan", "inf", "-Infinity"]
+ODD_NUMBERS = ["1_0", "\u0661", "\x1c1\x1f"]
+BAD_NUMBERS = ["x", "", " ", "1__0", "3\x00", "0x10", '"1,5"', "nan(1)", "\u0661x"]
+LABELS = ["Low", "Medium", "High", " low ", "HIGH", "1", "2", "3", "3.0", " 2 ", "\u0661"]
+BAD_LABELS = ["Severe", "0", "4", "Low\x00", "", "1.5", '"Low,High"']
+# an ignored column's cells: quoted commas and quoted line breaks, which make a block not plain
+OTHER_CELLS = ['"a,b"', '"two\nlines"', '"three\r\nlines"', '"bare\rreturn"', '"say ""hi"""', ""]
+ENDINGS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text around the schema: shuffled and respelled header names, then
+    rows of cells both readers read, with a few oddities placed among them:
+    odd and bad cells, quoted cells, blank lines, trailing commas, extra and
+    short rows, and other line endings."""
+    columns = [*FEATURE_NAMES, LABEL_NAME] + ["Patient Id"] * draw(st.integers(0, 2))
+    columns = draw(st.permutations(columns))
+    header = [draw(st.sampled_from([c, c.upper(), f" {c.lower()} "])) for c in columns]
+    n = draw(st.integers(0, 12))
+    rows = [
+        [draw(st.sampled_from(LABELS if c == LABEL_NAME else NUMBERS if c in FEATURE_NAMES else ["P1"])) for c in columns]
+        for _ in range(n)
+    ]
+    few = partial(st.lists, max_size=2)
+    row_at = st.integers(0, max(n - 1, 0))
+    kinds = [
+        ([i for i, c in enumerate(columns) if c in FEATURE_NAMES], ODD_NUMBERS + BAD_NUMBERS),
+        ([columns.index(LABEL_NAME)], BAD_LABELS),
+        ([i for i, c in enumerate(columns) if c not in FEATURE_NAMES and c != LABEL_NAME], OTHER_CELLS),
+    ]
+    for at, odd in kinds:
+        for r, c, cell in draw(few(st.tuples(row_at, st.sampled_from(at), st.sampled_from(odd)))) if n and at else []:
+            rows[r][c] = cell
+    for r, shape in draw(few(st.tuples(row_at, st.sampled_from(["trailing comma", "extra", "short"])))) if n else []:
+        if shape == "trailing comma":
+            rows[r].append("")
+        elif shape == "extra":
+            rows[r] += ["9", "z"]
+        else:
+            rows[r] = rows[r][: draw(st.integers(0, max(len(rows[r]) - 1, 0)))]
+    lines = [",".join(row) for row in [header, *rows]]
+    for at, blank in sorted(draw(few(st.tuples(st.integers(1, n + 1), st.sampled_from(["", "   "])))), reverse=True):
+        lines.insert(at, blank)
+    endings = [draw(st.sampled_from(ENDINGS))] * len(lines)
+    for at, ending in draw(few(st.tuples(st.integers(0, len(lines) - 1), st.sampled_from(ENDINGS)))):
+        endings[at] = ending
+    if draw(st.booleans()):  # no line break after the last line
+        endings[-1] = ""
+    return "".join(map(str.__add__, lines, endings))
+
+
+class TestCsvReaderPaths:
+    @pytest.mark.filterwarnings("error")  # a loadtxt UserWarning fails the test
+    @settings(max_examples=400, deadline=None)
+    @given(csv_files())
+    def test_readers_agree(self, text):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_BLOCK_ROWS", 3)  # block boundaries fall inside the files
+            path = Path(tmp) / "case.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert read_outcome(iter_csv_blocks, path) == read_outcome(reference_blocks, path)
+
+    @pytest.mark.parametrize("ending", ENDINGS)
+    def test_each_odd_cell_reads_as_the_reference_reads_it(self, tmp_path, monkeypatch, ending):
+        # one odd cell in the second of three blocks, the others plain
+        monkeypatch.setattr(dataset, "_BLOCK_ROWS", 3)
+        header = ["Patient Id", *FEATURE_NAMES, LABEL_NAME]
+        p = tmp_path / "d.csv"
+        for column, cells in [(1, ODD_NUMBERS + BAD_NUMBERS), (len(header) - 1, LABELS + BAD_LABELS), (0, OTHER_CELLS)]:
+            for cell in cells:
+                rows = [["P1", *["3"] * len(FEATURE_NAMES), "Low"] for _ in range(7)]
+                rows[4][column] = cell
+                p.write_bytes(ending.join(",".join(row) for row in [header, *rows]).encode())
+                assert read_outcome(iter_csv_blocks, p) == read_outcome(reference_blocks, p), cell
+
+    @pytest.mark.parametrize("ending", ENDINGS)
+    def test_plain_blocks_read_as_the_reference_reads_them(self, tmp_path, ending):
+        p = tmp_path / "d.csv"
+        save_csv(synth_generate(2 * _BLOCK_ROWS + 5, 8), p)
+        p.write_bytes(p.read_bytes().replace(b"\r\n", ending.encode()))
+        assert read_outcome(iter_csv_blocks, p) == read_outcome(reference_blocks, p)
 
 
 class TestCsvText:

@@ -39,7 +39,7 @@ def max_relative_grad_error(sizes, n_samples, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_samples, sizes[0]))
     y = rng.integers(0, 3, n_samples)
-    gw, gb = cross_entropy_grads(weights, biases, X, y)
+    gw, gb = cross_entropy_grads(weights, biases, X, np.eye(3)[y])  # one-hot targets
     nw, nb = numerical_grads(weights, biases, X, y)
     worst = 0.0
     for a, n in zip(gw + gb, nw + nb):

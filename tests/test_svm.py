@@ -22,6 +22,7 @@ from oncograde.models.base import (
     resolve_gamma,
     svm_kernel_for,
 )
+import oncograde.models.base as base
 import oncograde.models.svm as svm_module
 from oncograde.models.svm import SvmOvrModel, kkt_violation, train_svm_binary, train_svm_ovr
 from oncograde.preprocess import PreprocessConfig, run_pipeline
@@ -94,7 +95,38 @@ def machines(monkeypatch):
     return fitted
 
 
+def reference_rbf(A, B, gamma):
+    """The rbf kernel from one full |a|^2 + |b|^2 outer sum: the reference
+    for the kernel built a block of rows at a time."""
+    K = A @ B.T
+    K *= 2
+    np.subtract((A**2).sum(axis=1)[:, None] + (B**2).sum(axis=1)[None, :], K, out=K)
+    np.maximum(K, 0.0, out=K)
+    K *= -gamma
+    return np.exp(K, out=K)
+
+
 class TestKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 300), st.integers(1, 8), st.integers(0, 2**32 - 1), st.data())
+    def test_rbf_equals_the_full_outer_sum(self, n, m, d, seed, data):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, d))
+        # rows of A among B's, so some distances are 0 and clamp there
+        B = np.vstack([A[: m // 2], rng.normal(size=(m - min(m // 2, n), d))])
+        # blocks of cells // m rows, fewer than n, so a block boundary falls inside the rows
+        cells = data.draw(st.integers(1, max(1, n * m - 1)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(base, "_BLOCK_CELLS", cells)
+            K = kernel_matrix(KernelSpec("rbf", gamma=0.3), A, B)
+        assert K.tobytes() == reference_rbf(A, B, 0.3).tobytes()
+
+    def test_rbf_blocks_at_the_module_size_equal_the_full_outer_sum(self):
+        r = np.random.default_rng(5)
+        A, B = r.normal(size=(300, 4)), r.normal(size=(300, 4))
+        assert base._BLOCK_CELLS // 300 < 300  # a block boundary falls inside the rows
+        assert kernel_matrix(KernelSpec("rbf", gamma=0.7), A, B).tobytes() == reference_rbf(A, B, 0.7).tobytes()
+
     def test_rbf_identical_points(self):
         spec = KernelSpec("rbf", gamma=2.0)
         assert kernel_matrix(spec, [[1.0, 2.0]], [[1.0, 2.0]])[0, 0] == pytest.approx(1.0)
@@ -127,17 +159,17 @@ class TestKernels:
         assert resolve_gamma("scale", np.full((5, 4), 3.0)) == 0.25
 
     @pytest.mark.parametrize("kind", ["rbf", "polynomial", "sigmoid"])
-    def test_holds_at_most_two_output_sized_arrays(self, kind):
+    def test_holds_one_output_sized_array(self, kind):
         r = np.random.default_rng(3)
-        A, B = r.normal(size=(400, 5)), r.normal(size=(300, 5))
+        A, B = r.normal(size=(2000, 10)), r.normal(size=(500, 10))
         tracemalloc.start()
         try:
             kernel_matrix(KernelSpec(kind, gamma=0.3, coef0=0.5), A, B)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # two 400 x 300 arrays, plus room for the ufunc iteration buffers
-        assert peak <= 2 * 400 * 300 * 8 + 2**18
+        # the 8 MB result, plus room for the rbf block's outer sum and the row norms
+        assert peak <= 1.25 * 2000 * 500 * 8
 
 
 class TestBinarySmo:

@@ -45,6 +45,20 @@ def reference_predict_proba(model, X):
     return out
 
 
+def reference_level_descent(model, X):
+    """The level-at-a-time descent that looks up each child array per level
+    until every row sits on a leaf: the reference for the one-table descent."""
+    internal = model.left != np.arange(model.left.size)
+    cells = X.ravel()
+    row_start = np.arange(X.shape[0]) * X.shape[1]
+    at = np.zeros(X.shape[0], dtype=np.intp)
+    while internal.take(at).any():
+        go_left = cells.take(row_start + model.feature.take(at)) <= model.threshold.take(at)
+        at = np.where(go_left, model.left.take(at), model.right.take(at))
+    hist = model.hist.take(at, axis=0)
+    return hist / ((hist[:, 0] + hist[:, 1]) + hist[:, 2])[:, None]
+
+
 def preorder_nodes(model) -> list[dict]:
     """The tree's nodes in ``reference_tree_nodes``'s form: node dicts in
     preorder, each left child right after its parent, a leaf holding only
@@ -361,6 +375,37 @@ class TestTreePredict:
         probe = np.vstack([X, np.random.default_rng(seed).normal(size=(40, X.shape[1]))])
         assert json.dumps(model_to_doc(loaded)) == json.dumps(model_to_doc(model))
         assert loaded.predict_proba(probe).tobytes() == model.predict_proba(probe).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 8), st.integers(0, 60), st.sampled_from([0.0, 0.1, 0.5]))
+    def test_equals_the_level_descent(self, seed, max_depth, n_probe, nan_share):
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(2, 120)), int(rng.integers(1, 6))
+        X = np.round(rng.normal(size=(n, m)), 1)
+        model = train_tree(X, rng.integers(0, N_CLASSES, size=n), max_depth=max_depth)
+        # probe cells: training values, the thresholds themselves (equal goes
+        # left) and NaN (no comparison holds, so it goes right); 0 rows too
+        probe = rng.choice(np.concatenate([X.ravel(), model.threshold]), size=(n_probe, m))
+        probe[rng.random(probe.shape) < nan_share] = np.nan
+        assert model.predict_proba(probe).tobytes() == reference_level_descent(model, probe).tobytes()
+
+    def test_levels_follow_the_longest_path_of_a_loaded_tree(self):
+        # not breadth-first: the last node, 6, is a leaf one split down, the
+        # deepest, 4, is four splits down (0, 1, 2, 3), and nodes 1, 2 and 3
+        # share the leaf 5
+        doc = {
+            "n_features": 1,
+            "feature": [0] * 7,
+            "threshold": [1.0, 0.5, 0.0, -0.5, 0.0, 0.0, 0.0],
+            "left": [1, 2, 3, 4, 4, 5, 6],
+            "right": [6, 5, 5, 5, 4, 5, 6],
+            "hist": [[1.0, 0.0, 0.0]] * 4 + [[0.0, 0.0, 3.0], [1.0, 2.0, 0.0], [1.0, 0.0, 0.0]],
+        }
+        model = TreeModel.from_params(doc)
+        assert model._levels == 4
+        probe = np.append(np.arange(-20, 21) / 10, np.nan)[:, None]  # -0.5, 0.0, 0.5 and 1.0 exactly
+        assert model.predict_proba(probe).tobytes() == reference_level_descent(model, probe).tobytes()
+        assert model.predict(probe).tolist() == [2] * 16 + [1] * 15 + [0] * 11
 
     def test_single_leaf_and_zero_rows(self):
         leaf = TreeModel.from_params(
