@@ -256,9 +256,12 @@ def _is_plain(lines) -> bool:
 
 
 def _read_plain(lines, feature_idx, label_idx):
-    """Parse plain lines with numpy's reader; each distinct label token is parsed once."""
-    X = np.loadtxt(lines, delimiter=",", usecols=feature_idx, comments=None, ndmin=2)
-    tokens = np.loadtxt(lines, delimiter=",", usecols=label_idx, dtype=str, comments=None, ndmin=1)
+    """Parse plain lines with numpy's reader; every line is one row, so
+    ``max_rows`` sizes numpy's result to the block. Each distinct label
+    token is parsed once."""
+    n = len(lines)
+    X = np.loadtxt(lines, delimiter=",", usecols=feature_idx, comments=None, max_rows=n, ndmin=2)
+    tokens = np.loadtxt(lines, delimiter=",", usecols=label_idx, dtype=str, comments=None, max_rows=n, ndmin=1)
     distinct, at = np.unique(tokens, return_inverse=True)
     return X, np.array([_parse_label(str(t)) for t in distinct], dtype=np.int64)[at]
 
